@@ -26,7 +26,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from sdv_guard.llm_gateway import LlmGateway, ReplayStore
 from sdv_guard.pipeline.config import PipelineConfig
 from sdv_guard.pipeline.runs import run_safety_pipeline_files, run_topology_pipeline
-from sdv_guard.pipeline.stages import ground_code, load_catalogs, run_extraction
+from sdv_guard.pipeline.stages import extract_grounded, load_catalogs
 from sdv_guard.topology.model import (
     export_class_diagram,
     import_class_diagram,
@@ -302,12 +302,9 @@ def main() -> int:
               f"verdict {result.verdict}")
 
         gateway = _record_gateway(REPLAY / "cabin.json", transport)
-        signal_catalog, message_catalog = load_catalogs(vss_path, can_path)
         code = (FIXTURES / "code" / "cabin.py").read_text(encoding="utf-8")
-        _shortlist, chunks = ground_code(code, signal_catalog, message_catalog,
-                                         config.top_k, config.token_budget)
-        report = run_extraction(code, chunks, gateway,
-                                signal_catalog, message_catalog)
+        report = extract_grounded(code, *load_catalogs(vss_path, can_path),
+                                  gateway, config)
         accepted = {a.resolved_key for a in report.accepted}
         assert accepted == {"Vehicle.Cabin.Light"}, accepted
         print(f"cabin.json: {len(gateway.store)} completions, "

@@ -185,21 +185,16 @@ def _first_json_array(text: str):
     return None
 
 
-def extract_entries(code: str, chunks: list[Chunk], gateway: LlmGateway) -> list[ExtractedEntry]:
-    """Run the extraction construct over every chunk and union the results.
+def _extract_union(prompts: list[str], gateway: LlmGateway) -> list[ExtractedEntry]:
+    """Complete every prompt and union the parsed entries.
 
     Entries identical in (name, protocol, value) are deduplicated keeping the
     first occurrence; same name with a different value is kept so validation
     can surface the conflict.
     """
-    if not code:
-        raise ConfigurationError("extraction needs non-empty source code")
-    if not chunks:
-        raise ConfigurationError("extraction needs at least one catalog chunk")
     merged: list[ExtractedEntry] = []
     seen: set[tuple[str, str, str | None]] = set()
-    for chunk in chunks:
-        prompt = build_extraction_prompt(code, chunk)
+    for prompt in prompts:
         completion = gateway.complete(CompletionRequest(prompt=prompt))
         for entry in parse_extraction_response(completion):
             key = (entry.name, entry.protocol, entry.value)
@@ -208,6 +203,38 @@ def extract_entries(code: str, chunks: list[Chunk], gateway: LlmGateway) -> list
             seen.add(key)
             merged.append(entry)
     return merged
+
+
+def extract_entries(code: str, chunks: list[Chunk], gateway: LlmGateway) -> list[ExtractedEntry]:
+    """Run the extraction construct over every chunk and union the results,
+    deduplicated by (name, protocol, value)."""
+    if not code:
+        raise ConfigurationError("extraction needs non-empty source code")
+    if not chunks:
+        raise ConfigurationError("extraction needs at least one catalog chunk")
+    return _extract_union([build_extraction_prompt(code, chunk) for chunk in chunks],
+                          gateway)
+
+
+def run_extraction(code: str, chunks: list[Chunk], gateway: LlmGateway,
+                   signal_catalog: SignalCatalog, message_catalog: MessageCatalog,
+                   max_retries: int = 1) -> ExtractionReport:
+    """Extract, validate, and re-extract once per allowed retry while entries fail.
+
+    The retry prompt carries the validation feedback; whatever is still
+    rejected after the last retry stays in the report — nothing is dropped.
+    """
+    report = validate_entries(extract_entries(code, chunks, gateway),
+                              signal_catalog, message_catalog)
+    for _retry in range(max_retries):
+        if not report.rejected:
+            break
+        entries = _extract_union(
+            [build_extraction_retry_prompt(code, chunk, report.rejected)
+             for chunk in chunks],
+            gateway)
+        report = validate_entries(entries, signal_catalog, message_catalog)
+    return report
 
 
 def _resolve(name: str, catalog_entries, normalized_map) -> tuple[CatalogEntry | None, str]:

@@ -20,12 +20,12 @@ from ..eventchain import (
     serialize_chain,
     to_chain_document,
 )
-from ..safety_rules import check, parse_rules, render_report
+from ..safety_rules import VERDICT_PASS, check, parse_rules, render_report
 from ..topology import default_metamodel, parse_metamodel, render_topology_report
 from .config import PipelineConfig, build_gateway, load_config
 from .harness import render_harness_report, run_eval_harness
-from .runs import run_safety_pipeline, run_topology_pipeline
-from .stages import build_chain, ground_code, load_catalogs, read_text, run_extraction
+from .runs import run_safety_pipeline_files, run_topology_pipeline
+from .stages import build_chain, extract_grounded, load_catalogs, read_text
 
 _MODE_HELP = "replay completions from FILE instead of calling an endpoint"
 
@@ -58,16 +58,11 @@ def _config_for(args) -> PipelineConfig:
 def _cmd_analyze_safety(args) -> int:
     config = _config_for(args)
     gateway = build_gateway(config)
-    result = run_safety_pipeline(
-        read_text(args.code, "code"),
-        read_text(args.vss, "VSS catalog"),
-        read_text(args.can, "CAN catalog"),
-        read_text(args.rules, "rules"),
-        gateway, config, auto_correct=args.auto_correct,
-    )
+    result = run_safety_pipeline_files(args.code, args.vss, args.can, args.rules,
+                                       gateway, config, auto_correct=args.auto_correct)
     print(render_report(result.final_report), end="")
     print(f"artifacts: {result.out_dir}")
-    return 0 if result.verdict == "pass" else 1
+    return 0 if result.verdict == VERDICT_PASS else 1
 
 
 def _cmd_analyze_topology(args) -> int:
@@ -92,18 +87,14 @@ def _cmd_analyze_topology(args) -> int:
     )
     print(render_topology_report(result.final_report), end="")
     print(f"artifacts: {result.out_dir}")
-    return 0 if result.verdict == "pass" else 1
+    return 0 if result.verdict == VERDICT_PASS else 1
 
 
 def _cmd_extract_signals(args) -> int:
     config = _config_for(args)
     gateway = build_gateway(config)
     code = read_text(args.code, "code")
-    signal_catalog, message_catalog = load_catalogs(args.vss, args.can)
-    _shortlist, chunks = ground_code(
-        code, signal_catalog, message_catalog, config.top_k, config.token_budget)
-    report = run_extraction(code, chunks, gateway, signal_catalog, message_catalog,
-                            max_retries=config.max_extraction_retries)
+    report = extract_grounded(code, *load_catalogs(args.vss, args.can), gateway, config)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 1 if report.rejected else 0
 
@@ -112,11 +103,7 @@ def _cmd_build_chain(args) -> int:
     config = _config_for(args)
     gateway = build_gateway(config)
     code = read_text(args.code, "code")
-    signal_catalog, message_catalog = load_catalogs(args.vss, args.can)
-    _shortlist, chunks = ground_code(
-        code, signal_catalog, message_catalog, config.top_k, config.token_budget)
-    report = run_extraction(code, chunks, gateway, signal_catalog, message_catalog,
-                            max_retries=config.max_extraction_retries)
+    report = extract_grounded(code, *load_catalogs(args.vss, args.can), gateway, config)
     current_chain = (read_text(args.current_chain, "current chain")
                      if args.current_chain else "")
     diagram, document = build_chain(code, current_chain, report.accepted, gateway)
@@ -138,7 +125,7 @@ def _cmd_check_chain(args) -> int:
     ruleset = parse_rules(read_text(args.rules, "rules"))
     report = check(document, ruleset)
     print(render_report(report), end="")
-    return 0 if report.overall == "pass" else 1
+    return 0 if report.overall == VERDICT_PASS else 1
 
 
 def _cmd_eval(args) -> int:

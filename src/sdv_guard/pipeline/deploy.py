@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ConfigurationError, DeploymentError
-from ..util import sha256_bytes
+from ..util import mismatched_files, sha256_bytes
 
 
 @dataclass(frozen=True)
@@ -111,15 +111,5 @@ def verify_receipt(receipt: Receipt) -> list[str]:
     if receipt.kind != "directory":
         raise DeploymentError(
             "endpoint deployments cannot be re-verified from this side")
-    base = Path(receipt.target)
-    mismatched: list[str] = []
-    for rel, digest in receipt.files:
-        path = base / rel
-        try:
-            actual = sha256_bytes(path.read_bytes())
-        except FileNotFoundError:
-            mismatched.append(rel)
-            continue
-        if actual != digest:
-            mismatched.append(rel)
-    return mismatched
+    return mismatched_files(Path(receipt.target),
+                            ((rel, rel, digest) for rel, digest in receipt.files))

@@ -36,9 +36,9 @@ from pathlib import Path
 
 from ..errors import ConfigurationError, SdvGuardError
 from ..llm_gateway import LlmGateway, ReplayStore
-from ..safety_rules import check, parse_rules
+from ..safety_rules import VERDICT_PASS, VERDICT_VIOLATED, check, parse_rules
 from .config import PipelineConfig
-from .stages import build_chain, ground_code, load_catalogs, read_text, run_extraction
+from .stages import build_chain, extract_grounded, load_catalogs, read_text
 
 KINDS = ("mapping", "chain")
 
@@ -159,7 +159,7 @@ def parse_manifest(path: str | Path) -> list[Scenario]:
             rules_path = base / _required(obj, "rules", scenario_id)
             verdicts = _required(obj, "expected_verdicts", scenario_id)
             if not isinstance(verdicts, dict) or not verdicts or not all(
-                    isinstance(k, str) and v in ("pass", "violated")
+                    isinstance(k, str) and v in (VERDICT_PASS, VERDICT_VIOLATED)
                     for k, v in verdicts.items()):
                 raise ConfigurationError(
                     f"scenario '{scenario_id}' expected_verdicts must map "
@@ -181,20 +181,26 @@ def parse_manifest(path: str | Path) -> list[Scenario]:
     return scenarios
 
 
-def _run_mapping_once(scenario: Scenario, code: str, catalogs, gateway,
-                      config: PipelineConfig, rng, fault_rate: float) -> str | None:
-    """One mapping run; None on success, a short failure note otherwise."""
+def _score(scenario: Scenario, code: str, catalogs, gateway, ruleset,
+           config: PipelineConfig) -> tuple[set[str] | None, str | None]:
+    """Replay a scenario once. Returns (accepted keys, None) for a mapping
+    scenario and (None, failure note or None) for a chain scenario."""
     signal_catalog, message_catalog = catalogs
-    _shortlist, chunks = ground_code(
-        code, signal_catalog, message_catalog, config.top_k, config.token_budget)
-    report = run_extraction(code, chunks, gateway, signal_catalog, message_catalog,
-                            max_retries=config.max_extraction_retries)
-    accepted = {a.resolved_key for a in report.accepted}
-    if fault_rate > 0:
-        for key in scenario.expected_accepted:
-            if rng.random() < fault_rate:
-                accepted.discard(key)
-    expected = set(scenario.expected_accepted)
+    report = extract_grounded(code, signal_catalog, message_catalog, gateway, config)
+    if scenario.kind == "mapping":
+        return {a.resolved_key for a in report.accepted}, None
+    _diagram, document = build_chain(code, "", report.accepted, gateway)
+    verdicts = {r.rule.name: r.verdict for r in check(document, ruleset).results}
+    for name, expected in scenario.expected_verdicts:
+        if name not in verdicts:
+            return None, f"rule '{name}' not present in the report"
+        if verdicts[name] != expected:
+            return None, f"rule '{name}' was {verdicts[name]}, expected {expected}"
+    return None, None
+
+
+def _mapping_note(expected_keys: tuple[str, ...], accepted: set[str]) -> str | None:
+    expected = set(expected_keys)
     if accepted == expected:
         return None
     missing = sorted(expected - accepted)
@@ -207,28 +213,15 @@ def _run_mapping_once(scenario: Scenario, code: str, catalogs, gateway,
     return "; ".join(parts)
 
 
-def _run_chain_once(scenario: Scenario, code: str, catalogs, gateway, ruleset,
-                    config: PipelineConfig) -> str | None:
-    signal_catalog, message_catalog = catalogs
-    _shortlist, chunks = ground_code(
-        code, signal_catalog, message_catalog, config.top_k, config.token_budget)
-    report = run_extraction(code, chunks, gateway, signal_catalog, message_catalog,
-                            max_retries=config.max_extraction_retries)
-    _diagram, document = build_chain(code, "", report.accepted, gateway)
-    safety = check(document, ruleset)
-    verdicts = {r.rule.name: r.verdict for r in safety.results}
-    for name, expected in scenario.expected_verdicts:
-        if name not in verdicts:
-            return f"rule '{name}' not present in the report"
-        if verdicts[name] != expected:
-            return f"rule '{name}' was {verdicts[name]}, expected {expected}"
-    return None
-
-
 def run_eval_harness(manifest_path: str | Path, runs: int = 10,
                      fault_rate: float = 0.0, seed: int | None = None,
                      config: PipelineConfig | None = None) -> HarnessReport:
-    """Replay every scenario ``runs`` times and score it against expectations."""
+    """Score every scenario over ``runs`` runs against expectations.
+
+    Replay is deterministic, so each scenario is replayed once; only the
+    fault draws differ between runs. An error from the replayed run fails
+    every run with the same note; input files that cannot be loaded raise.
+    """
     if runs < 1:
         raise ConfigurationError(f"runs must be at least 1, got {runs}")
     if not 0.0 <= fault_rate <= 1.0:
@@ -245,18 +238,20 @@ def run_eval_harness(manifest_path: str | Path, runs: int = 10,
         gateway = LlmGateway(mode="replay", store=store)
         ruleset = (parse_rules(read_text(scenario.rules_path, "rules"))
                    if scenario.rules_path is not None else None)
+        try:
+            accepted, note = _score(scenario, code, catalogs, gateway, ruleset, config)
+        except SdvGuardError as exc:
+            accepted, note = None, f"{type(exc).__name__}: {exc}"
         successes = 0
         failures: list[str] = []
         for _run_index in range(runs):
-            try:
-                if scenario.kind == "mapping":
-                    note = _run_mapping_once(scenario, code, catalogs, gateway,
-                                             config, rng, fault_rate)
-                else:
-                    note = _run_chain_once(scenario, code, catalogs, gateway,
-                                           ruleset, config)
-            except SdvGuardError as exc:
-                note = f"{type(exc).__name__}: {exc}"
+            if accepted is not None:
+                kept = set(accepted)
+                if fault_rate > 0:
+                    for key in scenario.expected_accepted:
+                        if rng.random() < fault_rate:
+                            kept.discard(key)
+                note = _mapping_note(scenario.expected_accepted, kept)
             if note is None:
                 successes += 1
             elif len(failures) < 5:

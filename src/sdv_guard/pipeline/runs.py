@@ -24,6 +24,8 @@ from ..eventchain import serialize_chain, strip_fences
 from ..extraction import ExtractionReport
 from ..llm_gateway import LlmGateway
 from ..safety_rules import (
+    VERDICT_PASS,
+    VERDICT_VIOLATED,
     SafetyReport,
     check,
     parse_rules,
@@ -47,12 +49,9 @@ from ..topology import (
     render_topology_report,
     serialize_instance,
 )
-from ..util import sha256_bytes
+from ..util import mismatched_files, sha256_bytes
 from .config import PipelineConfig
 from .stages import build_chain, ground_code, read_text, run_extraction
-
-VERDICT_PASS = "pass"
-VERDICT_VIOLATED = "violated"
 
 
 def _extract_code(completion: str) -> str:
@@ -107,12 +106,23 @@ def _config_echo(config: PipelineConfig) -> dict:
 
 
 class _ArtifactWriter:
-    """Writes artifact files and tracks their digests for the run record."""
+    """Run context: owns the run record, runs each stage, writes artifact
+    files and tracks their digests."""
 
-    def __init__(self, out_dir: str | Path, record: RunRecord):
+    def __init__(self, out_dir: str | Path, kind: str, config: PipelineConfig):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.record = record
+        self.record = RunRecord(kind=kind, started_at=_now(), config=_config_echo(config))
+
+    def stage(self, name: str, fn):
+        """Run one stage; a failure finishes the record with verdict "error"
+        and is raised as a PipelineError naming the stage."""
+        try:
+            return fn()
+        except SdvGuardError as exc:
+            self.record.verdict = "error"
+            self.finish()
+            raise PipelineError(name, exc, record=self.record) from exc
 
     def write(self, name: str, text: str) -> Path:
         path = self.out_dir / name
@@ -151,18 +161,9 @@ def load_run_record(out_dir: str | Path) -> RunRecord:
 
 def verify_artifacts(record: RunRecord, out_dir: str | Path) -> list[str]:
     """Recompute every artifact digest; returns the names that do not match."""
-    out_dir = Path(out_dir)
-    mismatched: list[str] = []
-    for name, meta in sorted(record.artifacts.items()):
-        path = out_dir / meta["path"]
-        try:
-            digest = sha256_bytes(path.read_bytes())
-        except FileNotFoundError:
-            mismatched.append(name)
-            continue
-        if digest != meta["sha256"]:
-            mismatched.append(name)
-    return mismatched
+    return mismatched_files(Path(out_dir), (
+        (name, meta["path"], meta["sha256"])
+        for name, meta in sorted(record.artifacts.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -202,32 +203,23 @@ def run_safety_pipeline(code: str, vss_text: str, can_text: str, rules_text: str
     way. Every stage failure is wrapped in PipelineError naming the stage,
     with the partial run record attached.
     """
-    record = RunRecord(kind="safety", started_at=_now(), config=_config_echo(config))
-    writer = _ArtifactWriter(out_dir or config.out_dir, record)
-
-    def _stage(stage: str, fn):
-        try:
-            return fn()
-        except SdvGuardError as exc:
-            record.verdict = "error"
-            writer.finish()
-            raise PipelineError(stage, exc, record=record) from exc
-
-    signal_catalog = _stage("catalog", lambda: parse_vss_catalog(vss_text))
-    message_catalog = _stage("catalog", lambda: parse_can_catalog(can_text))
-    ruleset = _stage("rules", lambda: parse_rules(rules_text))
+    writer = _ArtifactWriter(out_dir or config.out_dir, "safety", config)
+    record = writer.record
+    signal_catalog = writer.stage("catalog", lambda: parse_vss_catalog(vss_text))
+    message_catalog = writer.stage("catalog", lambda: parse_can_catalog(can_text))
+    ruleset = writer.stage("rules", lambda: parse_rules(rules_text))
 
     iterations: list[SafetyIteration] = []
     current_code = code
     current_chain = ""
     for index in range(1, config.max_iterations + 1):
         suffix = f"_iter{index}"
-        _shortlist, chunks = _stage(
+        _shortlist, chunks = writer.stage(
             "retrieval",
             lambda: ground_code(current_code, signal_catalog, message_catalog,
                                 config.top_k, config.token_budget),
         )
-        extraction = _stage(
+        extraction = writer.stage(
             "extraction",
             lambda: run_extraction(current_code, chunks, gateway,
                                    signal_catalog, message_catalog,
@@ -235,21 +227,21 @@ def run_safety_pipeline(code: str, vss_text: str, can_text: str, rules_text: str
         )
         writer.write(f"extraction{suffix}.json",
                      json.dumps(extraction.to_dict(), indent=2, sort_keys=True) + "\n")
-        diagram, document = _stage(
+        diagram, document = writer.stage(
             "chain",
             lambda: build_chain(current_code, current_chain,
                                 extraction.accepted, gateway),
         )
         writer.write(f"chain{suffix}.puml", diagram)
         writer.write(f"chain{suffix}.json", serialize_chain(document) + "\n")
-        safety = _stage("check", lambda: check(document, ruleset))
+        safety = writer.stage("check", lambda: check(document, ruleset))
         writer.write(f"safety{suffix}.txt", render_report(safety))
         writer.write(f"safety{suffix}.json",
                      json.dumps(safety.to_dict(), indent=2, sort_keys=True) + "\n")
 
         corrected: str | None = None
         if safety.violated and auto_correct and index < config.max_iterations:
-            corrected = _stage(
+            corrected = writer.stage(
                 "correction",
                 lambda: _extract_code(
                     suggest_correction(current_code, safety, gateway)).strip() + "\n",
@@ -353,44 +345,33 @@ def run_topology_pipeline(gateway: LlmGateway, config: PipelineConfig,
             "generation and correction need a completion gateway")
     metamodel = metamodel if metamodel is not None else default_metamodel()
 
-    record = RunRecord(kind="topology", started_at=_now(), config=_config_echo(config))
-    writer = _ArtifactWriter(out_dir or config.out_dir, record)
+    writer = _ArtifactWriter(out_dir or config.out_dir, "topology", config)
+    record = writer.record
 
-    def _stage(stage: str, fn):
-        try:
-            return fn()
-        except SdvGuardError as exc:
-            record.verdict = "error"
-            writer.finish()
-            raise PipelineError(stage, exc, record=record) from exc
-
-    if model_text is not None:
-        model = _stage("model", lambda: _load_instance_text(model_text))
+    def check_conformance():
         conformance = conform(model, metamodel)
         if not conformance.ok:
-            record.verdict = "error"
             writer.write("conformance.txt", conformance.render_text())
-            writer.finish()
-            raise PipelineError(
-                "conformance",
-                ConfigurationError("supplied model does not conform to the metamodel"),
-                record=record,
-            )
+            raise ConfigurationError("supplied model does not conform to the metamodel")
+
+    if model_text is not None:
+        model = writer.stage("model", lambda: _load_instance_text(model_text))
+        writer.stage("conformance", check_conformance)
     else:
-        model = _stage(
+        model = writer.stage(
             "model", lambda: generate_instance(requirements, metamodel, gateway))
 
     if constraints_text is not None:
-        constraints = _stage(
+        constraints = writer.stage(
             "constraints", lambda: parse_constraints(constraints_text, metamodel))
     else:
-        constraints = _stage(
+        constraints = writer.stage(
             "constraints", lambda: generate_constraints(guidelines, metamodel, gateway))
 
     iterations: list[TopologyIteration] = []
     for index in range(1, config.max_iterations + 1):
         suffix = f"_iter{index}"
-        report = _stage(
+        report = writer.stage(
             "evaluate", lambda: eval_constraints(model, constraints, metamodel))
         writer.write(f"model{suffix}.puml", export_class_diagram(model))
         writer.write(f"model{suffix}.json", serialize_instance(model))
@@ -405,7 +386,7 @@ def run_topology_pipeline(gateway: LlmGateway, config: PipelineConfig,
         })
         if not report.failing or not auto_correct or index == config.max_iterations:
             break
-        model, _ = _stage(
+        model, _ = writer.stage(
             "correction",
             lambda: correct_instance(model, report, metamodel, gateway),
         )

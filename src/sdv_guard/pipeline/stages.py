@@ -18,16 +18,10 @@ from ..eventchain import (
     parse_activity_diagram,
     to_chain_document,
 )
-from ..extraction import (
-    ExtractionReport,
-    build_extraction_retry_prompt,
-    code_digest,
-    extract_entries,
-    parse_extraction_response,
-    validate_entries,
-)
-from ..llm_gateway import CompletionRequest, LlmGateway
+from ..extraction import ExtractionReport, code_digest, run_extraction
+from ..llm_gateway import LlmGateway
 from ..retrieval import Chunk, ShortList, build_index, chunk_entries, retrieve_top_k
+from .config import PipelineConfig
 
 
 def read_text(path: str | Path, what: str) -> str:
@@ -55,32 +49,15 @@ def ground_code(code: str, signal_catalog: SignalCatalog,
     return shortlist, chunk_entries(shortlist, token_budget=token_budget)
 
 
-def run_extraction(code: str, chunks: list[Chunk], gateway: LlmGateway,
-                   signal_catalog: SignalCatalog, message_catalog: MessageCatalog,
-                   max_retries: int = 1) -> ExtractionReport:
-    """Extract, validate, and re-extract once per allowed retry while entries fail.
-
-    The retry prompt carries the validation feedback; whatever is still
-    rejected after the last retry stays in the report — nothing is dropped.
-    """
-    entries = extract_entries(code, chunks, gateway)
-    report = validate_entries(entries, signal_catalog, message_catalog)
-    retries = 0
-    while report.rejected and retries < max_retries:
-        retries += 1
-        merged = []
-        seen: set[tuple[str, str, str | None]] = set()
-        for chunk in chunks:
-            prompt = build_extraction_retry_prompt(code, chunk, report.rejected)
-            completion = gateway.complete(CompletionRequest(prompt=prompt))
-            for entry in parse_extraction_response(completion):
-                key = (entry.name, entry.protocol, entry.value)
-                if key in seen:
-                    continue
-                seen.add(key)
-                merged.append(entry)
-        report = validate_entries(merged, signal_catalog, message_catalog)
-    return report
+def extract_grounded(code: str, signal_catalog: SignalCatalog,
+                     message_catalog: MessageCatalog, gateway: LlmGateway,
+                     config: PipelineConfig) -> ExtractionReport:
+    """Ground the code in the catalogs, then extract and validate it with the
+    configured retries."""
+    _shortlist, chunks = ground_code(code, signal_catalog, message_catalog,
+                                     config.top_k, config.token_budget)
+    return run_extraction(code, chunks, gateway, signal_catalog, message_catalog,
+                          max_retries=config.max_extraction_retries)
 
 
 def build_chain(code: str, current_chain: str, accepted, gateway: LlmGateway,

@@ -44,6 +44,8 @@ from .llm_gateway import PC2B, CompletionRequest, LlmGateway, render_prompt
 from .util import normalize_name
 
 MODES = ("require", "forbid")
+VERDICT_PASS = "pass"
+VERDICT_VIOLATED = "violated"
 _KEYWORDS = {"and", "or", "not", "before", "after", "require", "forbid"}
 _WORD_RE = re.compile(r"[A-Za-z0-9_-]+")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
@@ -120,11 +122,11 @@ class SafetyReport:
 
     @property
     def overall(self) -> str:
-        return "violated" if any(r.verdict == "violated" for r in self.results) else "pass"
+        return VERDICT_VIOLATED if self.violated else VERDICT_PASS
 
     @property
     def violated(self) -> tuple[RuleResult, ...]:
-        return tuple(r for r in self.results if r.verdict == "violated")
+        return tuple(r for r in self.results if r.verdict == VERDICT_VIOLATED)
 
     def to_dict(self) -> dict:
         return {
@@ -397,7 +399,7 @@ def eval_rule(document: ChainDocument, rule: SafetyRule) -> RuleResult:
                 atom_values=tuple(sorted(seen.items())),
                 expr_value=value,
             ))
-    verdict = "violated" if witnesses else "pass"
+    verdict = VERDICT_VIOLATED if witnesses else VERDICT_PASS
     return RuleResult(rule=rule, verdict=verdict, witnesses=tuple(witnesses))
 
 

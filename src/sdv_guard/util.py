@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from pathlib import Path
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _NORM_RE = re.compile(r"[^a-z0-9]+")
@@ -29,6 +30,21 @@ def sha256_text(text: str) -> str:
 
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def mismatched_files(base: Path, expected) -> list[str]:
+    """Re-hash recorded files under ``base``; ``expected`` yields
+    (name, relative path, sha256). Returns, in order, the names whose file is
+    missing or no longer matches its digest."""
+    mismatched: list[str] = []
+    for name, rel, digest in expected:
+        try:
+            actual = sha256_bytes((base / rel).read_bytes())
+        except FileNotFoundError:
+            actual = None
+        if actual != digest:
+            mismatched.append(name)
+    return mismatched
 
 
 def canonical_json(value) -> str:
