@@ -116,12 +116,6 @@ class ChainDocument:
     events: tuple[tuple[str, str], ...]  # (action node id, normalized event)
     metadata: tuple[tuple[str, str], ...] = ()
 
-    def event_of(self, node_id: str) -> str | None:
-        for nid, event in self.events:
-            if nid == node_id:
-                return event
-        return None
-
 
 class _Parser:
     def __init__(self, text: str):
@@ -269,9 +263,11 @@ def _validate_structure(graph: ActivityGraph) -> None:
 
     forward: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
     backward: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+    outgoing: dict[str, list[Edge]] = {n.id: [] for n in graph.nodes}
     for edge in graph.edges:
         forward[edge.src].append(edge.dst)
         backward[edge.dst].append(edge.src)
+        outgoing[edge.src].append(edge)
 
     reachable = _flood(starts[0].id, forward)
     unreachable = sorted(set(forward) - reachable)
@@ -288,7 +284,7 @@ def _validate_structure(graph: ActivityGraph) -> None:
             "cannot reach any stop: " + ", ".join(stranded)
         )
     for node in graph.nodes:
-        out = graph.outgoing(node.id)
+        out = outgoing[node.id]
         if node.kind == "action" and len(out) != 1:
             raise StructureError(
                 f"action '{node.id}' must have exactly one outgoing edge, has {len(out)}"

@@ -164,7 +164,13 @@ class ReplayStore:
             raise ConfigurationError("replay store has no path to save to")
         target.parent.mkdir(parents=True, exist_ok=True)
         text = json.dumps(self.entries, indent=2, sort_keys=True, ensure_ascii=False)
-        target.write_text(text + "\n", encoding="utf-8")
+        # write beside the store, then swap: a crash mid-write leaves the old file
+        partial = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+        try:
+            partial.write_text(text + "\n", encoding="utf-8")
+            os.replace(partial, target)
+        finally:
+            partial.unlink(missing_ok=True)
 
     def record(self, prompt: str, completion: str) -> str:
         digest = prompt_digest(prompt)

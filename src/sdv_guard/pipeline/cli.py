@@ -227,6 +227,9 @@ def main(argv=None) -> int:
     except SdvGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # fail closed: no traceback, no silent pass
+        print(f"internal error: {type(exc).__name__}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

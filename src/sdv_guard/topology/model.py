@@ -83,35 +83,39 @@ class Metamodel:
         self.classes = {c.name: c for c in classes}
         self.enums = {e.name: e for e in enums}
         self._order = tuple(c.name for c in classes)
+        # per class: its lineage (itself, then its ancestors, including an
+        # undeclared one that ends the chain) and its merged attributes
+        self._lineage: dict[str, tuple[str, ...]] = {}
+        self._attributes: dict[str, dict[str, Attribute]] = {}
+        for cls in self.classes.values():
+            lineage = [cls.name]
+            current = cls.parent
+            while current is not None:
+                if current in lineage:
+                    raise MetamodelError(f"inheritance cycle through '{current}'")
+                lineage.append(current)
+                ancestor = self.classes.get(current)
+                current = ancestor.parent if ancestor else None
+            self._lineage[cls.name] = tuple(lineage)
+            merged: dict[str, Attribute] = {}
+            for name in reversed(lineage):
+                if name in self.classes:
+                    merged.update((a.name, a) for a in self.classes[name].attributes)
+            self._attributes[cls.name] = merged
 
     def class_names(self) -> tuple[str, ...]:
         return self._order
 
     def is_subclass(self, child: str, ancestor: str) -> bool:
         """True when child == ancestor or child inherits from it."""
-        current: str | None = child
-        while current is not None:
-            if current == ancestor:
-                return True
-            cls = self.classes.get(current)
-            current = cls.parent if cls else None
-        return False
+        return ancestor in self._lineage.get(child, (child,))
 
     def all_attributes(self, class_name: str) -> dict[str, Attribute]:
         """Own and inherited attributes, nearest declaration wins."""
-        chain: list[MetaClass] = []
-        current = self.classes.get(class_name)
-        while current is not None:
-            chain.append(current)
-            current = self.classes.get(current.parent) if current.parent else None
-        out: dict[str, Attribute] = {}
-        for cls in reversed(chain):
-            for attr in cls.attributes:
-                out[attr.name] = attr
-        return out
+        return dict(self._attributes.get(class_name, {}))
 
     def resolve_attribute(self, class_name: str, attr_name: str) -> Attribute | None:
-        return self.all_attributes(class_name).get(attr_name)
+        return self._attributes.get(class_name, {}).get(attr_name)
 
     def __eq__(self, other) -> bool:
         return (
@@ -197,15 +201,7 @@ def parse_metamodel(text: str) -> Metamodel:
                     f"attribute '{cls.name}.{attr.name}' references unknown class "
                     f"'{attr.target}'"
                 )
-    # inheritance must be acyclic
-    for cls in classes:
-        seen = {cls.name}
-        current = cls.parent
-        while current is not None:
-            if current in seen:
-                raise MetamodelError(f"inheritance cycle through '{current}'")
-            seen.add(current)
-            current = by_name[current].parent
+    # the constructor rejects inheritance cycles
     return Metamodel(classes=tuple(classes), enums=tuple(enums))
 
 

@@ -339,7 +339,7 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# type checking
+# compilation: type checking and evaluation in one pass over the tree
 
 _BOOL = "Boolean"
 _REAL = "Real"
@@ -348,12 +348,66 @@ _STR = "String"
 
 _KIND_TO_TYPE = {"string": _STR, "real": _REAL, "int": _INT, "bool": _BOOL}
 
+# connective -> (keyword, left value that decides the result, that result)
+_CONNECTIVES = {AndOp: ("and", False, False), OrOp: ("or", True, True),
+                Implies: ("implies", False, True)}
+
 
 def _is_numeric(t) -> bool:
     return t in (_REAL, _INT)
 
 
-class _TypeChecker:
+class _EvalFault(Exception):
+    pass
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise _EvalFault(f"expected a boolean, got {value!r}")
+    return value
+
+
+def _compare(op: str, left, right) -> bool:
+    numeric = (
+        isinstance(left, (int, float)) and not isinstance(left, bool)
+        and isinstance(right, (int, float)) and not isinstance(right, bool)
+    )
+    if op in ("<", "<=", ">", ">="):
+        if not numeric:
+            raise _EvalFault(f"'{op}' needs numeric operands")
+        return {
+            "<": left < right, "<=": left <= right,
+            ">": left > right, ">=": left >= right,
+        }[op]
+    if isinstance(left, ModelObject) or isinstance(right, ModelObject):
+        same = (
+            isinstance(left, ModelObject) and isinstance(right, ModelObject)
+            and left.id == right.id
+        )
+    elif numeric:
+        same = float(left) == float(right)
+    elif type(left) is type(right):
+        same = left == right
+    else:
+        raise _EvalFault(f"cannot compare {left!r} with {right!r}")
+    return same if op == "=" else not same
+
+
+def _constant(value):
+    return lambda model, scope: value
+
+
+class _Compiler:
+    """Type-checks an expression tree and builds its evaluator in one walk.
+
+    ``compile`` returns ``(static type, evaluator)``. The evaluator is
+    ``fn(model, scope)``, where ``scope`` maps ``self`` and let variables to
+    values. Static errors raise ConstraintError at compile time; runtime
+    faults raise _EvalFault when the evaluator runs. Evaluators never rely on
+    the static types, so models that skipped conformance get the same
+    runtime checks.
+    """
+
     def __init__(self, metamodel: Metamodel, context_cls: str, constraint: str):
         self.metamodel = metamodel
         self.context_cls = context_cls
@@ -364,17 +418,18 @@ class _TypeChecker:
             f"constraint '{self.constraint}': {message}", symbol=symbol
         )
 
-    def check(self, expr: OclExpr, env: dict[str, object]):
+    def compile(self, expr: OclExpr, env: dict[str, object]):
         if isinstance(expr, SelfRef):
-            return ("Object", self.context_cls)
+            return ("Object", self.context_cls), lambda model, scope: scope["self"]
         if isinstance(expr, VarRef):
-            if expr.name not in env:
-                self.fail(f"unknown name '{expr.name}'", symbol=expr.name)
-            return env[expr.name]
+            name = expr.name
+            if name not in env:
+                self.fail(f"unknown name '{name}'", symbol=name)
+            return env[name], lambda model, scope: scope[name]
         if isinstance(expr, NumberLit):
-            return _REAL if expr.is_real else _INT
+            return (_REAL if expr.is_real else _INT), _constant(expr.value)
         if isinstance(expr, StringLit):
-            return _STR
+            return _STR, _constant(expr.value)
         if isinstance(expr, EnumLit):
             enum = self.metamodel.enums.get(expr.enum)
             if enum is None:
@@ -384,70 +439,124 @@ class _TypeChecker:
                     f"enum '{expr.enum}' has no literal '{expr.literal}'",
                     symbol=expr.literal,
                 )
-            return ("Enum", expr.enum)
+            return ("Enum", expr.enum), _constant(expr.literal)
         if isinstance(expr, Nav):
-            target = self.check(expr.target, env)
-            if not (isinstance(target, tuple) and target[0] == "Object"):
-                self.fail(f"cannot navigate '{expr.attr}' on a non-object value",
-                          symbol=expr.attr)
-            attr = self.metamodel.resolve_attribute(target[1], expr.attr)
+            target_type, target = self.compile(expr.target, env)
+            name = expr.attr
+            if not (isinstance(target_type, tuple) and target_type[0] == "Object"):
+                self.fail(f"cannot navigate '{name}' on a non-object value",
+                          symbol=name)
+            attr = self.metamodel.resolve_attribute(target_type[1], name)
             if attr is None:
                 self.fail(
-                    f"class '{target[1]}' has no attribute '{expr.attr}'",
-                    symbol=expr.attr,
+                    f"class '{target_type[1]}' has no attribute '{name}'",
+                    symbol=name,
                 )
             if attr.category == "ref":
-                return ("Object", attr.target)
-            if attr.category == "enum":
-                return ("Enum", attr.target)
-            return _KIND_TO_TYPE[attr.category]
-        if isinstance(expr, IsTypeOf):
-            target = self.check(expr.target, env)
-            if not (isinstance(target, tuple) and target[0] == "Object"):
-                self.fail("oclIsTypeOf applies to objects only",
-                          symbol=expr.class_name)
-            if expr.class_name not in self.metamodel.classes:
-                self.fail(f"unknown class '{expr.class_name}'",
-                          symbol=expr.class_name)
-            return _BOOL
-        if isinstance(expr, ToReal):
-            target = self.check(expr.target, env)
-            if target not in (_STR, _REAL, _INT):
-                self.fail("toReal applies to strings and numbers only")
-            return _REAL
-        if isinstance(expr, Compare):
-            left = self.check(expr.left, env)
-            right = self.check(expr.right, env)
-            if expr.op in ("<", "<=", ">", ">="):
-                if not (_is_numeric(left) and _is_numeric(right)):
-                    self.fail(f"'{expr.op}' needs numeric operands")
+                result = ("Object", attr.target)
+            elif attr.category == "enum":
+                result = ("Enum", attr.target)
             else:
-                if not _comparable(left, right):
-                    self.fail(f"cannot compare {_type_name(left)} with {_type_name(right)}")
-            return _BOOL
+                result = _KIND_TO_TYPE[attr.category]
+
+            def navigate(model, scope):
+                obj = target(model, scope)
+                if not isinstance(obj, ModelObject):
+                    raise _EvalFault(f"cannot navigate '{name}' on {obj!r}")
+                if name in obj.refs:
+                    resolved = model.get(obj.refs[name])
+                    if resolved is None:
+                        raise _EvalFault(f"reference '{obj.id}.{name}' dangles")
+                    return resolved
+                if name in obj.attrs:
+                    return obj.attrs[name]
+                raise _EvalFault(f"object '{obj.id}' has no value for '{name}'")
+            return result, navigate
+        if isinstance(expr, IsTypeOf):
+            target_type, target = self.compile(expr.target, env)
+            class_name = expr.class_name
+            if not (isinstance(target_type, tuple) and target_type[0] == "Object"):
+                self.fail("oclIsTypeOf applies to objects only", symbol=class_name)
+            if class_name not in self.metamodel.classes:
+                self.fail(f"unknown class '{class_name}'", symbol=class_name)
+
+            def is_type_of(model, scope):
+                obj = target(model, scope)
+                if not isinstance(obj, ModelObject):
+                    raise _EvalFault("oclIsTypeOf applies to objects only")
+                return obj.cls == class_name
+            return _BOOL, is_type_of
+        if isinstance(expr, ToReal):
+            target_type, target = self.compile(expr.target, env)
+            if target_type not in (_STR, _REAL, _INT):
+                self.fail("toReal applies to strings and numbers only")
+
+            def to_real(model, scope):
+                value = target(model, scope)
+                if isinstance(value, bool):
+                    raise _EvalFault("toReal cannot convert a boolean")
+                if isinstance(value, (int, float)):
+                    return float(value)
+                if isinstance(value, str):
+                    try:
+                        return float(value.strip())
+                    except ValueError:
+                        raise _EvalFault(
+                            f"toReal cannot convert '{value}'"
+                        ) from None
+                raise _EvalFault(f"toReal cannot convert {value!r}")
+            return _REAL, to_real
+        if isinstance(expr, Compare):
+            left_type, left = self.compile(expr.left, env)
+            right_type, right = self.compile(expr.right, env)
+            op = expr.op
+            if op in ("<", "<=", ">", ">="):
+                if not (_is_numeric(left_type) and _is_numeric(right_type)):
+                    self.fail(f"'{op}' needs numeric operands")
+            else:
+                if not _comparable(left_type, right_type):
+                    self.fail(f"cannot compare {_type_name(left_type)} "
+                              f"with {_type_name(right_type)}")
+            return _BOOL, lambda model, scope: _compare(
+                op, left(model, scope), right(model, scope))
         if isinstance(expr, NotOp):
-            if self.check(expr.child, env) != _BOOL:
+            child_type, child = self.compile(expr.child, env)
+            if child_type != _BOOL:
                 self.fail("'not' needs a boolean operand")
-            return _BOOL
+            return _BOOL, lambda model, scope: not _boolean(child(model, scope))
         if isinstance(expr, (AndOp, OrOp, Implies)):
-            word = {"AndOp": "and", "OrOp": "or", "Implies": "implies"}[type(expr).__name__]
-            if self.check(expr.left, env) != _BOOL or self.check(expr.right, env) != _BOOL:
+            word, decider, decided = _CONNECTIVES[type(expr)]
+            left_type, left = self.compile(expr.left, env)
+            if left_type != _BOOL:
                 self.fail(f"'{word}' needs boolean operands")
-            return _BOOL
+            right_type, right = self.compile(expr.right, env)
+            if right_type != _BOOL:
+                self.fail(f"'{word}' needs boolean operands")
+
+            def connective(model, scope):
+                if _boolean(left(model, scope)) == decider:
+                    return decided  # short circuit: right is never evaluated
+                return _boolean(right(model, scope))
+            return _BOOL, connective
         if isinstance(expr, Let):
-            if expr.type_name not in _LET_TYPES:
-                self.fail(f"unknown let type '{expr.type_name}'", symbol=expr.type_name)
-            value = self.check(expr.value, env)
             declared = expr.type_name
-            if declared == _REAL and _is_numeric(value):
-                pass
-            elif value != declared:
+            if declared not in _LET_TYPES:
+                self.fail(f"unknown let type '{declared}'", symbol=declared)
+            value_type, value = self.compile(expr.value, env)
+            widens = declared == _REAL and _is_numeric(value_type)
+            if not widens and value_type != declared:
                 self.fail(
-                    f"let '{expr.var}' declares {declared} but binds {_type_name(value)}"
+                    f"let '{expr.var}' declares {declared} but binds "
+                    f"{_type_name(value_type)}"
                 )
-            inner = dict(env)
-            inner[expr.var] = declared
-            return self.check(expr.body, inner)
+            var = expr.var
+            body_type, body = self.compile(expr.body, {**env, var: declared})
+
+            def let(model, scope):
+                inner = dict(scope)
+                inner[var] = value(model, scope)
+                return body(model, inner)
+            return body_type, let
         raise TypeError(f"unknown expression node {expr!r}")
 
 
@@ -467,6 +576,23 @@ def _type_name(t) -> str:
     return str(t)
 
 
+def _compile(constraint: Constraint, metamodel: Metamodel):
+    """Type-check one constraint against the metamodel; return its evaluator."""
+    if constraint.context not in metamodel.classes:
+        raise ConstraintError(
+            f"constraint '{constraint.name}': unknown context class "
+            f"'{constraint.context}'",
+            symbol=constraint.context,
+        )
+    compiler = _Compiler(metamodel, constraint.context, constraint.name)
+    result, evaluate = compiler.compile(constraint.body, {})
+    if result != _BOOL:
+        raise ConstraintError(
+            f"constraint '{constraint.name}' must be boolean, got {_type_name(result)}"
+        )
+    return evaluate
+
+
 def parse_constraints(text: str, metamodel: Metamodel) -> ConstraintSet:
     """Parse and type-check a constraint file against the metamodel."""
     constraints = _Parser(text).document()
@@ -475,135 +601,12 @@ def parse_constraints(text: str, metamodel: Metamodel) -> ConstraintSet:
         if constraint.name in names:
             raise ConstraintError(f"duplicate constraint name '{constraint.name}'")
         names.add(constraint.name)
-        if constraint.context not in metamodel.classes:
-            raise ConstraintError(
-                f"constraint '{constraint.name}': unknown context class "
-                f"'{constraint.context}'",
-                symbol=constraint.context,
-            )
-        checker = _TypeChecker(metamodel, constraint.context, constraint.name)
-        result = checker.check(constraint.body, {})
-        if result != _BOOL:
-            raise ConstraintError(
-                f"constraint '{constraint.name}' must be boolean, got {_type_name(result)}"
-            )
+        _compile(constraint, metamodel)
     return ConstraintSet(constraints=tuple(constraints))
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-class _EvalFault(Exception):
-    pass
-
-
-class _Evaluator:
-    def __init__(self, model: InstanceModel, metamodel: Metamodel):
-        self.model = model
-        self.metamodel = metamodel
-
-    def eval(self, expr: OclExpr, env: dict[str, object]):
-        if isinstance(expr, SelfRef):
-            return env["self"]
-        if isinstance(expr, VarRef):
-            return env[expr.name]
-        if isinstance(expr, NumberLit):
-            return expr.value
-        if isinstance(expr, StringLit):
-            return expr.value
-        if isinstance(expr, EnumLit):
-            return expr.literal
-        if isinstance(expr, Nav):
-            target = self.eval(expr.target, env)
-            if not isinstance(target, ModelObject):
-                raise _EvalFault(f"cannot navigate '{expr.attr}' on {target!r}")
-            if expr.attr in target.refs:
-                resolved = self.model.get(target.refs[expr.attr])
-                if resolved is None:
-                    raise _EvalFault(
-                        f"reference '{target.id}.{expr.attr}' dangles"
-                    )
-                return resolved
-            if expr.attr in target.attrs:
-                return target.attrs[expr.attr]
-            raise _EvalFault(
-                f"object '{target.id}' has no value for '{expr.attr}'"
-            )
-        if isinstance(expr, IsTypeOf):
-            target = self.eval(expr.target, env)
-            if not isinstance(target, ModelObject):
-                raise _EvalFault("oclIsTypeOf applies to objects only")
-            return target.cls == expr.class_name
-        if isinstance(expr, ToReal):
-            value = self.eval(expr.target, env)
-            if isinstance(value, bool):
-                raise _EvalFault("toReal cannot convert a boolean")
-            if isinstance(value, (int, float)):
-                return float(value)
-            if isinstance(value, str):
-                try:
-                    return float(value.strip())
-                except ValueError:
-                    raise _EvalFault(
-                        f"toReal cannot convert '{value}'"
-                    ) from None
-            raise _EvalFault(f"toReal cannot convert {value!r}")
-        if isinstance(expr, Compare):
-            left = self.eval(expr.left, env)
-            right = self.eval(expr.right, env)
-            return self._compare(expr.op, left, right)
-        if isinstance(expr, NotOp):
-            return not self._boolean(self.eval(expr.child, env))
-        if isinstance(expr, AndOp):
-            if not self._boolean(self.eval(expr.left, env)):
-                return False
-            return self._boolean(self.eval(expr.right, env))
-        if isinstance(expr, OrOp):
-            if self._boolean(self.eval(expr.left, env)):
-                return True
-            return self._boolean(self.eval(expr.right, env))
-        if isinstance(expr, Implies):
-            if not self._boolean(self.eval(expr.left, env)):
-                return True  # vacuously true, consequent never evaluated
-            return self._boolean(self.eval(expr.right, env))
-        if isinstance(expr, Let):
-            inner = dict(env)
-            inner[expr.var] = self.eval(expr.value, env)
-            return self.eval(expr.body, inner)
-        raise TypeError(f"unknown expression node {expr!r}")
-
-    @staticmethod
-    def _boolean(value) -> bool:
-        if not isinstance(value, bool):
-            raise _EvalFault(f"expected a boolean, got {value!r}")
-        return value
-
-    @staticmethod
-    def _compare(op: str, left, right) -> bool:
-        numeric = (
-            isinstance(left, (int, float)) and not isinstance(left, bool)
-            and isinstance(right, (int, float)) and not isinstance(right, bool)
-        )
-        if op in ("<", "<=", ">", ">="):
-            if not numeric:
-                raise _EvalFault(f"'{op}' needs numeric operands")
-            return {
-                "<": left < right, "<=": left <= right,
-                ">": left > right, ">=": left >= right,
-            }[op]
-        if isinstance(left, ModelObject) or isinstance(right, ModelObject):
-            same = (
-                isinstance(left, ModelObject) and isinstance(right, ModelObject)
-                and left.id == right.id
-            )
-        elif numeric:
-            same = float(left) == float(right)
-        elif type(left) is type(right):
-            same = left == right
-        else:
-            raise _EvalFault(f"cannot compare {left!r} with {right!r}")
-        return same if op == "=" else not same
 
 
 VERDICT_PASS = "pass"
@@ -648,11 +651,15 @@ class TopologyReport:
 
 def eval_constraints(model: InstanceModel, constraints: ConstraintSet,
                      metamodel: Metamodel) -> TopologyReport:
-    """Evaluate every constraint against every object; nothing is skipped silently."""
-    evaluator = _Evaluator(model, metamodel)
+    """Evaluate every constraint against every object; nothing is skipped silently.
+
+    Each constraint is type-checked against ``metamodel`` again, once, and a
+    constraint that does not check raises ConstraintError.
+    """
     rows: list[ConstraintVerdict] = []
     objects = sorted(model.objects.values(), key=lambda o: o.id)
     for constraint in constraints.constraints:
+        evaluate = _compile(constraint, metamodel)
         for obj in objects:
             if not metamodel.is_subclass(obj.cls, constraint.context):
                 rows.append(ConstraintVerdict(
@@ -660,7 +667,7 @@ def eval_constraints(model: InstanceModel, constraints: ConstraintSet,
                 ))
                 continue
             try:
-                value = evaluator.eval(constraint.body, {"self": obj})
+                value = evaluate(model, {"self": obj})
                 if not isinstance(value, bool):
                     raise _EvalFault(f"constraint produced {value!r}, not a boolean")
             except _EvalFault as fault:

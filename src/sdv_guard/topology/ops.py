@@ -35,6 +35,7 @@ from .ocl import (
 )
 
 _EMPTY_SYSTEM = "(none)"
+_DIAGRAM_HINT = "Return a corrected PlantUML object diagram."
 
 
 def build_instance_prompt(requirements: str, metamodel: Metamodel,
@@ -78,6 +79,24 @@ def _import_checked(completion: str, metamodel: Metamodel) -> InstanceModel:
     return model
 
 
+def _generate(prompt: str, gateway: LlmGateway, parse, error: type[Exception],
+              what: str, hint: str):
+    """Complete ``prompt`` and parse it; on ``error`` retry once with the
+    failure and ``hint`` appended, then give up with GenerationError."""
+    attempts: list[str] = []
+    while True:
+        completion = gateway.complete(CompletionRequest(prompt=prompt))
+        attempts.append(completion)
+        try:
+            return parse(completion)
+        except error as err:
+            if len(attempts) == 2:
+                raise GenerationError(
+                    f"{what} failed twice: {err}", attempts=tuple(attempts),
+                ) from err
+            prompt = f"{prompt}\n\nThe previous attempt was rejected:\n{err}\n{hint}"
+
+
 def generate_instance(requirements: str, metamodel: Metamodel, gateway: LlmGateway,
                       current_model: InstanceModel | None = None) -> InstanceModel:
     """Build (or update) an instance model from requirements text.
@@ -91,23 +110,8 @@ def generate_instance(requirements: str, metamodel: Metamodel, gateway: LlmGatew
             return current_model
         raise ConfigurationError("instance generation needs requirements text")
     prompt = build_instance_prompt(requirements, metamodel, current_model)
-    attempts: list[str] = []
-    for round_index in range(2):
-        completion = gateway.complete(CompletionRequest(prompt=prompt))
-        attempts.append(completion)
-        try:
-            return _import_checked(completion, metamodel)
-        except ModelImportError as err:
-            if round_index == 1:
-                raise GenerationError(
-                    f"instance generation failed twice: {err}",
-                    attempts=tuple(attempts),
-                ) from err
-            prompt = (
-                f"{prompt}\n\nThe previous attempt was rejected:\n{err}\n"
-                "Return a corrected PlantUML object diagram."
-            )
-    raise AssertionError("unreachable")
+    return _generate(prompt, gateway, lambda c: _import_checked(c, metamodel),
+                     ModelImportError, "instance generation", _DIAGRAM_HINT)
 
 
 def generate_constraints(guidelines: str, metamodel: Metamodel,
@@ -120,23 +124,10 @@ def generate_constraints(guidelines: str, metamodel: Metamodel,
     if not guidelines.strip():
         return ConstraintSet(constraints=())
     prompt = build_constraints_prompt(guidelines, metamodel)
-    attempts: list[str] = []
-    for round_index in range(2):
-        completion = gateway.complete(CompletionRequest(prompt=prompt))
-        attempts.append(completion)
-        try:
-            return parse_constraints(strip_fences(completion), metamodel)
-        except ConstraintError as err:
-            if round_index == 1:
-                raise GenerationError(
-                    f"constraint generation failed twice: {err}",
-                    attempts=tuple(attempts),
-                ) from err
-            prompt = (
-                f"{prompt}\n\nThe previous attempt was rejected:\n{err}\n"
-                "Return corrected constraints only."
-            )
-    raise AssertionError("unreachable")
+    return _generate(prompt, gateway,
+                     lambda c: parse_constraints(strip_fences(c), metamodel),
+                     ConstraintError, "constraint generation",
+                     "Return corrected constraints only.")
 
 
 def correct_instance(model: InstanceModel, report: TopologyReport,
@@ -153,24 +144,8 @@ def correct_instance(model: InstanceModel, report: TopologyReport,
     if not report.failing:
         raise ValueError("correct_instance needs a report with at least one failure")
     prompt = build_instance_correction_prompt(model, report, metamodel)
-    attempts: list[str] = []
-    for round_index in range(2):
-        completion = gateway.complete(CompletionRequest(prompt=prompt))
-        attempts.append(completion)
-        try:
-            corrected = _import_checked(completion, metamodel)
-        except ModelImportError as err:
-            if round_index == 1:
-                raise GenerationError(
-                    f"instance correction failed twice: {err}",
-                    attempts=tuple(attempts),
-                ) from err
-            prompt = (
-                f"{prompt}\n\nThe previous attempt was rejected:\n{err}\n"
-                "Return a corrected PlantUML object diagram."
-            )
-            continue
-        if constraints is None:
-            return corrected, None
-        return corrected, eval_constraints(corrected, constraints, metamodel)
-    raise AssertionError("unreachable")
+    corrected = _generate(prompt, gateway, lambda c: _import_checked(c, metamodel),
+                          ModelImportError, "instance correction", _DIAGRAM_HINT)
+    if constraints is None:
+        return corrected, None
+    return corrected, eval_constraints(corrected, constraints, metamodel)

@@ -4,6 +4,7 @@ import hashlib
 import http.server
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,34 @@ def test_replay_store_round_trip(tmp_path):
     assert set(data) == {prompt_digest("prompt one"), prompt_digest("prompt two")}
     assert list(data) == sorted(data)
     assert raw.endswith("\n")
+
+
+def test_replay_store_save_failing_part_way_keeps_the_old_store(tmp_path, monkeypatch):
+    path = tmp_path / "store.json"
+    store = ReplayStore(path=path)
+    store.record("prompt one", "completion one")
+    store.save()
+    before = path.read_bytes()
+
+    real_write_text = Path.write_text
+
+    def crash_mid_write(self, text, *args, **kwargs):
+        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    store.record("prompt two", "completion two")
+    monkeypatch.setattr(Path, "write_text", crash_mid_write)
+    with pytest.raises(OSError, match="disk full"):
+        store.save()
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert ReplayStore.load(path).lookup("prompt one") == "completion one"
+    assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
+
+    store.save()
+    assert ReplayStore.load(path).lookup("prompt two") == "completion two"
+    assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
 
 
 def test_replay_store_rejects_bad_files(tmp_path):

@@ -27,6 +27,7 @@ from sdv_guard.pipeline import (
     verify_receipt,
     with_overrides,
 )
+from sdv_guard.pipeline import cli as cli_module
 from sdv_guard.pipeline.cli import main
 from sdv_guard.pipeline.stages import ground_code, read_text
 
@@ -754,6 +755,31 @@ def test_cli_errors_exit_2(fixtures_dir, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "unknown key 'topk'" in captured.err
+
+
+@pytest.mark.parametrize("exc", [RecursionError("deep"), KeyError("k"), ValueError()])
+def test_cli_fails_closed_on_internal_errors(fixtures_dir, monkeypatch, capsys, exc):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli_module, "_cmd_check_chain", broken)
+    code = main(["check-chain", "--chain", str(fixtures_dir / "chains" / "s1.puml"),
+                 "--rules", str(fixtures_dir / "rules" / "rules-s1.txt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"internal error: {type(exc).__name__}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_cli_lets_interrupts_through(fixtures_dir, monkeypatch, exc):
+    def interrupted(args):
+        raise exc
+
+    monkeypatch.setattr(cli_module, "_cmd_check_chain", interrupted)
+    with pytest.raises(exc):
+        main(["check-chain", "--chain", str(fixtures_dir / "chains" / "s1.puml"),
+              "--rules", str(fixtures_dir / "rules" / "rules-s1.txt")])
 
 
 def test_cli_replay_and_record_are_exclusive(fixtures_dir):
