@@ -13,8 +13,9 @@ Grammar, loosest binding first:
     factor := 'not' factor | '(' expr ')' | atom
     atom   := EVENT ('before'|'after') EVENT
 
-An EVENT is one or more identifier words; consecutive words are joined with
-hyphens and normalized, so ``camera-pedestrian detected`` and
+'not' and parentheses nest at most ``MAX_NESTING`` levels deep. An EVENT is
+one or more identifier words; consecutive words are joined with hyphens and
+normalized, so ``camera-pedestrian detected`` and
 ``camera-pedestrian-detected`` name the same event. Alias lines map a rule
 event to extra label patterns (shell-style globs over normalized events) so
 differently spelled chain labels can satisfy the same rule.
@@ -36,19 +37,28 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fnmatch import fnmatchcase
+from fnmatch import fnmatchcase, translate
 
-from .errors import RuleParseError
-from .eventchain import ChainDocument, EventSequence, chain_digest, enumerate_paths
+from .errors import RuleParseError, StructureError, UnsupportedStructureError
+from .eventchain import ChainDocument, EventSequence, EventStep, chain_digest
 from .llm_gateway import PC2B, CompletionRequest, LlmGateway, render_prompt
 from .util import normalize_name
 
 MODES = ("require", "forbid")
+# most 'not's and parentheses an expression may nest; deeper input is
+# rejected rather than left to exhaust the parser's recursion
+MAX_NESTING = 64
 VERDICT_PASS = "pass"
 VERDICT_VIOLATED = "violated"
 _KEYWORDS = {"and", "or", "not", "before", "after", "require", "forbid"}
 _WORD_RE = re.compile(r"[A-Za-z0-9_-]+")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+# precedence-monitor states of one atom; _OPENED and _VIOLATED never change
+_UNSEEN, _OPENED, _VIOLATED = 0, 1, 2
+# longest witness path rendered event by event; a longer one shows only the
+# events its rule names. Every path the old recursive checker could walk, one
+# stack frame per node under Python's default limit of 1,000, is shorter.
+MAX_RENDERED_PATH = 1000
 
 
 @dataclass(frozen=True)
@@ -189,6 +199,7 @@ class _ExprParser:
         self.text = text
         self.tokens = _lex(text)
         self.index = 0
+        self.depth = 0  # enclosing 'not's and parentheses
 
     def peek(self) -> _Token | None:
         return self.tokens[self.index] if self.index < len(self.tokens) else None
@@ -228,17 +239,23 @@ class _ExprParser:
         token = self.peek()
         if token is None:
             raise RuleParseError("expected an atom", position=len(self.text))
+        if token.text not in ("not", "("):
+            return self.atom()
+        self.take()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise RuleParseError(
+                f"expression nests deeper than {MAX_NESTING} levels", position=token.position
+            )
         if token.text == "not":
-            self.take()
-            return NotExpr(self.factor())
-        if token.text == "(":
-            self.take()
+            inner = NotExpr(self.factor())
+        else:
             inner = self.expr()
             closing = self.take()
             if closing.text != ")":
                 raise RuleParseError("expected ')'", position=closing.position)
-            return inner
-        return self.atom()
+        self.depth -= 1
+        return inner
 
     def atom(self) -> RuleAtom:
         left = self.event()
@@ -341,6 +358,16 @@ def _matches(chain_event: str, rule_event: str, rule: SafetyRule | None) -> bool
     )
 
 
+def _stands_for(rule: SafetyRule, rule_event: str, events: set[str]) -> set[str]:
+    """The members of ``events`` that ``_matches`` ``rule_event``, each alias
+    glob compiled once rather than once per event."""
+    found = events & {rule_event}
+    for pattern in rule.alias_patterns(rule_event):
+        match = re.compile(translate(pattern)).match
+        found.update(e for e in events if match(e))
+    return found
+
+
 def _positions(sequence: EventSequence, event: str, rule: SafetyRule | None) -> list[int]:
     return [
         step.position
@@ -359,53 +386,268 @@ def eval_atom(sequence: EventSequence, atom: RuleAtom,
     return all(any(r < l for r in rights) for l in lefts)
 
 
-def eval_expr(expr: Expr, sequence: EventSequence,
-              rule: SafetyRule | None = None) -> bool:
-    if isinstance(expr, RuleAtom):
-        return eval_atom(sequence, expr, rule)
-    if isinstance(expr, NotExpr):
-        return not eval_expr(expr.child, sequence, rule)
-    if isinstance(expr, AndExpr):
-        return all(eval_expr(c, sequence, rule) for c in expr.children)
-    if isinstance(expr, OrExpr):
-        return any(eval_expr(c, sequence, rule) for c in expr.children)
-    raise TypeError(f"unknown expression node {expr!r}")
+def _compile(expr: Expr) -> tuple[list[RuleAtom], list[tuple[str, int]]]:
+    """The distinct atoms of ``expr`` and ``expr`` as a post-order program.
+
+    Program steps are ``("atom", atom index)``, ``("not", 1)`` and
+    ``("and" | "or", child count)``. The tree is walked without recursion.
+    """
+    nodes: list[Expr] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, NotExpr):
+            stack.append(node.child)
+        elif isinstance(node, (AndExpr, OrExpr)):
+            stack.extend(node.children)
+        elif not isinstance(node, RuleAtom):
+            raise TypeError(f"unknown expression node {node!r}")
+    atoms: dict[RuleAtom, int] = {}
+    program: list[tuple[str, int]] = []
+    for node in reversed(nodes):  # children before parents, left to right
+        if isinstance(node, RuleAtom):
+            program.append(("atom", atoms.setdefault(node, len(atoms))))
+        elif isinstance(node, NotExpr):
+            program.append(("not", 1))
+        else:
+            program.append(("and" if isinstance(node, AndExpr) else "or", len(node.children)))
+    return list(atoms), program
 
 
-def expr_atoms(expr: Expr) -> list[RuleAtom]:
-    if isinstance(expr, RuleAtom):
-        return [expr]
-    if isinstance(expr, NotExpr):
-        return expr_atoms(expr.child)
-    out: list[RuleAtom] = []
-    for child in expr.children:
-        out.extend(expr_atoms(child))
-    return out
+def _truth(program: list[tuple[str, int]], atom_values: list[bool]) -> bool:
+    values: list[bool] = []
+    for op, arg in program:
+        if op == "atom":
+            values.append(atom_values[arg])
+        elif op == "not":
+            values.append(not values.pop())
+        else:
+            split = len(values) - arg
+            args = values[split:]
+            del values[split:]
+            values.append(all(args) if op == "and" else any(args))
+    return values.pop()
+
+
+class _ChainOrder:
+    """A chain document's start-reachable graph, checked and ordered once.
+
+    The walk visits edges in declaration order, like ``enumerate_paths``,
+    and raises the same structure errors for the same node: a node it has
+    fully explored holds no error, so skipping it on later visits changes
+    only the work, not the first error found.
+    """
+
+    def __init__(self, document: ChainDocument):
+        graph = document.graph
+        starts = [n for n in graph.nodes if n.kind == "start"]
+        if len(starts) != 1:  # same message as enumerate_paths
+            raise StructureError(
+                f"path enumeration needs exactly one start node, found {len(starts)}"
+            )
+        self.start = starts[0].id
+        self.kinds = {n.id: n.kind for n in graph.nodes}
+        events = dict(document.events)
+        self.events: dict[str, str] = {}  # per reachable action node
+        outgoing: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+        for edge in graph.edges:
+            outgoing[edge.src].append(edge.dst)
+        # successors in declaration order; a stop ends every path through it
+        self.successors: dict[str, list[str]] = {}
+        finished: list[str] = []
+        on_stack: set[str] = set()
+        stack = [(self.start, False)]  # (node, leaving it)
+        while stack:
+            node_id, leaving = stack.pop()
+            if leaving:
+                on_stack.discard(node_id)
+                finished.append(node_id)
+                continue
+            if node_id in on_stack:
+                raise UnsupportedStructureError(
+                    f"chain contains a cycle through node '{node_id}'"
+                )
+            if node_id in self.successors:
+                continue
+            if self.kinds[node_id] == "action":
+                self.events[node_id] = events[node_id]
+            if self.kinds[node_id] == "stop":
+                self.successors[node_id] = []
+                finished.append(node_id)
+                continue
+            if not outgoing[node_id]:
+                raise StructureError(f"node '{node_id}' dead-ends before any stop")
+            self.successors[node_id] = outgoing[node_id]
+            on_stack.add(node_id)
+            stack.append((node_id, True))
+            stack.extend((dst, False) for dst in reversed(outgoing[node_id]))
+        finished.reverse()
+        self.topological = finished
+
+
+def _rule_monitor(order: _ChainOrder, rule: SafetyRule):
+    """The rule as a product of precedence monitors, one per distinct atom.
+
+    Returns ``(initial, step, verdict)``. A state holds one of _UNSEEN,
+    _OPENED, _VIOLATED per atom; ``A before B`` opens on A and is violated
+    by a B while unseen (a B that is also an A violates it), and ``A after
+    B`` is ``B before A``. ``step(state, node_id)`` is the state after that
+    node; ``verdict(state)`` is ``(fails, atom values, expression value)``
+    for a path that ends in that state.
+    """
+    atoms, program = _compile(rule.expr)
+    sides = [(a.left, a.right) if a.op == "before" else (a.right, a.left) for a in atoms]
+    chain_events = set(order.events.values())
+    # the chain events each rule event stands for: itself and its aliases' matches
+    stands_for = {name: _stands_for(rule, name, chain_events)
+                  for name in {name for side in sides for name in side}}
+    # (opens, closes) per atom, for each chain event that touches some atom
+    effects = {
+        event: tuple((event in stands_for[opening], event in stands_for[closing])
+                     for opening, closing in sides)
+        for event in set().union(*stands_for.values())
+    }
+    texts = [atom.text() for atom in atoms]
+    transitions: dict[tuple[tuple[int, ...], str], tuple[int, ...]] = {}
+    verdicts: dict[tuple[int, ...], tuple[bool, tuple[tuple[str, bool], ...], bool]] = {}
+
+    def step(state: tuple[int, ...], node_id: str) -> tuple[int, ...]:
+        event = order.events.get(node_id)
+        effect = effects.get(event)
+        if effect is None:
+            return state
+        key = (state, event)
+        nxt = transitions.get(key)
+        if nxt is None:
+            nxt = transitions[key] = tuple(
+                s if s != _UNSEEN else _VIOLATED if closes else _OPENED if opens else _UNSEEN
+                for s, (opens, closes) in zip(state, effect)
+            )
+        return nxt
+
+    def verdict(state: tuple[int, ...]):
+        found = verdicts.get(state)
+        if found is None:
+            values = [s != _VIOLATED for s in state]
+            value = _truth(program, values)
+            found = verdicts[state] = (
+                not value if rule.mode == "require" else value,
+                tuple(sorted(zip(texts, values))),
+                value,
+            )
+        return found
+
+    return (_UNSEEN,) * len(atoms), step, verdict
+
+
+def _eval_rule(order: _ChainOrder, rule: SafetyRule) -> RuleResult:
+    initial, step, verdict = _rule_monitor(order, rule)
+    kinds, successors = order.kinds, order.successors
+
+    # forward: per node, the monitor states it can be entered in and the
+    # state it leaves in for each
+    moves: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {}
+    entry = {order.start: {initial}}
+    for node_id in order.topological:
+        move = moves[node_id] = {}
+        for state in entry[node_id]:
+            move[state] = step(state, node_id)
+        for dst in successors[node_id]:
+            entry.setdefault(dst, set()).update(move.values())
+
+    # backward: per node, the entry states from which some path fails the rule
+    failing: dict[str, set[tuple[int, ...]]] = {}
+    for node_id in reversed(order.topological):
+        bad = failing[node_id] = set()
+        for state, after in moves[node_id].items():
+            if kinds[node_id] == "stop":
+                if verdict(after)[0]:
+                    bad.add(state)
+                continue
+            for dst in successors[node_id]:
+                if after in failing[dst]:
+                    bad.add(state)
+                    break
+
+    # pruned walk in declaration order: only failing (node, state) pairs are
+    # entered; None on the stack drops the last step once its subtree is done
+    witnesses: list[Witness] = []
+    steps: list[EventStep] = []
+    stack = [(order.start, initial)] if initial in failing[order.start] else []
+    while stack:
+        item = stack.pop()
+        if item is None:
+            steps.pop()
+            continue
+        node_id, state = item
+        event = order.events.get(node_id)
+        if event is not None:
+            steps.append(EventStep(position=len(steps), event=event, node_id=node_id))
+            stack.append(None)
+        after = moves[node_id][state]
+        if kinds[node_id] == "stop":
+            _fails, atom_values, value = verdict(after)
+            witnesses.append(Witness(
+                sequence=EventSequence(steps=tuple(steps)),
+                atom_values=atom_values,
+                expr_value=value,
+            ))
+            continue
+        for dst in reversed(successors[node_id]):
+            if after in failing[dst]:
+                stack.append((dst, after))
+    verdict_text = VERDICT_VIOLATED if witnesses else VERDICT_PASS
+    return RuleResult(rule=rule, verdict=verdict_text, witnesses=tuple(witnesses))
 
 
 def eval_rule(document: ChainDocument, rule: SafetyRule) -> RuleResult:
-    """Evaluate one rule over every enumerated path of the chain."""
-    witnesses: list[Witness] = []
-    atoms = expr_atoms(rule.expr)
-    for sequence in enumerate_paths(document):
-        value = eval_expr(rule.expr, sequence, rule)
-        ok = value if rule.mode == "require" else not value
-        if not ok:
-            seen: dict[str, bool] = {}
-            for atom in atoms:
-                seen.setdefault(atom.text(), eval_atom(sequence, atom, rule))
-            witnesses.append(Witness(
-                sequence=sequence,
-                atom_values=tuple(sorted(seen.items())),
-                expr_value=value,
-            ))
-    verdict = VERDICT_VIOLATED if witnesses else VERDICT_PASS
-    return RuleResult(rule=rule, verdict=verdict, witnesses=tuple(witnesses))
+    """Evaluate one rule over every start-to-stop path of the chain.
+
+    The witnesses are every failing path, in ``enumerate_paths`` order, but
+    passing paths are never enumerated: see ``check``.
+    """
+    return _eval_rule(_ChainOrder(document), rule)
 
 
 def check(document: ChainDocument, ruleset: RuleSet) -> SafetyReport:
-    results = tuple(eval_rule(document, rule) for rule in ruleset.rules)
+    """Check every rule on every path of the chain.
+
+    The graph is checked and ordered once. Per rule, the reachable monitor
+    states are propagated forward in topological order, the (node, state)
+    pairs that can still reach a failing stop are marked backward, and a walk
+    in edge-declaration order that enters only marked pairs emits the
+    witnesses. Cost: nodes times monitor states, plus the witnesses' size.
+    An empty rule set checks nothing, not even the structure.
+    """
+    if not ruleset.rules:
+        return SafetyReport(results=(), chain_digest=chain_digest(document))
+    order = _ChainOrder(document)
+    results = tuple(_eval_rule(order, rule) for rule in ruleset.rules)
     return SafetyReport(results=results, chain_digest=chain_digest(document))
+
+
+def _abbreviated_path(events: tuple[str, ...], rule: SafetyRule) -> str:
+    """A path longer than MAX_RENDERED_PATH events, shown as the events that
+    the rule's atoms name, directly or through an alias, with each run of
+    other events replaced by its length."""
+    atoms, _program = _compile(rule.expr)
+    names = {name for atom in atoms for name in (atom.left, atom.right)}
+    distinct = set(events)
+    named = set().union(*(_stands_for(rule, name, distinct) for name in names))
+    parts: list[str] = []
+    skipped = 0
+    for event in events:
+        if event not in named:
+            skipped += 1
+            continue
+        if skipped:
+            parts.append(f"({skipped} other events)")
+            skipped = 0
+        parts.append(event)
+    if skipped:
+        parts.append(f"({skipped} other events)")
+    return " -> ".join(parts)
 
 
 def render_report(report: SafetyReport) -> str:
@@ -414,7 +656,11 @@ def render_report(report: SafetyReport) -> str:
     for result in report.results:
         lines.append(f"rule {result.rule.name} [{result.rule.mode}]: {result.verdict}")
         for index, witness in enumerate(result.witnesses):
-            path_text = " -> ".join(witness.sequence.events) or "(empty path)"
+            events = witness.sequence.events
+            if len(events) > MAX_RENDERED_PATH:
+                path_text = _abbreviated_path(events, result.rule)
+            else:
+                path_text = " -> ".join(events) or "(empty path)"
             lines.append(f"  witness {index + 1}: {path_text}")
             for atom_text, value in witness.atom_values:
                 lines.append(f"    {atom_text}: {'true' if value else 'false'}")

@@ -12,7 +12,9 @@ Expression forms, loosest binding first: ``implies`` (right-associative),
 ``self`` navigation chains (``self.target.name``), ``e.oclIsTypeOf(C)``
 (exact type, never a subclass), ``e.toReal()``, parentheses, and literals:
 reals, integers, single-quoted strings and enum literals ``E::lit`` (the
-literal part may contain hyphens).
+literal part may contain hyphens). An expression nests at most
+``MAX_NESTING`` levels, counting parentheses, ``not``, ``let`` and ``implies``
+while parsing and the height of the finished expression tree.
 
 Everything type-checks against the metamodel under the context class before
 any evaluation. At evaluation time a constraint applies to every object
@@ -57,6 +59,10 @@ _KEYWORDS = {"context", "inv", "let", "in", "implies", "and", "or", "not", "self
 _CMP_OPS = {"EQ": "=", "NE": "<>", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
 
 _LET_TYPES = {"Real", "Integer", "String", "Boolean"}
+
+# deeper input is rejected rather than left to exhaust the recursion of the
+# parser, the compiler or the evaluator
+MAX_NESTING = 64
 
 
 @dataclass(frozen=True)
@@ -195,6 +201,7 @@ class _Parser:
         self.text = text
         self.tokens = _lex(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> Token | None:
         return self.tokens[self.index] if self.index < len(self.tokens) else None
@@ -215,6 +222,11 @@ class _Parser:
         token = self.peek()
         return token is not None and token.kind == kind
 
+    def nest(self, token: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _too_deep(token)
+
     def document(self) -> list[Constraint]:
         constraints: list[Constraint] = []
         while self.peek() is not None:
@@ -229,7 +241,10 @@ class _Parser:
                 self.take("inv")
                 name = self.take("IDENT").text
                 self.take("COLON")
+                first = self.peek()
                 body = self.expr()
+                if _height(body) > MAX_NESTING:
+                    raise _too_deep(first)
                 constraints.append(Constraint(name=name, context=context_cls, body=body))
         return constraints
 
@@ -239,7 +254,7 @@ class _Parser:
         return self.implies_expr()
 
     def let_expr(self) -> Let:
-        self.take("let")
+        self.nest(self.take("let"))
         var = self.take("IDENT").text
         self.take("COLON")
         type_name = self.take("IDENT").text
@@ -247,13 +262,16 @@ class _Parser:
         value = self.expr()
         self.take("in")
         body = self.expr()
+        self.depth -= 1
         return Let(var=var, type_name=type_name, value=value, body=body)
 
     def implies_expr(self) -> OclExpr:
         left = self.or_expr()
         if self.at("implies"):
-            self.take("implies")
-            return Implies(left=left, right=self.expr())
+            self.nest(self.take("implies"))
+            right = self.expr()
+            self.depth -= 1
+            return Implies(left=left, right=right)
         return left
 
     def or_expr(self) -> OclExpr:
@@ -281,8 +299,10 @@ class _Parser:
 
     def operand(self) -> OclExpr:
         if self.at("not"):
-            self.take("not")
-            return NotOp(child=self.operand())
+            self.nest(self.take("not"))
+            child = self.operand()
+            self.depth -= 1
+            return NotOp(child=child)
         return self.postfix()
 
     def postfix(self) -> OclExpr:
@@ -322,9 +342,10 @@ class _Parser:
             self.take()
             return StringLit(value=token.text[1:-1])
         if token.kind == "LPAREN":
-            self.take()
+            self.nest(self.take())
             inner = self.expr()
             self.take("RPAREN")
+            self.depth -= 1
             return inner
         if token.kind == "IDENT":
             self.take()
@@ -336,6 +357,23 @@ class _Parser:
         raise ConstraintError(
             f"unexpected '{token.text}'", position=token.position
         )
+
+
+def _too_deep(token: Token) -> ConstraintError:
+    return ConstraintError(
+        f"expression nests deeper than {MAX_NESTING} levels", position=token.position
+    )
+
+
+def _height(expr: OclExpr) -> int:
+    """Levels in the expression tree, a leaf being one, found without recursion."""
+    height, stack = 0, [(expr, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        stack.extend((child, level + 1) for child in vars(node).values()
+                     if isinstance(child, OclExpr))
+    return height
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,16 @@ from sdv_guard.eventchain import (
     parse_activity_diagram,
     to_chain_document,
 )
+from sdv_guard.pipeline.cli import main
 from sdv_guard.safety_rules import (
+    MAX_NESTING,
+    MAX_RENDERED_PATH,
     AndExpr,
+    NotExpr,
     OrExpr,
     RuleAtom,
+    RuleSet,
+    SafetyRule,
     build_correction_prompt,
     check,
     eval_atom,
@@ -159,6 +165,20 @@ def test_parse_error_carries_position():
     with pytest.raises(RuleParseError) as err:
         parse_rules("r: a ? b\n")
     assert err.value.position == 2  # offset inside the expression text
+
+
+@pytest.mark.parametrize("opener", ["not ", "("])
+def test_nesting_limit(opener):
+    def rule(levels):
+        closers = ")" * levels if opener == "(" else ""
+        return f"r: {opener * levels}a before b{closers}\n"
+
+    parse_rules(rule(MAX_NESTING))
+    with pytest.raises(RuleParseError, match="nests deeper than") as err:
+        parse_rules(rule(MAX_NESTING + 1))
+    assert err.value.position == len(opener) * MAX_NESTING
+    with pytest.raises(RuleParseError, match="nests deeper than"):
+        parse_rules(rule(3000))
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +373,92 @@ def test_suggest_correction_sends_report_and_code(fixtures_dir):
     assert prompt == build_correction_prompt("def f(): ...", report)
     assert "def f(): ..." in prompt
     assert render_report(report) in prompt
+
+
+# ---------------------------------------------------------------------------
+# scale: checking never walks every path and never recurses
+
+
+def _write_linear_chain(tmp_path, actions: int, brake_first: bool):
+    labels = [f"Step {i}" for i in range(actions)]
+    early, late = actions // 3, 2 * actions // 3
+    labels[early], labels[late] = (
+        ("Brake now", "Obstacle seen") if brake_first else ("Obstacle seen", "Brake now"))
+    diagram = tmp_path / "chain.puml"
+    diagram.write_text("@startuml\nstart\n" + "".join(f":{l};\n" for l in labels)
+                       + "stop\n@enduml\n")
+    rules = tmp_path / "rules.txt"
+    rules.write_text("alias obstacle = obstacle-*\nr: brake-now after obstacle\n")
+    return ["check-chain", "--chain", str(diagram), "--rules", str(rules)]
+
+
+@pytest.mark.parametrize("actions", [1500, 20000])
+@pytest.mark.parametrize("brake_first, verdict, code", [(False, "pass", 0),
+                                                        (True, "violated", 1)])
+def test_cli_checks_long_linear_chains(tmp_path, capsys, actions, brake_first, verdict, code):
+    assert main(_write_linear_chain(tmp_path, actions, brake_first)) == code
+    out = capsys.readouterr().out
+    assert out.startswith(f"overall: {verdict}\n")
+    assert out.count("  witness ") == (1 if brake_first else 0)
+
+
+def test_long_witness_path_shows_only_the_rules_events(tmp_path, capsys):
+    assert main(_write_linear_chain(tmp_path, 1500, brake_first=True)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3] == ("  witness 1: (500 other events) -> brake-now -> (499 other events)"
+                        " -> obstacle-seen -> (499 other events)")
+    assert lines[4] == "    brake-now after obstacle: false"
+
+
+def test_witness_path_up_to_the_limit_is_shown_in_full(tmp_path, capsys):
+    assert main(_write_linear_chain(tmp_path, MAX_RENDERED_PATH, brake_first=True)) == 1
+    witness = capsys.readouterr().out.splitlines()[3]
+    assert witness.count(" -> ") == MAX_RENDERED_PATH - 1
+    assert "other events" not in witness
+
+
+def _sequential_decisions(count: int, warn_arms: int) -> ChainDocument:
+    """``count`` if/else blocks in a row, so 2^count paths. The yes-arms of
+    the first ``warn_arms`` decisions raise a warning; braking comes last."""
+    lines = ["@startuml", "start"]
+    for i in range(count):
+        yes = [f":Warn {i};"] if i < warn_arms else []
+        lines += [f"if (c{i}) then (yes)", *yes, f":Task {i} yes;", "else (no)",
+                  f":Task {i} no;", "endif"]
+    lines += [":Brake;", "stop", "@enduml"]
+    return to_chain_document(parse_activity_diagram("\n".join(lines) + "\n"))
+
+
+def test_twenty_decisions_pass_without_walking_every_path():
+    document = _sequential_decisions(20, warn_arms=20)
+    ruleset = parse_rules("alias task = task-*-yes, task-*-no\nr: brake after task\n")
+    report = check(document, ruleset)
+    assert report.overall == "pass"
+    assert report.results[0].witnesses == ()
+
+
+def test_twenty_decisions_report_exactly_the_violating_paths():
+    # a warning precedes braking unless every decision up to the 19th took
+    # its no-arm; the 20th decision warns on neither arm, so two paths fail
+    document = _sequential_decisions(20, warn_arms=19)
+    report = check(document, parse_rules("alias warn = warn-*\nr: warn before brake\n"))
+    (result,) = report.results
+    assert result.verdict == "violated"
+    prefix = [f"task-{i}-no" for i in range(19)]
+    assert [list(w.sequence.events) for w in result.witnesses] == [
+        prefix + ["task-19-yes", "brake"],
+        prefix + ["task-19-no", "brake"],
+    ]
+    for witness in result.witnesses:
+        assert [s.position for s in witness.sequence.steps] == list(range(21))
+        assert witness.atom_values == (("warn before brake", False),)
+        assert witness.expr_value is False
+
+
+def test_deep_hand_built_expression_is_checked_without_recursion():
+    expr = RuleAtom("a", "before", "b")
+    for _ in range(5001):
+        expr = NotExpr(expr)
+    rule = SafetyRule(name="deep", expr=AndExpr((expr,)))
+    report = check(_linear_chain("b", "a"), RuleSet(rules=(rule,)))
+    assert report.overall == "pass"  # an odd number of 'not's over a false atom

@@ -36,6 +36,8 @@ from sdv_guard.topology import (
     serialize_metamodel,
 )
 
+from sdv_guard.topology.ocl import MAX_NESTING
+
 from conftest import scripted_gateway
 
 
@@ -331,6 +333,47 @@ def test_constraint_error_carries_symbol(metamodel):
             "context Message inv X: self.payloadValue.size() > 0", metamodel
         )
     assert err.value.symbol == "size"
+
+
+_LEAF = "self.target.oclIsTypeOf(SteeringActuator)"  # three levels deep
+
+
+@pytest.mark.parametrize("body", [
+    "(" * 3000 + _LEAF + ")" * 3000,
+    "not " * 3000 + _LEAF,
+    "let x : Real = 1.0 in " * 3000 + _LEAF,
+    " implies ".join([_LEAF] * 3000),
+    " and ".join([_LEAF] * 3000),
+    " or ".join([_LEAF] * 3000),
+    "self" + ".target" * 3000 + ".oclIsTypeOf(ZoneECU)",
+])
+def test_deep_constraints_are_rejected_with_a_position(metamodel, body):
+    with pytest.raises(ConstraintError, match="nests deeper than") as err:
+        parse_constraints(f"context Message inv Deep: {body}", metamodel)
+    assert err.value.position is not None
+
+
+def test_nesting_limit_counts_parentheses(metamodel):
+    def text(levels):
+        return f"context Message inv P: {'(' * levels}{_LEAF}{')' * levels}"
+
+    parse_constraints(text(MAX_NESTING), metamodel)
+    with pytest.raises(ConstraintError, match="nests deeper than") as err:
+        parse_constraints(text(MAX_NESTING + 1), metamodel)
+    assert err.value.position == len("context Message inv P: ") + MAX_NESTING
+
+
+def test_nesting_limit_counts_tree_height(metamodel):
+    # a chain of k conjuncts over three-level leaves is k + 2 levels deep
+    def text(terms):
+        return "context Message inv C: " + " and ".join([_LEAF] * terms)
+
+    constraints = parse_constraints(text(MAX_NESTING - 2), metamodel)
+    report = eval_constraints(_steer_message("1.0"), constraints, metamodel)
+    assert _verdict_of(report, "C", "m").verdict == VERDICT_PASS
+    with pytest.raises(ConstraintError, match="nests deeper than") as err:
+        parse_constraints(text(MAX_NESTING - 1), metamodel)
+    assert err.value.position == len("context Message inv C: ")
 
 
 def test_is_type_of_is_exact(metamodel):
