@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import CatalogError, CatalogParseError, SchemaError
-from .util import canonical_json
+from .util import canonical_json, normalize_name
 
 VSS_KINDS = ("sensor", "actuator", "attribute", "branch")
 VSS_DATATYPES = ("boolean", "int", "float", "string", "enum")
@@ -114,12 +114,16 @@ class SignalCatalog:
             _vss_entry(sig) for sig in ordered if not sig.is_branch
         )
         self._entry_by_key = {e.key: e for e in self.entries}
+        self._entries_by_normalized_key = _by_normalized_key(self.entries)
 
     def lookup(self, path: str) -> VssSignal | None:
         return self._by_path.get(path)
 
     def lookup_entry(self, key: str) -> CatalogEntry | None:
         return self._entry_by_key.get(key)
+
+    def lookup_normalized(self, name: str) -> tuple[CatalogEntry, ...]:
+        return self._entries_by_normalized_key.get(normalize_name(name), ())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SignalCatalog) and self.signals == other.signals
@@ -147,6 +151,7 @@ class MessageCatalog:
         self._by_frame = by_frame
         self.entries = tuple(_can_entry(msg) for msg in ordered)
         self._entry_by_key = {e.key: e for e in self.entries}
+        self._entries_by_normalized_key = _by_normalized_key(self.entries)
 
     def lookup(self, name: str) -> CanMessage | None:
         return self._by_name.get(name)
@@ -157,11 +162,22 @@ class MessageCatalog:
     def lookup_entry(self, key: str) -> CatalogEntry | None:
         return self._entry_by_key.get(key)
 
+    def lookup_normalized(self, name: str) -> tuple[CatalogEntry, ...]:
+        return self._entries_by_normalized_key.get(normalize_name(name), ())
+
     def __eq__(self, other) -> bool:
         return isinstance(other, MessageCatalog) and self.messages == other.messages
 
     def __len__(self) -> int:
         return len(self.messages)
+
+
+def _by_normalized_key(entries) -> dict[str, tuple[CatalogEntry, ...]]:
+    """Entries grouped by normalized key, in catalog order, for alias lookup."""
+    out: dict[str, list[CatalogEntry]] = {}
+    for entry in entries:
+        out.setdefault(normalize_name(entry.key), []).append(entry)
+    return {k: tuple(v) for k, v in out.items()}
 
 
 def _vss_entry(sig: VssSignal) -> CatalogEntry:

@@ -23,9 +23,11 @@ A parsed graph serializes to a canonical JSON document:
      "edges": [{"from", "to", "guard"?}, ...],
      "metadata": {"source_digest": ..., "generation_prompt_digest": ...}}
 
-Parsing that document back yields an equal document. Path enumeration walks
-every maximal start-to-stop path following edges in declaration order; the
-canonical form can encode cycles, which enumeration rejects.
+Parsing that document back yields an equal document. The canonical form can
+encode cycles and dead ends; ``ChainOrder`` is the one walk that rejects them.
+It checks a document's graph and orders it once, without recursion, and both
+``enumerate_paths`` (every maximal start-to-stop path, edges followed in
+declaration order) and ``safety_rules.check`` start from it.
 """
 
 from __future__ import annotations
@@ -80,12 +82,6 @@ class Edge:
 class ActivityGraph:
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
-
-    def node(self, node_id: str) -> Node:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(node_id)
 
     def outgoing(self, node_id: str) -> list[Edge]:
         return [e for e in self.edges if e.src == node_id]
@@ -364,21 +360,24 @@ def serialize_chain(document: ChainDocument) -> str:
 
 
 def parse_chain_document(text: str) -> ChainDocument:
-    """Inverse of serialize_chain; validates ids, kinds and edge endpoints only.
+    """Inverse of serialize_chain; validates the document's shape, ids, kinds
+    and edge endpoints only.
 
-    Cycles are representable here on purpose: they are rejected at path
-    enumeration, not at document parse time.
+    Every malformed shape (a field of the wrong JSON type) is a
+    ``TransformError`` naming the field. Cycles and dead ends are
+    representable here on purpose: ``ChainOrder`` rejects them when the
+    paths are enumerated or checked, not at document parse time.
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise TransformError(f"chain document is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise TransformError("chain document must be a JSON object")
     nodes = []
     events = []
     ids: set[str] = set()
-    for obj in raw.get("nodes", []):
+    for obj in _objects(raw, "nodes"):
         kind = obj.get("kind")
         node_id = obj.get("id")
         if not isinstance(node_id, str) or not node_id:
@@ -394,8 +393,11 @@ def parse_chain_document(text: str) -> ChainDocument:
         for key in notes:
             if key not in NOTE_KEYS:
                 raise TransformError(f"chain node '{node_id}' has unknown note '{key}'")
+        label = obj.get("label", "")
+        if not isinstance(label, str):
+            raise TransformError(f"chain node '{node_id}' label must be a string")
         nodes.append(Node(
-            id=node_id, kind=kind, label=obj.get("label", ""),
+            id=node_id, kind=kind, label=label,
             notes=tuple((k, str(v)) for k, v in notes.items()),
         ))
         if kind == "action":
@@ -408,11 +410,16 @@ def parse_chain_document(text: str) -> ChainDocument:
                 )
             events.append((node_id, event))
     edges = []
-    for obj in raw.get("edges", []):
-        src, dst = obj.get("from"), obj.get("to")
+    for obj in _objects(raw, "edges"):
+        src, dst, guard = obj.get("from"), obj.get("to"), obj.get("guard")
+        for end, value in (("from", src), ("to", dst)):
+            if not isinstance(value, str):
+                raise TransformError(f"chain edge '{end}' must be a node id, got {value!r}")
         if src not in ids or dst not in ids:
             raise TransformError(f"edge {src!r} -> {dst!r} references unknown nodes")
-        edges.append(Edge(src=src, dst=dst, guard=obj.get("guard")))
+        if guard is not None and not isinstance(guard, str):
+            raise TransformError(f"edge {src!r} -> {dst!r} guard must be a string")
+        edges.append(Edge(src=src, dst=dst, guard=guard))
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise TransformError("chain metadata must be an object")
@@ -423,63 +430,104 @@ def parse_chain_document(text: str) -> ChainDocument:
     )
 
 
+def _objects(raw: dict, field: str) -> list[dict]:
+    """The array ``raw[field]`` (empty when absent), checked to hold only objects."""
+    items = raw.get(field, [])
+    if not isinstance(items, list):
+        raise TransformError(f"chain document '{field}' must be an array")
+    if not all(isinstance(item, dict) for item in items):
+        raise TransformError(f"chain document '{field}' entries must be objects")
+    return items
+
+
 def chain_digest(document: ChainDocument) -> str:
     from .util import sha256_text
 
     return sha256_text(serialize_chain(document))
 
 
+class ChainOrder:
+    """A chain document's start-reachable graph, checked and ordered once.
+
+    The one walk over a chain's graph: iterative, following edges in
+    declaration order, marking nodes in progress and finished. It raises
+    the structure errors (not exactly one start, a cycle, a dead end) for
+    the first offending node in that order; a node it has fully explored
+    holds no error, so it is never entered twice.
+    """
+
+    def __init__(self, document: ChainDocument):
+        graph = document.graph
+        starts = [n for n in graph.nodes if n.kind == "start"]
+        if len(starts) != 1:
+            raise StructureError(
+                f"path enumeration needs exactly one start node, found {len(starts)}"
+            )
+        self.start = starts[0].id
+        self.kinds = {n.id: n.kind for n in graph.nodes}
+        events = dict(document.events)
+        self.events: dict[str, str] = {}  # per reachable action node
+        outgoing: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+        for edge in graph.edges:
+            outgoing[edge.src].append(edge.dst)
+        # successors in declaration order; a stop ends every path through it
+        self.successors: dict[str, list[str]] = {}
+        finished: list[str] = []
+        on_stack: set[str] = set()
+        stack = [(self.start, False)]  # (node, leaving it)
+        while stack:
+            node_id, leaving = stack.pop()
+            if leaving:
+                on_stack.discard(node_id)
+                finished.append(node_id)
+                continue
+            if node_id in on_stack:
+                raise UnsupportedStructureError(
+                    f"chain contains a cycle through node '{node_id}'"
+                )
+            if node_id in self.successors:
+                continue
+            if self.kinds[node_id] == "action":
+                self.events[node_id] = events[node_id]
+            if self.kinds[node_id] == "stop":
+                self.successors[node_id] = []
+                finished.append(node_id)
+                continue
+            if not outgoing[node_id]:
+                raise StructureError(f"node '{node_id}' dead-ends before any stop")
+            self.successors[node_id] = outgoing[node_id]
+            on_stack.add(node_id)
+            stack.append((node_id, True))
+            stack.extend((dst, False) for dst in reversed(outgoing[node_id]))
+        finished.reverse()
+        self.topological = finished
+
+
 def enumerate_paths(document: ChainDocument) -> list[EventSequence]:
     """Every maximal start-to-stop path, edges followed in declaration order.
 
     Returns the action-event sequences; decision and merge nodes contribute
-    no events. Cycles raise an unsupported-structure error naming a node on
-    the cycle.
+    no events. The graph is checked by ``ChainOrder`` first, so a cycle
+    raises an unsupported-structure error naming a node on it. The paths
+    are then walked with an explicit stack; None on the stack drops the
+    last step once its subtree is done.
     """
-    graph = document.graph
-    starts = [n for n in graph.nodes if n.kind == "start"]
-    if len(starts) != 1:
-        raise StructureError(
-            f"path enumeration needs exactly one start node, found {len(starts)}"
-        )
-    outgoing: dict[str, list[Edge]] = {n.id: [] for n in graph.nodes}
-    for edge in graph.edges:
-        outgoing[edge.src].append(edge)
-    kinds = {n.id: n.kind for n in graph.nodes}
-    events = dict(document.events)
-
+    order = ChainOrder(document)
     paths: list[EventSequence] = []
-    on_stack: set[str] = set()
     steps: list[EventStep] = []
-
-    def walk(node_id: str) -> None:
-        if node_id in on_stack:
-            raise UnsupportedStructureError(
-                f"chain contains a cycle through node '{node_id}'"
-            )
-        kind = kinds[node_id]
-        appended = False
-        if kind == "action":
-            steps.append(EventStep(
-                position=len(steps), event=events[node_id], node_id=node_id,
-            ))
-            appended = True
-        if kind == "stop":
+    stack: list[str | None] = [order.start]
+    while stack:
+        node_id = stack.pop()
+        if node_id is None:
+            steps.pop()
+            continue
+        event = order.events.get(node_id)
+        if event is not None:
+            steps.append(EventStep(position=len(steps), event=event, node_id=node_id))
+            stack.append(None)
+        if order.kinds[node_id] == "stop":
             paths.append(EventSequence(steps=tuple(steps)))
-            return
-        edges = outgoing[node_id]
-        if not edges:
-            raise StructureError(f"node '{node_id}' dead-ends before any stop")
-        on_stack.add(node_id)
-        try:
-            for edge in edges:
-                walk(edge.dst)
-        finally:
-            on_stack.discard(node_id)
-            if appended:
-                steps.pop()
-
-    walk(starts[0].id)
+        stack.extend(reversed(order.successors[node_id]))
     return paths
 
 

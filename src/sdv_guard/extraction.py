@@ -27,7 +27,7 @@ from .catalog import CatalogEntry, MessageCatalog, SignalCatalog, validate_value
 from .errors import ConfigurationError, ExtractionFormatError
 from .llm_gateway import PC1, CompletionRequest, LlmGateway, render_prompt
 from .retrieval import Chunk
-from .util import normalize_name, sha256_text
+from .util import sha256_text
 
 PROTOCOLS = ("VSS", "CAN")
 
@@ -237,16 +237,17 @@ def run_extraction(code: str, chunks: list[Chunk], gateway: LlmGateway,
     return report
 
 
-def _resolve(name: str, catalog_entries, normalized_map) -> tuple[CatalogEntry | None, str]:
+def _resolve(name: str, catalog: SignalCatalog | MessageCatalog
+             ) -> tuple[CatalogEntry | None, str]:
     """Exact lookup first, then unique normalized-alias match.
 
     Returns (entry, status) where status is 'exact', 'alias', 'ambiguous'
     or 'absent'.
     """
-    exact = catalog_entries.get(name)
+    exact = catalog.lookup_entry(name)
     if exact is not None:
         return exact, "exact"
-    matches = normalized_map.get(normalize_name(name), ())
+    matches = catalog.lookup_normalized(name)
     if len(matches) == 1:
         return matches[0], "alias"
     if len(matches) > 1:
@@ -254,32 +255,18 @@ def _resolve(name: str, catalog_entries, normalized_map) -> tuple[CatalogEntry |
     return None, "absent"
 
 
-def _normalized_map(entries) -> dict[str, tuple]:
-    out: dict[str, list] = {}
-    for entry in entries:
-        out.setdefault(normalize_name(entry.key), []).append(entry)
-    return {k: tuple(v) for k, v in out.items()}
-
-
 def validate_entries(entries: list[ExtractedEntry], signal_catalog: SignalCatalog,
                      message_catalog: MessageCatalog,
                      source_digest: str = "") -> ExtractionReport:
     """Partition extracted entries into accepted and rejected against the catalogs."""
-    vss_exact = {e.key: e for e in signal_catalog.entries}
-    can_exact = {e.key: e for e in message_catalog.entries}
-    vss_norm = _normalized_map(signal_catalog.entries)
-    can_norm = _normalized_map(message_catalog.entries)
-
     accepted: list[AcceptedEntry] = []
     rejected: list[RejectedEntry] = []
     for entry in entries:
         if entry.protocol == "VSS":
-            own = (vss_exact, vss_norm)
-            other = (can_exact, can_norm)
+            own, other = signal_catalog, message_catalog
         else:
-            own = (can_exact, can_norm)
-            other = (vss_exact, vss_norm)
-        resolved, status = _resolve(entry.name, *own)
+            own, other = message_catalog, signal_catalog
+        resolved, status = _resolve(entry.name, own)
         if resolved is None:
             if status == "ambiguous":
                 rejected.append(RejectedEntry(
@@ -287,7 +274,7 @@ def validate_entries(entries: list[ExtractedEntry], signal_catalog: SignalCatalo
                     f"'{entry.name}' matches multiple catalog keys after normalization",
                 ))
                 continue
-            other_entry, other_status = _resolve(entry.name, *other)
+            other_entry, other_status = _resolve(entry.name, other)
             if other_entry is not None:
                 rejected.append(RejectedEntry(
                     entry, REASON_PROTOCOL_MISMATCH,

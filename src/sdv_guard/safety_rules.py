@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fnmatch import fnmatchcase, translate
+from fnmatch import translate
 
-from .errors import RuleParseError, StructureError, UnsupportedStructureError
-from .eventchain import ChainDocument, EventSequence, EventStep, chain_digest
+from .errors import RuleParseError
+from .eventchain import ChainDocument, ChainOrder, EventSequence, EventStep, chain_digest
 from .llm_gateway import PC2B, CompletionRequest, LlmGateway, render_prompt
 from .util import normalize_name
 
@@ -347,43 +347,41 @@ def _parse_alias(line: str) -> tuple[str, tuple[str, ...]]:
 # evaluation
 
 
-def _matches(chain_event: str, rule_event: str, rule: SafetyRule | None) -> bool:
-    if chain_event == rule_event:
-        return True
-    if rule is None:
-        return False
-    return any(
-        fnmatchcase(chain_event, pattern)
-        for pattern in rule.alias_patterns(rule_event)
-    )
-
-
-def _stands_for(rule: SafetyRule, rule_event: str, events: set[str]) -> set[str]:
-    """The members of ``events`` that ``_matches`` ``rule_event``, each alias
-    glob compiled once rather than once per event."""
+def _stands_for(rule: SafetyRule | None, rule_event: str, events: set[str]) -> set[str]:
+    """The members of ``events`` that ``rule_event`` names: itself, and the
+    matches of its alias globs when a rule is given, each glob compiled once."""
     found = events & {rule_event}
-    for pattern in rule.alias_patterns(rule_event):
+    for pattern in rule.alias_patterns(rule_event) if rule is not None else ():
         match = re.compile(translate(pattern)).match
         found.update(e for e in events if match(e))
     return found
 
 
-def _positions(sequence: EventSequence, event: str, rule: SafetyRule | None) -> list[int]:
-    return [
-        step.position
-        for step in sequence.steps
-        if _matches(step.event, event, rule)
-    ]
+def _sides(atom: RuleAtom) -> tuple[str, str]:
+    """The (opening, closing) events of an atom: ``A after B`` is ``B before A``."""
+    return (atom.left, atom.right) if atom.op == "before" else (atom.right, atom.left)
+
+
+def _advance(state: int, opens: bool, closes: bool) -> int:
+    """One step of a precedence monitor on an event that opens and/or closes it.
+
+    ``A before B`` opens on A and is violated by a B while unseen; the
+    closing side is tested first, so a B that is also an A violates it.
+    """
+    if state != _UNSEEN:
+        return state
+    return _VIOLATED if closes else _OPENED if opens else _UNSEEN
 
 
 def eval_atom(sequence: EventSequence, atom: RuleAtom,
               rule: SafetyRule | None = None) -> bool:
     """Truth of one ordering atom on one path (see module docstring)."""
-    lefts = _positions(sequence, atom.left, rule)
-    rights = _positions(sequence, atom.right, rule)
-    if atom.op == "before":
-        return all(any(l < r for l in lefts) for r in rights)
-    return all(any(r < l for r in rights) for l in lefts)
+    events = set(sequence.events)
+    opens, closes = (_stands_for(rule, side, events) for side in _sides(atom))
+    state = _UNSEEN
+    for event in sequence.events:
+        state = _advance(state, event in opens, event in closes)
+    return state != _VIOLATED
 
 
 def _compile(expr: Expr) -> tuple[list[RuleAtom], list[tuple[str, int]]]:
@@ -430,74 +428,17 @@ def _truth(program: list[tuple[str, int]], atom_values: list[bool]) -> bool:
     return values.pop()
 
 
-class _ChainOrder:
-    """A chain document's start-reachable graph, checked and ordered once.
-
-    The walk visits edges in declaration order, like ``enumerate_paths``,
-    and raises the same structure errors for the same node: a node it has
-    fully explored holds no error, so skipping it on later visits changes
-    only the work, not the first error found.
-    """
-
-    def __init__(self, document: ChainDocument):
-        graph = document.graph
-        starts = [n for n in graph.nodes if n.kind == "start"]
-        if len(starts) != 1:  # same message as enumerate_paths
-            raise StructureError(
-                f"path enumeration needs exactly one start node, found {len(starts)}"
-            )
-        self.start = starts[0].id
-        self.kinds = {n.id: n.kind for n in graph.nodes}
-        events = dict(document.events)
-        self.events: dict[str, str] = {}  # per reachable action node
-        outgoing: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-        for edge in graph.edges:
-            outgoing[edge.src].append(edge.dst)
-        # successors in declaration order; a stop ends every path through it
-        self.successors: dict[str, list[str]] = {}
-        finished: list[str] = []
-        on_stack: set[str] = set()
-        stack = [(self.start, False)]  # (node, leaving it)
-        while stack:
-            node_id, leaving = stack.pop()
-            if leaving:
-                on_stack.discard(node_id)
-                finished.append(node_id)
-                continue
-            if node_id in on_stack:
-                raise UnsupportedStructureError(
-                    f"chain contains a cycle through node '{node_id}'"
-                )
-            if node_id in self.successors:
-                continue
-            if self.kinds[node_id] == "action":
-                self.events[node_id] = events[node_id]
-            if self.kinds[node_id] == "stop":
-                self.successors[node_id] = []
-                finished.append(node_id)
-                continue
-            if not outgoing[node_id]:
-                raise StructureError(f"node '{node_id}' dead-ends before any stop")
-            self.successors[node_id] = outgoing[node_id]
-            on_stack.add(node_id)
-            stack.append((node_id, True))
-            stack.extend((dst, False) for dst in reversed(outgoing[node_id]))
-        finished.reverse()
-        self.topological = finished
-
-
-def _rule_monitor(order: _ChainOrder, rule: SafetyRule):
+def _rule_monitor(order: ChainOrder, rule: SafetyRule):
     """The rule as a product of precedence monitors, one per distinct atom.
 
     Returns ``(initial, step, verdict)``. A state holds one of _UNSEEN,
-    _OPENED, _VIOLATED per atom; ``A before B`` opens on A and is violated
-    by a B while unseen (a B that is also an A violates it), and ``A after
-    B`` is ``B before A``. ``step(state, node_id)`` is the state after that
-    node; ``verdict(state)`` is ``(fails, atom values, expression value)``
-    for a path that ends in that state.
+    _OPENED, _VIOLATED per atom, moved by ``_advance``.
+    ``step(state, node_id)`` is the state after that node;
+    ``verdict(state)`` is ``(fails, atom values, expression value)`` for a
+    path that ends in that state.
     """
     atoms, program = _compile(rule.expr)
-    sides = [(a.left, a.right) if a.op == "before" else (a.right, a.left) for a in atoms]
+    sides = [_sides(atom) for atom in atoms]
     chain_events = set(order.events.values())
     # the chain events each rule event stands for: itself and its aliases' matches
     stands_for = {name: _stands_for(rule, name, chain_events)
@@ -521,8 +462,7 @@ def _rule_monitor(order: _ChainOrder, rule: SafetyRule):
         nxt = transitions.get(key)
         if nxt is None:
             nxt = transitions[key] = tuple(
-                s if s != _UNSEEN else _VIOLATED if closes else _OPENED if opens else _UNSEEN
-                for s, (opens, closes) in zip(state, effect)
+                _advance(s, opens, closes) for s, (opens, closes) in zip(state, effect)
             )
         return nxt
 
@@ -541,7 +481,7 @@ def _rule_monitor(order: _ChainOrder, rule: SafetyRule):
     return (_UNSEEN,) * len(atoms), step, verdict
 
 
-def _eval_rule(order: _ChainOrder, rule: SafetyRule) -> RuleResult:
+def _eval_rule(order: ChainOrder, rule: SafetyRule) -> RuleResult:
     initial, step, verdict = _rule_monitor(order, rule)
     kinds, successors = order.kinds, order.successors
 
@@ -607,13 +547,13 @@ def eval_rule(document: ChainDocument, rule: SafetyRule) -> RuleResult:
     The witnesses are every failing path, in ``enumerate_paths`` order, but
     passing paths are never enumerated: see ``check``.
     """
-    return _eval_rule(_ChainOrder(document), rule)
+    return _eval_rule(ChainOrder(document), rule)
 
 
 def check(document: ChainDocument, ruleset: RuleSet) -> SafetyReport:
     """Check every rule on every path of the chain.
 
-    The graph is checked and ordered once. Per rule, the reachable monitor
+    The graph is checked and ordered once, by ``ChainOrder``. Per rule, the reachable monitor
     states are propagated forward in topological order, the (node, state)
     pairs that can still reach a failing stop are marked backward, and a walk
     in edge-declaration order that enters only marked pairs emits the
@@ -622,7 +562,7 @@ def check(document: ChainDocument, ruleset: RuleSet) -> SafetyReport:
     """
     if not ruleset.rules:
         return SafetyReport(results=(), chain_digest=chain_digest(document))
-    order = _ChainOrder(document)
+    order = ChainOrder(document)
     results = tuple(_eval_rule(order, rule) for rule in ruleset.rules)
     return SafetyReport(results=results, chain_digest=chain_digest(document))
 

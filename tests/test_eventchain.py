@@ -3,10 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdv_guard.errors import (
     ChainGenerationError,
     DiagramParseError,
+    SdvGuardError,
     StructureError,
     TransformError,
     UnsupportedStructureError,
@@ -25,6 +28,8 @@ from sdv_guard.eventchain import (
     to_chain_document,
 )
 from sdv_guard.extraction import AcceptedEntry, ExtractedEntry
+from sdv_guard.pipeline.cli import main
+from sdv_guard.safety_rules import check, parse_rules, render_report
 
 from conftest import scripted_gateway
 
@@ -192,6 +197,37 @@ def test_parse_chain_document_rejects(payload, message):
         parse_chain_document(payload)
 
 
+_START = '{"id": "a", "kind": "start"}'
+
+
+@pytest.mark.parametrize("payload, message", [
+    ('{"nodes": [1]}', "'nodes' entries must be objects"),
+    ('{"nodes": "ab"}', "'nodes' must be an array"),
+    ('{"nodes": null}', "'nodes' must be an array"),
+    ('{"nodes": {"a": {"kind": "start"}}}', "'nodes' must be an array"),
+    ('{"nodes": [], "edges": [3]}', "'edges' entries must be objects"),
+    ('{"nodes": [], "edges": {"from": "a", "to": "a"}}', "'edges' must be an array"),
+    (f'{{"nodes": [{_START}], "edges": [{{"from": ["a"], "to": "a"}}]}}',
+     "'from' must be a node id"),
+    (f'{{"nodes": [{_START}], "edges": [{{"from": "a", "to": {{}}}}]}}',
+     "'to' must be a node id"),
+    ('{"nodes": [{"id": "a", "kind": "start", "label": 5}]}', "label must be a string"),
+    (f'{{"nodes": [{_START}], "edges": [{{"from": "a", "to": "a", "guard": []}}]}}',
+     "guard must be a string"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "not valid JSON", id="nested-100000-deep"),
+])
+def test_malformed_chain_document_shapes_fail_closed(tmp_path, capsys, payload, message):
+    """Fields of the wrong JSON type are TransformErrors, so ``check-chain``
+    reports them as errors, not as internal errors."""
+    with pytest.raises(TransformError, match=message):
+        parse_chain_document(payload)
+    chain, rules = tmp_path / "chain.json", tmp_path / "rules.txt"
+    chain.write_text(payload)
+    rules.write_text("r: a before b\n")
+    assert main(["check-chain", "--chain", str(chain), "--rules", str(rules)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # path enumeration
 
@@ -249,6 +285,127 @@ def test_dead_end_is_rejected_at_enumeration():
     }))
     with pytest.raises(StructureError, match="dead-ends"):
         enumerate_paths(document)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: parse, enumerate and check fail only with toolkit errors
+
+_FUZZ_RULES = parse_rules(
+    "r1: a before b\nalias a = a*\n\nr2: forbid b after ab and not c before c\n"
+)
+
+# diagrams: well-formed statement trees, then a few lines inserted or deleted
+_JUNK_LINES = st.one_of(
+    st.sampled_from([
+        "start", "stop", ":A;", ":;", ":!!!;", "if (y) then", "else", "else (yes)", "endif",
+        "note right: input=x", "note right: colour=x", "' comment", "", "fork",
+        "@startuml", "@enduml",
+    ]),
+    st.text(max_size=12),
+)
+_ACTIONS = st.sampled_from([
+    [":A;"], [":B;"], [":Ab;"], [":C c;"], [":Ab;", "note right: output=x"], ["stop"],
+])
+
+
+def _if_lines(arms) -> list[str]:
+    yes, no = arms
+    lines = ["if (x) then (yes)", *(line for stmt in yes for line in stmt)]
+    if no is not None:
+        lines += ["else (no)", *(line for stmt in no for line in stmt)]
+    return lines + ["endif"]
+
+
+_STATEMENT = st.recursive(_ACTIONS, lambda stmt: st.tuples(
+    st.lists(stmt, max_size=3), st.none() | st.lists(stmt, max_size=3)).map(_if_lines),
+    max_leaves=10)
+_EDITS = st.lists(st.tuples(st.integers(0, 40), st.none() | _JUNK_LINES), max_size=2)
+
+# chain documents: a well-formed node list with random, mostly forward
+# edges, fields of any JSON type, or any JSON value
+_IDS = ("s", "a", "b", "c", "d", "m", "z")
+_GOOD_NODES = [
+    {"id": "a", "kind": "action", "label": "A", "event": "a"},
+    {"id": "b", "kind": "action", "label": "B", "event": "b"},
+    {"id": "c", "kind": "action", "event": "ab", "notes": {"input": "x"}},
+    {"id": "d", "kind": "decision"}, {"id": "m", "kind": "merge"}, {"id": "z", "kind": "stop"},
+]
+
+
+def _edges(outgoing) -> list[dict]:
+    """Edges out of each node but the last in _IDS order; a forward one
+    targets a later node, so all-forward edges make a DAG."""
+    edges = []
+    for src, targets in enumerate(outgoing):
+        for target, forward, guard in targets:
+            dst = src + 1 + target % (len(_IDS) - 1 - src) if forward else target
+            edges.append({"from": _IDS[src], "to": _IDS[dst],
+                          **({} if guard is None else {"guard": guard})})
+    return edges
+
+
+_JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4))
+_JSON = st.recursive(_JSON_LEAF, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_GRAPH_NODES = st.permutations(_GOOD_NODES).map(
+    lambda nodes: [{"id": "s", "kind": "start"}, *nodes])
+_TARGET = st.tuples(st.integers(0, len(_IDS) - 1), st.sampled_from([True, True, True, False]),
+                    st.sampled_from([None, "yes", "no"]))
+_GRAPH_EDGES = st.lists(st.lists(_TARGET, min_size=1, max_size=2),
+                        min_size=len(_IDS) - 1, max_size=len(_IDS) - 1).map(_edges)
+_NODE = st.fixed_dictionaries({
+    "id": st.one_of(st.sampled_from(_IDS), _JSON),
+    "kind": st.one_of(st.sampled_from(["start", "stop", "action", "decision", "merge"]), _JSON),
+}, optional={
+    "label": st.one_of(st.text(max_size=4), _JSON),
+    "event": st.one_of(st.sampled_from(["a", "ab", "b", "c", "Not Normal"]), _JSON),
+    "notes": st.one_of(st.dictionaries(st.sampled_from(["input", "colour"]), _JSON), _JSON),
+})
+_EDGE = st.fixed_dictionaries({
+    "from": st.one_of(st.sampled_from(_IDS), _JSON),
+    "to": st.one_of(st.sampled_from(_IDS), _JSON),
+}, optional={"guard": _JSON})
+_DOCUMENT = st.one_of(
+    st.fixed_dictionaries({"nodes": _GRAPH_NODES, "edges": _GRAPH_EDGES}),
+    st.fixed_dictionaries({}, optional={
+        "nodes": st.one_of(_GRAPH_NODES, st.lists(_NODE, max_size=6), _JSON),
+        "edges": st.one_of(_GRAPH_EDGES, st.lists(_EDGE, max_size=4), _JSON),
+        "metadata": _JSON,
+    }),
+    _JSON,
+)
+
+
+def _enumerate_and_check(document) -> None:
+    enumerate_paths(document)
+    render_report(check(document, _FUZZ_RULES))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(statements=st.lists(_STATEMENT, max_size=5), edits=_EDITS)
+def test_fuzzed_diagrams_raise_only_toolkit_errors(statements, edits):
+    lines = ["@startuml", "start", *(line for stmt in statements for line in stmt),
+             "stop", "@enduml"]
+    for index, line in edits:
+        if line is None:
+            del lines[index % len(lines)]
+        else:
+            lines.insert(index % (len(lines) + 1), line)
+    text = "\n".join(lines)
+    try:
+        _enumerate_and_check(to_chain_document(parse_activity_diagram(text)))
+    except SdvGuardError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw=_DOCUMENT)
+def test_fuzzed_chain_documents_raise_only_toolkit_errors(raw):
+    try:
+        _enumerate_and_check(parse_chain_document(json.dumps(raw)))
+    except SdvGuardError:
+        pass
 
 
 # ---------------------------------------------------------------------------

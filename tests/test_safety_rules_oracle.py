@@ -1,10 +1,12 @@
-"""Rule checking against the path-enumerating reference.
+"""Rule checking and path enumeration against the recursive references.
 
 ``check`` and ``eval_rule`` run a product of precedence monitors over the
-chain's DAG and never enumerate passing paths. The reference below is the
-implementation they replaced, kept verbatim: it evaluates every atom on every
-path that ``enumerate_paths`` yields. Both sides must give equal reports,
-byte-identical rendered text and the same structure errors.
+chain's DAG and never enumerate passing paths; ``enumerate_paths`` walks the
+paths with an explicit stack. The references below are the implementations
+they replaced, kept verbatim: a recursive path enumerator, and a checker that
+evaluates every atom on every path it yields. Both sides must give equal
+paths and reports, byte-identical rendered text and the same structure
+errors.
 """
 
 import json
@@ -20,6 +22,7 @@ from sdv_guard.eventchain import (
     ChainDocument,
     Edge,
     EventSequence,
+    EventStep,
     Node,
     chain_digest,
     enumerate_paths,
@@ -40,6 +43,7 @@ from sdv_guard.safety_rules import (
     SafetyRule,
     Witness,
     check,
+    eval_atom,
     eval_rule,
     parse_rules,
     render_report,
@@ -47,7 +51,61 @@ from sdv_guard.safety_rules import (
 
 
 # ---------------------------------------------------------------------------
-# reference: evaluation over every enumerated path
+# reference: recursive path enumeration, and evaluation over every path
+
+
+def _ref_enumerate_paths(document: ChainDocument) -> list[EventSequence]:
+    """Every maximal start-to-stop path, edges followed in declaration order.
+
+    Returns the action-event sequences; decision and merge nodes contribute
+    no events. Cycles raise an unsupported-structure error naming a node on
+    the cycle.
+    """
+    graph = document.graph
+    starts = [n for n in graph.nodes if n.kind == "start"]
+    if len(starts) != 1:
+        raise StructureError(
+            f"path enumeration needs exactly one start node, found {len(starts)}"
+        )
+    outgoing: dict[str, list[Edge]] = {n.id: [] for n in graph.nodes}
+    for edge in graph.edges:
+        outgoing[edge.src].append(edge)
+    kinds = {n.id: n.kind for n in graph.nodes}
+    events = dict(document.events)
+
+    paths: list[EventSequence] = []
+    on_stack: set[str] = set()
+    steps: list[EventStep] = []
+
+    def walk(node_id: str) -> None:
+        if node_id in on_stack:
+            raise UnsupportedStructureError(
+                f"chain contains a cycle through node '{node_id}'"
+            )
+        kind = kinds[node_id]
+        appended = False
+        if kind == "action":
+            steps.append(EventStep(
+                position=len(steps), event=events[node_id], node_id=node_id,
+            ))
+            appended = True
+        if kind == "stop":
+            paths.append(EventSequence(steps=tuple(steps)))
+            return
+        edges = outgoing[node_id]
+        if not edges:
+            raise StructureError(f"node '{node_id}' dead-ends before any stop")
+        on_stack.add(node_id)
+        try:
+            for edge in edges:
+                walk(edge.dst)
+        finally:
+            on_stack.discard(node_id)
+            if appended:
+                steps.pop()
+
+    walk(starts[0].id)
+    return paths
 
 
 def _ref_matches(chain_event, rule_event, rule):
@@ -103,7 +161,7 @@ def _ref_expr_atoms(expr):
 def _ref_eval_rule(document, rule):
     witnesses = []
     atoms = _ref_expr_atoms(rule.expr)
-    for sequence in enumerate_paths(document):
+    for sequence in _ref_enumerate_paths(document):
         value = _ref_eval_expr(rule.expr, sequence, rule)
         ok = value if rule.mode == "require" else not value
         if not ok:
@@ -125,6 +183,7 @@ def _ref_check(document, ruleset):
 
 
 def _assert_same(document, ruleset):
+    assert enumerate_paths(document) == _ref_enumerate_paths(document)
     expected = _ref_check(document, ruleset)
     actual = check(document, ruleset)
     assert actual.to_dict() == expected.to_dict()
@@ -293,6 +352,7 @@ def test_structure_errors_match_reference(name):
     assert _outcome(check, document, _ONE_RULE) == expected
     assert _outcome(eval_rule, document, _ONE_RULE.rules[0]) \
         == _outcome(_ref_eval_rule, document, _ONE_RULE.rules[0])
+    assert _outcome(enumerate_paths, document) == _outcome(_ref_enumerate_paths, document)
 
 
 @pytest.mark.parametrize("seed", range(300))
@@ -316,6 +376,7 @@ def test_random_graphs_match_reference(seed):
     )
     ruleset = parse_rules("r1: a before b\n\nr2: forbid c after a or not b before b\n")
     assert _outcome(check, document, ruleset) == _outcome(_ref_check, document, ruleset)
+    assert _outcome(enumerate_paths, document) == _outcome(_ref_enumerate_paths, document)
 
 
 def test_empty_ruleset_checks_no_structure():
@@ -336,3 +397,43 @@ def test_parallel_edges_give_one_witness_each():
     assert [w.sequence for w in report.results[0].witnesses] \
         == [EventSequence(steps=enumerate_paths(document)[0].steps)] * 2
     _assert_same(document, parse_rules("r: b before a\n"))
+
+
+# ---------------------------------------------------------------------------
+# paths too long for the recursive reference
+
+
+@pytest.mark.parametrize("actions", [1500, 20000])
+def test_long_linear_chain_is_one_path(actions):
+    case = gen.linear_case(random.Random(actions), "linear", actions, 2)
+    document = to_chain_document(parse_activity_diagram(case.diagram))
+    [path] = enumerate_paths(document)
+    assert len(path) == actions
+    assert [step.position for step in path.steps] == list(range(actions))
+    assert path.events == tuple(event for _node, event in document.events)
+    assert [step.node_id for step in path.steps] == [node for node, _event in document.events]
+
+
+# ---------------------------------------------------------------------------
+# atom semantics against the position-based reference
+
+
+_ATOM_RULE = parse_rules(
+    "r: a before b\nalias detect = detect-*, *-radar\nalias brake = b*\nalias a = c\n"
+).rules[0]
+_ATOM_EVENTS = ("a", "b", "c", "brake", "brake-hard", "detect-cam", "lidar-radar", "warn")
+_ATOM_NAMES = ("a", "b", "c", "brake", "detect", "warn", "ghost")
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_eval_atom_matches_reference(seed):
+    rng = random.Random(seed)
+    events = [rng.choice(_ATOM_EVENTS) for _ in range(rng.randint(0, 8))]
+    sequence = EventSequence(steps=tuple(
+        EventStep(position=i, event=e, node_id=f"n{i}") for i, e in enumerate(events)))
+    for _ in range(10):
+        left = rng.choice(_ATOM_NAMES)
+        right = left if rng.random() < 0.25 else rng.choice(_ATOM_NAMES)
+        atom = RuleAtom(left, rng.choice(("before", "after")), right)
+        for rule in (None, _ATOM_RULE):
+            assert eval_atom(sequence, atom, rule) == _ref_eval_atom(sequence, atom, rule)
