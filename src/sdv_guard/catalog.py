@@ -14,8 +14,9 @@ Both are plain JSON files:
 * Message catalog: an array of message objects with ``frame_id`` (decimal int
   or "0x..." hex string, at most 29 bits), ``name``, ``dlc`` (0..64 bytes) and
   ``signals``: objects with ``name``, ``start_bit``, ``bit_length`` (>= 1),
-  ``scale`` (non-zero), ``offset`` and optional ``min``/``max``/``unit``. Every
-  signal must fit the frame: start_bit + bit_length <= dlc * 8.
+  ``scale`` (non-zero), ``offset`` and optional ``min``/``max``/``unit``; the
+  numeric fields must be JSON numbers. Every signal must fit the frame:
+  start_bit + bit_length <= dlc * 8.
 
 Catalogs are immutable after construction; parsing the canonical serialized
 form yields an identical catalog.
@@ -24,10 +25,12 @@ form yields an identical catalog.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import CatalogError, CatalogParseError, SchemaError
-from .util import canonical_json, normalize_name
+from .util import RepeatedKeys, canonical_json, load_json, normalize_name
 
 VSS_KINDS = ("sensor", "actuator", "attribute", "branch")
 VSS_DATATYPES = ("boolean", "int", "float", "string", "enum")
@@ -227,88 +230,82 @@ def _can_entry(msg: CanMessage) -> CatalogEntry:
 # signal catalog parsing
 
 
-def _load_json_pairs(text: str):
-    try:
-        return json.loads(text, object_pairs_hook=lambda pairs: pairs)
-    except json.JSONDecodeError as exc:
-        raise CatalogParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-
-
-def _pairs_to_value(value):
-    """Rebuild plain values (the pairs hook wraps every object as a list of pairs)."""
-    if isinstance(value, list) and value and all(
-        isinstance(p, tuple) and len(p) == 2 for p in value
-    ):
-        return {k: _pairs_to_value(v) for k, v in value}
-    if isinstance(value, list):
-        return [_pairs_to_value(v) for v in value]
-    return value
-
-
-def _is_pairs(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(p, tuple) and len(p) == 2 for p in value
-    )
-
-
 def parse_vss_catalog(text: str) -> SignalCatalog:
     """Parse the signal tree; every leaf reachable from the root becomes a signal."""
-    doc = _load_json_pairs(text)
-    if not _is_pairs(doc):
+    doc = load_json(text, CatalogParseError, "signal catalog")
+    if not isinstance(doc, dict):
         raise SchemaError("signal catalog root must be an object")
-    signals: list[VssSignal] = []
-    _walk_vss(doc, "", signals)
-    return SignalCatalog(signals)
+    return SignalCatalog(_walk_vss(doc))
 
 
-def _walk_vss(pairs, prefix: str, out: list[VssSignal]) -> None:
-    seen: set[str] = set()
-    for key, value in pairs:
-        if not key:
-            raise SchemaError(f"empty node name under '{prefix or '<root>'}'")
-        path = f"{prefix}.{key}" if prefix else key
-        if key in seen:
-            raise CatalogError(f"duplicate signal path '{path}'")
-        seen.add(key)
-        if not _is_pairs(value):
-            raise SchemaError(f"node '{path}' must be an object")
-        fields = {k: v for k, v in value}
-        if len(fields) != len(value):
-            dupe = [k for k, _ in value if [x for x, _ in value].count(k) > 1][0]
-            raise CatalogError(f"duplicate field '{dupe}' in node '{path}'")
-        if "datatype" in fields:
-            out.append(_leaf_signal(path, fields))
-        elif "children" in fields:
-            _check_fields(path, fields, _BRANCH_FIELDS)
-            kind = fields.get("type", "branch")
-            if kind != "branch":
-                raise SchemaError(f"node '{path}' has children but type '{kind}'")
-            out.append(VssSignal(path=path, kind="branch",
-                                 description=_opt_str(path, fields, "description")))
-            children = fields["children"]
-            if not _is_pairs(children):
-                raise SchemaError(f"children of '{path}' must be an object")
-            _walk_vss(children, path, out)
+def _walk_vss(root: dict) -> list[VssSignal]:
+    """Every node under ``root``, depth first in document order, so the
+    first fault in document order is the one reported. The stack is
+    explicit: any depth the JSON decoder accepts is walked."""
+    out: list[VssSignal] = []
+    stack = [("", _in_order(root), set())]
+    while stack:
+        prefix, members, seen = stack[-1]
+        for key, value in members:
+            if not key:
+                raise SchemaError(f"empty node name under '{prefix or '<root>'}'")
+            path = f"{prefix}.{key}" if prefix else key
+            if key in seen:
+                raise CatalogError(f"duplicate signal path '{path}'")
+            seen.add(key)
+            signal, children = _vss_node(path, value)
+            out.append(signal)
+            if children is not None:
+                stack.append((path, _in_order(children), set()))
+                break
         else:
-            # compact branch form: object-valued keys are the children
-            kind = fields.get("type")
-            if kind in ("sensor", "actuator", "attribute"):
-                raise SchemaError(f"leaf '{path}' is missing its datatype")
-            if kind not in (None, "branch"):
-                raise SchemaError(f"node '{path}' has invalid type '{kind}'")
-            child_pairs = [(k, v) for k, v in value
-                           if _is_pairs(v) and k not in ("type", "description")]
-            scalars = [k for k, v in value
-                       if not _is_pairs(v) and k not in ("type", "description")]
-            if scalars and not child_pairs:
-                raise SchemaError(f"leaf '{path}' is missing its datatype")
-            if scalars:
-                raise SchemaError(
-                    f"node '{path}' mixes scalar field '{scalars[0]}' with child nodes"
-                )
-            out.append(VssSignal(path=path, kind="branch",
-                                 description=_opt_str(path, fields, "description")))
-            _walk_vss(child_pairs, path, out)
+            stack.pop()
+    return out
+
+
+def _in_order(obj: dict):
+    """The members of a decoded object in document order, repeats included."""
+    return iter(obj.pairs if isinstance(obj, RepeatedKeys) else obj.items())
+
+
+def _vss_node(path: str, fields) -> tuple[VssSignal, dict | None]:
+    """One node's signal, and a branch's children."""
+    if not isinstance(fields, dict):
+        raise SchemaError(f"node '{path}' must be an object")
+    if isinstance(fields, RepeatedKeys):
+        counts = Counter(key for key, _ in fields.pairs)
+        dupe = next(key for key, n in counts.items() if n > 1)
+        raise CatalogError(f"duplicate field '{dupe}' in node '{path}'")
+    if "datatype" in fields:
+        return _leaf_signal(path, fields), None
+    if "children" in fields:
+        _check_fields(path, fields, _BRANCH_FIELDS)
+        kind = fields.get("type", "branch")
+        if kind != "branch":
+            raise SchemaError(f"node '{path}' has children but type '{kind}'")
+        branch = VssSignal(path=path, kind="branch",
+                           description=_opt_str(path, fields, "description"))
+        if not isinstance(fields["children"], dict):
+            raise SchemaError(f"children of '{path}' must be an object")
+        return branch, fields["children"]
+    # compact branch form: object-valued keys are the children
+    kind = fields.get("type")
+    if kind in ("sensor", "actuator", "attribute"):
+        raise SchemaError(f"leaf '{path}' is missing its datatype")
+    if kind not in (None, "branch"):
+        raise SchemaError(f"node '{path}' has invalid type '{kind}'")
+    children = {k: v for k, v in fields.items()
+                if isinstance(v, dict) and k not in ("type", "description")}
+    scalars = [k for k, v in fields.items()
+               if not isinstance(v, dict) and k not in ("type", "description")]
+    if scalars and not children:
+        raise SchemaError(f"leaf '{path}' is missing its datatype")
+    if scalars:
+        raise SchemaError(
+            f"node '{path}' mixes scalar field '{scalars[0]}' with child nodes"
+        )
+    return VssSignal(path=path, kind="branch",
+                     description=_opt_str(path, fields, "description")), children
 
 
 def _check_fields(path: str, fields: dict, allowed: set[str]) -> None:
@@ -319,38 +316,45 @@ def _check_fields(path: str, fields: dict, allowed: set[str]) -> None:
 
 def _opt_str(path: str, fields: dict, name: str) -> str | None:
     value = fields.get(name)
-    if value is None:
-        return None
-    value = _pairs_to_value(value)
-    if not isinstance(value, str):
+    if value is not None and not isinstance(value, str):
         raise SchemaError(f"field '{name}' of '{path}' must be a string")
     return value
 
 
-def _opt_number(path: str, fields: dict, name: str) -> float | None:
-    value = fields.get(name)
-    if value is None:
-        return None
+def _number(value, label: str, integer: bool = False):
+    """A JSON number field: an int when ``integer``, else a float. ``label``
+    names the field in the error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"field '{name}' of '{path}' must be a number")
-    return float(value)
+        raise SchemaError(f"{label} must be a number")
+    if not integer:
+        return float(value)
+    if not isinstance(value, int):
+        raise SchemaError(f"{label} must be an integer")
+    return value
+
+
+def _bounds(subject: str, fields: dict, label) -> tuple[float | None, float | None]:
+    """The optional ``min``/``max`` numbers (null means absent); ``label(name)``
+    names a field in the errors."""
+    lo, hi = fields.get("min"), fields.get("max")
+    lo = None if lo is None else _number(lo, label("min"))
+    hi = None if hi is None else _number(hi, label("max"))
+    if lo is not None and hi is not None and lo > hi:
+        raise SchemaError(f"{subject} has min {lo} greater than max {hi}")
+    return lo, hi
 
 
 def _leaf_signal(path: str, fields: dict) -> VssSignal:
     _check_fields(path, fields, _LEAF_FIELDS)
-    kind = _pairs_to_value(fields.get("type", "attribute"))
+    kind = fields.get("type", "attribute")
     if kind not in ("sensor", "actuator", "attribute"):
         raise SchemaError(f"leaf '{path}' has invalid type '{kind}'")
-    datatype = _pairs_to_value(fields["datatype"])
+    datatype = fields["datatype"]
     if datatype not in VSS_DATATYPES:
         raise SchemaError(f"leaf '{path}' has invalid datatype '{datatype}'")
-    lo = _opt_number(path, fields, "min")
-    hi = _opt_number(path, fields, "max")
-    if lo is not None and hi is not None and lo > hi:
-        raise SchemaError(f"leaf '{path}' has min {lo} greater than max {hi}")
+    lo, hi = _bounds(f"leaf '{path}'", fields, lambda name: f"field '{name}' of '{path}'")
     allowed = fields.get("allowed")
     if allowed is not None:
-        allowed = _pairs_to_value(allowed)
         if not isinstance(allowed, list) or not allowed or not all(
             isinstance(v, str) for v in allowed
         ):
@@ -411,10 +415,7 @@ def serialize_vss_catalog(catalog: SignalCatalog) -> str:
 
 
 def parse_can_catalog(text: str) -> MessageCatalog:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CatalogParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    doc = load_json(text, CatalogParseError, "message catalog")
     if not isinstance(doc, list):
         raise SchemaError("message catalog root must be an array")
     messages = [_parse_message(i, obj) for i, obj in enumerate(doc)]
@@ -439,17 +440,10 @@ def _parse_frame_id(raw) -> int:
     return value
 
 
-def _req_number(ctx: str, obj: dict, name: str, integer: bool = False):
+def _required_int(ctx: str, obj: dict, name: str) -> int:
     if name not in obj:
         raise SchemaError(f"{ctx} is missing '{name}'")
-    value = obj[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{ctx} field '{name}' must be a number")
-    if integer:
-        if not isinstance(value, int):
-            raise SchemaError(f"{ctx} field '{name}' must be an integer")
-        return value
-    return float(value)
+    return _number(obj[name], f"{ctx} field '{name}'", integer=True)
 
 
 def _parse_message(index: int, obj) -> CanMessage:
@@ -461,7 +455,7 @@ def _parse_message(index: int, obj) -> CanMessage:
         raise SchemaError(f"{ctx} must have a non-empty name")
     ctx = f"message '{name}'"
     frame_id = _parse_frame_id(obj.get("frame_id"))
-    dlc = _req_number(ctx, obj, "dlc", integer=True)
+    dlc = _required_int(ctx, obj, "dlc")
     if dlc < 0 or dlc > 64:
         raise SchemaError(f"{ctx} dlc {dlc} outside 0..64")
     raw_signals = obj.get("signals", [])
@@ -485,8 +479,8 @@ def _parse_can_signal(ctx: str, obj, dlc: int) -> CanSignal:
     if not isinstance(name, str) or not name:
         raise SchemaError(f"{ctx} signal must have a non-empty name")
     sctx = f"{ctx} signal '{name}'"
-    start_bit = _req_number(sctx, obj, "start_bit", integer=True)
-    bit_length = _req_number(sctx, obj, "bit_length", integer=True)
+    start_bit = _required_int(sctx, obj, "start_bit")
+    bit_length = _required_int(sctx, obj, "bit_length")
     if start_bit < 0:
         raise SchemaError(f"{sctx} start_bit must be non-negative")
     if bit_length < 1:
@@ -496,19 +490,11 @@ def _parse_can_signal(ctx: str, obj, dlc: int) -> CanSignal:
             f"{sctx} spans bits {start_bit}..{start_bit + bit_length - 1}, "
             f"outside the {dlc * 8}-bit frame"
         )
-    scale = float(obj.get("scale", 1))
+    scale = _number(obj.get("scale", 1), f"{sctx} field 'scale'")
     if scale == 0:
         raise SchemaError(f"{sctx} scale must be non-zero")
-    offset = float(obj.get("offset", 0))
-    lo = obj.get("min")
-    hi = obj.get("max")
-    for bound, label in ((lo, "min"), (hi, "max")):
-        if bound is not None and (isinstance(bound, bool) or not isinstance(bound, (int, float))):
-            raise SchemaError(f"{sctx} field '{label}' must be a number")
-    lo = None if lo is None else float(lo)
-    hi = None if hi is None else float(hi)
-    if lo is not None and hi is not None and lo > hi:
-        raise SchemaError(f"{sctx} has min {lo} greater than max {hi}")
+    offset = _number(obj.get("offset", 0), f"{sctx} field 'offset'")
+    lo, hi = _bounds(sctx, obj, lambda name: f"{sctx} field '{name}'")
     unit = obj.get("unit")
     if unit is not None and not isinstance(unit, str):
         raise SchemaError(f"{sctx} unit must be a string")
@@ -571,13 +557,12 @@ def validate_value(entry: CatalogEntry, value: str) -> ValueVerdict:
             return ValueVerdict(ok=True)
         return ValueVerdict(False, "not-allowed",
                             f"'{value}' not in {list(entry.allowed or ())}")
-    # numeric datatypes
+    # numeric datatypes; NaN is no number, since no bound could ever reject it
     try:
-        if entry.datatype == "int":
-            number = float(int(text, 10))
-        else:
-            number = float(text)
+        number = float(int(text, 10)) if entry.datatype == "int" else float(text)
     except ValueError:
+        number = math.nan
+    if math.isnan(number):
         return ValueVerdict(False, "type-mismatch",
                             f"'{value}' is not a {entry.datatype}")
     if entry.bounds:

@@ -32,7 +32,6 @@ declaration order) and ``safety_rules.check`` start from it.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -44,7 +43,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .llm_gateway import PC2, CompletionRequest, LlmGateway, prompt_digest, render_prompt
-from .util import canonical_json, normalize_name
+from .util import canonical_json, load_json, normalize_name
 
 NODE_KINDS = ("start", "stop", "action", "decision", "merge")
 NOTE_KEYS = ("input", "input_format", "output", "output_format")
@@ -368,10 +367,7 @@ def parse_chain_document(text: str) -> ChainDocument:
     representable here on purpose: ``ChainOrder`` rejects them when the
     paths are enumerated or checked, not at document parse time.
     """
-    try:
-        raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise TransformError(f"chain document is not valid JSON: {exc}") from exc
+    raw = load_json(text, TransformError, "chain document")
     if not isinstance(raw, dict):
         raise TransformError("chain document must be a JSON object")
     nodes = []

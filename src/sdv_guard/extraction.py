@@ -179,6 +179,8 @@ def _first_json_array(text: str):
             value, _ = decoder.raw_decode(text, start)
         except ValueError:
             value = None
+        except RecursionError:
+            raise ExtractionFormatError("completion nests JSON too deeply to parse") from None
         if isinstance(value, list):
             return value
         start = text.find("[", start + 1)

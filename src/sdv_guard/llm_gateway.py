@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigurationError, GatewayError, ReplayMissError, TemplateError
-from .util import sha256_text
+from .util import load_json, read_text, sha256_text
 
 ENV_URL = "SDVGUARD_LLM_URL"
 ENV_KEY = "SDVGUARD_LLM_KEY"
@@ -144,12 +144,8 @@ class ReplayStore:
     @classmethod
     def load(cls, path: str | Path) -> "ReplayStore":
         path = Path(path)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigurationError(f"replay store '{path}' does not exist") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"replay store '{path}' is not valid JSON: {exc}") from exc
+        raw = load_json(read_text(path, "replay store", f"replay store '{path}' does not exist"),
+                        ConfigurationError, f"replay store '{path}'")
         if not isinstance(raw, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in raw.items()
         ):

@@ -22,10 +22,11 @@ from ..eventchain import (
 )
 from ..safety_rules import VERDICT_PASS, check, parse_rules, render_report
 from ..topology import default_metamodel, parse_metamodel, render_topology_report
+from ..util import read_text
 from .config import PipelineConfig, build_gateway, load_config
 from .harness import render_harness_report, run_eval_harness
 from .runs import run_safety_pipeline_files, run_topology_pipeline
-from .stages import build_chain, extract_grounded, load_catalogs, read_text
+from .stages import build_chain, extract_grounded, load_catalogs
 
 _MODE_HELP = "replay completions from FILE instead of calling an endpoint"
 

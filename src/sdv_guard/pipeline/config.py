@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from ..errors import ConfigurationError
 from ..llm_gateway import LlmGateway, ReplayStore
+from ..util import load_json, read_text
 
 MODES = ("live", "record", "replay")
+# the Python types each field annotation admits; a JSON boolean is no int
+_FIELD_TYPES = {
+    "int": int, "str": str, "float | None": (int, float, type(None)),
+    "str | None": (str, type(None)),
+}
 
 
 @dataclass(frozen=True)
@@ -28,6 +33,10 @@ class PipelineConfig:
 
 
 def _validate(config: PipelineConfig) -> PipelineConfig:
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise ConfigurationError(f"{f.name} must be of type {f.type}, got {value!r}")
     if config.top_k < 1:
         raise ConfigurationError(f"top_k must be at least 1, got {config.top_k}")
     if config.token_budget < 1:
@@ -55,12 +64,7 @@ def load_config(path: str | Path | None = None, **overrides) -> PipelineConfig:
     values: dict = {}
     if path is not None:
         path = Path(path)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigurationError(f"config file '{path}' does not exist") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file '{path}' is not valid JSON: {exc}") from exc
+        raw = load_json(read_text(path, "config"), ConfigurationError, f"config file '{path}'")
         if not isinstance(raw, dict):
             raise ConfigurationError(f"config file '{path}' must hold a JSON object")
         known = {f.name for f in fields(PipelineConfig)}

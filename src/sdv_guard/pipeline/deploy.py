@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ConfigurationError, DeploymentError
-from ..util import mismatched_files, sha256_bytes
+from ..util import load_json, mismatched_files, read_text, sha256_bytes
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,8 @@ def save_receipt(receipt: Receipt, path: str | Path) -> None:
 
 
 def load_receipt(path: str | Path) -> Receipt:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"receipt '{path}' does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"receipt '{path}' is not valid JSON: {exc}") from exc
+    raw = load_json(read_text(path, "receipt", f"receipt '{path}' does not exist"),
+                    ConfigurationError, f"receipt '{path}'")
     if not isinstance(raw, dict) or not isinstance(raw.get("files"), dict):
         raise ConfigurationError(f"receipt '{path}' is malformed")
     return Receipt(

@@ -28,7 +28,6 @@ run, so a scenario with k expected entries succeeds with probability
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,8 +36,9 @@ from pathlib import Path
 from ..errors import ConfigurationError, SdvGuardError
 from ..llm_gateway import LlmGateway, ReplayStore
 from ..safety_rules import VERDICT_PASS, VERDICT_VIOLATED, check, parse_rules
+from ..util import load_json, read_text
 from .config import PipelineConfig
-from .stages import build_chain, extract_grounded, load_catalogs, read_text
+from .stages import build_chain, extract_grounded, load_catalogs
 
 KINDS = ("mapping", "chain")
 
@@ -120,14 +120,17 @@ def _required(obj: dict, key: str, scenario_id: str):
     return obj[key]
 
 
+def _path(base: Path, obj: dict, key: str, scenario_id: str) -> Path:
+    value = _required(obj, key, scenario_id)
+    if not isinstance(value, str):
+        raise ConfigurationError(f"scenario '{scenario_id}' {key} must be a path string")
+    return base / value
+
+
 def parse_manifest(path: str | Path) -> list[Scenario]:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"manifest '{path}' does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"manifest '{path}' is not valid JSON: {exc}") from exc
+    raw = load_json(read_text(path, "manifest", f"manifest '{path}' does not exist"),
+                    ConfigurationError, f"manifest '{path}'")
     if not isinstance(raw, dict) or not isinstance(raw.get("scenarios"), list):
         raise ConfigurationError(f"manifest '{path}' must hold a scenario list")
     base = path.parent
@@ -156,7 +159,7 @@ def parse_manifest(path: str | Path) -> list[Scenario]:
                     "list of catalog keys")
             expected_accepted = tuple(expected)
         else:
-            rules_path = base / _required(obj, "rules", scenario_id)
+            rules_path = _path(base, obj, "rules", scenario_id)
             verdicts = _required(obj, "expected_verdicts", scenario_id)
             if not isinstance(verdicts, dict) or not verdicts or not all(
                     isinstance(k, str) and v in (VERDICT_PASS, VERDICT_VIOLATED)
@@ -168,10 +171,10 @@ def parse_manifest(path: str | Path) -> list[Scenario]:
         scenarios.append(Scenario(
             scenario_id=scenario_id,
             kind=kind,
-            code_path=base / _required(obj, "code", scenario_id),
-            vss_path=base / _required(obj, "vss", scenario_id),
-            can_path=base / _required(obj, "can", scenario_id),
-            replay_path=base / _required(obj, "replay", scenario_id),
+            code_path=_path(base, obj, "code", scenario_id),
+            vss_path=_path(base, obj, "vss", scenario_id),
+            can_path=_path(base, obj, "can", scenario_id),
+            replay_path=_path(base, obj, "replay", scenario_id),
             rules_path=rules_path,
             expected_accepted=expected_accepted,
             expected_verdicts=expected_verdicts,

@@ -49,9 +49,9 @@ from ..topology import (
     render_topology_report,
     serialize_instance,
 )
-from ..util import mismatched_files, sha256_bytes
+from ..util import load_json, mismatched_files, read_text, sha256_bytes
 from .config import PipelineConfig
-from .stages import build_chain, ground_code, read_text, run_extraction
+from .stages import build_chain, ground_code, run_extraction
 
 
 def _extract_code(completion: str) -> str:
@@ -143,19 +143,23 @@ class _ArtifactWriter:
 
 def load_run_record(out_dir: str | Path) -> RunRecord:
     path = Path(out_dir) / "run.json"
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"no run record at '{path}'") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"run record '{path}' is not valid JSON: {exc}") from exc
+    raw = load_json(read_text(path, "run record", f"no run record at '{path}'"),
+                    ConfigurationError, f"run record '{path}'")
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"run record '{path}' must hold a JSON object")
+    artifacts = raw.get("artifacts", {})
+    if not isinstance(artifacts, dict) or not all(
+            isinstance(meta, dict) and isinstance(meta.get("path"), str)
+            and isinstance(meta.get("sha256"), str) for meta in artifacts.values()):
+        raise ConfigurationError(
+            f"run record '{path}' artifacts must map names to {{path, sha256}}")
     record = RunRecord(kind=raw.get("kind", ""))
     record.verdict = raw.get("verdict", "")
     record.started_at = raw.get("started_at", "")
     record.finished_at = raw.get("finished_at", "")
     record.config = raw.get("config", {})
     record.iterations = raw.get("iterations", [])
-    record.artifacts = raw.get("artifacts", {})
+    record.artifacts = artifacts
     return record
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..catalog import MessageCatalog, SignalCatalog, parse_can_catalog, parse_vss_catalog
-from ..errors import ConfigurationError
 from ..eventchain import (
     ChainDocument,
     chain_generation_prompt_digest,
@@ -21,16 +20,8 @@ from ..eventchain import (
 from ..extraction import ExtractionReport, code_digest, run_extraction
 from ..llm_gateway import LlmGateway
 from ..retrieval import Chunk, ShortList, build_index, chunk_entries, retrieve_top_k
+from ..util import read_text
 from .config import PipelineConfig
-
-
-def read_text(path: str | Path, what: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigurationError(f"{what} file '{path}' does not exist") from None
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {what} file '{path}': {exc}") from exc
 
 
 def load_catalogs(vss_path: str | Path, can_path: str | Path,

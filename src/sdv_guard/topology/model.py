@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from ..errors import InstanceParseError, MetamodelError, ModelImportError
+from ..util import load_json
 
 KIND_RE = re.compile(r"^(string|real|int|bool|enum\(([A-Za-z_][A-Za-z0-9_]*)\)|ref\(([A-Za-z_][A-Za-z0-9_]*)\))$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -126,17 +127,18 @@ class Metamodel:
 
 
 def parse_metamodel(text: str) -> Metamodel:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MetamodelError(f"metamodel is not valid JSON: {exc}") from exc
+    raw = load_json(text, MetamodelError, "metamodel")
     if not isinstance(raw, dict) or not isinstance(raw.get("classes"), list):
         raise MetamodelError("metamodel must be an object with a 'classes' array")
     if not raw["classes"]:
         raise MetamodelError("metamodel declares no classes")
 
     enums: list[EnumDef] = []
+    if not isinstance(raw.get("enums", []), list):
+        raise MetamodelError("metamodel 'enums' must be an array")
     for obj in raw.get("enums", []):
+        if not isinstance(obj, dict):
+            raise MetamodelError("enum declarations must be objects")
         name = obj.get("name")
         literals = obj.get("literals")
         if not isinstance(name, str) or not _NAME_RE.match(name):
@@ -160,6 +162,8 @@ def parse_metamodel(text: str) -> Metamodel:
         if not isinstance(name, str) or not _NAME_RE.match(name):
             raise MetamodelError(f"invalid class name {name!r}")
         attributes = []
+        if not isinstance(obj.get("attributes", []), list):
+            raise MetamodelError(f"class '{name}' attributes must be an array")
         for attr in obj.get("attributes", []):
             attr_name = attr.get("name") if isinstance(attr, dict) else None
             kind = attr.get("kind") if isinstance(attr, dict) else None
@@ -274,10 +278,7 @@ _SCALAR_TYPES = (str, int, float, bool)
 
 def parse_instance(text: str) -> InstanceModel:
     """Parse the canonical JSON form; references must resolve syntactically."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceParseError(f"instance model is not valid JSON: {exc}") from exc
+    raw = load_json(text, InstanceParseError, "instance model")
     if not isinstance(raw, dict) or not isinstance(raw.get("objects"), list):
         raise InstanceParseError("instance model must be an object with an 'objects' array")
     objects: list[ModelObject] = []

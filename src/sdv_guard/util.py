@@ -1,4 +1,5 @@
-"""Small shared helpers: tokenization, name normalization, digests, canonical JSON."""
+"""Small shared helpers: tokenization, name normalization, digests, file
+reading, and JSON in both directions."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import hashlib
 import json
 import re
 from pathlib import Path
+
+from .errors import CatalogParseError, ConfigurationError, SdvGuardError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _NORM_RE = re.compile(r"[^a-z0-9]+")
@@ -35,16 +38,57 @@ def sha256_bytes(data: bytes) -> str:
 def mismatched_files(base: Path, expected) -> list[str]:
     """Re-hash recorded files under ``base``; ``expected`` yields
     (name, relative path, sha256). Returns, in order, the names whose file is
-    missing or no longer matches its digest."""
+    missing, unreadable or no longer matches its digest."""
     mismatched: list[str] = []
     for name, rel, digest in expected:
         try:
             actual = sha256_bytes((base / rel).read_bytes())
-        except FileNotFoundError:
+        except OSError:
             actual = None
         if actual != digest:
             mismatched.append(name)
     return mismatched
+
+
+def read_text(path: str | Path, what: str, missing: str | None = None) -> str:
+    """Read a UTF-8 text file. Every failure is a ``ConfigurationError``
+    naming the ``what`` file; ``missing`` replaces the not-found message."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigurationError(missing or f"{what} file '{path}' does not exist") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {what} file '{path}': {exc}") from exc
+
+
+class RepeatedKeys(dict):
+    """A decoded JSON object in which a key repeats: the dict keeps the last
+    value of each key, ``pairs`` every pair in document order."""
+
+    def __init__(self, pairs: list[tuple[str, object]]):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    return obj if len(obj) == len(pairs) else RepeatedKeys(pairs)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def load_json(text: str, error_type: type[SdvGuardError], what: str):
+    """Decode strict JSON (RFC 8259: no NaN or Infinity) into plain values; an
+    object whose key repeats is a ``RepeatedKeys``. Any failure, too deep a
+    nesting included, is an ``error_type`` naming ``what``."""
+    try:
+        return json.loads(text, object_pairs_hook=_object, parse_constant=_reject_constant)
+    except (RecursionError, ValueError) as exc:
+        if isinstance(exc, json.JSONDecodeError) and issubclass(error_type, CatalogParseError):
+            raise error_type(exc.msg, line=exc.lineno, column=exc.colno) from exc
+        raise error_type(f"{what} is not valid JSON: {exc}") from exc
 
 
 def canonical_json(value) -> str:

@@ -156,6 +156,14 @@ def test_message_catalog_round_trip(message_catalog):
     ({"frame_id": 1, "name": "M", "dlc": 1,
       "signals": [{"name": "S", "start_bit": 0, "bit_length": 1, "min": 2, "max": 1}]},
      "min 2.0 greater than max"),
+    *(({"frame_id": 1, "name": "M", "dlc": 1,
+        "signals": [{"name": "S", "start_bit": 0, "bit_length": 1, field: value}]},
+       f"signal 'S' field '{field}' must be a number")
+      for field, value in (("scale", "x"), ("scale", []), ("scale", True), ("scale", None),
+                           ("offset", "nan"), ("offset", {}), ("max", "1"))),
+    ({"frame_id": 1, "name": "M", "dlc": 1,
+      "signals": [{"name": "S", "start_bit": 0, "bit_length": 1, "scale": 0, "offset": "x"}]},
+     "scale must be non-zero"),
 ])
 def test_message_schema_errors(message, message_part):
     with pytest.raises(SchemaError, match=message_part):
@@ -209,6 +217,15 @@ def test_validate_value_types():
     enum_entry = _entry(datatype="enum", allowed=("off", "assist"))
     assert validate_value(enum_entry, "assist").ok
     assert validate_value(enum_entry, "sport").violation == "not-allowed"
+
+
+@pytest.mark.parametrize("datatype", ["float", "int"])
+@pytest.mark.parametrize("text", ["nan", "NaN", " -nan "])
+def test_validate_value_nan_is_no_number(datatype, text):
+    # every comparison with NaN is false, so no bound could reject it
+    verdict = validate_value(_entry(datatype=datatype, bounds=(0.0, 250.0)), text)
+    assert (verdict.ok, verdict.violation) == (False, "type-mismatch")
+    assert verdict.detail == f"'{text}' is not a {datatype}"
 
 
 def test_validate_value_without_datatype_accepts_anything():

@@ -93,6 +93,7 @@ def test_parse_response_skips_non_json_brackets():
     ('[{"name": "x", "type": "float", "protocol": null}]', "missing field"),
     ('[{"name": "  ", "type": "float", "protocol": "VSS"}]', "empty name"),
     ('[{"name": "x", "type": "float", "protocol": "LIN"}]', "unknown protocol"),
+    pytest.param("[" * 3000, "nests JSON too deeply", id="nested-3000-deep"),
 ])
 def test_parse_response_rejects_malformed(completion, message):
     with pytest.raises(ExtractionFormatError, match=message):

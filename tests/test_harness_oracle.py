@@ -18,10 +18,10 @@ from sdv_guard.pipeline.stages import (
     build_chain,
     ground_code,
     load_catalogs,
-    read_text,
     run_extraction,
 )
 from sdv_guard.safety_rules import check, parse_rules
+from sdv_guard.util import read_text
 
 
 def _reference_mapping_once(scenario, code, catalogs, gateway, config, rng,

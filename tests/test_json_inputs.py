@@ -1,0 +1,328 @@
+"""Every JSON input fails closed: one decode, typed errors, no tracebacks.
+
+``util.load_json`` is the only place that decodes JSON text (the extraction
+scanner aside), so each parser reports deep nesting, ``NaN``/``Infinity``
+and malformed text as its own ``SdvGuardError``, and the CLI exits 2 with an
+``error:`` line.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sdv_guard.catalog import parse_can_catalog, parse_vss_catalog
+from sdv_guard.errors import (
+    CatalogParseError,
+    ConfigurationError,
+    ExtractionFormatError,
+    InstanceParseError,
+    MetamodelError,
+    SchemaError,
+    SdvGuardError,
+    TransformError,
+)
+from sdv_guard.eventchain import (
+    parse_activity_diagram,
+    parse_chain_document,
+    serialize_chain,
+    to_chain_document,
+)
+from sdv_guard.extraction import parse_extraction_response
+from sdv_guard.llm_gateway import ReplayStore
+from sdv_guard.pipeline import (
+    load_config,
+    load_receipt,
+    load_run_record,
+    parse_manifest,
+    verify_artifacts,
+)
+from sdv_guard.pipeline.cli import main
+from sdv_guard.topology import parse_instance, parse_metamodel
+from sdv_guard.util import RepeatedKeys, load_json
+
+from conftest import FIXTURES, ROOT
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _run_record(directory: Path):
+    verify_artifacts(load_run_record(directory), directory)
+
+
+# name -> (file the entry point reads, or None for text; the call; its error type)
+ENTRIES = {
+    "vss": (None, parse_vss_catalog, CatalogParseError),
+    "can": (None, parse_can_catalog, CatalogParseError),
+    "metamodel": (None, parse_metamodel, MetamodelError),
+    "instance": (None, parse_instance, InstanceParseError),
+    "chain": (None, parse_chain_document, TransformError),
+    "extraction": (None, parse_extraction_response, ExtractionFormatError),
+    "config": ("config.json", load_config, ConfigurationError),
+    "manifest": ("manifest.json", parse_manifest, ConfigurationError),
+    "run-record": ("run.json", _run_record, ConfigurationError),
+    "receipt": ("receipt.json", load_receipt, ConfigurationError),
+    "replay": ("store.json", ReplayStore.load, ConfigurationError),
+}
+
+
+def _call(name: str, directory: Path, data: str | bytes):
+    """Feed ``data`` to the entry point, through a file when it reads one."""
+    filename, call, _ = ENTRIES[name]
+    if filename is None:
+        return call(data)
+    path = directory / filename
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    return call(directory if name == "run-record" else path)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_deep_nesting_is_the_parsers_error(tmp_path, name):
+    with pytest.raises(ENTRIES[name][2]):
+        _call(name, tmp_path, DEEP)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("name", sorted(set(ENTRIES) - {"extraction"}))
+def test_non_standard_numbers_are_the_parsers_error(tmp_path, name, constant):
+    with pytest.raises(ENTRIES[name][2], match=f"{constant} is not a JSON number"):
+        _call(name, tmp_path, f'{{"x": [{constant}]}}')
+
+
+@pytest.mark.parametrize("name", [n for n, entry in ENTRIES.items() if entry[0]])
+def test_invalid_utf8_and_directories_are_configuration_errors(tmp_path, name):
+    with pytest.raises(ConfigurationError, match="cannot read"):
+        _call(name, tmp_path, b'{"\xff": 1}')
+    filename, call, _ = ENTRIES[name]
+    (tmp_path / filename).unlink()
+    (tmp_path / filename).mkdir()
+    with pytest.raises(ConfigurationError, match="cannot read"):
+        call(tmp_path if name == "run-record" else tmp_path / filename)
+
+
+def test_load_json_keeps_repeated_pairs_and_positions():
+    value = load_json('{"a": 1, "b": {"c": 2}, "a": 3}', TransformError, "doc")
+    assert value == {"a": 3, "b": {"c": 2}}
+    assert isinstance(value, RepeatedKeys)
+    assert value.pairs == [("a", 1), ("b", {"c": 2}), ("a", 3)]
+    assert type(value["b"]) is dict
+    with pytest.raises(CatalogParseError) as err:
+        load_json('{\n  "a": nope}', CatalogParseError, "catalog")
+    assert (err.value.line, err.value.column) == (2, 8)
+    with pytest.raises(TransformError, match="doc is not valid JSON: .* line 2 column 8"):
+        load_json('{\n  "a": nope}', TransformError, "doc")
+    with pytest.raises(TransformError, match="doc is not valid JSON: Exceeds the limit"):
+        load_json("1" * 5000, TransformError, "doc")
+
+
+# ---------------------------------------------------------------------------
+# through the CLI: exit 2 and an ``error:`` line
+
+
+def _argv(name: str, bad: str, out: str) -> list[str]:
+    """A CLI run whose ``name`` input is the file ``bad``."""
+    topology = FIXTURES / "topology"
+    extract = {"--code": FIXTURES / "code" / "cabin.py",
+               "--vss": FIXTURES / "catalogs" / "vss.json",
+               "--can": FIXTURES / "catalogs" / "can.json",
+               "--replay": FIXTURES / "replay" / "cabin.json"}
+    if f"--{name}" in extract:
+        extract[f"--{name}"] = bad
+    commands = {
+        "extract": ["extract-signals", *(str(x) for kv in extract.items() for x in kv)],
+        "metamodel": ["analyze-topology", "--metamodel", bad,
+                      "--model", str(topology / "system.json"),
+                      "--constraints", str(topology / "security.ocl")],
+        "instance": ["analyze-topology", "--model", bad,
+                     "--constraints", str(topology / "security.ocl")],
+        "chain": ["check-chain", "--chain", bad,
+                  "--rules", str(FIXTURES / "rules" / "rules-s1.txt")],
+        "manifest": ["eval", "--manifest", bad, "--runs", "1"],
+    }
+    config = ["--config", bad] if name == "config" else []
+    return [*config, "--out", out, *commands.get(name, commands["extract"])]
+
+
+_CLI_INPUTS = {
+    "deep": DEEP.encode(),
+    "nan": b'{"x": NaN}',
+    "infinity": b"[-Infinity]",
+    "not-utf8": b'{"\xff": 1}',
+}
+
+
+@pytest.mark.parametrize("content", sorted(_CLI_INPUTS))
+@pytest.mark.parametrize("name", ["can", "chain", "config", "instance", "manifest",
+                                  "metamodel", "replay", "vss"])
+def test_cli_reports_bad_json_inputs(tmp_path, capsys, name, content):
+    bad = tmp_path / "input.json"
+    bad.write_bytes(_CLI_INPUTS[content])
+    assert main(_argv(name, str(bad), str(tmp_path / "out"))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name", ["manifest", "vss", "replay"])
+def test_cli_reports_a_directory_given_as_a_file(tmp_path, capsys, name):
+    assert main(_argv(name, str(tmp_path), str(tmp_path / "out"))) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "signal catalog root must be an object"),
+    ('{"Vehicle": []}', "node 'Vehicle' must be an object"),
+    ('{"Vehicle": {"children": []}}', "children of 'Vehicle' must be an object"),
+    ('{"Vehicle": {"Speed": []}}', "leaf 'Vehicle' is missing its datatype"),
+])
+def test_empty_arrays_are_not_vss_objects(tmp_path, capsys, text, message):
+    with pytest.raises(SchemaError, match=message):
+        parse_vss_catalog(text)
+    bad = tmp_path / "vss.json"
+    bad.write_text(text)
+    assert main(_argv("vss", str(bad), str(tmp_path / "out"))) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any text or JSON value gives a toolkit error or a result
+
+
+def _chain_document() -> dict:
+    graph = parse_activity_diagram((FIXTURES / "chains" / "s1.puml").read_text())
+    return json.loads(serialize_chain(to_chain_document(graph)))
+
+
+def _fixture_json(*parts) -> object:
+    return json.loads(FIXTURES.joinpath(*parts).read_text(encoding="utf-8"))
+
+
+# a well-formed document per entry point, for the mutation strategy
+_BASES = {
+    "vss": _fixture_json("catalogs", "vss.json"),
+    "can": _fixture_json("catalogs", "can.json"),
+    "metamodel": json.loads(
+        (ROOT / "src" / "sdv_guard" / "data" / "metamodel.json").read_text()),
+    "instance": _fixture_json("topology", "system.json"),
+    "chain": _chain_document(),
+    "extraction": [{"name": "Vehicle.Cabin.Light", "type": "boolean",
+                    "value": True, "protocol": "VSS"}],
+    "config": {"top_k": 5, "mode": "replay", "store_path": "store.json",
+               "temperature": 0.5},
+    "manifest": _fixture_json("harness", "manifest.json"),
+    "run-record": {"kind": "safety", "verdict": "pass", "config": {"top_k": 20},
+                   "iterations": [{"index": 1}],
+                   "artifacts": {"a.txt": {"path": "a.txt", "sha256": "00"}}},
+    "receipt": {"target": "t", "kind": "directory", "files": {"a.txt": "00"}},
+    "replay": _fixture_json("replay", "cabin.json"),
+}
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, prefix + (index,))
+
+
+def _replace(value, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {**value, head: _replace(value[head], rest, new)}
+    return [*value[:head], _replace(value[head], rest, new), *value[head + 1:]]
+
+
+@st.composite
+def _mutated(draw, name: str):
+    """The entry's well-formed document with one value replaced."""
+    base = _BASES[name]
+    path = draw(st.sampled_from(list(_paths(base))))
+    return _replace(base, path, draw(_JSON))
+
+
+def _inputs(name: str):
+    """Mostly mutated documents, which get past the first checks; then any
+    JSON value, any text, and any bytes for a file."""
+    documents = st.one_of(_mutated(name), _mutated(name), _mutated(name), _JSON)
+    documents = documents.map(json.dumps)
+    if name == "extraction":
+        documents = documents.map(lambda text: f"Entries:\n```json\n{text}\n```\n")
+    forms = [documents, _TEXT]
+    if ENTRIES[name][0] is not None:
+        forms.append(st.binary(max_size=40))
+    return st.one_of(*forms)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_json_entry_points_fail_only_with_toolkit_errors(fuzz_dir, name):
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=_inputs(name))
+    def run(data):
+        try:
+            _call(name, fuzz_dir, data)
+        except SdvGuardError:
+            pass
+
+    run()
+
+
+# ---------------------------------------------------------------------------
+# one decode
+
+
+_DECODERS = {"loads", "load", "JSONDecoder", "raw_decode"}
+_ALLOWED = {("util.py", "load_json"), ("extraction.py", "_first_json_array")}
+
+
+class _DecodeSites(ast.NodeVisitor):
+    """(file, innermost function) of every ``json.<decoder>`` use."""
+
+    def __init__(self, filename: str):
+        self.filename = filename
+        self.scope = ["<module>"]
+        self.found: set[tuple[str, str]] = set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Attribute(self, node):
+        if (node.attr in _DECODERS and isinstance(node.value, ast.Name)
+                and node.value.id == "json"):
+            self.found.add((self.filename, self.scope[-1]))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module == "json":
+            self.found.add((self.filename, "from json import"))
+
+
+def test_json_is_decoded_only_by_load_json_and_the_extraction_scanner():
+    found = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        sites = _DecodeSites(path.name)
+        sites.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= sites.found
+    assert found == _ALLOWED

@@ -29,7 +29,8 @@ from sdv_guard.pipeline import (
 )
 from sdv_guard.pipeline import cli as cli_module
 from sdv_guard.pipeline.cli import main
-from sdv_guard.pipeline.stages import ground_code, read_text
+from sdv_guard.pipeline.stages import ground_code
+from sdv_guard.util import read_text
 
 from conftest import replay_gateway, scripted_gateway
 
@@ -66,6 +67,11 @@ def test_config_file_and_overrides(tmp_path):
     ('{"mode": "stream"}', "unknown mode 'stream'"),
     ('{"mode": "replay"}', "mode 'replay' needs a store_path"),
     ('{"mode": "record"}', "mode 'record' needs a store_path"),
+    ('{"top_k": []}', "top_k must be of type int, got \\[\\]"),
+    ('{"top_k": true}', "top_k must be of type int, got True"),
+    ('{"top_k": 2.5}', "top_k must be of type int, got 2.5"),
+    ('{"temperature": "hot"}', "temperature must be of type float | None"),
+    ('{"store_path": 3}', "store_path must be of type str | None"),
 ])
 def test_config_rejects(tmp_path, body, message):
     path = tmp_path / "config.json"
@@ -299,6 +305,19 @@ def test_load_run_record_errors(tmp_path):
     (tmp_path / "run.json").write_text("{broken")
     with pytest.raises(ConfigurationError, match="not valid JSON"):
         load_run_record(tmp_path)
+    (tmp_path / "run.json").write_text("[]")
+    with pytest.raises(ConfigurationError, match="must hold a JSON object"):
+        load_run_record(tmp_path)
+    for artifacts in ([], {"a": "x"}, {"a": {"path": "a"}}, {"a": {"path": 1, "sha256": "0"}}):
+        (tmp_path / "run.json").write_text(json.dumps({"artifacts": artifacts}))
+        with pytest.raises(ConfigurationError, match="artifacts must map names"):
+            load_run_record(tmp_path)
+
+
+def test_verify_artifacts_counts_an_unreadable_artifact_as_changed(tmp_path):
+    (tmp_path / "run.json").write_text(json.dumps({"artifacts": {
+        "dir": {"path": "", "sha256": "0"}, "gone": {"path": "gone.txt", "sha256": "0"}}}))
+    assert verify_artifacts(load_run_record(tmp_path), tmp_path) == ["dir", "gone"]
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +466,11 @@ def _cabin_scenario(fixtures_dir, **extra) -> dict:
     (lambda s: s.pop("replay"), "missing 'replay'"),
     (lambda s: s.update(expected_accepted="Vehicle.Cabin.Light"),
      "must be a list of catalog keys"),
+    *((lambda s, key=key, value=value: s.update({key: value}),
+       f"scenario 'cabin' {key} must be a path string")
+      for key, value in (("code", 3), ("vss", None), ("can", ["a"]), ("replay", {}))),
+    (lambda s: s.update(kind="chain", expected_verdicts={"r": "pass"}, rules=False),
+     "scenario 'cabin' rules must be a path string"),
 ])
 def test_manifest_scenario_rejects(fixtures_dir, tmp_path, mangle, message):
     scenario = _cabin_scenario(fixtures_dir)

@@ -124,6 +124,12 @@ def test_metamodel_serialization_round_trip(metamodel):
      "non-empty literal list"),
     ('{"classes": [{"name": "A"}], "enums": [{"name": "E", "literals": ["x", "x"]}]}',
      "repeats a literal"),
+    ('{"classes": [{"name": "A"}], "enums": [1]}', "enum declarations must be objects"),
+    ('{"classes": [{"name": "A"}], "enums": "xy"}', "'enums' must be an array"),
+    ('{"classes": [{"name": "A"}], "enums": null}', "'enums' must be an array"),
+    ('{"classes": [{"name": "A", "attributes": 3}]}', "'A' attributes must be an array"),
+    ('{"classes": [{"name": "A", "attributes": {"x": "int"}}]}',
+     "'A' attributes must be an array"),
 ])
 def test_metamodel_rejects(doc, message):
     with pytest.raises(MetamodelError, match=message):
