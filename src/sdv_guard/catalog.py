@@ -560,9 +560,11 @@ def validate_value(entry: CatalogEntry, value: str) -> ValueVerdict:
     # numeric datatypes; NaN is no number, since no bound could ever reject it
     try:
         number = float(int(text, 10)) if entry.datatype == "int" else float(text)
+    except OverflowError:
+        number = int(text, 10)  # too large for a float: compared with the bounds exactly
     except ValueError:
         number = math.nan
-    if math.isnan(number):
+    if isinstance(number, float) and math.isnan(number):
         return ValueVerdict(False, "type-mismatch",
                             f"'{value}' is not a {entry.datatype}")
     if entry.bounds:

@@ -34,14 +34,6 @@ class SchemaError(SdvGuardError):
     """A catalog node violates the documented field schema."""
 
 
-class RetrievalError(SdvGuardError):
-    """Scoring endpoint failure; carries the HTTP status when one was received."""
-
-    def __init__(self, message: str, status: int | None = None):
-        self.status = status
-        super().__init__(message)
-
-
 class ChunkingError(SdvGuardError):
     """An entry cannot fit any chunk under the given token budget."""
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigurationError, GatewayError, ReplayMissError, TemplateError
-from .util import load_json, read_text, sha256_text
+from .util import load_json, read_text, sha256_text, write_atomic
 
 ENV_URL = "SDVGUARD_LLM_URL"
 ENV_KEY = "SDVGUARD_LLM_KEY"
@@ -159,14 +159,8 @@ class ReplayStore:
         if target is None:
             raise ConfigurationError("replay store has no path to save to")
         target.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(self.entries, indent=2, sort_keys=True, ensure_ascii=False)
-        # write beside the store, then swap: a crash mid-write leaves the old file
-        partial = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-        try:
-            partial.write_text(text + "\n", encoding="utf-8")
-            os.replace(partial, target)
-        finally:
-            partial.unlink(missing_ok=True)
+        write_atomic(target, json.dumps(self.entries, indent=2, sort_keys=True,
+                                        ensure_ascii=False) + "\n")
 
     def record(self, prompt: str, completion: str) -> str:
         digest = prompt_digest(prompt)

@@ -28,7 +28,7 @@ from .runs import (
     run_topology_pipeline,
     verify_artifacts,
 )
-from .stages import build_chain, ground_code, load_catalogs, run_extraction
+from .stages import build_chain, catalog_index, ground_code, load_catalogs, run_extraction
 
 __all__ = [
     "MODES",
@@ -58,6 +58,7 @@ __all__ = [
     "run_topology_pipeline",
     "verify_artifacts",
     "build_chain",
+    "catalog_index",
     "ground_code",
     "load_catalogs",
     "run_extraction",

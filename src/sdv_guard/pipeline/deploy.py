@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ConfigurationError, DeploymentError
-from ..util import load_json, mismatched_files, read_text, sha256_bytes
+from ..util import load_json, mismatched_files, read_text, sha256_bytes, write_atomic
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,7 @@ def deploy_stub(source_dir: str | Path, target: str) -> Receipt:
 
 
 def save_receipt(receipt: Receipt, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(receipt.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_atomic(path, json.dumps(receipt.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_receipt(path: str | Path) -> Receipt:

@@ -49,9 +49,9 @@ from ..topology import (
     render_topology_report,
     serialize_instance,
 )
-from ..util import load_json, mismatched_files, read_text, sha256_bytes
+from ..util import load_json, mismatched_files, read_text, sha256_bytes, write_atomic
 from .config import PipelineConfig
-from .stages import build_chain, ground_code, run_extraction
+from .stages import build_chain, catalog_index, ground_code, run_extraction
 
 
 def _extract_code(completion: str) -> str:
@@ -134,10 +134,7 @@ class _ArtifactWriter:
     def finish(self) -> Path:
         self.record.finished_at = _now()
         path = self.out_dir / "run.json"
-        path.write_text(
-            json.dumps(self.record.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_atomic(path, json.dumps(self.record.to_dict(), indent=2, sort_keys=True) + "\n")
         return path
 
 
@@ -201,7 +198,8 @@ def run_safety_pipeline(code: str, vss_text: str, can_text: str, rules_text: str
                         auto_correct: bool = False) -> SafetyRunResult:
     """Extract, build the event chain, check it, optionally iterate on fixes.
 
-    Each iteration re-runs grounding and extraction on the current code and
+    The retrieval index over both catalogs is built once per run. Each
+    iteration re-runs grounding and extraction on the current code and
     regenerates the chain with the previous diagram as context. Correction
     is only attempted while iterations remain; the last report stands either
     way. Every stage failure is wrapped in PipelineError naming the stage,
@@ -212,15 +210,17 @@ def run_safety_pipeline(code: str, vss_text: str, can_text: str, rules_text: str
     signal_catalog = writer.stage("catalog", lambda: parse_vss_catalog(vss_text))
     message_catalog = writer.stage("catalog", lambda: parse_can_catalog(can_text))
     ruleset = writer.stage("rules", lambda: parse_rules(rules_text))
+    retrieval_index = writer.stage(
+        "retrieval", lambda: catalog_index(signal_catalog, message_catalog))
 
     iterations: list[SafetyIteration] = []
     current_code = code
     current_chain = ""
     for index in range(1, config.max_iterations + 1):
         suffix = f"_iter{index}"
-        _shortlist, chunks = writer.stage(
+        chunks = writer.stage(
             "retrieval",
-            lambda: ground_code(current_code, signal_catalog, message_catalog,
+            lambda: ground_code(current_code, retrieval_index,
                                 config.top_k, config.token_budget),
         )
         extraction = writer.stage(

@@ -19,7 +19,7 @@ from ..eventchain import (
 )
 from ..extraction import ExtractionReport, code_digest, run_extraction
 from ..llm_gateway import LlmGateway
-from ..retrieval import Chunk, ShortList, build_index, chunk_entries, retrieve_top_k
+from ..retrieval import Chunk, RetrievalIndex, build_index, chunk_entries, retrieve_top_k
 from ..util import read_text
 from .config import PipelineConfig
 
@@ -31,13 +31,17 @@ def load_catalogs(vss_path: str | Path, can_path: str | Path,
     return signal_catalog, message_catalog
 
 
-def ground_code(code: str, signal_catalog: SignalCatalog,
-                message_catalog: MessageCatalog, top_k: int,
-                token_budget: int) -> tuple[ShortList, list[Chunk]]:
+def catalog_index(signal_catalog: SignalCatalog,
+                  message_catalog: MessageCatalog) -> RetrievalIndex:
+    """The one retrieval index of a run, over both catalogs' entries; a key
+    present in both is a ConfigurationError."""
+    return build_index(signal_catalog.entries + message_catalog.entries)
+
+
+def ground_code(code: str, index: RetrievalIndex, top_k: int,
+                token_budget: int) -> list[Chunk]:
     """Retrieve the catalog entries most relevant to the code and chunk them."""
-    index = build_index(tuple(signal_catalog.entries) + tuple(message_catalog.entries))
-    shortlist = retrieve_top_k(index, code, k=top_k)
-    return shortlist, chunk_entries(shortlist, token_budget=token_budget)
+    return chunk_entries(retrieve_top_k(index, code, k=top_k), token_budget=token_budget)
 
 
 def extract_grounded(code: str, signal_catalog: SignalCatalog,
@@ -45,8 +49,8 @@ def extract_grounded(code: str, signal_catalog: SignalCatalog,
                      config: PipelineConfig) -> ExtractionReport:
     """Ground the code in the catalogs, then extract and validate it with the
     configured retries."""
-    _shortlist, chunks = ground_code(code, signal_catalog, message_catalog,
-                                     config.top_k, config.token_budget)
+    chunks = ground_code(code, catalog_index(signal_catalog, message_catalog),
+                         config.top_k, config.token_budget)
     return run_extraction(code, chunks, gateway, signal_catalog, message_catalog,
                           max_retries=config.max_extraction_retries)
 

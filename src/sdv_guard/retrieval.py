@@ -4,12 +4,11 @@ Stage 1 ranks entries lexically with BM25 (k1 = 1.2, b = 0.75; idf(t) =
 ln(1 + (N - df + 0.5) / (df + 0.5)); the score sums over distinct query
 terms). Stage 2 reranks the candidate pool by the fraction of distinct query
 tokens present in the entry text, breaking ties by stage-1 score and then by
-key. Both stages can be swapped for HTTP-backed scorers (an embedding
-endpoint for stage 1, a cross-encoder endpoint for stage 2) without changing
-the caller-visible contract.
+key. Both stages run offline, inside this module.
 
-The default pipeline is entirely deterministic: same entries + same query
-give the same ranking, byte for byte.
+An index is immutable once built, so one index serves every query of a run.
+Retrieval is entirely deterministic: same entries + same query give the same
+ranking, byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import CatalogEntry
-from .errors import ChunkingError, ConfigurationError, RetrievalError
+from .errors import ChunkingError, ConfigurationError
 from .util import token_estimate, tokenize
 
 BM25_K1 = 1.2
@@ -109,68 +108,48 @@ def bm25_score(index: RetrievalIndex, query_tokens: list[str], position: int) ->
     return score
 
 
-def score_stage1(index: RetrievalIndex, query: str, scorer=None) -> list[RankedEntry]:
+def score_stage1(index: RetrievalIndex, query: str) -> list[RankedEntry]:
     """Rank every entry for the query; empty-token queries rank nothing."""
     query_tokens = tokenize(query)
     if not query_tokens:
         return []
-    if scorer is not None:
-        scores = scorer.score(query, index.entries)
-        if len(scores) != len(index.entries):
-            raise RetrievalError(
-                f"scorer returned {len(scores)} scores for {len(index.entries)} entries"
-            )
-    else:
-        scores = [bm25_score(index, query_tokens, pos) for pos in range(len(index.entries))]
     ranked = [
-        RankedEntry(entry=index.entries[pos], stage1_score=scores[pos])
-        for pos in range(len(index.entries))
+        RankedEntry(entry=entry, stage1_score=bm25_score(index, query_tokens, pos))
+        for pos, entry in enumerate(index.entries)
     ]
     ranked.sort(key=lambda r: (-r.stage1_score, r.key))
     return ranked
 
 
-def rerank(candidates: list[RankedEntry], query: str, scorer=None) -> list[RankedEntry]:
-    """Stage 2: score candidates by query-token overlap (or a cross-encoder endpoint).
+def rerank(candidates: list[RankedEntry], query: str) -> list[RankedEntry]:
+    """Stage 2: score candidates by query-token overlap.
 
-    The default stage-2 score is |query tokens present in the entry| / |query
+    The stage-2 score is |query tokens present in the entry| / |query
     tokens|, over distinct tokens. Ordering: stage-2 score descending, then
     stage-1 score descending, then key ascending.
     """
     query_tokens = set(tokenize(query))
-    if scorer is not None:
-        scores = scorer.score_pairs(query, [c.entry for c in candidates])
-        if len(scores) != len(candidates):
-            raise RetrievalError(
-                f"scorer returned {len(scores)} scores for {len(candidates)} candidates"
-            )
-        rescored = [
-            RankedEntry(entry=c.entry, stage1_score=c.stage1_score, stage2_score=s)
-            for c, s in zip(candidates, scores)
-        ]
-    else:
-        rescored = []
-        for cand in candidates:
-            if query_tokens:
-                present = query_tokens.intersection(tokenize(cand.entry.text))
-                overlap = len(present) / len(query_tokens)
-            else:
-                overlap = 0.0
-            rescored.append(RankedEntry(
-                entry=cand.entry, stage1_score=cand.stage1_score, stage2_score=overlap,
-            ))
+    rescored = []
+    for cand in candidates:
+        if query_tokens:
+            present = query_tokens.intersection(tokenize(cand.entry.text))
+            overlap = len(present) / len(query_tokens)
+        else:
+            overlap = 0.0
+        rescored.append(RankedEntry(
+            entry=cand.entry, stage1_score=cand.stage1_score, stage2_score=overlap,
+        ))
     rescored.sort(key=lambda r: (-r.stage2_score, -r.stage1_score, r.key))
     return rescored
 
 
-def retrieve_top_k(index: RetrievalIndex, query: str, k: int = DEFAULT_TOP_K,
-                   stage1_scorer=None, rerank_scorer=None) -> ShortList:
+def retrieve_top_k(index: RetrievalIndex, query: str, k: int = DEFAULT_TOP_K) -> ShortList:
     """Stage-1 pool of min(4k, |entries|) candidates, reranked, truncated to k."""
     if k < 1:
         raise ConfigurationError(f"top-k must be at least 1, got {k}")
-    ranked = score_stage1(index, query, scorer=stage1_scorer)
+    ranked = score_stage1(index, query)
     pool = ranked[: min(POOL_FACTOR * k, len(index.entries))]
-    reranked = rerank(pool, query, scorer=rerank_scorer)
+    reranked = rerank(pool, query)
     return ShortList(query=query, ranked=tuple(reranked[:k]), k=k)
 
 
@@ -202,84 +181,3 @@ def chunk_entries(shortlist: ShortList, token_budget: int = DEFAULT_TOKEN_BUDGET
     if current:
         chunks.append(Chunk(entries=tuple(current), token_estimate=current_cost))
     return chunks
-
-
-# ---------------------------------------------------------------------------
-# optional HTTP-backed scorers
-
-
-class EmbeddingEndpointScorer:
-    """Stage-1 scorer backed by an embedding endpoint.
-
-    Contract: POST {"texts": [query, entry_text...]} -> {"vectors": [[...], ...]},
-    one vector per text, query first. The score is the cosine similarity
-    between the query vector and each entry vector.
-    """
-
-    def __init__(self, base_url: str, timeout: float = 10.0, session=None):
-        import requests
-
-        self.base_url = base_url
-        self.timeout = timeout
-        self._session = session or requests
-
-    def score(self, query: str, entries) -> list[float]:
-        payload = {"texts": [query] + [e.text for e in entries]}
-        vectors = _post_json(self._session, self.base_url, payload, self.timeout, "vectors")
-        if len(vectors) != len(entries) + 1:
-            raise RetrievalError(
-                f"embedding endpoint returned {len(vectors)} vectors for "
-                f"{len(entries) + 1} texts"
-            )
-        qvec = vectors[0]
-        return [_cosine(qvec, vec) for vec in vectors[1:]]
-
-
-class CrossEncoderEndpointScorer:
-    """Stage-2 scorer backed by a cross-encoder endpoint.
-
-    Contract: POST {"pairs": [[query, entry_text], ...]} -> {"scores": [...]},
-    one relevance score per pair, higher is more relevant.
-    """
-
-    def __init__(self, base_url: str, timeout: float = 10.0, session=None):
-        import requests
-
-        self.base_url = base_url
-        self.timeout = timeout
-        self._session = session or requests
-
-    def score_pairs(self, query: str, entries) -> list[float]:
-        payload = {"pairs": [[query, e.text] for e in entries]}
-        scores = _post_json(self._session, self.base_url, payload, self.timeout, "scores")
-        return [float(s) for s in scores]
-
-
-def _post_json(session, url: str, payload: dict, timeout: float, field: str):
-    import requests
-
-    try:
-        response = session.post(url, json=payload, timeout=timeout)
-    except requests.RequestException as exc:
-        raise RetrievalError(f"scoring endpoint unreachable: {exc}") from exc
-    if response.status_code // 100 != 2:
-        raise RetrievalError(
-            f"scoring endpoint returned status {response.status_code}",
-            status=response.status_code,
-        )
-    try:
-        body = response.json()
-    except ValueError as exc:
-        raise RetrievalError("scoring endpoint returned non-JSON body") from exc
-    if field not in body or not isinstance(body[field], list):
-        raise RetrievalError(f"scoring endpoint response missing '{field}' array")
-    return body[field]
-
-
-def _cosine(a, b) -> float:
-    dot = sum(x * y for x, y in zip(a, b))
-    norm_a = math.sqrt(sum(x * x for x in a))
-    norm_b = math.sqrt(sum(x * x for x in b))
-    if norm_a == 0 or norm_b == 0:
-        return 0.0
-    return dot / (norm_a * norm_b)

@@ -179,9 +179,12 @@ def parse_metamodel(text: str) -> Metamodel:
         parent = obj.get("parent")
         if parent is not None and not isinstance(parent, str):
             raise MetamodelError(f"class '{name}' has an invalid parent")
+        abstract = obj.get("abstract")
+        if abstract is not None and not isinstance(abstract, bool):
+            raise MetamodelError(f"class '{name}' abstract must be true or false")
         classes.append(MetaClass(
             name=name,
-            abstract=bool(obj.get("abstract", False)),
+            abstract=bool(abstract),
             parent=parent,
             attributes=tuple(attributes),
         ))

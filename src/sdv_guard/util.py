@@ -1,10 +1,11 @@
 """Small shared helpers: tokenization, name normalization, digests, file
-reading, and JSON in both directions."""
+reading and atomic writing, and JSON in both directions."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
 
@@ -59,6 +60,18 @@ def read_text(path: str | Path, what: str, missing: str | None = None) -> str:
         raise ConfigurationError(missing or f"{what} file '{path}' does not exist") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {what} file '{path}': {exc}") from exc
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write UTF-8 text beside ``path``, then swap it in: a crash mid-write
+    leaves the old file whole, and no temporary file behind."""
+    path = Path(path)
+    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        partial.write_text(text, encoding="utf-8")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 class RepeatedKeys(dict):

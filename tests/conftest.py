@@ -38,6 +38,18 @@ def message_catalog(can_text):
     return parse_can_catalog(can_text)
 
 
+def write_dies_half_way(monkeypatch) -> None:
+    """Until ``monkeypatch.undo()``, every ``Path.write_text`` writes half its
+    text and then raises ``OSError("disk full")``."""
+    real_write_text = Path.write_text
+
+    def crash_mid_write(self, text, *args, **kwargs):
+        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", crash_mid_write)
+
+
 def scripted_gateway(completions, record_prompts=None) -> LlmGateway:
     """Live-mode gateway whose transport pops canned completions in order.
 

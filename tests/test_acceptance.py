@@ -30,7 +30,7 @@ from sdv_guard.pipeline import (
     run_eval_harness,
     run_safety_pipeline_files,
 )
-from sdv_guard.pipeline.stages import ground_code, run_extraction
+from sdv_guard.pipeline.stages import catalog_index, ground_code, run_extraction
 from sdv_guard.retrieval import build_index, chunk_entries, retrieve_top_k
 from sdv_guard.safety_rules import RuleAtom, eval_atom, eval_rule, parse_rules
 from sdv_guard.topology import (
@@ -384,8 +384,8 @@ def test_criterion_5_extraction_validation(fixtures_dir, signal_catalog,
         + "\n".join(f"# {e['name']}" for e in CRITERION_5_ENTRIES) + "\n"
     )
     completion = "```json\n" + json.dumps(CRITERION_5_ENTRIES) + "\n```\n"
-    _shortlist, chunks = ground_code(code, signal_catalog, message_catalog,
-                                     top_k=20, token_budget=4096)
+    chunks = ground_code(code, catalog_index(signal_catalog, message_catalog),
+                         top_k=20, token_budget=4096)
     gateway = scripted_gateway([completion] * len(chunks))
     report = run_extraction(code, chunks, gateway, signal_catalog,
                             message_catalog, max_retries=0)

@@ -228,6 +228,20 @@ def test_validate_value_nan_is_no_number(datatype, text):
     assert verdict.detail == f"'{text}' is not a {datatype}"
 
 
+@pytest.mark.parametrize("bounds, text, verdict", [
+    ((0, 10), "1" * 400, (False, "above-max")),
+    ((0, 10), "-" + "1" * 400, (False, "below-min")),
+    ((None, 10), "-" + "1" * 400, (True, None)),
+    (None, "1" * 400, (True, None)),
+], ids=["above-max", "below-min", "no-min", "unbounded"])
+def test_validate_value_int_too_large_for_a_float(bounds, text, verdict):
+    # float(int) overflows past ~308 digits; the int is compared exactly
+    result = validate_value(_entry(datatype="int", bounds=bounds), text)
+    assert (result.ok, result.violation) == verdict
+    if not result.ok:
+        assert result.detail.startswith(text + (" > " if text[0] == "1" else " < "))
+
+
 def test_validate_value_without_datatype_accepts_anything():
     # a multi-signal message has no single payload interpretation
     assert validate_value(_entry(protocol="CAN", datatype=None), "whatever").ok

@@ -16,6 +16,7 @@ from sdv_guard.pipeline import PipelineConfig, run_eval_harness
 from sdv_guard.pipeline.harness import HarnessReport, ScenarioOutcome, parse_manifest
 from sdv_guard.pipeline.stages import (
     build_chain,
+    catalog_index,
     ground_code,
     load_catalogs,
     run_extraction,
@@ -27,8 +28,8 @@ from sdv_guard.util import read_text
 def _reference_mapping_once(scenario, code, catalogs, gateway, config, rng,
                             fault_rate):
     signal_catalog, message_catalog = catalogs
-    _shortlist, chunks = ground_code(
-        code, signal_catalog, message_catalog, config.top_k, config.token_budget)
+    chunks = ground_code(code, catalog_index(signal_catalog, message_catalog),
+                         config.top_k, config.token_budget)
     report = run_extraction(code, chunks, gateway, signal_catalog, message_catalog,
                             max_retries=config.max_extraction_retries)
     accepted = {a.resolved_key for a in report.accepted}
@@ -51,8 +52,8 @@ def _reference_mapping_once(scenario, code, catalogs, gateway, config, rng,
 
 def _reference_chain_once(scenario, code, catalogs, gateway, ruleset, config):
     signal_catalog, message_catalog = catalogs
-    _shortlist, chunks = ground_code(
-        code, signal_catalog, message_catalog, config.top_k, config.token_budget)
+    chunks = ground_code(code, catalog_index(signal_catalog, message_catalog),
+                         config.top_k, config.token_budget)
     report = run_extraction(code, chunks, gateway, signal_catalog, message_catalog,
                             max_retries=config.max_extraction_retries)
     _diagram, document = build_chain(code, "", report.accepted, gateway)

@@ -4,7 +4,6 @@ import hashlib
 import http.server
 import json
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -28,6 +27,8 @@ from sdv_guard.llm_gateway import (
     prompt_digest,
     render_prompt,
 )
+
+from conftest import write_dies_half_way
 
 # Scripted transports in the fixture generator key on these openings, so any
 # wording drift must show up here first.
@@ -130,14 +131,8 @@ def test_replay_store_save_failing_part_way_keeps_the_old_store(tmp_path, monkey
     store.save()
     before = path.read_bytes()
 
-    real_write_text = Path.write_text
-
-    def crash_mid_write(self, text, *args, **kwargs):
-        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
-        raise OSError("disk full")
-
     store.record("prompt two", "completion two")
-    monkeypatch.setattr(Path, "write_text", crash_mid_write)
+    write_dies_half_way(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         store.save()
     monkeypatch.undo()

@@ -11,6 +11,7 @@ from sdv_guard.eventchain import parse_activity_diagram, serialize_chain, to_cha
 from sdv_guard.llm_gateway import LlmGateway, ReplayStore
 from sdv_guard.pipeline import (
     PipelineConfig,
+    Receipt,
     build_gateway,
     deploy_stub,
     load_config,
@@ -28,11 +29,14 @@ from sdv_guard.pipeline import (
     with_overrides,
 )
 from sdv_guard.pipeline import cli as cli_module
+from sdv_guard.pipeline import stages as stages_module
 from sdv_guard.pipeline.cli import main
-from sdv_guard.pipeline.stages import ground_code
+from sdv_guard.pipeline.runs import _ArtifactWriter
+from sdv_guard.pipeline.stages import catalog_index, ground_code
+from sdv_guard.retrieval import build_index
 from sdv_guard.util import read_text
 
-from conftest import replay_gateway, scripted_gateway
+from conftest import replay_gateway, scripted_gateway, write_dies_half_way
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +140,8 @@ def _entries_json(entries) -> str:
 
 def test_run_extraction_retries_on_rejections(signal_catalog, message_catalog):
     code = 'set("Vehicle.Cabin.Light", True)\n'
-    _shortlist, chunks = ground_code(code, signal_catalog, message_catalog,
-                                     top_k=20, token_budget=4096)
+    chunks = ground_code(code, catalog_index(signal_catalog, message_catalog),
+                         top_k=20, token_budget=4096)
     assert len(chunks) == 1
     first = _entries_json([
         {"name": "Vehicle.Ghost.Signal", "type": "boolean", "protocol": "VSS",
@@ -163,8 +167,8 @@ def test_run_extraction_retries_on_rejections(signal_catalog, message_catalog):
 def test_run_extraction_zero_retries_keeps_rejections(signal_catalog,
                                                       message_catalog):
     code = 'set("Vehicle.Cabin.Light", True)\n'
-    _shortlist, chunks = ground_code(code, signal_catalog, message_catalog,
-                                     top_k=20, token_budget=4096)
+    chunks = ground_code(code, catalog_index(signal_catalog, message_catalog),
+                         top_k=20, token_budget=4096)
     first = _entries_json([
         {"name": "Vehicle.Ghost.Signal", "type": "boolean", "protocol": "VSS",
          "value": True},
@@ -245,6 +249,41 @@ def test_corrective_safety_run(fixtures_dir, tmp_path):
     record = load_run_record(out)
     assert [it["corrected"] for it in record.iterations] == [True, False]
     assert [it["verdict"] for it in record.iterations] == ["violated", "pass"]
+
+
+def test_safety_run_builds_one_retrieval_index(fixtures_dir, tmp_path, monkeypatch):
+    builds = []
+
+    def counting_build_index(entries):
+        builds.append(len(entries))
+        return build_index(entries)
+
+    monkeypatch.setattr(stages_module, "build_index", counting_build_index)
+    result = _run_replay_scenario(
+        fixtures_dir, tmp_path, "s3", "rules-s3.txt", "s3c",
+        store="s3_corrective", auto_correct=True,
+        config=PipelineConfig(max_iterations=2),
+    )
+    assert len(result.iterations) == 2
+    assert len(builds) == 1
+
+
+def test_key_in_both_catalogs_fails_the_retrieval_stage(fixtures_dir, tmp_path):
+    can = json.loads(_fixture(fixtures_dir, "catalogs", "can.json").read_text())
+    can[0]["name"] = "Vehicle.Cabin.Light"
+    can_path = tmp_path / "can.json"
+    can_path.write_text(json.dumps(can))
+    with pytest.raises(PipelineError, match="stage 'retrieval'") as err:
+        run_safety_pipeline_files(
+            _fixture(fixtures_dir, "code", "s1.py"),
+            _fixture(fixtures_dir, "catalogs", "vss.json"),
+            can_path,
+            _fixture(fixtures_dir, "rules", "rules-s1.txt"),
+            scripted_gateway([]), PipelineConfig(), out_dir=tmp_path / "dup",
+        )
+    assert isinstance(err.value.cause, ConfigurationError)
+    assert "duplicate entry key 'Vehicle.Cabin.Light'" in str(err.value)
+    assert [p.name for p in (tmp_path / "dup").iterdir()] == ["run.json"]
 
 
 def test_safety_run_without_correction_stops_after_one_pass(fixtures_dir, tmp_path):
@@ -576,6 +615,34 @@ def test_deploy_to_directory_and_verify(artifact_dir, tmp_path):
     (target / "report.txt").write_text("overall: violated\n")
     (target / "sub" / "run.json").unlink()
     assert verify_receipt(receipt) == ["report.txt", "sub/run.json"]
+
+
+def _finish_run(out_dir, verdict):
+    writer = _ArtifactWriter(out_dir, "safety", PipelineConfig())
+    writer.record.verdict = verdict
+    return writer.finish()
+
+
+def _save_receipt(out_dir, target):
+    path = out_dir / "receipt.json"
+    save_receipt(Receipt(target=target, kind="directory", files=()), path)
+    return path
+
+
+@pytest.mark.parametrize("save", [_finish_run, _save_receipt], ids=["run.json", "receipt"])
+def test_record_write_failing_part_way_keeps_the_old_file(tmp_path, monkeypatch, save):
+    path = save(tmp_path, "pass")
+    before = path.read_bytes()
+    write_dies_half_way(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        save(tmp_path, "violated")
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert save(tmp_path, "violated") == path
+    assert "violated" in path.read_text()
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_deploy_rejects_bad_sources(tmp_path):

@@ -1,24 +1,21 @@
-"""Retrieval ranking, chunking, and the HTTP scorer contracts.
+"""Retrieval ranking and chunking, and the check that retrieval stays offline.
 
 The three-document ranking test pins scores computed by hand from the
 documented formula (k1 = 1.2, b = 0.75, idf = ln(1 + (N - df + 0.5) /
 (df + 0.5))) so a formula regression cannot hide behind its own output.
 """
 
-import http.server
-import json
+import ast
 import math
-import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdv_guard.catalog import CatalogEntry
-from sdv_guard.errors import ChunkingError, ConfigurationError, RetrievalError
+from sdv_guard.errors import ChunkingError, ConfigurationError
 from sdv_guard.retrieval import (
-    CrossEncoderEndpointScorer,
-    EmbeddingEndpointScorer,
     bm25_score,
     build_index,
     chunk_entries,
@@ -162,89 +159,30 @@ def test_chunking_entry_over_budget_is_an_error():
 
 
 # ---------------------------------------------------------------------------
-# endpoint-backed scorers
+# offline
 
 
-class _CannedHandler(http.server.BaseHTTPRequestHandler):
-    response: dict = {}
-    status: int = 200
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        type(self).last_payload = json.loads(self.rfile.read(length))
-        body = json.dumps(type(self).response).encode()
-        self.send_response(type(self).status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
+SRC = Path(__file__).resolve().parents[1] / "src" / "sdv_guard"
 
 
-@pytest.fixture()
-def canned_server():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _CannedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/"
-    server.shutdown()
+def _imports_requests(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "requests" for module in modules):
+            return True
+    return False
 
 
-def test_embedding_scorer_scores_by_cosine(canned_server):
-    entries = THREE_DOCS[:2]
-    _CannedHandler.status = 200
-    _CannedHandler.response = {"vectors": [[1, 0], [1, 0], [0, 1]]}
-    scorer = EmbeddingEndpointScorer(canned_server)
-    scores = scorer.score("query", entries)
-    assert scores == pytest.approx([1.0, 0.0])
-    assert _CannedHandler.last_payload["texts"][0] == "query"
-
-    index = build_index(entries)
-    shortlist = retrieve_top_k(index, "query", k=2, stage1_scorer=scorer)
-    # the word "query" appears in neither entry, so rerank overlap is 0 for
-    # both and the endpoint's stage-1 order decides
-    assert [r.key for r in shortlist.ranked] == ["e1", "e2"]
-
-
-def test_cross_encoder_scorer_reranks(canned_server):
-    _CannedHandler.status = 200
-    _CannedHandler.response = {"scores": [0.1, 0.9, 0.5]}
-    index = build_index(THREE_DOCS)
-    scorer = CrossEncoderEndpointScorer(canned_server)
-    shortlist = retrieve_top_k(index, "brake light camera", k=3,
-                               rerank_scorer=scorer)
-    # pairs arrive in stage-1 order (e2 shortest doc first), so the canned
-    # scores map e2=0.1, e3=0.9, e1=0.5; the built-in overlap rerank would
-    # have kept e2 on top
-    pairs = _CannedHandler.last_payload["pairs"]
-    assert [p[0] for p in pairs] == ["brake light camera"] * 3
-    assert [p[1] for p in pairs] == ["cabin light",
-                                     "pedestrian detection camera",
-                                     "ADAS brake command actuator"]
-    assert [r.key for r in shortlist.ranked] == ["e3", "e1", "e2"]
-
-
-def test_endpoint_scorer_count_mismatch_is_an_error(canned_server):
-    _CannedHandler.status = 200
-    _CannedHandler.response = {"vectors": [[1, 0]]}  # query vector only
-    index = build_index(THREE_DOCS)
-    with pytest.raises(RetrievalError, match="vectors"):
-        retrieve_top_k(index, "brake", k=1,
-                       stage1_scorer=EmbeddingEndpointScorer(canned_server))
-
-
-def test_endpoint_scorer_http_failure_carries_status(canned_server):
-    _CannedHandler.status = 503
-    _CannedHandler.response = {}
-    scorer = CrossEncoderEndpointScorer(canned_server)
-    with pytest.raises(RetrievalError) as err:
-        scorer.score_pairs("q", THREE_DOCS)
-    assert err.value.status == 503
-
-
-def test_endpoint_scorer_unreachable():
-    scorer = EmbeddingEndpointScorer("http://127.0.0.1:9/", timeout=0.2)
-    with pytest.raises(RetrievalError, match="unreachable"):
-        scorer.score("q", THREE_DOCS)
+def test_only_the_live_gateway_and_deployment_import_requests():
+    # retrieval and every other layer run offline; the completion endpoint and
+    # the deployment endpoint are the only network paths
+    importers = {
+        path.relative_to(SRC).as_posix() for path in sorted(SRC.rglob("*.py"))
+        if _imports_requests(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert importers == {"llm_gateway.py", "pipeline/deploy.py"}

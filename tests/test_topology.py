@@ -130,10 +130,24 @@ def test_metamodel_serialization_round_trip(metamodel):
     ('{"classes": [{"name": "A", "attributes": 3}]}', "'A' attributes must be an array"),
     ('{"classes": [{"name": "A", "attributes": {"x": "int"}}]}',
      "'A' attributes must be an array"),
+    *((f'{{"classes": [{{"name": "A", "abstract": {value}}}]}}',
+       "class 'A' abstract must be true or false")
+      for value in ('"false"', '"true"', "0", "1", "[]", "{}")),
 ])
 def test_metamodel_rejects(doc, message):
     with pytest.raises(MetamodelError, match=message):
         parse_metamodel(doc)
+
+
+@pytest.mark.parametrize("field, abstract", [
+    (', "abstract": true', True),
+    (', "abstract": false', False),
+    (', "abstract": null', False),
+    ("", False),
+])
+def test_metamodel_abstract_is_a_boolean(field, abstract):
+    metamodel = parse_metamodel(f'{{"classes": [{{"name": "A"{field}}}]}}')
+    assert metamodel.classes["A"].abstract is abstract
 
 
 # ---------------------------------------------------------------------------

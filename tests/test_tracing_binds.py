@@ -13,7 +13,7 @@ if str(ROOT) not in sys.path:
 from bench.tracing import TARGETS, Tracer  # noqa: E402
 from sdv_guard import pipeline  # noqa: E402
 from sdv_guard.extraction import run_extraction  # noqa: E402
-from sdv_guard.pipeline.stages import ground_code  # noqa: E402
+from sdv_guard.pipeline.stages import catalog_index, ground_code  # noqa: E402
 
 from conftest import replay_gateway, scripted_gateway  # noqa: E402
 
@@ -38,8 +38,8 @@ def test_tracer_binds_every_target(signal_catalog, message_catalog, fixtures_dir
             assert hasattr(_resolve(module_name, target), "__wrapped__"), target
 
         code = 'set("Vehicle.Cabin.Light", True)\n'
-        _shortlist, chunks = ground_code(code, signal_catalog, message_catalog,
-                                         top_k=20, token_budget=4096)
+        chunks = ground_code(code, catalog_index(signal_catalog, message_catalog),
+                             top_k=20, token_budget=4096)
         ghost = {"name": "Vehicle.Ghost.Signal", "type": "boolean",
                  "protocol": "VSS", "value": True}
         gateway = scripted_gateway([_entries_json([ghost]), _entries_json([ghost])])
