@@ -26,7 +26,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from sdv_guard.llm_gateway import LlmGateway, ReplayStore
 from sdv_guard.pipeline.config import PipelineConfig
 from sdv_guard.pipeline.runs import run_safety_pipeline_files, run_topology_pipeline
-from sdv_guard.pipeline.stages import extract_grounded, load_catalogs
+from sdv_guard.pipeline.stages import catalog_index, extract_grounded, load_catalogs
 from sdv_guard.topology.model import (
     export_class_diagram,
     import_class_diagram,
@@ -303,8 +303,8 @@ def main() -> int:
 
         gateway = _record_gateway(REPLAY / "cabin.json", transport)
         code = (FIXTURES / "code" / "cabin.py").read_text(encoding="utf-8")
-        report = extract_grounded(code, *load_catalogs(vss_path, can_path),
-                                  gateway, config)
+        catalogs = load_catalogs(vss_path, can_path)
+        report = extract_grounded(code, *catalogs, catalog_index(*catalogs), gateway, config)
         accepted = {a.resolved_key for a in report.accepted}
         assert accepted == {"Vehicle.Cabin.Light"}, accepted
         print(f"cabin.json: {len(gateway.store)} completions, "

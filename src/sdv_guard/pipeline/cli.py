@@ -26,7 +26,7 @@ from ..util import read_text
 from .config import PipelineConfig, build_gateway, load_config
 from .harness import render_harness_report, run_eval_harness
 from .runs import run_safety_pipeline_files, run_topology_pipeline
-from .stages import build_chain, extract_grounded, load_catalogs
+from .stages import build_chain, catalog_index, extract_grounded, load_catalogs
 
 _MODE_HELP = "replay completions from FILE instead of calling an endpoint"
 
@@ -95,7 +95,8 @@ def _cmd_extract_signals(args) -> int:
     config = _config_for(args)
     gateway = build_gateway(config)
     code = read_text(args.code, "code")
-    report = extract_grounded(code, *load_catalogs(args.vss, args.can), gateway, config)
+    catalogs = load_catalogs(args.vss, args.can)
+    report = extract_grounded(code, *catalogs, catalog_index(*catalogs), gateway, config)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 1 if report.rejected else 0
 
@@ -104,7 +105,8 @@ def _cmd_build_chain(args) -> int:
     config = _config_for(args)
     gateway = build_gateway(config)
     code = read_text(args.code, "code")
-    report = extract_grounded(code, *load_catalogs(args.vss, args.can), gateway, config)
+    catalogs = load_catalogs(args.vss, args.can)
+    report = extract_grounded(code, *catalogs, catalog_index(*catalogs), gateway, config)
     current_chain = (read_text(args.current_chain, "current chain")
                      if args.current_chain else "")
     diagram, document = build_chain(code, current_chain, report.accepted, gateway)

@@ -28,6 +28,7 @@ run, so a scenario with k expected entries succeeds with probability
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,7 @@ from ..llm_gateway import LlmGateway, ReplayStore
 from ..safety_rules import VERDICT_PASS, VERDICT_VIOLATED, check, parse_rules
 from ..util import load_json, read_text
 from .config import PipelineConfig
-from .stages import build_chain, extract_grounded, load_catalogs
+from .stages import build_chain, catalog_index, extract_grounded, load_catalogs
 
 KINDS = ("mapping", "chain")
 
@@ -184,12 +185,11 @@ def parse_manifest(path: str | Path) -> list[Scenario]:
     return scenarios
 
 
-def _score(scenario: Scenario, code: str, catalogs, gateway, ruleset,
+def _score(scenario: Scenario, code: str, catalogs, index, gateway, ruleset,
            config: PipelineConfig) -> tuple[set[str] | None, str | None]:
     """Replay a scenario once. Returns (accepted keys, None) for a mapping
     scenario and (None, failure note or None) for a chain scenario."""
-    signal_catalog, message_catalog = catalogs
-    report = extract_grounded(code, signal_catalog, message_catalog, gateway, config)
+    report = extract_grounded(code, *catalogs, index, gateway, config)
     if scenario.kind == "mapping":
         return {a.resolved_key for a in report.accepted}, None
     _diagram, document = build_chain(code, "", report.accepted, gateway)
@@ -221,9 +221,10 @@ def run_eval_harness(manifest_path: str | Path, runs: int = 10,
                      config: PipelineConfig | None = None) -> HarnessReport:
     """Score every scenario over ``runs`` runs against expectations.
 
-    Replay is deterministic, so each scenario is replayed once; only the
-    fault draws differ between runs. An error from the replayed run fails
-    every run with the same note; input files that cannot be loaded raise.
+    Replay is deterministic, so each scenario is replayed once and each
+    catalog pair is loaded and indexed once (a call that raises caches
+    nothing). An error from the replayed run fails every run with the same
+    note; input files that cannot be loaded raise.
     """
     if runs < 1:
         raise ConfigurationError(f"runs must be at least 1, got {runs}")
@@ -234,15 +235,19 @@ def run_eval_harness(manifest_path: str | Path, runs: int = 10,
     scenarios = parse_manifest(manifest_path)
     rng = random.Random(seed)
     outcomes: list[ScenarioOutcome] = []
+    load_pair = functools.cache(load_catalogs)
+    index_of = functools.cache(lambda vss, can: catalog_index(*load_pair(vss, can)))
     for scenario in scenarios:
         code = read_text(scenario.code_path, "code")
-        catalogs = load_catalogs(scenario.vss_path, scenario.can_path)
+        pair = (scenario.vss_path, scenario.can_path)
+        catalogs = load_pair(*pair)
         store = ReplayStore.load(scenario.replay_path)
         gateway = LlmGateway(mode="replay", store=store)
         ruleset = (parse_rules(read_text(scenario.rules_path, "rules"))
                    if scenario.rules_path is not None else None)
         try:
-            accepted, note = _score(scenario, code, catalogs, gateway, ruleset, config)
+            accepted, note = _score(scenario, code, catalogs, index_of(*pair), gateway,
+                                    ruleset, config)
         except SdvGuardError as exc:
             accepted, note = None, f"{type(exc).__name__}: {exc}"
         successes = 0

@@ -45,12 +45,11 @@ def ground_code(code: str, index: RetrievalIndex, top_k: int,
 
 
 def extract_grounded(code: str, signal_catalog: SignalCatalog,
-                     message_catalog: MessageCatalog, gateway: LlmGateway,
-                     config: PipelineConfig) -> ExtractionReport:
-    """Ground the code in the catalogs, then extract and validate it with the
-    configured retries."""
-    chunks = ground_code(code, catalog_index(signal_catalog, message_catalog),
-                         config.top_k, config.token_budget)
+                     message_catalog: MessageCatalog, index: RetrievalIndex,
+                     gateway: LlmGateway, config: PipelineConfig) -> ExtractionReport:
+    """Ground the code in the catalogs' index, then extract and validate it
+    with the configured retries."""
+    chunks = ground_code(code, index, config.top_k, config.token_budget)
     return run_extraction(code, chunks, gateway, signal_catalog, message_catalog,
                           max_retries=config.max_extraction_retries)
 

@@ -2,7 +2,10 @@
 
 Stage 1 ranks entries lexically with BM25 (k1 = 1.2, b = 0.75; idf(t) =
 ln(1 + (N - df + 0.5) / (df + 0.5)); the score sums over distinct query
-terms). Stage 2 reranks the candidate pool by the fraction of distinct query
+terms, added term-at-a-time over their postings in sorted order, so every
+score is bit-identical to the per-entry formula). The pool is the first
+min(4k, N) entries by (-score, key); entries no term hits score 0 and fill
+it in key order. Stage 2 reranks the pool by the fraction of distinct query
 tokens present in the entry text, breaking ties by stage-1 score and then by
 key. Both stages run offline, inside this module.
 
@@ -13,7 +16,9 @@ ranking, byte for byte.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .catalog import CatalogEntry
@@ -58,20 +63,22 @@ class Chunk:
 
 
 class RetrievalIndex:
-    """Inverted index over catalog entries; immutable once built."""
+    """Inverted index with each term's idf and each entry's length norm; immutable."""
 
     def __init__(self, entries: tuple[CatalogEntry, ...]):
         self.entries = entries
-        self.doc_tokens = tuple(tuple(tokenize(e.text)) for e in entries)
-        self.doc_lengths = tuple(len(toks) for toks in self.doc_tokens)
-        total = sum(self.doc_lengths)
-        self.avg_doc_length = total / len(entries) if entries else 0.0
-        postings: dict[str, dict[int, int]] = {}
-        for pos, toks in enumerate(self.doc_tokens):
-            for tok in toks:
-                postings.setdefault(tok, {})
-                postings[tok][pos] = postings[tok].get(pos, 0) + 1
-        self.postings = postings
+        doc_tokens = [tokenize(entry.text) for entry in entries]
+        self.postings = postings = defaultdict(dict)  # term -> {position: tf}
+        for pos, tokens in enumerate(doc_tokens):
+            for tok in tokens:
+                posting = postings[tok]
+                posting[pos] = posting.get(pos, 0) + 1
+        self.idf = {term: math.log(1 + (len(entries) - len(posting) + 0.5) / (len(posting) + 0.5))
+                    for term, posting in postings.items()}
+        avg_doc_length = sum(map(len, doc_tokens)) / len(entries) if entries else 0.0
+        # an entry without tokens has no postings, so its norm is never read
+        self.norms = tuple(BM25_K1 * (1 - BM25_B + BM25_B * len(tokens) / avg_doc_length)
+                           if tokens else 0.0 for tokens in doc_tokens)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -89,36 +96,24 @@ def build_index(entries) -> RetrievalIndex:
     return RetrievalIndex(entries)
 
 
-def bm25_score(index: RetrievalIndex, query_tokens: list[str], position: int) -> float:
-    """BM25 score of one entry for the given query tokens (distinct terms)."""
-    n_docs = len(index.entries)
-    dl = index.doc_lengths[position]
-    norm = BM25_K1 * (1 - BM25_B + BM25_B * dl / index.avg_doc_length)
-    score = 0.0
-    for term in sorted(set(query_tokens)):
-        posting = index.postings.get(term)
-        if not posting:
-            continue
-        tf = posting.get(position, 0)
-        if tf == 0:
-            continue
-        df = len(posting)
-        idf = math.log(1 + (n_docs - df + 0.5) / (df + 0.5))
-        score += idf * tf * (BM25_K1 + 1) / (tf + norm)
-    return score
-
-
-def score_stage1(index: RetrievalIndex, query: str) -> list[RankedEntry]:
-    """Rank every entry for the query; empty-token queries rank nothing."""
+def score_stage1(index: RetrievalIndex, query: str, k: int = DEFAULT_TOP_K) -> list[RankedEntry]:
+    """The stage-1 pool: min(4k, N) entries by (-score, key); empty-token queries rank nothing."""
     query_tokens = tokenize(query)
     if not query_tokens:
         return []
-    ranked = [
-        RankedEntry(entry=entry, stage1_score=bm25_score(index, query_tokens, pos))
-        for pos, entry in enumerate(index.entries)
-    ]
-    ranked.sort(key=lambda r: (-r.stage1_score, r.key))
-    return ranked
+    scores: dict[int, float] = {}
+    for term in sorted(index.idf.keys() & query_tokens):
+        idf = index.idf[term]
+        for pos, tf in index.postings[term].items():
+            scores[pos] = scores.get(pos, 0.0) + idf * tf * (BM25_K1 + 1) / (tf + index.norms[pos])
+    entries = index.entries
+    size = min(POOL_FACTOR * k, len(entries))
+    ranked = [(-score, entries[pos].key, pos) for pos, score in scores.items()]
+    if len(ranked) < size:
+        # entries no term hits: after every hit, in key order; -(-0.0) is 0.0
+        ranked += [(-0.0, entry.key, pos) for pos, entry in enumerate(entries) if pos not in scores]
+    return [RankedEntry(entry=entries[pos], stage1_score=-neg)
+            for neg, _key, pos in heapq.nsmallest(size, ranked)]
 
 
 def rerank(candidates: list[RankedEntry], query: str) -> list[RankedEntry]:
@@ -147,9 +142,7 @@ def retrieve_top_k(index: RetrievalIndex, query: str, k: int = DEFAULT_TOP_K) ->
     """Stage-1 pool of min(4k, |entries|) candidates, reranked, truncated to k."""
     if k < 1:
         raise ConfigurationError(f"top-k must be at least 1, got {k}")
-    ranked = score_stage1(index, query)
-    pool = ranked[: min(POOL_FACTOR * k, len(index.entries))]
-    reranked = rerank(pool, query)
+    reranked = rerank(score_stage1(index, query, k), query)
     return ShortList(query=query, ranked=tuple(reranked[:k]), k=k)
 
 

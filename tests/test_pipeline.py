@@ -587,6 +587,42 @@ def test_harness_reports_expectation_mismatches(fixtures_dir, tmp_path):
     assert outcome.percent == "0.0%"
 
 
+def test_harness_builds_one_index_per_catalog_pair(fixtures_dir, monkeypatch):
+    builds = []
+
+    def counting_build_index(entries):
+        builds.append(len(entries))
+        return build_index(entries)
+
+    monkeypatch.setattr(stages_module, "build_index", counting_build_index)
+    report = run_eval_harness(fixtures_dir / "harness" / "manifest.json", runs=2)
+    # seven scenarios, all naming the same catalog pair
+    assert len(report.outcomes) == 7
+    assert len(builds) == 1
+
+
+def test_harness_notes_a_duplicate_key_pair_on_every_scenario(fixtures_dir, tmp_path):
+    can = json.loads(_fixture(fixtures_dir, "catalogs", "can.json").read_text())
+    can[0]["name"] = "Vehicle.Cabin.Light"
+    can_path = tmp_path / "can.json"
+    can_path.write_text(json.dumps(can))
+    scenarios = [_cabin_scenario(fixtures_dir, id="dup-1", can=str(can_path)),
+                 _cabin_scenario(fixtures_dir, id="clean"),
+                 _cabin_scenario(fixtures_dir, id="dup-2", can=str(can_path))]
+    report = run_eval_harness(_write_manifest(tmp_path, scenarios), runs=2)
+    note = ("ConfigurationError: duplicate entry key 'Vehicle.Cabin.Light' "
+            "in index")
+    assert [(o.scenario_id, o.successes, o.failures) for o in report.outcomes] == [
+        ("dup-1", 0, (note, note)), ("clean", 2, ()), ("dup-2", 0, (note, note))]
+
+
+def test_harness_reads_the_catalogs_before_the_replay_store(fixtures_dir, tmp_path):
+    scenario = _cabin_scenario(fixtures_dir, vss=str(tmp_path / "absent-vss.json"),
+                               replay=str(tmp_path / "absent-replay.json"))
+    with pytest.raises(ConfigurationError, match="VSS catalog file .* does not exist"):
+        run_eval_harness(_write_manifest(tmp_path, [scenario]), runs=1)
+
+
 # ---------------------------------------------------------------------------
 # deployment
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from sdv_guard.catalog import CatalogEntry
 from sdv_guard.errors import ChunkingError, ConfigurationError
 from sdv_guard.retrieval import (
-    bm25_score,
     build_index,
     chunk_entries,
     retrieve_top_k,
@@ -46,8 +45,8 @@ EXPECTED = {"e1": IDF * 2.2 / 2.5, "e2": 0.0, "e3": IDF}
 
 def test_bm25_three_document_oracle():
     index = build_index(THREE_DOCS)
-    scores = {e.key: bm25_score(index, ["pedestrian", "brake"], i)
-              for i, e in enumerate(THREE_DOCS)}
+    scores = {r.key: r.stage1_score
+              for r in retrieve_top_k(index, "pedestrian brake", k=3).ranked}
     for key, want in EXPECTED.items():
         assert scores[key] == pytest.approx(want, abs=1e-9)
     # frozen literals, so the formula cannot drift silently
@@ -103,6 +102,12 @@ def test_bad_inputs_rejected():
         retrieve_top_k(index, "brake", k=0)
 
 
+def _stage1_score(entries, query: str, position: int) -> float:
+    # k = N puts every entry in the stage-1 pool
+    ranked = retrieve_top_k(build_index(entries), query, k=len(entries)).ranked
+    return {r.key: r.stage1_score for r in ranked}[entries[position].key]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     docs=st.lists(
@@ -125,8 +130,8 @@ def test_duplicating_the_query_token_never_lowers_a_single_token_score(docs, pos
     entries_dup = tuple(
         _entry(f"d{i}", " ".join(words)) for i, words in enumerate(longer)
     )
-    before = bm25_score(build_index(entries), [token], position)
-    after = bm25_score(build_index(entries_dup), [token], position)
+    before = _stage1_score(entries, token, position)
+    after = _stage1_score(entries_dup, token, position)
     assert after >= before - 1e-12
 
 
@@ -186,3 +191,15 @@ def test_only_the_live_gateway_and_deployment_import_requests():
         if _imports_requests(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert importers == {"llm_gateway.py", "pipeline/deploy.py"}
+
+
+def test_retrieval_defines_no_per_entry_scorer():
+    # stage 1 has one scorer, the term-at-a-time accumulation in score_stage1;
+    # the per-entry bm25_score lives on only as the test oracle
+    tree = ast.parse((SRC / "retrieval.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert "bm25_score" not in defined
+    assert "score_stage1" in defined
