@@ -33,7 +33,7 @@ declaration order) and ``safety_rules.check`` start from it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     ChainGenerationError,
@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .llm_gateway import PC2, CompletionRequest, LlmGateway, prompt_digest, render_prompt
-from .util import canonical_json, load_json, normalize_name
+from .util import canonical_json, load_json, normalize_name, plantuml_body, sha256_text
 
 NODE_KINDS = ("start", "stop", "action", "decision", "merge")
 NOTE_KEYS = ("input", "input_format", "output", "output_format")
@@ -114,7 +114,7 @@ class ChainDocument:
 
 class _Parser:
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        self.text = text
         self.nodes: list[Node] = []
         self.edges: list[Edge] = []
         self.counter = 0
@@ -136,12 +136,7 @@ class _Parser:
         self.frontier = []
 
     def parse(self) -> ActivityGraph:
-        body, offset = self._block_lines()
-        open_ifs: list[int] = []
-        for lineno, raw in body:
-            line = raw.strip()
-            if not line or line.startswith("'"):
-                continue
+        for lineno, line in plantuml_body(self.text, DiagramParseError):
             if line == "start":
                 node_id = self.new_node("start")
                 self.frontier = [(node_id, None)]
@@ -165,7 +160,6 @@ class _Parser:
                     "has_else": False,
                     "line": lineno,
                 })
-                open_ifs.append(lineno)
                 self.frontier = [(node_id, guard)]
                 self.last_action = None
             elif match := _ELSE_RE.match(line):
@@ -183,7 +177,6 @@ class _Parser:
                 if not self.if_stack:
                     raise DiagramParseError("'endif' without a matching 'if'", line=lineno)
                 frame = self.if_stack.pop()
-                open_ifs.pop()
                 arms = frame["arms"] + [self.frontier]
                 if not frame["has_else"]:
                     arms.append([(frame["decision"], "no")])
@@ -226,21 +219,6 @@ class _Parser:
             raise DiagramParseError(f"duplicate note key '{key}'", line=lineno)
         existing.append((key, value))
 
-    def _block_lines(self) -> tuple[list[tuple[int, str]], int]:
-        numbered = list(enumerate(self.lines, start=1))
-        stripped = [(n, line.strip()) for n, line in numbered]
-        content = [(n, line) for n, line in stripped if line]
-        if not content or content[0][1] != "@startuml":
-            raise DiagramParseError("diagram must begin with @startuml",
-                                    line=content[0][0] if content else 1)
-        if content[-1][1] != "@enduml":
-            raise DiagramParseError("diagram must end with @enduml", line=content[-1][0])
-        inner = content[1:-1]
-        for lineno, line in inner:
-            if line in ("@startuml", "@enduml"):
-                raise DiagramParseError("nested diagram delimiter", line=lineno)
-        return inner, content[0][0]
-
 
 def parse_activity_diagram(text: str) -> ActivityGraph:
     return _Parser(text).parse()
@@ -264,15 +242,13 @@ def _validate_structure(graph: ActivityGraph) -> None:
         backward[edge.dst].append(edge.src)
         outgoing[edge.src].append(edge)
 
-    reachable = _flood(starts[0].id, forward)
+    reachable = _flood([starts[0].id], forward)
     unreachable = sorted(set(forward) - reachable)
     if unreachable:
         raise StructureError(
             "unreachable from start: " + ", ".join(unreachable)
         )
-    reaches_stop: set[str] = set()
-    for stop in stops:
-        reaches_stop |= _flood(stop.id, backward)
+    reaches_stop = _flood([stop.id for stop in stops], backward)
     stranded = sorted(set(forward) - reaches_stop)
     if stranded:
         raise StructureError(
@@ -298,9 +274,10 @@ def _validate_structure(graph: ActivityGraph) -> None:
             raise StructureError(f"stop '{node.id}' must have no outgoing edges")
 
 
-def _flood(origin: str, adjacency: dict[str, list[str]]) -> set[str]:
-    seen = {origin}
-    queue = [origin]
+def _flood(origins: list[str], adjacency: dict[str, list[str]]) -> set[str]:
+    """Every node reachable from any of ``origins``, the origins included."""
+    seen = set(origins)
+    queue = list(origins)
     while queue:
         current = queue.pop()
         for nxt in adjacency[current]:
@@ -437,8 +414,6 @@ def _objects(raw: dict, field: str) -> list[dict]:
 
 
 def chain_digest(document: ChainDocument) -> str:
-    from .util import sha256_text
-
     return sha256_text(serialize_chain(document))
 
 
@@ -550,11 +525,22 @@ def build_chain_prompt(code: str, current_chain: str, relevant_text: str) -> str
     })
 
 
+def _is_fence(line: str) -> bool:
+    return line.lstrip().startswith("```")
+
+
 def strip_fences(text: str) -> str:
     """Drop Markdown code-fence lines, keeping everything between them."""
-    return "\n".join(
-        line for line in text.splitlines() if not line.lstrip().startswith("```")
-    )
+    return "\n".join(line for line in text.splitlines() if not _is_fence(line))
+
+
+def fenced_block(text: str) -> str | None:
+    """The lines between the first two code-fence lines; None without two."""
+    lines = text.splitlines()
+    fences = [index for index, line in enumerate(lines) if _is_fence(line)]
+    if len(fences) < 2:
+        return None
+    return "\n".join(lines[fences[0] + 1:fences[1]])
 
 
 def extract_diagram_block(text: str) -> str | None:
@@ -571,12 +557,14 @@ def extract_diagram_block(text: str) -> str | None:
     return "\n".join(lines[start:end + 1]) + "\n"
 
 
-def generate_chain(code: str, current_chain: str, relevant, gateway: LlmGateway) -> str:
-    """Ask the gateway for an updated diagram and insist the result parses.
+def generate_chain(code: str, current_chain: str, relevant, gateway: LlmGateway,
+                   ) -> tuple[str, ChainDocument]:
+    """Ask the gateway for an updated diagram and lift it into a chain document.
 
-    Returns the extracted ``@startuml`` block. A completion without a
-    parseable block raises a generation error carrying the raw completion
-    and the parse failure.
+    Returns the extracted ``@startuml`` block and its document, whose
+    metadata holds the SHA-256 of the code and the digest of the prompt
+    sent. A completion without a parseable block raises a generation error
+    carrying the raw completion and the parse failure.
     """
     prompt = build_chain_prompt(code, current_chain, render_relevant_entries(relevant))
     completion = gateway.complete(CompletionRequest(prompt=prompt))
@@ -586,15 +574,10 @@ def generate_chain(code: str, current_chain: str, relevant, gateway: LlmGateway)
             "completion contains no @startuml block", raw_text=completion,
         )
     try:
-        parse_activity_diagram(block)
+        graph = parse_activity_diagram(block)
     except (DiagramParseError, StructureError) as exc:
         raise ChainGenerationError(
             f"generated diagram does not parse: {exc}", raw_text=completion, cause=exc,
         ) from exc
-    return block
-
-
-def chain_generation_prompt_digest(code: str, current_chain: str, relevant) -> str:
-    return prompt_digest(
-        build_chain_prompt(code, current_chain, render_relevant_entries(relevant))
-    )
+    return block, to_chain_document(graph, source_digest=sha256_text(code),
+                                    generation_prompt_digest=prompt_digest(prompt))

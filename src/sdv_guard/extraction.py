@@ -27,7 +27,6 @@ from .catalog import CatalogEntry, MessageCatalog, SignalCatalog, validate_value
 from .errors import ConfigurationError, ExtractionFormatError
 from .llm_gateway import PC1, CompletionRequest, LlmGateway, render_prompt
 from .retrieval import Chunk
-from .util import sha256_text
 
 PROTOCOLS = ("VSS", "CAN")
 
@@ -327,7 +326,3 @@ def validate_entries(entries: list[ExtractedEntry], signal_catalog: SignalCatalo
         source_digest=source_digest,
         notes=tuple(notes),
     )
-
-
-def code_digest(code: str) -> str:
-    return sha256_text(code)

@@ -28,7 +28,7 @@ from .runs import (
     run_topology_pipeline,
     verify_artifacts,
 )
-from .stages import build_chain, catalog_index, ground_code, load_catalogs, run_extraction
+from .stages import catalog_index, ground_code, load_catalogs, run_extraction
 
 __all__ = [
     "MODES",
@@ -57,7 +57,6 @@ __all__ = [
     "run_safety_pipeline_files",
     "run_topology_pipeline",
     "verify_artifacts",
-    "build_chain",
     "catalog_index",
     "ground_code",
     "load_catalogs",

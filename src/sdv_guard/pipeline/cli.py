@@ -15,6 +15,7 @@ from pathlib import Path
 
 from ..errors import SdvGuardError
 from ..eventchain import (
+    generate_chain,
     parse_activity_diagram,
     parse_chain_document,
     serialize_chain,
@@ -26,7 +27,7 @@ from ..util import read_text
 from .config import PipelineConfig, build_gateway, load_config
 from .harness import render_harness_report, run_eval_harness
 from .runs import run_safety_pipeline_files, run_topology_pipeline
-from .stages import build_chain, catalog_index, extract_grounded, load_catalogs
+from .stages import catalog_index, extract_grounded, load_catalogs
 
 _MODE_HELP = "replay completions from FILE instead of calling an endpoint"
 
@@ -109,7 +110,7 @@ def _cmd_build_chain(args) -> int:
     report = extract_grounded(code, *catalogs, catalog_index(*catalogs), gateway, config)
     current_chain = (read_text(args.current_chain, "current chain")
                      if args.current_chain else "")
-    diagram, document = build_chain(code, current_chain, report.accepted, gateway)
+    diagram, document = generate_chain(code, current_chain, report.accepted, gateway)
     print(diagram, end="" if diagram.endswith("\n") else "\n")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

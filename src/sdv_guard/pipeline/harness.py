@@ -35,11 +35,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from ..errors import ConfigurationError, SdvGuardError
+from ..eventchain import generate_chain
 from ..llm_gateway import LlmGateway, ReplayStore
 from ..safety_rules import VERDICT_PASS, VERDICT_VIOLATED, check, parse_rules
 from ..util import load_json, read_text
 from .config import PipelineConfig
-from .stages import build_chain, catalog_index, extract_grounded, load_catalogs
+from .stages import catalog_index, extract_grounded, load_catalogs
 
 KINDS = ("mapping", "chain")
 
@@ -192,7 +193,7 @@ def _score(scenario: Scenario, code: str, catalogs, index, gateway, ruleset,
     report = extract_grounded(code, *catalogs, index, gateway, config)
     if scenario.kind == "mapping":
         return {a.resolved_key for a in report.accepted}, None
-    _diagram, document = build_chain(code, "", report.accepted, gateway)
+    _diagram, document = generate_chain(code, "", report.accepted, gateway)
     verdicts = {r.rule.name: r.verdict for r in check(document, ruleset).results}
     for name, expected in scenario.expected_verdicts:
         if name not in verdicts:

@@ -20,7 +20,7 @@ from ..errors import (
     PipelineError,
     SdvGuardError,
 )
-from ..eventchain import serialize_chain, strip_fences
+from ..eventchain import generate_chain, serialize_chain
 from ..extraction import ExtractionReport
 from ..llm_gateway import LlmGateway
 from ..safety_rules import (
@@ -51,17 +51,7 @@ from ..topology import (
 )
 from ..util import load_json, mismatched_files, read_text, sha256_bytes, write_atomic
 from .config import PipelineConfig
-from .stages import build_chain, catalog_index, ground_code, run_extraction
-
-
-def _extract_code(completion: str) -> str:
-    """Corrected code from a completion: the first fenced block when present,
-    otherwise the whole text with any stray fence lines dropped."""
-    lines = completion.splitlines()
-    fences = [i for i, line in enumerate(lines) if line.lstrip().startswith("```")]
-    if len(fences) >= 2:
-        return "\n".join(lines[fences[0] + 1:fences[1]])
-    return strip_fences(completion)
+from .stages import catalog_index, ground_code, run_extraction
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +223,8 @@ def run_safety_pipeline(code: str, vss_text: str, can_text: str, rules_text: str
                      json.dumps(extraction.to_dict(), indent=2, sort_keys=True) + "\n")
         diagram, document = writer.stage(
             "chain",
-            lambda: build_chain(current_code, current_chain,
-                                extraction.accepted, gateway),
+            lambda: generate_chain(current_code, current_chain,
+                                   extraction.accepted, gateway),
         )
         writer.write(f"chain{suffix}.puml", diagram)
         writer.write(f"chain{suffix}.json", serialize_chain(document) + "\n")
@@ -246,10 +236,7 @@ def run_safety_pipeline(code: str, vss_text: str, can_text: str, rules_text: str
         corrected: str | None = None
         if safety.violated and auto_correct and index < config.max_iterations:
             corrected = writer.stage(
-                "correction",
-                lambda: _extract_code(
-                    suggest_correction(current_code, safety, gateway)).strip() + "\n",
-            )
+                "correction", lambda: suggest_correction(current_code, safety, gateway))
             writer.write(f"corrected_code{suffix}.py", corrected)
         iterations.append(SafetyIteration(
             index=index, extraction=extraction, diagram=diagram,
@@ -390,7 +377,7 @@ def run_topology_pipeline(gateway: LlmGateway, config: PipelineConfig,
         })
         if not report.failing or not auto_correct or index == config.max_iterations:
             break
-        model, _ = writer.stage(
+        model = writer.stage(
             "correction",
             lambda: correct_instance(model, report, metamodel, gateway),
         )

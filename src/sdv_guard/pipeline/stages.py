@@ -10,14 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..catalog import MessageCatalog, SignalCatalog, parse_can_catalog, parse_vss_catalog
-from ..eventchain import (
-    ChainDocument,
-    chain_generation_prompt_digest,
-    generate_chain,
-    parse_activity_diagram,
-    to_chain_document,
-)
-from ..extraction import ExtractionReport, code_digest, run_extraction
+from ..extraction import ExtractionReport, run_extraction
 from ..llm_gateway import LlmGateway
 from ..retrieval import Chunk, RetrievalIndex, build_index, chunk_entries, retrieve_top_k
 from ..util import read_text
@@ -52,17 +45,3 @@ def extract_grounded(code: str, signal_catalog: SignalCatalog,
     chunks = ground_code(code, index, config.top_k, config.token_budget)
     return run_extraction(code, chunks, gateway, signal_catalog, message_catalog,
                           max_retries=config.max_extraction_retries)
-
-
-def build_chain(code: str, current_chain: str, accepted, gateway: LlmGateway,
-                ) -> tuple[str, ChainDocument]:
-    """Generate a diagram for the code and lift it into a chain document."""
-    diagram = generate_chain(code, current_chain, accepted, gateway)
-    graph = parse_activity_diagram(diagram)
-    document = to_chain_document(
-        graph,
-        source_digest=code_digest(code),
-        generation_prompt_digest=chain_generation_prompt_digest(
-            code, current_chain, accepted),
-    )
-    return diagram, document

@@ -40,7 +40,15 @@ from dataclasses import dataclass
 from fnmatch import translate
 
 from .errors import RuleParseError
-from .eventchain import ChainDocument, ChainOrder, EventSequence, EventStep, chain_digest
+from .eventchain import (
+    ChainDocument,
+    ChainOrder,
+    EventSequence,
+    EventStep,
+    chain_digest,
+    fenced_block,
+    strip_fences,
+)
 from .llm_gateway import PC2B, CompletionRequest, LlmGateway, render_prompt
 from .util import normalize_name
 
@@ -612,8 +620,15 @@ def build_correction_prompt(code: str, report: SafetyReport) -> str:
 
 
 def suggest_correction(code: str, report: SafetyReport, gateway: LlmGateway) -> str:
-    """Ask the gateway for corrected code; requires at least one violation."""
+    """Ask the gateway for corrected code; requires at least one violation.
+
+    The code is the completion's first fenced block, or else the whole
+    completion with any stray fence lines dropped; stripped, with one
+    trailing newline.
+    """
     if not report.violated:
         raise ValueError("correction needs a report with at least one violation")
     prompt = build_correction_prompt(code, report)
-    return gateway.complete(CompletionRequest(prompt=prompt))
+    completion = gateway.complete(CompletionRequest(prompt=prompt))
+    block = fenced_block(completion)
+    return (strip_fences(completion) if block is None else block).strip() + "\n"

@@ -28,19 +28,21 @@ Instances can also be exchanged as PlantUML object diagrams:
     @enduml
 
 Attribute lines assign scalars (quoted strings, numbers, true/false, or bare
-enum literals); labeled arrows assign references. Import and export are
-inverses over this subset.
+enum literals); labeled arrows assign references. The diagram is framed like
+an activity diagram (blank and ``'`` comment lines are ignored, a nested
+delimiter is rejected). Import and export are inverses over this subset.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 
 from ..errors import InstanceParseError, MetamodelError, ModelImportError
-from ..util import load_json
+from ..util import load_json, plantuml_body
 
 KIND_RE = re.compile(r"^(string|real|int|bool|enum\(([A-Za-z_][A-Za-z0-9_]*)\)|ref\(([A-Za-z_][A-Za-z0-9_]*)\))$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -459,7 +461,7 @@ _ARROW_RE = re.compile(
 _NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?$")
 
 
-def _parse_scalar(raw: str):
+def _parse_scalar(raw: str, lineno: int):
     text = raw.strip()
     if len(text) >= 2 and text[0] == text[-1] and text[0] in ("'", '"'):
         return text[1:-1]
@@ -468,24 +470,21 @@ def _parse_scalar(raw: str):
     if text == "false":
         return False
     if _NUMBER_RE.match(text):
-        return float(text) if "." in text else int(text)
+        try:
+            value = float(text) if "." in text else int(text)
+        except ValueError:  # more digits than int() converts
+            value = math.inf
+        if value in (math.inf, -math.inf):  # or a real beyond a float's range
+            raise ModelImportError("number out of range", line=lineno)
+        return value
     return text  # bare word: enum literal or unquoted string
 
 
 def import_class_diagram(text: str) -> InstanceModel:
     """Parse the object-diagram subset described in the module docstring."""
-    lines = text.splitlines()
-    content = [(n, l.strip()) for n, l in enumerate(lines, start=1) if l.strip()]
-    if not content or content[0][1] != "@startuml":
-        raise ModelImportError("diagram must begin with @startuml",
-                               line=content[0][0] if content else 1)
-    if content[-1][1] != "@enduml":
-        raise ModelImportError("diagram must end with @enduml", line=content[-1][0])
     objects: dict[str, ModelObject] = {}
     order: list[ModelObject] = []
-    for lineno, line in content[1:-1]:
-        if line.startswith("'"):
-            continue
+    for lineno, line in plantuml_body(text, ModelImportError):
         if match := _OBJECT_RE.match(line):
             object_id = match.group("id")
             if object_id in objects:
@@ -517,7 +516,7 @@ def import_class_diagram(text: str) -> InstanceModel:
                 raise ModelImportError(
                     f"duplicate attribute '{object_id}.{name}'", line=lineno
                 )
-            objects[object_id].attrs[name] = _parse_scalar(match.group("value"))
+            objects[object_id].attrs[name] = _parse_scalar(match.group("value"), lineno)
         else:
             raise ModelImportError(f"unsupported line '{line}'", line=lineno)
     return InstanceModel(order)

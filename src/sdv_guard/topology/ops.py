@@ -26,13 +26,7 @@ from .model import (
     import_class_diagram,
     serialize_metamodel,
 )
-from .ocl import (
-    ConstraintSet,
-    TopologyReport,
-    eval_constraints,
-    parse_constraints,
-    render_topology_report,
-)
+from .ocl import ConstraintSet, TopologyReport, parse_constraints, render_topology_report
 
 _EMPTY_SYSTEM = "(none)"
 _DIAGRAM_HINT = "Return a corrected PlantUML object diagram."
@@ -131,21 +125,15 @@ def generate_constraints(guidelines: str, metamodel: Metamodel,
 
 
 def correct_instance(model: InstanceModel, report: TopologyReport,
-                     metamodel: Metamodel, gateway: LlmGateway,
-                     constraints: ConstraintSet | None = None,
-                     ) -> tuple[InstanceModel, TopologyReport | None]:
-    """Ask for a corrected model for a failing report and re-check the result.
+                     metamodel: Metamodel, gateway: LlmGateway) -> InstanceModel:
+    """Ask for a corrected, conformant model for a failing report.
 
     Requires at least one failing row — correcting a clean model is a caller
-    bug, not a no-op. When the originating constraints are supplied the
-    corrected model is re-evaluated and the fresh report returned alongside
-    it; the corrected model is not guaranteed to pass, callers own the loop.
+    bug, not a no-op. The corrected model is not guaranteed to pass; callers
+    own the loop and re-evaluate it.
     """
     if not report.failing:
         raise ValueError("correct_instance needs a report with at least one failure")
     prompt = build_instance_correction_prompt(model, report, metamodel)
-    corrected = _generate(prompt, gateway, lambda c: _import_checked(c, metamodel),
-                          ModelImportError, "instance correction", _DIAGRAM_HINT)
-    if constraints is None:
-        return corrected, None
-    return corrected, eval_constraints(corrected, constraints, metamodel)
+    return _generate(prompt, gateway, lambda c: _import_checked(c, metamodel),
+                     ModelImportError, "instance correction", _DIAGRAM_HINT)

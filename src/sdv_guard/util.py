@@ -1,5 +1,5 @@
 """Small shared helpers: tokenization, name normalization, digests, file
-reading and atomic writing, and JSON in both directions."""
+reading and atomic writing, JSON in both directions, and PlantUML framing."""
 
 from __future__ import annotations
 
@@ -112,3 +112,23 @@ def canonical_json(value) -> str:
 def token_estimate(text: str) -> int:
     """Size estimate used for chunk budgeting: one token per four characters, rounded up."""
     return (len(text) + 3) // 4
+
+
+def plantuml_body(text: str, error_type: type[SdvGuardError]) -> list[tuple[int, str]]:
+    """The numbered, stripped lines between ``@startuml`` and ``@enduml``,
+    blank and ``'`` comment lines dropped. A missing or nested delimiter is an
+    ``error_type`` carrying its line number."""
+    content = [(n, line) for n, raw in enumerate(text.splitlines(), start=1)
+               if (line := raw.strip())]
+    if not content or content[0][1] != "@startuml":
+        raise error_type("diagram must begin with @startuml",
+                         line=content[0][0] if content else 1)
+    if content[-1][1] != "@enduml":
+        raise error_type("diagram must end with @enduml", line=content[-1][0])
+    body = []
+    for lineno, line in content[1:-1]:
+        if line in ("@startuml", "@enduml"):
+            raise error_type("nested diagram delimiter", line=lineno)
+        if not line.startswith("'"):
+            body.append((lineno, line))
+    return body

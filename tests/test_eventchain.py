@@ -28,8 +28,10 @@ from sdv_guard.eventchain import (
     to_chain_document,
 )
 from sdv_guard.extraction import AcceptedEntry, ExtractedEntry
+from sdv_guard.llm_gateway import prompt_digest
 from sdv_guard.pipeline.cli import main
 from sdv_guard.safety_rules import check, parse_rules, render_report
+from sdv_guard.util import sha256_text
 
 from conftest import scripted_gateway
 
@@ -128,6 +130,18 @@ def test_parse_error_carries_line_number():
 def test_structure_errors(text, message):
     with pytest.raises(StructureError, match=message):
         parse_activity_diagram(text)
+
+
+def test_stop_check_floods_once_from_all_stops():
+    # 5,000 early exits, then a merge and an action that reach no stop; one
+    # backward flood from all stops must name them as one flood per stop did
+    lines = ["@startuml", "start"]
+    for _ in range(5000):
+        lines += ["if (exit?) then (yes)", "stop", "endif"]
+    lines += [":Stranded;", "@enduml"]
+    with pytest.raises(StructureError) as err:
+        parse_activity_diagram("\n".join(lines))
+    assert str(err.value) == "cannot reach any stop: n15001, n15002"
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -440,10 +454,15 @@ def test_render_relevant_entries():
 
 def test_generate_chain_happy_path():
     completion = "Here you go:\n```plantuml\n" + LINEAR + "```\n"
-    gateway = scripted_gateway([completion])
-    block = generate_chain("code", "@startuml\n@enduml", [], gateway)
-    assert block.startswith("@startuml")
-    assert parse_activity_diagram(block)  # parses standalone
+    prompts = []
+    gateway = scripted_gateway([completion], record_prompts=prompts)
+    block, document = generate_chain("code", "@startuml\n@enduml", [], gateway)
+    assert block == LINEAR
+    assert document.graph == parse_activity_diagram(block)
+    assert dict(document.metadata) == {
+        "source_digest": sha256_text("code"),
+        "generation_prompt_digest": prompt_digest(prompts[0]),
+    }
 
 
 def test_generate_chain_prompt_embeds_all_three_bindings():

@@ -16,13 +16,11 @@ from sdv_guard.extraction import (
     ExtractedEntry,
     build_extraction_prompt,
     build_extraction_retry_prompt,
-    code_digest,
     extract_entries,
     parse_extraction_response,
     validate_entries,
 )
 from sdv_guard.retrieval import Chunk
-from sdv_guard.util import sha256_text
 
 from conftest import scripted_gateway
 
@@ -288,7 +286,3 @@ def test_retry_prompt_lists_failures(signal_catalog, message_catalog):
     assert prompt.startswith(build_extraction_prompt("code", chunk))
     assert "- Ghost (VSS): unknown-name ('Ghost' is not in the VSS catalog)" in prompt
     assert prompt.endswith("Re-extract the entry list using only catalog names.")
-
-
-def test_code_digest_matches_sha256():
-    assert code_digest("print('x')") == sha256_text("print('x')")

@@ -11,16 +11,11 @@ import random
 import pytest
 
 from sdv_guard.errors import ConfigurationError, SdvGuardError
+from sdv_guard.eventchain import generate_chain
 from sdv_guard.llm_gateway import LlmGateway, ReplayStore
 from sdv_guard.pipeline import PipelineConfig, run_eval_harness
 from sdv_guard.pipeline.harness import HarnessReport, ScenarioOutcome, parse_manifest
-from sdv_guard.pipeline.stages import (
-    build_chain,
-    catalog_index,
-    ground_code,
-    load_catalogs,
-    run_extraction,
-)
+from sdv_guard.pipeline.stages import catalog_index, ground_code, load_catalogs, run_extraction
 from sdv_guard.safety_rules import check, parse_rules
 from sdv_guard.util import read_text
 
@@ -56,7 +51,7 @@ def _reference_chain_once(scenario, code, catalogs, gateway, ruleset, config):
                          config.top_k, config.token_budget)
     report = run_extraction(code, chunks, gateway, signal_catalog, message_catalog,
                             max_retries=config.max_extraction_retries)
-    _diagram, document = build_chain(code, "", report.accepted, gateway)
+    _diagram, document = generate_chain(code, "", report.accepted, gateway)
     verdicts = {r.rule.name: r.verdict for r in check(document, ruleset).results}
     for name, expected in scenario.expected_verdicts:
         if name not in verdicts:

@@ -326,3 +326,14 @@ def test_json_is_decoded_only_by_load_json_and_the_extraction_scanner():
         sites.visit(ast.parse(path.read_text(encoding="utf-8")))
         found |= sites.found
     assert found == _ALLOWED
+
+
+def test_code_fences_are_read_only_in_eventchain():
+    # fenced completions have one reader: eventchain's fence helpers
+    holders = {
+        path.relative_to(ROOT / "src").as_posix()
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "```" in node.value
+    }
+    assert holders == {"sdv_guard/eventchain.py"}

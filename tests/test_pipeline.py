@@ -2,13 +2,15 @@
 
 import http.server
 import json
+import sys
 import threading
 
 import pytest
 
+from sdv_guard import eventchain, llm_gateway
 from sdv_guard.errors import ConfigurationError, DeploymentError, PipelineError
 from sdv_guard.eventchain import parse_activity_diagram, serialize_chain, to_chain_document
-from sdv_guard.llm_gateway import LlmGateway, ReplayStore
+from sdv_guard.llm_gateway import PC2, LlmGateway, ReplayStore, prompt_digest
 from sdv_guard.pipeline import (
     PipelineConfig,
     Receipt,
@@ -219,6 +221,40 @@ def test_safety_run_s1_replay(fixtures_dir, tmp_path):
     assert record.iterations[0]["verdict"] == "violated"
     assert record.config["mode"] == "live"  # the default config was echoed
     assert verify_artifacts(record, out) == []
+
+
+def _record_calls(monkeypatch, module, name, calls):
+    """Wrap ``module.name``, and the same function in every loaded sdv_guard
+    module that imported it; each call appends (positional arguments,
+    result) to ``calls``."""
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, recording)
+    for loaded in list(sys.modules.values()):
+        if (getattr(loaded, "__name__", "").startswith("sdv_guard")
+                and getattr(loaded, name, None) is original):
+            monkeypatch.setattr(loaded, name, recording)
+
+
+def test_a_chain_stage_renders_and_parses_its_diagram_once(fixtures_dir, tmp_path,
+                                                           monkeypatch):
+    renders, parses, sent = [], [], []
+    _record_calls(monkeypatch, llm_gateway, "render_prompt", renders)
+    _record_calls(monkeypatch, eventchain, "parse_activity_diagram", parses)
+    _record_calls(monkeypatch, LlmGateway, "complete", sent)
+    _run_replay_scenario(fixtures_dir, tmp_path, "s1", "rules-s1.txt", "s1")
+    chain_prompts = [prompt for (template, _), prompt in renders if template == PC2]
+    assert len(chain_prompts) == 1
+    assert len(parses) == 1
+    (prompt,) = chain_prompts
+    assert prompt in [request.prompt for (_, request), _ in sent]
+    chain = json.loads((tmp_path / "s1" / "chain_iter1.json").read_text())
+    assert chain["metadata"]["generation_prompt_digest"] == prompt_digest(prompt)
 
 
 def test_verify_artifacts_flags_tampering(fixtures_dir, tmp_path):

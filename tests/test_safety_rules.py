@@ -368,11 +368,22 @@ def test_suggest_correction_sends_report_and_code(fixtures_dir):
     report = check(document, _fixture_rules(fixtures_dir, "rules-s3"))
     prompts = []
     gateway = scripted_gateway(["fixed code"], record_prompts=prompts)
-    assert suggest_correction("def f(): ...", report, gateway) == "fixed code"
+    assert suggest_correction("def f(): ...", report, gateway) == "fixed code\n"
     (prompt,) = prompts
     assert prompt == build_correction_prompt("def f(): ...", report)
     assert "def f(): ..." in prompt
     assert render_report(report) in prompt
+
+
+@pytest.mark.parametrize("completion, code", [
+    ("Fixed:\n```python\ndef f():\n    return 1\n```\nDone.", "def f():\n    return 1\n"),
+    ("```python\na = 1\n```\n```python\nb = 2\n```\n", "a = 1\n"),
+    ("  a = 1\n```\n", "a = 1\n"),
+    ("a = 1\n\n\n", "a = 1\n"),
+])
+def test_suggest_correction_reads_the_first_fenced_block(fixtures_dir, completion, code):
+    report = check(_fixture_doc(fixtures_dir, "s3"), _fixture_rules(fixtures_dir, "rules-s3"))
+    assert suggest_correction("code", report, scripted_gateway([completion])) == code
 
 
 # ---------------------------------------------------------------------------

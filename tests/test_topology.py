@@ -249,6 +249,13 @@ def test_unquoted_scalars_parse_by_shape():
     ("@startuml\nobject x : A\nx --> x : r\nx --> x : r\n@enduml\n",
      "duplicate reference", 4),
     ("@startuml\nclass x {}\n@enduml\n", "unsupported line", 2),
+    ("' note\n@startuml\n@enduml\n", "must begin with @startuml", 1),
+    ("@startuml\nobject x : A\n\n@startuml\n@enduml\n", "nested diagram delimiter", 4),
+    # more digits than int() converts, and a real too large for a float
+    ("@startuml\nobject x : A\nx : a = " + "9" * 5000 + "\n@enduml\n",
+     "number out of range", 3),
+    ("@startuml\nobject x : A\nx : a = -1" + "0" * 400 + ".5\n@enduml\n",
+     "number out of range", 3),
 ])
 def test_import_rejects(text, message, line):
     with pytest.raises(ModelImportError, match=message) as err:
@@ -698,20 +705,13 @@ def test_correct_instance_flow(metamodel, security_constraints):
     fixed_diagram = export_class_diagram(_steer_message("12.0"))
     prompts = []
     gateway = scripted_gateway([fixed_diagram], record_prompts=prompts)
-    corrected, fresh = correct_instance(broken, report, metamodel, gateway,
-                                        constraints=security_constraints)
+    corrected = correct_instance(broken, report, metamodel, gateway)
     assert corrected.get("m").attrs["payloadValue"] == "12.0"
+    fresh = eval_constraints(corrected, security_constraints, metamodel)
     assert fresh.overall == VERDICT_PASS
     # the correction prompt carries both the current model and the verdict list
     assert 'm : payloadValue = "20.0"' in prompts[0]
     assert "SteeringCommandWithinLimits m fail" in prompts[0]
-
-    # without the originating constraints there is nothing to re-check
-    corrected, fresh = correct_instance(
-        broken, report, metamodel,
-        scripted_gateway([export_class_diagram(_steer_message("1.0"))]),
-    )
-    assert fresh is None
 
 
 def test_correct_instance_needs_a_failure(metamodel, security_constraints):
