@@ -9,9 +9,10 @@ The gateway talks to an OpenAI-style chat endpoint:
 
     POST <base_url>
     {"model": ..., "messages": [{"role": "user", "content": <prompt>}],
-     "max_tokens": ..., "temperature": ...?}    # temperature only when set
+     "max_tokens": 4096, "temperature": ...?}    # temperature only when set
     -> {"choices": [{"message": {"content": <completion>}}]}
 
+A request carries only its prompt; model and temperature are the gateway's.
 Endpoint location and credentials come from ``SDVGUARD_LLM_URL`` and
 ``SDVGUARD_LLM_KEY`` unless passed explicitly. Three modes:
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError, GatewayError, ReplayMissError, TemplateError
@@ -38,7 +39,9 @@ from .util import load_json, read_text, sha256_text, write_atomic
 ENV_URL = "SDVGUARD_LLM_URL"
 ENV_KEY = "SDVGUARD_LLM_KEY"
 
-DEFAULT_MAX_TOKENS = 4096
+MODES = ("live", "record", "replay")
+MAX_TOKENS = 4096
+TIMEOUT_S = 60.0
 
 _PLACEHOLDER_RE = re.compile(r"\{([^{}]+)\}")
 
@@ -129,9 +132,6 @@ def prompt_digest(prompt: str) -> str:
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt: str
-    model: str = "default"
-    temperature: float | None = None  # omitted from the payload when None
-    max_tokens: int = DEFAULT_MAX_TOKENS
 
 
 class ReplayStore:
@@ -154,13 +154,12 @@ class ReplayStore:
             )
         return cls(entries=raw, path=path)
 
-    def save(self, path: str | Path | None = None) -> None:
-        target = Path(path) if path is not None else self.path
-        if target is None:
+    def save(self) -> None:
+        if self.path is None:
             raise ConfigurationError("replay store has no path to save to")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(target, json.dumps(self.entries, indent=2, sort_keys=True,
-                                        ensure_ascii=False) + "\n")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(self.path, json.dumps(self.entries, indent=2, sort_keys=True,
+                                           ensure_ascii=False) + "\n")
 
     def record(self, prompt: str, completion: str) -> str:
         digest = prompt_digest(prompt)
@@ -177,22 +176,19 @@ class ReplayStore:
 class LlmGateway:
     """Mode-aware completion client. Replay mode never touches the network."""
 
-    MODES = ("live", "record", "replay")
-
     def __init__(self, mode: str = "live", store: ReplayStore | None = None,
                  base_url: str | None = None, api_key: str | None = None,
-                 timeout: float = 60.0, transport=None,
-                 model: str = "default", temperature: float | None = None):
-        if mode not in self.MODES:
+                 transport=None, model: str = "default",
+                 temperature: float | None = None):
+        if mode not in MODES:
             raise ConfigurationError(f"unknown gateway mode '{mode}'")
         self.mode = mode
         self.store = store
         self.base_url = base_url if base_url is not None else os.environ.get(ENV_URL)
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_KEY)
-        self.timeout = timeout
-        self.transport = transport
-        self.model = model  # fallback for requests that keep the default
-        self.temperature = temperature
+        self.transport = transport if transport is not None else self._http_post
+        self.model = model
+        self.temperature = temperature  # omitted from the payload when None
         if mode == "replay" and store is None:
             raise ConfigurationError("replay mode requires a replay store")
         if mode == "record" and store is None:
@@ -216,20 +212,14 @@ class LlmGateway:
         return completion
 
     def _call_endpoint(self, request: CompletionRequest) -> str:
-        model = request.model if request.model != "default" else self.model
-        temperature = (request.temperature if request.temperature is not None
-                       else self.temperature)
         payload: dict = {
-            "model": model,
+            "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],
-            "max_tokens": request.max_tokens,
+            "max_tokens": MAX_TOKENS,
         }
-        if temperature is not None:
-            payload["temperature"] = temperature
-        if self.transport is not None:
-            body = self.transport(payload)
-        else:
-            body = self._http_post(payload)
+        if self.temperature is not None:
+            payload["temperature"] = self.temperature
+        body = self.transport(payload)
         try:
             content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
@@ -246,7 +236,7 @@ class LlmGateway:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
             response = requests.post(self.base_url, json=payload,
-                                     headers=headers, timeout=self.timeout)
+                                     headers=headers, timeout=TIMEOUT_S)
         except requests.RequestException as exc:
             raise GatewayError(f"completion endpoint unreachable: {exc}") from exc
         if response.status_code // 100 != 2:

@@ -1,6 +1,6 @@
 """Pipeline orchestration: configuration, runs, evaluation, deployment, CLI."""
 
-from .config import MODES, PipelineConfig, build_gateway, load_config, with_overrides
+from .config import MODES, PipelineConfig, build_gateway, load_config
 from .deploy import (
     Receipt,
     deploy_stub,
@@ -35,7 +35,6 @@ __all__ = [
     "PipelineConfig",
     "build_gateway",
     "load_config",
-    "with_overrides",
     "Receipt",
     "deploy_stub",
     "load_receipt",

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ..errors import ConfigurationError
-from ..llm_gateway import LlmGateway, ReplayStore
+from ..llm_gateway import MODES, LlmGateway, ReplayStore
+from ..retrieval import DEFAULT_TOKEN_BUDGET, DEFAULT_TOP_K
 from ..util import load_json, read_text
 
-MODES = ("live", "record", "replay")
 # the Python types each field annotation admits; a JSON boolean is no int
 _FIELD_TYPES = {
     "int": int, "str": str, "float | None": (int, float, type(None)),
@@ -19,8 +19,8 @@ _FIELD_TYPES = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    top_k: int = 20
-    token_budget: int = 4096
+    top_k: int = DEFAULT_TOP_K
+    token_budget: int = DEFAULT_TOKEN_BUDGET
     max_iterations: int = 3
     max_extraction_retries: int = 1
     mode: str = "live"
@@ -81,12 +81,6 @@ def load_config(path: str | Path | None = None, **overrides) -> PipelineConfig:
     return _validate(config)
 
 
-def with_overrides(config: PipelineConfig, **overrides) -> PipelineConfig:
-    return _validate(replace(
-        config, **{k: v for k, v in overrides.items() if v is not None}
-    ))
-
-
 def build_gateway(config: PipelineConfig, transport=None) -> LlmGateway:
     """Construct the completion gateway the way the config asks for.
 
@@ -94,14 +88,10 @@ def build_gateway(config: PipelineConfig, transport=None) -> LlmGateway:
     repeated runs append rather than clobber.
     """
     store = None
-    if config.mode == "replay":
+    if config.mode == "replay" or (config.mode == "record" and Path(config.store_path).exists()):
         store = ReplayStore.load(config.store_path)
     elif config.mode == "record":
-        store_path = Path(config.store_path)
-        if store_path.exists():
-            store = ReplayStore.load(store_path)
-        else:
-            store = ReplayStore(path=store_path)
+        store = ReplayStore(path=config.store_path)
     return LlmGateway(
         mode=config.mode,
         store=store,

@@ -36,13 +36,12 @@ delimiter is rejected). Import and export are inverses over this subset.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 
 from ..errors import InstanceParseError, MetamodelError, ModelImportError
-from ..util import load_json, plantuml_body
+from ..util import load_json, parse_number, plantuml_body
 
 KIND_RE = re.compile(r"^(string|real|int|bool|enum\(([A-Za-z_][A-Za-z0-9_]*)\)|ref\(([A-Za-z_][A-Za-z0-9_]*)\))$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -458,7 +457,7 @@ _ATTR_RE = re.compile(
 _ARROW_RE = re.compile(
     r"^(?P<src>[A-Za-z_][A-Za-z0-9_.-]*)\s*-+>\s*(?P<dst>[A-Za-z_][A-Za-z0-9_.-]*)\s*:\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)$"
 )
-_NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?$")
+_NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?([eE][+-]?\d+)?$")
 
 
 def _parse_scalar(raw: str, lineno: int):
@@ -471,12 +470,9 @@ def _parse_scalar(raw: str, lineno: int):
         return False
     if _NUMBER_RE.match(text):
         try:
-            value = float(text) if "." in text else int(text)
-        except ValueError:  # more digits than int() converts
-            value = math.inf
-        if value in (math.inf, -math.inf):  # or a real beyond a float's range
-            raise ModelImportError("number out of range", line=lineno)
-        return value
+            return parse_number(text)
+        except ValueError:
+            raise ModelImportError("number out of range", line=lineno) from None
     return text  # bare word: enum literal or unquoted string
 
 

@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass
 
 from ..errors import ConstraintError
+from ..util import parse_number
 from .model import InstanceModel, Metamodel, ModelObject
 
 _TOKEN_SPEC = [
@@ -124,7 +125,7 @@ class ToReal:
 
 @dataclass(frozen=True)
 class NumberLit:
-    value: float
+    value: int | float
     is_real: bool
 
 
@@ -337,7 +338,11 @@ class _Parser:
             return SelfRef()
         if token.kind == "NUMBER":
             self.take()
-            return NumberLit(value=float(token.text), is_real="." in token.text)
+            try:  # an int literal stays exact
+                value = parse_number(token.text)
+            except ValueError:
+                raise ConstraintError("number out of range", position=token.position) from None
+            return NumberLit(value=value, is_real="." in token.text)
         if token.kind == "STRING":
             self.take()
             return StringLit(value=token.text[1:-1])
@@ -422,10 +427,8 @@ def _compare(op: str, left, right) -> bool:
             isinstance(left, ModelObject) and isinstance(right, ModelObject)
             and left.id == right.id
         )
-    elif numeric:
-        same = float(left) == float(right)
-    elif type(left) is type(right):
-        same = left == right
+    elif numeric or type(left) is type(right):
+        same = left == right  # exact, also between an int and a float
     else:
         raise _EvalFault(f"cannot compare {left!r} with {right!r}")
     return same if op == "=" else not same
@@ -534,7 +537,10 @@ class _Compiler:
                 if isinstance(value, bool):
                     raise _EvalFault("toReal cannot convert a boolean")
                 if isinstance(value, (int, float)):
-                    return float(value)
+                    try:
+                        return float(value)
+                    except OverflowError:
+                        raise _EvalFault("toReal cannot convert an int this large") from None
                 if isinstance(value, str):
                     try:
                         return float(value.strip())

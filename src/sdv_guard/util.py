@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -92,12 +93,24 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def parse_number(text: str) -> int | float:
+    """A decimal number as an int, or as a float when it has a fraction or an
+    exponent. A ValueError when it lies beyond a float's range, or has more
+    digits than ``int()`` converts."""
+    value = float(text) if "." in text or "e" in text or "E" in text else int(text)
+    if value in (math.inf, -math.inf):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
 def load_json(text: str, error_type: type[SdvGuardError], what: str):
-    """Decode strict JSON (RFC 8259: no NaN or Infinity) into plain values; an
-    object whose key repeats is a ``RepeatedKeys``. Any failure, too deep a
-    nesting included, is an ``error_type`` naming ``what``."""
+    """Decode strict JSON (RFC 8259: no NaN or Infinity) with no number beyond
+    a float's range into plain values; an object whose key repeats is a
+    ``RepeatedKeys``. Any failure, too deep a nesting included, is an
+    ``error_type`` naming ``what``."""
     try:
-        return json.loads(text, object_pairs_hook=_object, parse_constant=_reject_constant)
+        return json.loads(text, object_pairs_hook=_object, parse_float=parse_number,
+                          parse_constant=_reject_constant)
     except (RecursionError, ValueError) as exc:
         if isinstance(exc, json.JSONDecodeError) and issubclass(error_type, CatalogParseError):
             raise error_type(exc.msg, line=exc.lineno, column=exc.colno) from exc

@@ -13,6 +13,7 @@ from sdv_guard.errors import (
     ReplayMissError,
     TemplateError,
 )
+from sdv_guard import llm_gateway
 from sdv_guard.llm_gateway import (
     PC1,
     PC2,
@@ -224,22 +225,24 @@ def test_live_transport_payload_shape():
         return {"choices": [{"message": {"content": "ok"}}]}
 
     gateway = LlmGateway(mode="live", transport=transport, base_url="scripted:",
-                         model="fallback-model", temperature=0.5)
-    assert gateway.complete(CompletionRequest(prompt="hello", max_tokens=128)) == "ok"
+                         model="configured-model", temperature=0.5)
+    assert gateway.complete(CompletionRequest(prompt="hello")) == "ok"
     assert seen == {
-        "model": "fallback-model",
+        "model": "configured-model",
         "messages": [{"role": "user", "content": "hello"}],
-        "max_tokens": 128,
+        "max_tokens": 4096,
         "temperature": 0.5,
     }
 
-    # request-level settings win; temperature stays out when nobody sets it
+    # temperature stays out when nobody sets it
     seen.clear()
     plain = LlmGateway(mode="live", transport=transport, base_url="scripted:")
-    plain.complete(CompletionRequest(prompt="hi", model="override"))
-    assert seen["model"] == "override"
-    assert "temperature" not in seen
-    assert seen["max_tokens"] == 4096
+    plain.complete(CompletionRequest(prompt="hi"))
+    assert seen == {
+        "model": "default",
+        "messages": [{"role": "user", "content": "hi"}],
+        "max_tokens": 4096,
+    }
 
 
 def test_malformed_transport_body_is_a_gateway_error():
@@ -305,7 +308,8 @@ def test_http_endpoint_failure_statuses(endpoint):
         gateway.complete(CompletionRequest(prompt="ping"))
 
 
-def test_http_endpoint_unreachable():
-    gateway = LlmGateway(mode="live", base_url="http://127.0.0.1:9/", timeout=0.2)
+def test_http_endpoint_unreachable(monkeypatch):
+    monkeypatch.setattr(llm_gateway, "TIMEOUT_S", 0.2)
+    gateway = LlmGateway(mode="live", base_url="http://127.0.0.1:9/")
     with pytest.raises(GatewayError, match="unreachable"):
         gateway.complete(CompletionRequest(prompt="ping"))

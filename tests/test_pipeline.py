@@ -28,7 +28,6 @@ from sdv_guard.pipeline import (
     save_receipt,
     verify_artifacts,
     verify_receipt,
-    with_overrides,
 )
 from sdv_guard.pipeline import cli as cli_module
 from sdv_guard.pipeline import stages as stages_module
@@ -60,6 +59,9 @@ def test_config_file_and_overrides(tmp_path):
     # keyword overrides beat the file; None overrides are absent, not resets
     config = load_config(path, top_k=9, mode=None)
     assert (config.top_k, config.mode) == (9, "replay")
+    # overrides are validated like file values
+    with pytest.raises(ConfigurationError, match="top_k must be at least 1"):
+        load_config(top_k=0)
 
 
 @pytest.mark.parametrize("body, message", [
@@ -89,14 +91,6 @@ def test_config_rejects(tmp_path, body, message):
 def test_config_missing_file():
     with pytest.raises(ConfigurationError, match="does not exist"):
         load_config("/no/such/config.json")
-
-
-def test_with_overrides_revalidates():
-    config = PipelineConfig()
-    assert with_overrides(config, top_k=3).top_k == 3
-    assert with_overrides(config, top_k=None).top_k == config.top_k
-    with pytest.raises(ConfigurationError, match="at least 1"):
-        with_overrides(config, top_k=0)
 
 
 def test_build_gateway_replay_and_record(tmp_path, fixtures_dir):

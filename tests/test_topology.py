@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdv_guard.errors import (
     ConfigurationError,
@@ -36,6 +38,7 @@ from sdv_guard.topology import (
     serialize_metamodel,
 )
 
+from sdv_guard.pipeline.cli import main
 from sdv_guard.topology.ocl import MAX_NESTING
 
 from conftest import scripted_gateway
@@ -224,6 +227,18 @@ def test_scalar_forms_round_trip():
     assert import_class_diagram(exported) == model
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)),
+                max_size=6))
+@example([10000000000000000.0, 1e-05, -2.5e300, 5e-324, 10 ** 40])
+def test_numbers_round_trip_through_the_object_diagram(values):
+    attrs = {f"a{i}": value for i, value in enumerate(values)}
+    model = _model(ModelObject(id="o", cls="Thing", attrs=attrs))
+    again = import_class_diagram(export_class_diagram(model))
+    assert again == model
+    assert [type(v) for v in again.get("o").attrs.values()] == [type(v) for v in values]
+
+
 def test_unquoted_scalars_parse_by_shape():
     model = import_class_diagram(
         "@startuml\n"
@@ -232,10 +247,17 @@ def test_unquoted_scalars_parse_by_shape():
         "o : b = -3\n"
         "o : c = true\n"
         "o : d = 'quoted'\n"
+        "o : e = 1e+16\n"
+        "o : f = -2E-3\n"
+        "o : g = \"1e5\"\n"
         "@enduml\n"
     )
     attrs = model.get("o").attrs
-    assert attrs == {"a": 25.0, "b": -3, "c": True, "d": "quoted"}
+    assert attrs == {"a": 25.0, "b": -3, "c": True, "d": "quoted",
+                     "e": 1e16, "f": -0.002, "g": "1e5"}
+    assert isinstance(attrs["e"], float)
+    # a number-like string stays quoted on export
+    assert 'o : g = "1e5"' in export_class_diagram(model)
 
 
 @pytest.mark.parametrize("text, message, line", [
@@ -256,6 +278,7 @@ def test_unquoted_scalars_parse_by_shape():
      "number out of range", 3),
     ("@startuml\nobject x : A\nx : a = -1" + "0" * 400 + ".5\n@enduml\n",
      "number out of range", 3),
+    ("@startuml\nobject x : A\nx : a = 1E400\n@enduml\n", "number out of range", 3),
 ])
 def test_import_rejects(text, message, line):
     with pytest.raises(ModelImportError, match=message) as err:
@@ -348,6 +371,10 @@ def test_shipped_constraints_parse(security_constraints):
      "cannot compare"),
     ("context Message inv X: self.payloadValue == 'a'", "unexpected"),
     ("context Message\nself.payloadValue = 'a'", "expected 'inv'"),
+    ("context Message inv X: let x : Real = 1" + "0" * 400 + ".0 in x <= 1.0",
+     "number out of range"),
+    ("context Message inv X: let x : Integer = " + "9" * 5000 + " in x <= 1",
+     "number out of range"),
 ])
 def test_constraint_rejects(metamodel, text, message):
     with pytest.raises(ConstraintError, match=message):
@@ -416,6 +443,74 @@ def test_is_type_of_is_exact(metamodel):
 
 # ---------------------------------------------------------------------------
 # constraints: evaluation
+
+
+HUGE_REAL_METAMODEL = (
+    '{"classes": [{"name": "Thing", "attributes": [{"name": "x", "kind": "real"}]}]}'
+)
+HUGE_REAL_MODEL = "@startuml\nobject t : Thing\nt : x = 1" + "0" * 400 + "\n@enduml\n"
+HUGE_REAL_CONSTRAINTS = (
+    "context Thing inv Equal: self.x = 1.0\n"
+    "context Thing inv Positive: self.x.toReal() > 0.0\n"
+)
+
+
+def test_an_int_beyond_a_float_fails_its_rows_with_a_reason():
+    metamodel = parse_metamodel(HUGE_REAL_METAMODEL)
+    report = eval_constraints(import_class_diagram(HUGE_REAL_MODEL),
+                              parse_constraints(HUGE_REAL_CONSTRAINTS, metamodel),
+                              metamodel)
+    equal = _verdict_of(report, "Equal", "t")
+    assert (equal.verdict, equal.reason) == (VERDICT_FAIL, "")
+    positive = _verdict_of(report, "Positive", "t")
+    assert positive.verdict == VERDICT_FAIL
+    assert positive.reason == "toReal cannot convert an int this large"
+
+
+def test_cli_analyze_topology_fails_an_int_beyond_a_float(tmp_path, capsys):
+    for name, text in [("mm.json", HUGE_REAL_METAMODEL), ("m.puml", HUGE_REAL_MODEL),
+                       ("c.ocl", HUGE_REAL_CONSTRAINTS)]:
+        (tmp_path / name).write_text(text)
+    code = main(["--out", str(tmp_path / "out"), "analyze-topology",
+                 "--metamodel", str(tmp_path / "mm.json"),
+                 "--model", str(tmp_path / "m.puml"),
+                 "--constraints", str(tmp_path / "c.ocl")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out.startswith("overall: fail")
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("left, right, same", [
+    (2 ** 53 + 1, float(2 ** 53), False),  # equal only once rounded to a float
+    (2 ** 53, float(2 ** 53), True),
+    (3, 3.0, True),
+])
+def test_numbers_compare_exactly(left, right, same):
+    metamodel = parse_metamodel(
+        '{"classes": [{"name": "Thing", "attributes": ['
+        '{"name": "i", "kind": "int"}, {"name": "r", "kind": "real"}]}]}'
+    )
+    model = _model(ModelObject(id="t", cls="Thing", attrs={"i": left, "r": right}))
+    constraints = parse_constraints(
+        "context Thing inv Same: self.i = self.r\n"
+        "context Thing inv Differ: self.i <> self.r\n", metamodel)
+    report = eval_constraints(model, constraints, metamodel)
+    assert _verdict_of(report, "Same", "t").verdict == (VERDICT_PASS if same else VERDICT_FAIL)
+    assert _verdict_of(report, "Differ", "t").verdict == (VERDICT_FAIL if same else VERDICT_PASS)
+
+
+def test_int_literals_are_exact():
+    metamodel = parse_metamodel(
+        '{"classes": [{"name": "Thing", "attributes": [{"name": "i", "kind": "int"}]}]}')
+    model = _model(ModelObject(id="t", cls="Thing", attrs={"i": 2 ** 53 + 1}))
+    constraints = parse_constraints(
+        "context Thing inv Same: self.i = 9007199254740993\n"
+        "context Thing inv Rounded: self.i = 9007199254740992\n"
+        "context Thing inv Above: self.i > 9007199254740992\n", metamodel)
+    report = eval_constraints(model, constraints, metamodel)
+    assert [_verdict_of(report, name, "t").verdict for name in ("Same", "Rounded", "Above")] \
+        == [VERDICT_PASS, VERDICT_FAIL, VERDICT_PASS]
 
 
 def _steer_message(payload: str):

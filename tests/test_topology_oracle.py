@@ -265,7 +265,10 @@ class _RefEvaluator:
             if isinstance(value, bool):
                 raise _RefFault("toReal cannot convert a boolean")
             if isinstance(value, (int, float)):
-                return float(value)
+                try:
+                    return float(value)
+                except OverflowError:
+                    raise _RefFault("toReal cannot convert an int this large") from None
             if isinstance(value, str):
                 try:
                     return float(value.strip())
@@ -316,9 +319,7 @@ class _RefEvaluator:
         if isinstance(left, ModelObject) or isinstance(right, ModelObject):
             same = (isinstance(left, ModelObject) and isinstance(right, ModelObject)
                     and left.id == right.id)
-        elif numeric:
-            same = float(left) == float(right)
-        elif type(left) is type(right):
+        elif numeric or type(left) is type(right):
             same = left == right
         else:
             raise _RefFault(f"cannot compare {left!r} with {right!r}")
