@@ -11,34 +11,39 @@ Both are plain JSON files:
   ``max``, ``allowed`` (required, non-empty, for enum), ``description``.
   Paths join the key segments with dots.
 
-* Message catalog: an array of message objects with ``frame_id`` (decimal int
-  or "0x..." hex string, at most 29 bits), ``name``, ``dlc`` (0..64 bytes) and
-  ``signals``: objects with ``name``, ``start_bit``, ``bit_length`` (>= 1),
-  ``scale`` (non-zero), ``offset`` and optional ``min``/``max``/``unit``; the
-  numeric fields must be JSON numbers. Every signal must fit the frame:
-  start_bit + bit_length <= dlc * 8.
+* Message catalog: an array of message objects with ``frame_id`` (a JSON
+  integer, or a string of ASCII decimal digits or of "0x"/"0X" and ASCII hex
+  digits, whitespace around it allowed; at most 29 bits), ``name``, ``dlc``
+  (0..64 bytes) and ``signals``: objects with ``name``, ``start_bit``,
+  ``bit_length`` (>= 1), ``scale`` (non-zero), ``offset`` and optional
+  ``min``/``max``/``unit``; the numeric fields must be JSON numbers. Every
+  signal must fit the frame: start_bit + bit_length <= dlc * 8.
 
 Catalogs are immutable after construction; parsing the canonical serialized
-form yields an identical catalog.
+form yields an identical catalog. The normalized-alias map behind
+``lookup_normalized`` is built on its first call, from the entries alone, so
+building it late changes no answer: a catalog stays observably immutable.
+Only ``extraction`` reads that map, and only after an exact lookup misses.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CatalogError, CatalogParseError, SchemaError
-from .util import RepeatedKeys, canonical_json, load_json, normalize_name
+from .util import RepeatedKeys, load_json, normalize_name, parse_number
 
 VSS_KINDS = ("sensor", "actuator", "attribute", "branch")
 VSS_DATATYPES = ("boolean", "int", "float", "string", "enum")
 
 FRAME_ID_MAX = (1 << 29) - 1
 
-_LEAF_FIELDS = {"type", "datatype", "unit", "min", "max", "allowed", "description"}
-_BRANCH_FIELDS = {"type", "description", "children"}
+_LEAF_FIELDS = frozenset(("type", "datatype", "unit", "min", "max", "allowed", "description"))
+_BRANCH_FIELDS = frozenset(("type", "description", "children"))
+_LEAF_KINDS = ("sensor", "actuator", "attribute")
 
 
 @dataclass(frozen=True)
@@ -101,32 +106,56 @@ class ValueVerdict:
     detail: str | None = None
 
 
-class SignalCatalog:
-    """Immutable signal tree index: every path (branches included) is unique."""
+def _frozen(cls, fields: dict):
+    """``cls(**fields)`` for a frozen dataclass ``cls``, given every field in
+    declaration order. It stores ``fields`` as the instance dict at once,
+    where ``__init__`` calls ``object.__setattr__`` per field. The instance
+    is frozen, hashable and equal by value all the same."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
 
-    def __init__(self, signals: list[VssSignal] | tuple[VssSignal, ...]):
-        ordered = tuple(sorted(signals, key=lambda s: s.path))
-        by_path: dict[str, VssSignal] = {}
-        for sig in ordered:
-            if sig.path in by_path:
-                raise CatalogError(f"duplicate signal path '{sig.path}'")
-            by_path[sig.path] = sig
-        self.signals = ordered
-        self._by_path = by_path
-        self.entries = tuple(
-            _vss_entry(sig) for sig in ordered if not sig.is_branch
-        )
-        self._entry_by_key = {e.key: e for e in self.entries}
-        self._entries_by_normalized_key = _by_normalized_key(self.entries)
 
-    def lookup(self, path: str) -> VssSignal | None:
-        return self._by_path.get(path)
+class _Catalog:
+    """The entry lookups both catalogs share."""
+
+    entries: tuple[CatalogEntry, ...]
+    _entry_by_key: dict[str, CatalogEntry]
+    _by_normalized_key: dict[str, tuple[CatalogEntry, ...]] | None = None
 
     def lookup_entry(self, key: str) -> CatalogEntry | None:
         return self._entry_by_key.get(key)
 
     def lookup_normalized(self, name: str) -> tuple[CatalogEntry, ...]:
-        return self._entries_by_normalized_key.get(normalize_name(name), ())
+        """The entries whose key normalizes as ``name`` does, in catalog order."""
+        if self._by_normalized_key is None:  # built on first use, from the entries alone
+            groups: dict[str, list[CatalogEntry]] = {}
+            for entry in self.entries:
+                groups.setdefault(normalize_name(entry.key), []).append(entry)
+            self._by_normalized_key = {k: tuple(v) for k, v in groups.items()}
+        return self._by_normalized_key.get(normalize_name(name), ())
+
+
+class SignalCatalog(_Catalog):
+    """Immutable signal tree index: every path (branches included) is unique."""
+
+    def __init__(self, nodes: list[tuple[VssSignal, CatalogEntry | None]]):
+        """``nodes``: each signal with its entry (None for a branch), in any order."""
+        by_path: dict[str, VssSignal] = {}
+        entry_by_key: dict[str, CatalogEntry] = {}
+        for sig, entry in sorted(nodes, key=lambda node: node[0].path):
+            if sig.path in by_path:
+                raise CatalogError(f"duplicate signal path '{sig.path}'")
+            by_path[sig.path] = sig
+            if entry is not None:
+                entry_by_key[sig.path] = entry
+        self.signals = tuple(by_path.values())
+        self._by_path = by_path
+        self.entries = tuple(entry_by_key.values())
+        self._entry_by_key = entry_by_key
+
+    def lookup(self, path: str) -> VssSignal | None:
+        return self._by_path.get(path)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SignalCatalog) and self.signals == other.signals
@@ -135,38 +164,33 @@ class SignalCatalog:
         return len(self.signals)
 
 
-class MessageCatalog:
+class MessageCatalog(_Catalog):
     """Immutable message index keyed by name and by frame id."""
 
-    def __init__(self, messages: list[CanMessage] | tuple[CanMessage, ...]):
-        ordered = tuple(sorted(messages, key=lambda m: m.name))
+    def __init__(self, messages: list[tuple[CanMessage, CatalogEntry]]):
+        """``messages``: each message with its entry, in any order."""
         by_name: dict[str, CanMessage] = {}
         by_frame: dict[int, CanMessage] = {}
-        for msg in ordered:
+        entry_by_key: dict[str, CatalogEntry] = {}
+        for msg, entry in sorted(messages, key=lambda message: message[0].name):
             if msg.name in by_name:
                 raise CatalogError(f"duplicate message name '{msg.name}'")
             if msg.frame_id in by_frame:
                 raise CatalogError(f"duplicate frame id 0x{msg.frame_id:X}")
             by_name[msg.name] = msg
             by_frame[msg.frame_id] = msg
-        self.messages = ordered
+            entry_by_key[msg.name] = entry
+        self.messages = tuple(by_name.values())
         self._by_name = by_name
         self._by_frame = by_frame
-        self.entries = tuple(_can_entry(msg) for msg in ordered)
-        self._entry_by_key = {e.key: e for e in self.entries}
-        self._entries_by_normalized_key = _by_normalized_key(self.entries)
+        self.entries = tuple(entry_by_key.values())
+        self._entry_by_key = entry_by_key
 
     def lookup(self, name: str) -> CanMessage | None:
         return self._by_name.get(name)
 
     def lookup_frame(self, frame_id: int) -> CanMessage | None:
         return self._by_frame.get(frame_id)
-
-    def lookup_entry(self, key: str) -> CatalogEntry | None:
-        return self._entry_by_key.get(key)
-
-    def lookup_normalized(self, name: str) -> tuple[CatalogEntry, ...]:
-        return self._entries_by_normalized_key.get(normalize_name(name), ())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MessageCatalog) and self.messages == other.messages
@@ -175,55 +199,44 @@ class MessageCatalog:
         return len(self.messages)
 
 
-def _by_normalized_key(entries) -> dict[str, tuple[CatalogEntry, ...]]:
-    """Entries grouped by normalized key, in catalog order, for alias lookup."""
-    out: dict[str, list[CatalogEntry]] = {}
-    for entry in entries:
-        out.setdefault(normalize_name(entry.key), []).append(entry)
-    return {k: tuple(v) for k, v in out.items()}
+def _float(value, label: str, *args) -> float:
+    """A JSON number as a float. ``label.format(*args)`` names the field in
+    the error, so that text is built only for an error. Callers test
+    ``type(value) is float`` first, the common case, and skip the call."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(label.format(*args) + " must be a number")
+    return float(value)
 
 
-def _vss_entry(sig: VssSignal) -> CatalogEntry:
-    parts = [sig.path]
-    if sig.datatype:
-        parts.append(sig.datatype)
-    if sig.unit:
-        parts.append(sig.unit)
-    if sig.description:
-        parts.append(sig.description)
-    bounds = None
-    if sig.min is not None or sig.max is not None:
-        bounds = (sig.min, sig.max)
-    return CatalogEntry(
-        key=sig.path,
-        protocol="VSS",
-        text=" ".join(parts),
-        datatype=sig.datatype,
-        bounds=bounds,
-        allowed=sig.allowed,
-    )
+_MISSING = object()
 
 
-def _can_entry(msg: CanMessage) -> CatalogEntry:
-    parts = [msg.name, "CAN message", f"0x{msg.frame_id:X}"]
-    for sig in msg.signals:
-        parts.append(sig.name)
-        if sig.unit:
-            parts.append(sig.unit)
-    datatype = None
-    bounds = None
-    if len(msg.signals) == 1:
-        only = msg.signals[0]
-        datatype = "float"
-        if only.min is not None or only.max is not None:
-            bounds = (only.min, only.max)
-    return CatalogEntry(
-        key=msg.name,
-        protocol="CAN",
-        text=" ".join(parts),
-        datatype=datatype,
-        bounds=bounds,
-    )
+def _int(obj: dict, name: str, context: str, *args) -> int:
+    """The required JSON integer field ``name``; ``context.format(*args)``
+    names the object in the error. Callers may test ``type(value) is int``
+    first and skip the call."""
+    value = obj.get(name, _MISSING)
+    if type(value) is int:
+        return value
+    context = context.format(*args)  # an error follows, unless value subclasses int
+    if value is _MISSING:
+        raise SchemaError(f"{context} is missing '{name}'")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{context} field '{name}' must be a number")
+    if not isinstance(value, int):
+        raise SchemaError(f"{context} field '{name}' must be an integer")
+    return value
+
+
+def _opt_str(path: str, fields: dict, name: str) -> str | None:
+    value = fields.get(name)
+    if value is not None and not isinstance(value, str):
+        raise SchemaError(f"field '{name}' of '{path}' must be a string")
+    return value
+
+
+def _unknown_field(path: str, fields: dict, allowed: frozenset[str]) -> SchemaError:
+    return SchemaError(f"node '{path}' has unknown field '{min(fields.keys() - allowed)}'")
 
 
 # ---------------------------------------------------------------------------
@@ -238,59 +251,64 @@ def parse_vss_catalog(text: str) -> SignalCatalog:
     return SignalCatalog(_walk_vss(doc))
 
 
-def _walk_vss(root: dict) -> list[VssSignal]:
-    """Every node under ``root``, depth first in document order, so the
-    first fault in document order is the one reported. The stack is
-    explicit: any depth the JSON decoder accepts is walked."""
-    out: list[VssSignal] = []
-    stack = [("", _in_order(root), set())]
+def _walk_vss(root: dict) -> list[tuple[VssSignal, CatalogEntry | None]]:
+    """Every node under ``root`` with its entry, depth first in document
+    order, so the first fault in document order is the one reported. The
+    stack is explicit: any depth the JSON decoder accepts is walked."""
+    out: list[tuple[VssSignal, CatalogEntry | None]] = []
+    stack = [("", *_members(root))]
     while stack:
         prefix, members, seen = stack[-1]
         for key, value in members:
             if not key:
                 raise SchemaError(f"empty node name under '{prefix or '<root>'}'")
             path = f"{prefix}.{key}" if prefix else key
-            if key in seen:
-                raise CatalogError(f"duplicate signal path '{path}'")
-            seen.add(key)
-            signal, children = _vss_node(path, value)
-            out.append(signal)
+            if seen is not None:
+                if key in seen:
+                    raise CatalogError(f"duplicate signal path '{path}'")
+                seen.add(key)
+            node, children = _vss_node(path, value)
+            out.append(node)
             if children is not None:
-                stack.append((path, _in_order(children), set()))
+                stack.append((path, *_members(children)))
                 break
         else:
             stack.pop()
     return out
 
 
-def _in_order(obj: dict):
-    """The members of a decoded object in document order, repeats included."""
-    return iter(obj.pairs if isinstance(obj, RepeatedKeys) else obj.items())
+def _members(obj: dict):
+    """The members of a decoded object in document order, and the set that
+    catches a repeated name: only an object whose key repeats needs one."""
+    if isinstance(obj, RepeatedKeys):
+        return iter(obj.pairs), set()
+    return iter(obj.items()), None
 
 
-def _vss_node(path: str, fields) -> tuple[VssSignal, dict | None]:
-    """One node's signal, and a branch's children."""
-    if not isinstance(fields, dict):
-        raise SchemaError(f"node '{path}' must be an object")
-    if isinstance(fields, RepeatedKeys):
-        counts = Counter(key for key, _ in fields.pairs)
-        dupe = next(key for key, n in counts.items() if n > 1)
-        raise CatalogError(f"duplicate field '{dupe}' in node '{path}'")
+def _vss_node(path: str, fields) -> tuple[tuple[VssSignal, CatalogEntry | None], dict | None]:
+    """One node's signal and entry, and a branch's children."""
+    if type(fields) is not dict:
+        if not isinstance(fields, dict):
+            raise SchemaError(f"node '{path}' must be an object")
+        if isinstance(fields, RepeatedKeys):
+            counts = Counter(key for key, _ in fields.pairs)
+            dupe = next(key for key, n in counts.items() if n > 1)
+            raise CatalogError(f"duplicate field '{dupe}' in node '{path}'")
     if "datatype" in fields:
-        return _leaf_signal(path, fields), None
+        return _vss_leaf(path, fields), None
     if "children" in fields:
-        _check_fields(path, fields, _BRANCH_FIELDS)
+        if not fields.keys() <= _BRANCH_FIELDS:
+            raise _unknown_field(path, fields, _BRANCH_FIELDS)
         kind = fields.get("type", "branch")
         if kind != "branch":
             raise SchemaError(f"node '{path}' has children but type '{kind}'")
-        branch = VssSignal(path=path, kind="branch",
-                           description=_opt_str(path, fields, "description"))
+        branch = _branch(path, fields)
         if not isinstance(fields["children"], dict):
             raise SchemaError(f"children of '{path}' must be an object")
         return branch, fields["children"]
     # compact branch form: object-valued keys are the children
     kind = fields.get("type")
-    if kind in ("sensor", "actuator", "attribute"):
+    if kind in _LEAF_KINDS:
         raise SchemaError(f"leaf '{path}' is missing its datatype")
     if kind not in (None, "branch"):
         raise SchemaError(f"node '{path}' has invalid type '{kind}'")
@@ -304,55 +322,31 @@ def _vss_node(path: str, fields) -> tuple[VssSignal, dict | None]:
         raise SchemaError(
             f"node '{path}' mixes scalar field '{scalars[0]}' with child nodes"
         )
+    return _branch(path, fields), children
+
+
+def _branch(path: str, fields: dict) -> tuple[VssSignal, None]:
     return VssSignal(path=path, kind="branch",
-                     description=_opt_str(path, fields, "description")), children
+                     description=_opt_str(path, fields, "description")), None
 
 
-def _check_fields(path: str, fields: dict, allowed: set[str]) -> None:
-    unknown = sorted(set(fields) - allowed)
-    if unknown:
-        raise SchemaError(f"node '{path}' has unknown field '{unknown[0]}'")
-
-
-def _opt_str(path: str, fields: dict, name: str) -> str | None:
-    value = fields.get(name)
-    if value is not None and not isinstance(value, str):
-        raise SchemaError(f"field '{name}' of '{path}' must be a string")
-    return value
-
-
-def _number(value, label: str, integer: bool = False):
-    """A JSON number field: an int when ``integer``, else a float. ``label``
-    names the field in the error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{label} must be a number")
-    if not integer:
-        return float(value)
-    if not isinstance(value, int):
-        raise SchemaError(f"{label} must be an integer")
-    return value
-
-
-def _bounds(subject: str, fields: dict, label) -> tuple[float | None, float | None]:
-    """The optional ``min``/``max`` numbers (null means absent); ``label(name)``
-    names a field in the errors."""
-    lo, hi = fields.get("min"), fields.get("max")
-    lo = None if lo is None else _number(lo, label("min"))
-    hi = None if hi is None else _number(hi, label("max"))
-    if lo is not None and hi is not None and lo > hi:
-        raise SchemaError(f"{subject} has min {lo} greater than max {hi}")
-    return lo, hi
-
-
-def _leaf_signal(path: str, fields: dict) -> VssSignal:
-    _check_fields(path, fields, _LEAF_FIELDS)
+def _vss_leaf(path: str, fields: dict) -> tuple[VssSignal, CatalogEntry]:
+    if not fields.keys() <= _LEAF_FIELDS:
+        raise _unknown_field(path, fields, _LEAF_FIELDS)
     kind = fields.get("type", "attribute")
-    if kind not in ("sensor", "actuator", "attribute"):
+    if kind not in _LEAF_KINDS:
         raise SchemaError(f"leaf '{path}' has invalid type '{kind}'")
     datatype = fields["datatype"]
     if datatype not in VSS_DATATYPES:
         raise SchemaError(f"leaf '{path}' has invalid datatype '{datatype}'")
-    lo, hi = _bounds(f"leaf '{path}'", fields, lambda name: f"field '{name}' of '{path}'")
+    lo, hi = fields.get("min"), fields.get("max")
+    if lo is not None and type(lo) is not float:
+        lo = _float(lo, "field '{}' of '{}'", "min", path)
+    if hi is not None:
+        if type(hi) is not float:
+            hi = _float(hi, "field '{}' of '{}'", "max", path)
+        if lo is not None and lo > hi:
+            raise SchemaError(f"leaf '{path}' has min {lo} greater than max {hi}")
     allowed = fields.get("allowed")
     if allowed is not None:
         if not isinstance(allowed, list) or not allowed or not all(
@@ -364,16 +358,20 @@ def _leaf_signal(path: str, fields: dict) -> VssSignal:
         raise SchemaError(f"enum leaf '{path}' must declare its allowed values")
     if datatype != "enum" and allowed:
         raise SchemaError(f"leaf '{path}' declares allowed values but is not an enum")
-    return VssSignal(
-        path=path,
-        kind=kind,
-        datatype=datatype,
-        unit=_opt_str(path, fields, "unit"),
-        min=lo,
-        max=hi,
-        allowed=allowed,
-        description=_opt_str(path, fields, "description"),
-    )
+    unit = _opt_str(path, fields, "unit")
+    description = _opt_str(path, fields, "description")
+    text = f"{path} {datatype}"
+    if unit:
+        text += " " + unit
+    if description:
+        text += " " + description
+    return _frozen(VssSignal, {
+        "path": path, "kind": kind, "datatype": datatype, "unit": unit,
+        "min": lo, "max": hi, "allowed": allowed, "description": description,
+    }), _frozen(CatalogEntry, {
+        "key": path, "protocol": "VSS", "text": text, "datatype": datatype,
+        "bounds": None if lo is None and hi is None else (lo, hi), "allowed": allowed,
+    })
 
 
 def serialize_vss_catalog(catalog: SignalCatalog) -> str:
@@ -418,20 +416,21 @@ def parse_can_catalog(text: str) -> MessageCatalog:
     doc = load_json(text, CatalogParseError, "message catalog")
     if not isinstance(doc, list):
         raise SchemaError("message catalog root must be an array")
-    messages = [_parse_message(i, obj) for i, obj in enumerate(doc)]
-    return MessageCatalog(messages)
+    return MessageCatalog([_parse_message(i, obj) for i, obj in enumerate(doc)])
+
+
+# ASCII digits only: decimal, or hexadecimal after 0x/0X
+_FRAME_ID_RE = re.compile(r"\s*(?:0[xX]([0-9a-fA-F]+)|([0-9]+))\s*")
 
 
 def _parse_frame_id(raw) -> int:
-    if isinstance(raw, bool):
-        raise SchemaError(f"invalid frame_id {raw!r}")
-    if isinstance(raw, int):
+    if type(raw) is int:
         value = raw
-    elif isinstance(raw, str):
-        text = raw.strip().lower()
+    elif isinstance(raw, str) and (match := _FRAME_ID_RE.fullmatch(raw)):
+        hexadecimal, decimal = match.groups()
         try:
-            value = int(text, 16) if text.startswith("0x") else int(text, 10)
-        except ValueError:
+            value = int(decimal) if hexadecimal is None else int(hexadecimal, 16)
+        except ValueError:  # past int()'s digit limit
             raise SchemaError(f"invalid frame_id {raw!r}") from None
     else:
         raise SchemaError(f"invalid frame_id {raw!r}")
@@ -440,68 +439,93 @@ def _parse_frame_id(raw) -> int:
     return value
 
 
-def _required_int(ctx: str, obj: dict, name: str) -> int:
-    if name not in obj:
-        raise SchemaError(f"{ctx} is missing '{name}'")
-    return _number(obj[name], f"{ctx} field '{name}'", integer=True)
+_SIGNAL = "message '{}' signal '{}'"
+_SIGNAL_FIELD = _SIGNAL + " field '{}'"
 
 
-def _parse_message(index: int, obj) -> CanMessage:
-    ctx = f"message[{index}]"
+def _parse_message(index: int, obj) -> tuple[CanMessage, CatalogEntry]:
+    """One message and its entry."""
     if not isinstance(obj, dict):
-        raise SchemaError(f"{ctx} must be an object")
+        raise SchemaError(f"message[{index}] must be an object")
     name = obj.get("name")
     if not isinstance(name, str) or not name:
-        raise SchemaError(f"{ctx} must have a non-empty name")
-    ctx = f"message '{name}'"
+        raise SchemaError(f"message[{index}] must have a non-empty name")
     frame_id = _parse_frame_id(obj.get("frame_id"))
-    dlc = _required_int(ctx, obj, "dlc")
+    dlc = _int(obj, "dlc", "message '{}'", name)
     if dlc < 0 or dlc > 64:
-        raise SchemaError(f"{ctx} dlc {dlc} outside 0..64")
+        raise SchemaError(f"message '{name}' dlc {dlc} outside 0..64")
     raw_signals = obj.get("signals", [])
     if not isinstance(raw_signals, list):
-        raise SchemaError(f"{ctx} signals must be an array")
+        raise SchemaError(f"message '{name}' signals must be an array")
     signals = []
     seen: set[str] = set()
+    words = [name, "CAN message", f"0x{frame_id:X}"]
     for sig_obj in raw_signals:
-        sig = _parse_can_signal(ctx, sig_obj, dlc)
+        sig = _parse_can_signal(name, sig_obj, dlc)
         if sig.name in seen:
-            raise CatalogError(f"{ctx} has duplicate signal '{sig.name}'")
+            raise CatalogError(f"message '{name}' has duplicate signal '{sig.name}'")
         seen.add(sig.name)
         signals.append(sig)
-    return CanMessage(frame_id=frame_id, name=name, dlc=dlc, signals=tuple(signals))
+        words.append(sig.name)
+        if sig.unit:
+            words.append(sig.unit)
+    datatype = bounds = None
+    if len(signals) == 1:
+        only = signals[0]
+        datatype = "float"
+        if only.min is not None or only.max is not None:
+            bounds = (only.min, only.max)
+    return _frozen(CanMessage, {
+        "frame_id": frame_id, "name": name, "dlc": dlc, "signals": tuple(signals),
+    }), _frozen(CatalogEntry, {
+        "key": name, "protocol": "CAN", "text": " ".join(words), "datatype": datatype,
+        "bounds": bounds, "allowed": None,
+    })
 
 
-def _parse_can_signal(ctx: str, obj, dlc: int) -> CanSignal:
+def _parse_can_signal(message: str, obj, dlc: int) -> CanSignal:
     if not isinstance(obj, dict):
-        raise SchemaError(f"{ctx} signal must be an object")
+        raise SchemaError(f"message '{message}' signal must be an object")
     name = obj.get("name")
     if not isinstance(name, str) or not name:
-        raise SchemaError(f"{ctx} signal must have a non-empty name")
-    sctx = f"{ctx} signal '{name}'"
-    start_bit = _required_int(sctx, obj, "start_bit")
-    bit_length = _required_int(sctx, obj, "bit_length")
+        raise SchemaError(f"message '{message}' signal must have a non-empty name")
+    start_bit, bit_length = obj.get("start_bit"), obj.get("bit_length")
+    if type(start_bit) is not int:
+        start_bit = _int(obj, "start_bit", _SIGNAL, message, name)
+    if type(bit_length) is not int:
+        bit_length = _int(obj, "bit_length", _SIGNAL, message, name)
     if start_bit < 0:
-        raise SchemaError(f"{sctx} start_bit must be non-negative")
+        raise SchemaError(f"{_SIGNAL.format(message, name)} start_bit must be non-negative")
     if bit_length < 1:
-        raise SchemaError(f"{sctx} bit_length must be at least 1")
+        raise SchemaError(f"{_SIGNAL.format(message, name)} bit_length must be at least 1")
     if start_bit + bit_length > dlc * 8:
         raise SchemaError(
-            f"{sctx} spans bits {start_bit}..{start_bit + bit_length - 1}, "
+            f"{_SIGNAL.format(message, name)} spans bits {start_bit}..{start_bit + bit_length - 1}, "
             f"outside the {dlc * 8}-bit frame"
         )
-    scale = _number(obj.get("scale", 1), f"{sctx} field 'scale'")
+    scale, offset = obj.get("scale", 1), obj.get("offset", 0)
+    if type(scale) is not float:
+        scale = _float(scale, _SIGNAL_FIELD, message, name, "scale")
     if scale == 0:
-        raise SchemaError(f"{sctx} scale must be non-zero")
-    offset = _number(obj.get("offset", 0), f"{sctx} field 'offset'")
-    lo, hi = _bounds(sctx, obj, lambda name: f"{sctx} field '{name}'")
+        raise SchemaError(f"{_SIGNAL.format(message, name)} scale must be non-zero")
+    if type(offset) is not float:
+        offset = _float(offset, _SIGNAL_FIELD, message, name, "offset")
+    lo, hi = obj.get("min"), obj.get("max")
+    if lo is not None and type(lo) is not float:
+        lo = _float(lo, _SIGNAL_FIELD, message, name, "min")
+    if hi is not None:
+        if type(hi) is not float:
+            hi = _float(hi, _SIGNAL_FIELD, message, name, "max")
+        if lo is not None and lo > hi:
+            raise SchemaError(
+                f"{_SIGNAL.format(message, name)} has min {lo} greater than max {hi}")
     unit = obj.get("unit")
     if unit is not None and not isinstance(unit, str):
-        raise SchemaError(f"{sctx} unit must be a string")
-    return CanSignal(
-        name=name, start_bit=start_bit, bit_length=bit_length,
-        scale=scale, offset=offset, min=lo, max=hi, unit=unit,
-    )
+        raise SchemaError(f"{_SIGNAL.format(message, name)} unit must be a string")
+    return _frozen(CanSignal, {
+        "name": name, "start_bit": start_bit, "bit_length": bit_length,
+        "scale": scale, "offset": offset, "min": lo, "max": hi, "unit": unit,
+    })
 
 
 def serialize_can_catalog(catalog: MessageCatalog) -> str:
@@ -557,16 +581,19 @@ def validate_value(entry: CatalogEntry, value: str) -> ValueVerdict:
             return ValueVerdict(ok=True)
         return ValueVerdict(False, "not-allowed",
                             f"'{value}' not in {list(entry.allowed or ())}")
-    # numeric datatypes; NaN is no number, since no bound could ever reject it
+    # numeric datatypes: a number in JSON's grammar, an int for an int entry
     try:
-        number = float(int(text, 10)) if entry.datatype == "int" else float(text)
-    except OverflowError:
-        number = int(text, 10)  # too large for a float: compared with the bounds exactly
-    except ValueError:
-        number = math.nan
-    if isinstance(number, float) and math.isnan(number):
+        number = parse_number(text)
+    except (ValueError, OverflowError):
+        number = None
+    if number is None or (entry.datatype == "int" and type(number) is not int):
         return ValueVerdict(False, "type-mismatch",
                             f"'{value}' is not a {entry.datatype}")
+    if type(number) is int:
+        try:
+            number = float(number)
+        except OverflowError:
+            pass  # too large for a float: compared with the bounds exactly
     if entry.bounds:
         lo, hi = entry.bounds
         if lo is not None and number < lo:

@@ -67,18 +67,20 @@ class RetrievalIndex:
 
     def __init__(self, entries: tuple[CatalogEntry, ...]):
         self.entries = entries
-        doc_tokens = [tokenize(entry.text) for entry in entries]
         self.postings = postings = defaultdict(dict)  # term -> {position: tf}
-        for pos, tokens in enumerate(doc_tokens):
+        lengths = []  # each entry's token count; its tokens are dropped once posted
+        for pos, entry in enumerate(entries):
+            tokens = tokenize(entry.text)
+            lengths.append(len(tokens))
             for tok in tokens:
                 posting = postings[tok]
                 posting[pos] = posting.get(pos, 0) + 1
         self.idf = {term: math.log(1 + (len(entries) - len(posting) + 0.5) / (len(posting) + 0.5))
                     for term, posting in postings.items()}
-        avg_doc_length = sum(map(len, doc_tokens)) / len(entries) if entries else 0.0
+        avg_doc_length = sum(lengths) / len(entries) if entries else 0.0
         # an entry without tokens has no postings, so its norm is never read
-        self.norms = tuple(BM25_K1 * (1 - BM25_B + BM25_B * len(tokens) / avg_doc_length)
-                           if tokens else 0.0 for tokens in doc_tokens)
+        self.norms = tuple(BM25_K1 * (1 - BM25_B + BM25_B * length / avg_doc_length)
+                           if length else 0.0 for length in lengths)
 
     def __len__(self) -> int:
         return len(self.entries)

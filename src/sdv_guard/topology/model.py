@@ -457,7 +457,8 @@ _ATTR_RE = re.compile(
 _ARROW_RE = re.compile(
     r"^(?P<src>[A-Za-z_][A-Za-z0-9_.-]*)\s*-+>\s*(?P<dst>[A-Za-z_][A-Za-z0-9_.-]*)\s*:\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)$"
 )
-_NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?([eE][+-]?\d+)?$")
+# the first characters of a number (util.parse_number) once stripped
+_NUMBER_STARTS = frozenset("-0123456789")
 
 
 def _parse_scalar(raw: str, lineno: int):
@@ -468,12 +469,14 @@ def _parse_scalar(raw: str, lineno: int):
         return True
     if text == "false":
         return False
-    if _NUMBER_RE.match(text):
-        try:
-            return parse_number(text)
-        except ValueError:
-            raise ModelImportError("number out of range", line=lineno) from None
-    return text  # bare word: enum literal or unquoted string
+    if text[:1] not in _NUMBER_STARTS:
+        return text  # bare word: enum literal or unquoted string
+    try:
+        return parse_number(text)
+    except ValueError:
+        return text
+    except OverflowError:
+        raise ModelImportError("number out of range", line=lineno) from None
 
 
 def import_class_diagram(text: str) -> InstanceModel:
@@ -524,10 +527,8 @@ def _format_scalar(value) -> str:
     if isinstance(value, (int, float)):
         return repr(value)
     text = str(value)
-    if _NUMBER_RE.match(text) or text in ("true", "false"):
-        return f'"{text}"'
-    if re.match(r"^[A-Za-z_][A-Za-z0-9_-]*$", text):
-        return text  # bare: round-trips as the same string
+    if text not in ("true", "false") and re.match(r"^[A-Za-z_][A-Za-z0-9_-]*$", text):
+        return text  # bare: round-trips as the same string; no number has this form
     return f'"{text}"'
 
 

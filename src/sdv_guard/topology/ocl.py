@@ -341,6 +341,9 @@ class _Parser:
             try:  # an int literal stays exact
                 value = parse_number(token.text)
             except ValueError:
+                raise ConstraintError(f"invalid number '{token.text}'",
+                                      position=token.position) from None
+            except OverflowError:
                 raise ConstraintError("number out of range", position=token.position) from None
             return NumberLit(value=value, is_real="." in token.text)
         if token.kind == "STRING":
@@ -543,8 +546,8 @@ class _Compiler:
                         raise _EvalFault("toReal cannot convert an int this large") from None
                 if isinstance(value, str):
                     try:
-                        return float(value.strip())
-                    except ValueError:
+                        return float(parse_number(value))
+                    except (ValueError, OverflowError):
                         raise _EvalFault(
                             f"toReal cannot convert '{value}'"
                         ) from None

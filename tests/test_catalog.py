@@ -1,9 +1,12 @@
 """Catalog parsing, canonical serialization, and value validation."""
 
+import dataclasses
 import json
+import random
 
 import pytest
 
+from bench import generators as gen
 from sdv_guard.catalog import (
     CatalogEntry,
     CatalogError,
@@ -133,6 +136,21 @@ def test_frame_id_hex_and_decimal_are_equivalent():
     assert parse_can_catalog(hex_form) == parse_can_catalog(dec_form)
 
 
+@pytest.mark.parametrize("raw", ["0x1A", "0X1a", " 0x1a\t", "26", "\n26 ", "026", "\u2003 26"])
+def test_frame_id_strings_of_ascii_digits(raw):
+    text = json.dumps([{"frame_id": raw, "name": "M", "dlc": 1}])
+    assert parse_can_catalog(text).messages[0].frame_id == 26
+
+
+@pytest.mark.parametrize("raw", ["１２", "٣", "1_000", "0x_1F", "0x1_F", " +12 ", "-5", "0x",
+                                 "0x 1F", "0b11", "1e3", "", " "])
+def test_frame_id_strings_outside_the_grammar_are_rejected(raw):
+    text = json.dumps([{"frame_id": raw, "name": "M", "dlc": 1}])
+    with pytest.raises(SchemaError) as err:
+        parse_can_catalog(text)
+    assert str(err.value) == f"invalid frame_id {raw!r}"
+
+
 def test_message_catalog_round_trip(message_catalog):
     canonical = serialize_can_catalog(message_catalog)
     again = parse_can_catalog(canonical)
@@ -179,6 +197,47 @@ def test_duplicate_message_identity_rejected():
                   {"frame_id": 3, "name": "B", "dlc": 1}]
     with pytest.raises(CatalogError, match="duplicate frame id"):
         parse_can_catalog(json.dumps(two_frames))
+
+
+def _bench_catalogs(seed: int):
+    rng = random.Random(seed)
+    vss_text, _ = gen.vss_catalog(rng, 300)
+    can_text, _ = gen.can_catalog(rng, 120)
+    return (parse_vss_catalog(vss_text), serialize_vss_catalog, parse_vss_catalog), \
+        (parse_can_catalog(can_text), serialize_can_catalog, parse_can_catalog)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_bench_catalogs_round_trip(seed):
+    for catalog, serialize, parse in _bench_catalogs(seed):
+        canonical = serialize(catalog)
+        again = parse(canonical)
+        assert again == catalog
+        assert again.entries == catalog.entries
+        assert serialize(again) == canonical
+
+
+def test_parsed_objects_are_frozen_and_equal_by_value(signal_catalog, message_catalog):
+    # the parsers build these without __init__; they must be the same values
+    objects = [*signal_catalog.signals, *signal_catalog.entries, *message_catalog.messages,
+               *message_catalog.entries,
+               *(sig for msg in message_catalog.messages for sig in msg.signals)]
+    for obj in objects:
+        cls = type(obj)
+        values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(cls)}
+        built = cls(**values)
+        assert vars(obj) == vars(built) and list(vars(obj)) == list(vars(built))
+        assert (obj, hash(obj), repr(obj)) == (built, hash(built), repr(built))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, dataclasses.fields(cls)[0].name, None)
+
+
+def test_alias_lookup_finds_the_entry_under_any_separators(vss_text):
+    catalog = parse_vss_catalog(vss_text)
+    target = catalog.lookup_entry("Vehicle.Speed.Target")
+    assert catalog.lookup_normalized("vehicle_speed_target") == (target,)
+    assert catalog.lookup_normalized("Vehicle-Speed-Target") == (target,)
+    assert catalog.lookup_normalized("no such signal") == ()
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +299,33 @@ def test_validate_value_int_too_large_for_a_float(bounds, text, verdict):
     assert (result.ok, result.violation) == verdict
     if not result.ok:
         assert result.detail.startswith(text + (" > " if text[0] == "1" else " < "))
+
+
+@pytest.mark.parametrize("datatype", ["float", "int"])
+@pytest.mark.parametrize("text", [
+    "inf", "-inf", "Infinity", "1_000", "+5", ".5", "5.", "05", "-05", "0x10", "1e999",
+    "１２", "٣", "5 5", "", "--5", "1e", "e5",
+])
+def test_validate_value_reads_only_json_numbers(datatype, text):
+    # each was a number to float() or int(); none is one in JSON's grammar
+    verdict = validate_value(_entry(datatype=datatype, bounds=(0.0, None)), text)
+    assert (verdict.ok, verdict.violation) == (False, "type-mismatch")
+    assert verdict.detail == f"'{text}' is not a {datatype}"
+
+
+@pytest.mark.parametrize("datatype, text, verdict", [
+    ("float", " 7 ", (True, None, None)),
+    ("float", "\t-0.5e1\n", (False, "below-min", "-5.0 < 0.0")),
+    ("float", "1E+2", (True, None, None)),
+    ("float", "250.5", (False, "above-max", "250.5 > 250.0")),
+    ("int", " 250 ", (True, None, None)),
+    ("int", "1e2", (False, "type-mismatch", "'1e2' is not a int")),
+    ("int", "7.0", (False, "type-mismatch", "'7.0' is not a int")),
+    ("float", "1" * 400, (False, "above-max", "1" * 400 + " > 250.0")),
+])
+def test_validate_value_json_numbers(datatype, text, verdict):
+    result = validate_value(_entry(datatype=datatype, bounds=(0.0, 250.0)), text)
+    assert (result.ok, result.violation, result.detail) == verdict
 
 
 def test_validate_value_without_datatype_accepts_anything():

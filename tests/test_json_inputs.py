@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,7 @@ from sdv_guard.pipeline import (
 )
 from sdv_guard.pipeline.cli import main
 from sdv_guard.topology import parse_instance, parse_metamodel
-from sdv_guard.util import RepeatedKeys, load_json
+from sdv_guard.util import RepeatedKeys, load_json, parse_number
 
 from conftest import FIXTURES, ROOT
 
@@ -343,3 +344,68 @@ def test_code_fences_are_read_only_in_eventchain():
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "```" in node.value
     }
     assert holders == {"sdv_guard/eventchain.py"}
+
+
+# ---------------------------------------------------------------------------
+# the number reader: JSON's grammar (RFC 8259 section 6), whitespace around
+
+_NUMBER_GRAMMAR = r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?"
+_SPACES = st.sampled_from(["", " ", "\t", "\n ", "\r\n", "\u2003", "\x0b", " \u3000"])
+
+
+def _reading(read, text: str):
+    """How ``read`` takes ``text``: ("number", repr) or ("range", None) or ("no", None)."""
+    try:
+        value = read(text)
+    except OverflowError:
+        return "range", None
+    except ValueError as exc:
+        return ("range", None) if "Exceeds the limit" in str(exc) else ("no", None)
+    if type(value) not in (int, float):
+        return "no", None
+    if value in (math.inf, -math.inf):
+        return "range", None
+    return "number", repr(value)  # repr tells 1 from 1.0 and 0.0 from -0.0
+
+
+def _json_reading(text: str):
+    return _reading(lambda t: json.loads(t.strip(), parse_constant=_reject), text)
+
+
+def _reject(name):
+    raise ValueError(name)
+
+
+# near misses of the grammar (signs, leading zeros, empty parts, other
+# digits), and text at large
+_NEAR_NUMBERS = st.from_regex(
+    r"\s?[-+]{0,2}[0-9\u0661\uff11_]{0,4}(\.[0-9]{0,2})?([eE][-+]?[0-9]{0,3})?\s?", fullmatch=True)
+_TEXT = st.text(alphabet="0123456789-+.eE_xX \t\n\u2003\u0661\uff11infaINFNa[]", max_size=10)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.one_of(_NEAR_NUMBERS, _TEXT))
+def test_parse_number_accepts_exactly_what_json_reads_as_a_number(text):
+    assert _reading(parse_number, text) == _json_reading(text)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_SPACES, st.from_regex(_NUMBER_GRAMMAR, fullmatch=True), _SPACES)
+def test_parse_number_reads_every_json_number(before, number, after):
+    reading = _reading(parse_number, before + number + after)
+    assert reading[0] != "no"
+    assert reading == _json_reading(number)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("-0", 0), ("-0.0", -0.0), (" 12 ", 12), ("1.5e2", 150.0), ("1E-2", 0.01),
+    (" -7\n", -7), ("1" * 400, int("1" * 400)),
+])
+def test_parse_number_values(text, value):
+    assert repr(parse_number(text)) == repr(value)
+
+
+@pytest.mark.parametrize("text", ["1e999", "-1e999", "9" * 5000])
+def test_parse_number_out_of_range(text):
+    with pytest.raises(OverflowError, match="out of range"):
+        parse_number(text)

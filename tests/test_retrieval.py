@@ -7,6 +7,7 @@ documented formula (k1 = 1.2, b = 0.75, idf = ln(1 + (N - df + 0.5) /
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from sdv_guard.retrieval import (
     retrieve_top_k,
     score_stage1,
 )
-from sdv_guard.util import token_estimate
+from sdv_guard.util import token_estimate, tokenize
 
 
 def _entry(key: str, text: str) -> CatalogEntry:
@@ -203,3 +204,12 @@ def test_retrieval_defines_no_per_entry_scorer():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     assert "bm25_score" not in defined
     assert "score_stage1" in defined
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.one_of(st.text(alphabet=st.characters(max_codepoint=127)),
+                 st.text(alphabet="aZ9 _.-\tİKßﬁ١é\u2003", max_size=12),
+                 st.text()))
+def test_tokenize_is_the_alphanumeric_runs_of_the_lowercased_text(text):
+    # ASCII text takes a faster path; it must find the same tokens
+    assert tokenize(text) == re.findall(r"[a-z0-9]+", text.lower())

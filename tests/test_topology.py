@@ -260,6 +260,17 @@ def test_unquoted_scalars_parse_by_shape():
     assert 'o : g = "1e5"' in export_class_diagram(model)
 
 
+@pytest.mark.parametrize("word", ["012", "-01", "+5", ".5", "5.", "1e", "0x1F", "1_000", "١٢"])
+def test_unquoted_words_outside_the_number_grammar_are_strings(word):
+    # only JSON's number grammar reads as a number; these stay words and
+    # export quoted, so they re-import as the same strings
+    model = import_class_diagram(f"@startuml\nobject o : Thing\no : a = {word}\n@enduml\n")
+    assert model.get("o").attrs == {"a": word}
+    exported = export_class_diagram(model)
+    assert f'o : a = "{word}"' in exported
+    assert import_class_diagram(exported) == model
+
+
 @pytest.mark.parametrize("text, message, line", [
     ("object x : A\n@enduml\n", "must begin with @startuml", 1),
     ("@startuml\nobject x : A\n", "must end with @enduml", 2),
@@ -375,6 +386,8 @@ def test_shipped_constraints_parse(security_constraints):
      "number out of range"),
     ("context Message inv X: let x : Integer = " + "9" * 5000 + " in x <= 1",
      "number out of range"),
+    ("context Message inv X: let x : Integer = 012 in x <= 1", "invalid number '012'"),
+    ("context Message inv X: let x : Integer = ٣ in x <= 1", "invalid number '٣'"),
 ])
 def test_constraint_rejects(metamodel, text, message):
     with pytest.raises(ConstraintError, match=message):
@@ -557,6 +570,32 @@ def test_non_numeric_steering_payload_fails_with_reason(metamodel,
     row = _verdict_of(report, "SteeringCommandWithinLimits", "m")
     assert row.verdict == VERDICT_FAIL
     assert "toReal cannot convert 'hard left'" in row.reason
+
+
+@pytest.mark.parametrize("payload", [
+    "nan", "NaN", "inf", "-Infinity", "1_000", "+5", "0x10", ".5", "5.", "05", "１２", "1e999",
+    "1" * 400,
+])
+def test_to_real_reads_only_json_numbers(metamodel, payload):
+    # "nan" once became NaN, every comparison with it was false, and a
+    # negated bound passed
+    constraints = parse_constraints(
+        "context Message inv NotAbove: not (self.payloadValue.toReal() > 15.0)\n"
+        "context Message inv AtMost: self.payloadValue.toReal() <= 15.0\n", metamodel)
+    report = eval_constraints(_steer_message(payload), constraints, metamodel)
+    for name in ("NotAbove", "AtMost"):
+        row = _verdict_of(report, name, "m")
+        assert (row.verdict, row.reason) == (VERDICT_FAIL, f"toReal cannot convert '{payload}'")
+
+
+@pytest.mark.parametrize("payload, expected", [
+    (" 15 ", VERDICT_PASS), ("1.5e1", VERDICT_PASS), ("-0", VERDICT_PASS), ("15.000001", VERDICT_FAIL),
+])
+def test_to_real_reads_json_numbers_with_surrounding_whitespace(metamodel, payload, expected):
+    constraints = parse_constraints(
+        "context Message inv AtMost: self.payloadValue.toReal() <= 15.0\n", metamodel)
+    report = eval_constraints(_steer_message(payload), constraints, metamodel)
+    assert _verdict_of(report, "AtMost", "m").verdict == expected
 
 
 def test_false_antecedent_short_circuits(metamodel, security_constraints):
