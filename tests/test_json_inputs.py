@@ -335,6 +335,30 @@ def test_json_is_decoded_only_by_load_json_and_the_extraction_scanner():
     assert found == _ALLOWED
 
 
+# every float() call, by (file, innermost function); only util._json_float
+# is given text, which the JSON grammar has already matched; the others
+# convert numbers (JSON numbers, ints, a Fraction)
+_FLOAT_CALLS = {("util.py", "_json_float"), ("catalog.py", "_float"),
+                ("catalog.py", "validate_value"), ("ocl.py", "to_real"),
+                ("harness.py", "percent")}
+
+
+def test_text_becomes_a_float_only_through_the_number_reader():
+    found = set()
+
+    def visit(node, filename: str, scope: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.add((filename, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, filename, scope)
+
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
+    assert found == _FLOAT_CALLS
+
+
 def test_code_fences_are_read_only_in_eventchain():
     # fenced completions have one reader: eventchain's fence helpers
     holders = {
