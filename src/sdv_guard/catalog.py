@@ -28,13 +28,12 @@ Only ``extraction`` reads that map, and only after an exact lookup misses.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CatalogError, CatalogParseError, SchemaError
-from .util import RepeatedKeys, load_json, normalize_name, parse_number
+from .util import RepeatedKeys, dump_json, load_json, normalize_name, parse_number
 
 VSS_KINDS = ("sensor", "actuator", "attribute", "branch")
 VSS_DATATYPES = ("boolean", "int", "float", "string", "enum")
@@ -205,7 +204,10 @@ def _float(value, label: str, *args) -> float:
     ``type(value) is float`` first, the common case, and skip the call."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(label.format(*args) + " must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past a float's range
+        raise SchemaError(label.format(*args) + " is out of range") from None
 
 
 _MISSING = object()
@@ -405,7 +407,7 @@ def serialize_vss_catalog(catalog: SignalCatalog) -> str:
             parent["children"][tail] = node
         else:
             root[sig.path] = node
-    return json.dumps(root, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return dump_json(root, ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +554,7 @@ def serialize_can_catalog(catalog: MessageCatalog) -> str:
                     sig_obj[name] = value
             entry["signals"].append(sig_obj)
         out.append(entry)
-    return json.dumps(out, indent=2, ensure_ascii=False) + "\n"
+    return dump_json(out, sort_keys=False, ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------

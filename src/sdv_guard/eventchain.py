@@ -82,9 +82,6 @@ class ActivityGraph:
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
 
-    def outgoing(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == node_id]
-
 
 @dataclass(frozen=True)
 class EventStep:

@@ -27,14 +27,13 @@ the exact prompt text to the completion text, keys sorted.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError, GatewayError, ReplayMissError, TemplateError
-from .util import load_json, read_text, sha256_text, write_atomic
+from .util import dump_json, load_json, read_text, sha256_text, write_atomic
 
 ENV_URL = "SDVGUARD_LLM_URL"
 ENV_KEY = "SDVGUARD_LLM_KEY"
@@ -158,8 +157,7 @@ class ReplayStore:
         if self.path is None:
             raise ConfigurationError("replay store has no path to save to")
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(self.path, json.dumps(self.entries, indent=2, sort_keys=True,
-                                           ensure_ascii=False) + "\n")
+        write_atomic(self.path, dump_json(self.entries, ensure_ascii=False))
 
     def record(self, prompt: str, completion: str) -> str:
         digest = prompt_digest(prompt)

@@ -9,7 +9,6 @@ rejected entries; for ``eval`` without fault injection, imperfect scores),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from ..eventchain import (
 )
 from ..safety_rules import VERDICT_PASS, check, parse_rules, render_report
 from ..topology import default_metamodel, parse_metamodel, render_topology_report
-from ..util import read_text
+from ..util import dump_json, read_text
 from .config import PipelineConfig, build_gateway, load_config
 from .harness import render_harness_report, run_eval_harness
 from .runs import run_safety_pipeline_files, run_topology_pipeline
@@ -92,22 +91,25 @@ def _cmd_analyze_topology(args) -> int:
     return 0 if result.verdict == VERDICT_PASS else 1
 
 
-def _cmd_extract_signals(args) -> int:
+def _extract_from_files(args):
+    """The grounded extraction that ``extract-signals`` and ``build-chain``
+    both start with; returns the config, gateway, code and report."""
     config = _config_for(args)
     gateway = build_gateway(config)
     code = read_text(args.code, "code")
     catalogs = load_catalogs(args.vss, args.can)
     report = extract_grounded(code, *catalogs, catalog_index(*catalogs), gateway, config)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    return config, gateway, code, report
+
+
+def _cmd_extract_signals(args) -> int:
+    *_, report = _extract_from_files(args)
+    print(dump_json(report.to_dict()), end="")
     return 1 if report.rejected else 0
 
 
 def _cmd_build_chain(args) -> int:
-    config = _config_for(args)
-    gateway = build_gateway(config)
-    code = read_text(args.code, "code")
-    catalogs = load_catalogs(args.vss, args.can)
-    report = extract_grounded(code, *catalogs, catalog_index(*catalogs), gateway, config)
+    config, gateway, code, report = _extract_from_files(args)
     current_chain = (read_text(args.current_chain, "current chain")
                      if args.current_chain else "")
     diagram, document = generate_chain(code, current_chain, report.accepted, gateway)

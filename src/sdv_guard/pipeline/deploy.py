@@ -10,13 +10,12 @@ cannot be re-read and verification says so instead of guessing.
 
 from __future__ import annotations
 
-import json
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ConfigurationError, DeploymentError
-from ..util import load_json, mismatched_files, read_text, sha256_bytes, write_atomic
+from ..util import dump_json, load_json, mismatched_files, read_text, sha256_bytes, write_atomic
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ def deploy_stub(source_dir: str | Path, target: str) -> Receipt:
 
 
 def save_receipt(receipt: Receipt, path: str | Path) -> None:
-    write_atomic(path, json.dumps(receipt.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_atomic(path, dump_json(receipt.to_dict()))
 
 
 def load_receipt(path: str | Path) -> Receipt:

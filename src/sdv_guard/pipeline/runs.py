@@ -10,8 +10,7 @@ byte for byte; wall-clock timestamps appear only inside ``run.json``.
 from __future__ import annotations
 
 import datetime as _dt
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..catalog import parse_can_catalog, parse_vss_catalog
@@ -49,7 +48,7 @@ from ..topology import (
     render_topology_report,
     serialize_instance,
 )
-from ..util import load_json, mismatched_files, read_text, sha256_bytes, write_atomic
+from ..util import dump_json, load_json, mismatched_files, read_text, sha256_bytes, write_atomic
 from .config import PipelineConfig
 from .stages import catalog_index, ground_code, run_extraction
 
@@ -69,15 +68,8 @@ class RunRecord:
     artifacts: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "config": self.config,
-            "iterations": self.iterations,
-            "artifacts": self.artifacts,
-        }
+        # shallow, unlike dataclasses.asdict, whose deep copy costs more than the dump
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _now() -> str:
@@ -124,7 +116,7 @@ class _ArtifactWriter:
     def finish(self) -> Path:
         self.record.finished_at = _now()
         path = self.out_dir / "run.json"
-        write_atomic(path, json.dumps(self.record.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_atomic(path, dump_json(self.record.to_dict()))
         return path
 
 
@@ -219,8 +211,7 @@ def run_safety_pipeline(code: str, vss_text: str, can_text: str, rules_text: str
                                    signal_catalog, message_catalog,
                                    max_retries=config.max_extraction_retries),
         )
-        writer.write(f"extraction{suffix}.json",
-                     json.dumps(extraction.to_dict(), indent=2, sort_keys=True) + "\n")
+        writer.write(f"extraction{suffix}.json", dump_json(extraction.to_dict()))
         diagram, document = writer.stage(
             "chain",
             lambda: generate_chain(current_code, current_chain,
@@ -230,8 +221,7 @@ def run_safety_pipeline(code: str, vss_text: str, can_text: str, rules_text: str
         writer.write(f"chain{suffix}.json", serialize_chain(document) + "\n")
         safety = writer.stage("check", lambda: check(document, ruleset))
         writer.write(f"safety{suffix}.txt", render_report(safety))
-        writer.write(f"safety{suffix}.json",
-                     json.dumps(safety.to_dict(), indent=2, sort_keys=True) + "\n")
+        writer.write(f"safety{suffix}.json", dump_json(safety.to_dict()))
 
         corrected: str | None = None
         if safety.violated and auto_correct and index < config.max_iterations:
@@ -367,8 +357,7 @@ def run_topology_pipeline(gateway: LlmGateway, config: PipelineConfig,
         writer.write(f"model{suffix}.puml", export_class_diagram(model))
         writer.write(f"model{suffix}.json", serialize_instance(model))
         writer.write(f"topology{suffix}.txt", render_topology_report(report))
-        writer.write(f"topology{suffix}.json",
-                     json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        writer.write(f"topology{suffix}.json", dump_json(report.to_dict()))
         iterations.append(TopologyIteration(index=index, model=model, report=report))
         record.iterations.append({
             "index": index,

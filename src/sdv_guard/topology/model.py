@@ -35,13 +35,12 @@ delimiter is rejected). Import and export are inverses over this subset.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 
 from ..errors import InstanceParseError, MetamodelError, ModelImportError
-from ..util import load_json, parse_number, plantuml_body
+from ..util import dump_json, load_json, parse_number, plantuml_body
 
 KIND_RE = re.compile(r"^(string|real|int|bool|enum\(([A-Za-z_][A-Za-z0-9_]*)\)|ref\(([A-Za-z_][A-Za-z0-9_]*)\))$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -231,7 +230,7 @@ def serialize_metamodel(metamodel: Metamodel) -> str:
             for e in metamodel.enums.values()
         ],
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return dump_json(doc, sort_keys=False, ensure_ascii=False)
 
 
 def default_metamodel() -> Metamodel:
@@ -330,13 +329,13 @@ def serialize_instance(model: InstanceModel) -> str:
             {
                 "id": obj.id,
                 "class": obj.cls,
-                "attributes": {k: obj.attrs[k] for k in sorted(obj.attrs)},
-                "references": {k: obj.refs[k] for k in sorted(obj.refs)},
+                "attributes": obj.attrs,
+                "references": obj.refs,
             }
             for obj in sorted(model.objects.values(), key=lambda o: o.id)
         ]
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+    return dump_json(doc, ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,12 @@ def load_json(text: str, error_type: type[SdvGuardError], what: str):
         raise error_type(f"{what} is not valid JSON: {exc}") from exc
 
 
+def dump_json(value, *, sort_keys: bool = True, ensure_ascii: bool = True) -> str:
+    """The one layout of every indented JSON file: 2-space indent, a final
+    newline; keys sorted and non-ASCII escaped unless a flag says otherwise."""
+    return json.dumps(value, indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii) + "\n"
+
+
 def canonical_json(value) -> str:
     """Deterministic JSON: sorted keys, compact separators, unicode kept."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)

@@ -71,6 +71,9 @@ def test_signal_catalog_round_trip(signal_catalog, vss_text):
     assert serialize_vss_catalog(again) == canonical
 
 
+HUGE = 10 ** 400  # an integer past a float's range
+
+
 @pytest.mark.parametrize("node, message_part", [
     ({"datatype": "enum"}, "allowed"),
     ({"datatype": "float", "min": 5, "max": 1}, "min 5.0 greater than max"),
@@ -79,6 +82,8 @@ def test_signal_catalog_round_trip(signal_catalog, vss_text):
     ({"type": "sensor"}, "missing its datatype"),
     ({"datatype": "float", "frequency": 10}, "unknown field"),
     ({"type": "relay", "datatype": "boolean"}, "invalid type"),
+    ({"datatype": "int", "min": -HUGE}, "^field 'min' of 'Leaf' is out of range$"),
+    ({"datatype": "int", "max": HUGE}, "^field 'max' of 'Leaf' is out of range$"),
 ])
 def test_signal_schema_errors(node, message_part):
     with pytest.raises(SchemaError, match=message_part):
@@ -182,6 +187,10 @@ def test_message_catalog_round_trip(message_catalog):
     ({"frame_id": 1, "name": "M", "dlc": 1,
       "signals": [{"name": "S", "start_bit": 0, "bit_length": 1, "scale": 0, "offset": "x"}]},
      "scale must be non-zero"),
+    *(({"frame_id": 1, "name": "M", "dlc": 1,
+        "signals": [{"name": "S", "start_bit": 0, "bit_length": 1, field: value}]},
+       f"^message 'M' signal 'S' field '{field}' is out of range$")
+      for field, value in (("scale", HUGE), ("offset", -HUGE), ("min", -HUGE), ("max", HUGE))),
 ])
 def test_message_schema_errors(message, message_part):
     with pytest.raises(SchemaError, match=message_part):

@@ -67,7 +67,7 @@ def test_parse_branching_fixture(fixtures_dir):
     assert sense.note("output") is None
     decision = graph.nodes[2]
     assert decision.label == "pedestrian in frame?"
-    guards = {e.guard for e in graph.outgoing(decision.id)}
+    guards = {e.guard for e in graph.edges if e.src == decision.id}
     assert guards == {"yes", "no"}
 
 

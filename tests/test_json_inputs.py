@@ -195,6 +195,20 @@ def test_empty_arrays_are_not_vss_objects(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("vss", '{"A": {"datatype": "int", "max": 1' + "0" * 400 + "}}",
+     "field 'max' of 'A' is out of range"),
+    ("can", '[{"frame_id": 1, "name": "M", "dlc": 1, "signals": [{"name": "S", '
+     '"start_bit": 0, "bit_length": 1, "scale": -1' + "0" * 400 + "}]}]",
+     "message 'M' signal 'S' field 'scale' is out of range"),
+], ids=["vss", "can"])
+def test_cli_reports_a_catalog_integer_past_a_float(tmp_path, capsys, name, text, message):
+    bad = tmp_path / f"{name}.json"
+    bad.write_text(text)
+    assert main(_argv(name, str(bad), str(tmp_path / "out"))) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: any text or JSON value gives a toolkit error or a result
 
@@ -299,14 +313,16 @@ def test_json_entry_points_fail_only_with_toolkit_errors(fuzz_dir, name):
 
 
 _DECODERS = {"loads", "load", "JSONDecoder", "raw_decode"}
-_ALLOWED = {("util.py", "load_json"), ("extraction.py", "_first_json_array")}
+_ENCODERS = {"dumps", "dump", "JSONEncoder", "encoder"}
 
 
-class _DecodeSites(ast.NodeVisitor):
-    """(file, innermost function) of every ``json.<decoder>`` use."""
+class _JsonSites(ast.NodeVisitor):
+    """(file, innermost function) of every ``json.<name>`` use for the
+    given names, and of every ``from json import``."""
 
-    def __init__(self, filename: str):
+    def __init__(self, filename: str, names: set[str]):
         self.filename = filename
+        self.names = names
         self.scope = ["<module>"]
         self.found: set[tuple[str, str]] = set()
 
@@ -316,7 +332,7 @@ class _DecodeSites(ast.NodeVisitor):
         self.scope.pop()
 
     def visit_Attribute(self, node):
-        if (node.attr in _DECODERS and isinstance(node.value, ast.Name)
+        if (node.attr in self.names and isinstance(node.value, ast.Name)
                 and node.value.id == "json"):
             self.found.add((self.filename, self.scope[-1]))
         self.generic_visit(node)
@@ -326,13 +342,24 @@ class _DecodeSites(ast.NodeVisitor):
             self.found.add((self.filename, "from json import"))
 
 
-def test_json_is_decoded_only_by_load_json_and_the_extraction_scanner():
+def _json_sites(names: set[str]) -> set[tuple[str, str]]:
     found = set()
     for path in sorted((ROOT / "src").rglob("*.py")):
-        sites = _DecodeSites(path.name)
+        sites = _JsonSites(path.name, names)
         sites.visit(ast.parse(path.read_text(encoding="utf-8")))
         found |= sites.found
-    assert found == _ALLOWED
+    return found
+
+
+def test_json_is_decoded_only_by_load_json_and_the_extraction_scanner():
+    assert _json_sites(_DECODERS) == {("util.py", "load_json"),
+                                      ("extraction.py", "_first_json_array")}
+
+
+def test_json_is_encoded_only_by_the_two_writers():
+    # one indented layout for files and stdout, one compact form for hashing
+    assert _json_sites(_ENCODERS) == {("util.py", "dump_json"),
+                                      ("util.py", "canonical_json")}
 
 
 # every float() call, by (file, innermost function); only util._json_float
