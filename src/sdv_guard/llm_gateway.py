@@ -224,6 +224,11 @@ class LlmGateway:
             raise GatewayError("endpoint response missing choices[0].message.content") from None
         if not isinstance(content, str):
             raise GatewayError("endpoint returned a non-text completion")
+        try:  # a lone surrogate cannot be stored, reported or written
+            content.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise GatewayError(f"endpoint returned a completion that is not Unicode text: "
+                               f"{exc.reason} at position {exc.start}") from None
         return content
 
     def _http_post(self, payload: dict) -> dict:

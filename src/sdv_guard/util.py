@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+from itertools import repeat
 from pathlib import Path
 
 from .errors import CatalogParseError, ConfigurationError, SdvGuardError
@@ -131,24 +132,127 @@ def _json_float(text: str) -> float:
     return value
 
 
+# a \uD800-\uDFFF escape; text read as UTF-8 holds no surrogate itself, so
+# only such an escape can put a lone surrogate into a decoded string (text
+# without a backslash, as most catalogs are, skips the search)
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _reject_lone_surrogates(value) -> None:
+    """A ValueError when a string in the decoded ``value`` (a key included)
+    holds a surrogate that is not part of a pair, which no UTF-8 writer can
+    write."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            try:
+                item.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"a string holds the lone surrogate "
+                                 f"U+{ord(item[exc.start]):04X}") from None
+        elif isinstance(item, dict):  # a RepeatedKeys with every pair
+            for pair in item.pairs if isinstance(item, RepeatedKeys) else item.items():
+                stack.extend(pair)
+        elif isinstance(item, list):
+            stack.extend(item)
+
+
 def load_json(text: str, error_type: type[SdvGuardError], what: str):
     """Decode strict JSON (RFC 8259: no NaN or Infinity) with no number beyond
-    a float's range into plain values; an object whose key repeats is a
-    ``RepeatedKeys``. Any failure, too deep a nesting included, is an
-    ``error_type`` naming ``what``."""
+    a float's range and no lone surrogate in a string into plain values; an
+    object whose key repeats is a ``RepeatedKeys``. Any failure, too deep a
+    nesting included, is an ``error_type`` naming ``what``."""
     try:
-        return json.loads(text, object_pairs_hook=_object, parse_float=_json_float,
-                          parse_constant=_reject_constant)
+        value = json.loads(text, object_pairs_hook=_object, parse_float=_json_float,
+                           parse_constant=_reject_constant)
+        if "\\" in text and _SURROGATE_ESCAPE_RE.search(text):
+            _reject_lone_surrogates(value)
+        return value
     except (RecursionError, ValueError, OverflowError) as exc:
         if isinstance(exc, json.JSONDecodeError) and issubclass(error_type, CatalogParseError):
             raise error_type(exc.msg, line=exc.lineno, column=exc.colno) from exc
         raise error_type(f"{what} is not valid JSON: {exc}") from exc
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _flat(values) -> bool:
+    """No value is a container."""
+    return not any(map(isinstance, values, repeat(_CONTAINERS)))
+
+
+def _flat_rows(items) -> bool:
+    """Every item is a non-empty dict of scalars."""
+    return all(isinstance(row, dict) and row and _flat(row.values()) for row in items)
+
+
+def _not_serializable(value):
+    """The C encoder's ``default`` hook: json.dumps's error for a value of no
+    JSON type."""
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def dump_json(value, *, sort_keys: bool = True, ensure_ascii: bool = True) -> str:
     """The one layout of every indented JSON file: 2-space indent, a final
-    newline; keys sorted and non-ASCII escaped unless a flag says otherwise."""
-    return json.dumps(value, indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii) + "\n"
+    newline; keys sorted and non-ASCII escaped unless a flag says otherwise.
+
+    The text is exactly ``json.dumps(value, indent=2, ...) + "\\n"``. CPython
+    writes ``indent`` output with its pure-Python encoder, so this hands each
+    container of scalars to the C encoder instead, with the indent of its
+    depth as the item separator, and lays out in Python only the containers
+    above them."""
+    make_encoder = json.encoder.c_make_encoder
+    if make_encoder is None:  # no C accelerator, as on other interpreters
+        return json.dumps(value, indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii) + "\n"
+    string = json.encoder.encode_basestring_ascii if ensure_ascii else json.encoder.encode_basestring
+    encoders = []  # encoders[d] starts each item on a line d + 1 levels in
+
+    def encode(item, depth: int) -> str:
+        while len(encoders) <= depth:
+            separator = ",\n" + "  " * (len(encoders) + 1)
+            encoders.append(make_encoder(None, _not_serializable, string, None, ": ",
+                                         separator, sort_keys, False, True))
+        # the C encoder may return its text in several chunks
+        return "".join(encoders[depth](item, 0))
+
+    def key(name) -> str:
+        if isinstance(name, str):
+            return string(name)
+        if name is None or isinstance(name, (int, float)):  # as its value, quoted
+            return string(encode(name, 0))
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {name.__class__.__name__}")
+
+    def write(item, depth: int) -> str:
+        if not isinstance(item, _CONTAINERS):
+            return encode(item, 0)
+        outer, inner = "  " * depth, "  " * (depth + 1)
+        is_dict = isinstance(item, dict)
+        if _flat(item.values() if is_dict else item):
+            text = encode(item, depth)
+            if len(text) == 2:  # empty
+                return text
+            return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
+        if not is_dict and _flat_rows(item):
+            # one call writes the rows at the next depth; a row ends in "}"
+            # and opens with "{" only at a row boundary, because strings
+            # escape newlines, no scalar ends in "}" and no key opens with "{"
+            row = "  " * (depth + 2)
+            text = encode(item, depth + 1)[2:-2].replace(
+                f"}},\n{row}{{", f"\n{inner}}},\n{inner}{{\n{row}")
+            return f"[\n{inner}{{\n{row}{text}\n{inner}}}\n{outer}]"
+        separator = ",\n" + inner
+        if not is_dict:
+            body = separator.join([write(child, depth + 1) for child in item])
+            return f"[\n{inner}{body}\n{outer}]"
+        pairs = sorted(item.items()) if sort_keys else item.items()
+        body = separator.join([f"{key(name)}: {write(child, depth + 1)}"
+                               for name, child in pairs])
+        return f"{{\n{inner}{body}\n{outer}}}"
+
+    return write(value, 0) + "\n"
 
 
 def canonical_json(value) -> str:

@@ -45,7 +45,7 @@ from sdv_guard.pipeline import (
 )
 from sdv_guard.pipeline.cli import main
 from sdv_guard.topology import parse_instance, parse_metamodel
-from sdv_guard.util import RepeatedKeys, load_json, parse_number
+from sdv_guard.util import RepeatedKeys, dump_json, load_json, parse_number
 
 from conftest import FIXTURES, ROOT
 
@@ -127,6 +127,29 @@ def test_load_json_keeps_repeated_pairs_and_positions():
         load_json("1" * 5000, TransformError, "doc")
 
 
+@pytest.mark.parametrize("text, code_point", [
+    (r'["\ud800"]', "D800"),
+    (r'{"x": {"\uDFFF": 1}}', "DFFF"),
+    (r'[["\ude00\ud83d"]]', "DE00"),  # a pair in the wrong order
+    (r'{"a": "\ud83dx", "a": 1}', "D83D"),  # in the value a repeated key drops
+])
+def test_load_json_rejects_a_lone_surrogate(text, code_point):
+    with pytest.raises(TransformError,
+                       match=f"doc is not valid JSON: a string holds the lone surrogate U\\+{code_point}"):
+        load_json(text, TransformError, "doc")
+
+
+def test_load_json_keeps_surrogate_pairs_and_escaped_backslashes():
+    assert load_json(r'{"\ud83d\ude00": ["\uD83D\uDE00", "\\ud800"]}', TransformError,
+                     "doc") == {"\U0001f600": ["\U0001f600", "\\ud800"]}
+
+
+@pytest.mark.parametrize("name", sorted(set(ENTRIES) - {"extraction"}))
+def test_lone_surrogates_are_the_parsers_error(tmp_path, name):
+    with pytest.raises(ENTRIES[name][2], match="lone surrogate U\\+D800"):
+        _call(name, tmp_path, r'{"x": ["drive \ud800 actuator"]}')
+
+
 # ---------------------------------------------------------------------------
 # through the CLI: exit 2 and an ``error:`` line
 
@@ -160,6 +183,7 @@ _CLI_INPUTS = {
     "nan": b'{"x": NaN}',
     "infinity": b"[-Infinity]",
     "not-utf8": b'{"\xff": 1}',
+    "lone-surrogate": b'{"x": ["\\ud800"]}',
 }
 
 
@@ -172,6 +196,15 @@ def test_cli_reports_bad_json_inputs(tmp_path, capsys, name, content):
     assert main(_argv(name, str(bad), str(tmp_path / "out"))) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_reports_a_lone_surrogate_in_a_model(tmp_path, capsys):
+    text = (FIXTURES / "topology" / "system.json").read_text(encoding="utf-8")
+    bad = tmp_path / "system.json"
+    bad.write_text(text.replace('"drive actuator"', r'"drive \ud800 actuator"'), encoding="utf-8")
+    assert main(_argv("instance", str(bad), str(tmp_path / "out"))) == 2
+    assert capsys.readouterr().err == ("error: stage 'model' failed: instance model is not "
+                                       "valid JSON: a string holds the lone surrogate U+D800\n")
 
 
 @pytest.mark.parametrize("name", ["manifest", "vss", "replay"])
@@ -338,8 +371,16 @@ class _JsonSites(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
-        if node.module == "json":
+        if (node.module or "").split(".")[0] == "json":
             self.found.add((self.filename, "from json import"))
+
+    def visit_Import(self, node):
+        # ``import json.encoder`` or ``import json as j`` would reach the
+        # encoders under another name
+        if any(alias.name.startswith("json.") or (alias.name == "json" and alias.asname
+                                                  not in (None, "json"))
+               for alias in node.names):
+            self.found.add((self.filename, "import json as"))
 
 
 def _json_sites(names: set[str]) -> set[tuple[str, str]]:
@@ -360,6 +401,22 @@ def test_json_is_encoded_only_by_the_two_writers():
     # one indented layout for files and stdout, one compact form for hashing
     assert _json_sites(_ENCODERS) == {("util.py", "dump_json"),
                                       ("util.py", "canonical_json")}
+    # and only the indented writer drives the C encoder
+    assert _json_sites({"encoder"}) == {("util.py", "dump_json")}
+
+
+@pytest.mark.parametrize("source", [
+    "json.encoder.c_make_encoder(None)",
+    "from json.encoder import c_make_encoder",
+    "from json import dumps",
+    "import json.encoder",
+    "import json as j",
+    "def f():\n    return json.JSONEncoder",
+])
+def test_the_encode_pin_sees_every_way_to_the_encoders(source):
+    sites = _JsonSites("m.py", _ENCODERS)
+    sites.visit(ast.parse(source))
+    assert sites.found
 
 
 # every float() call, by (file, innermost function); only util._json_float
@@ -460,3 +517,79 @@ def test_parse_number_values(text, value):
 def test_parse_number_out_of_range(text):
     with pytest.raises(OverflowError, match="out of range"):
         parse_number(text)
+
+
+# ---------------------------------------------------------------------------
+# the one indented writer: byte for byte what json.dumps writes
+
+_FLAGS = [(True, True), (True, False), (False, True), (False, False)]
+# a row boundary, quotes, backslashes, control characters and non-ASCII text
+_AWKWARD = st.sampled_from(["},\n  {", "},\n    {", "}", "{", '"', "\\", "\n", "\x00\x1f\x7f",
+                            "\u00e9", "\u2603", "\U0001f600", "\u2028"])
+_STRINGS = st.one_of(_AWKWARD, st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _STRINGS)
+
+
+def _json_values(sort_keys: bool):
+    """Nested JSON values with tuples, empty containers, RepeatedKeys and
+    lists of flat dicts; keys of every type json.dumps takes unless sorted."""
+    keys = _STRINGS if sort_keys else st.one_of(_STRINGS, st.integers(), st.floats(),
+                                                 st.booleans(), st.none())
+    rows = st.lists(st.dictionaries(keys, _SCALARS, min_size=1, max_size=4), min_size=1,
+                    max_size=4)
+    return st.recursive(
+        _SCALARS | rows,
+        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(keys, inner, max_size=4)
+                       | st.lists(st.tuples(keys, inner), max_size=4).map(RepeatedKeys)),
+        max_leaves=20,
+    )
+
+
+def _dumps(value, sort_keys: bool, ensure_ascii: bool) -> str:
+    return json.dumps(value, indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii) + "\n"
+
+
+@pytest.mark.parametrize("sort_keys, ensure_ascii", _FLAGS)
+def test_dump_json_writes_what_json_dumps_writes(sort_keys, ensure_ascii):
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_json_values(sort_keys))
+    def run(value):
+        assert dump_json(value, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == _dumps(
+            value, sort_keys, ensure_ascii)
+
+    run()
+
+
+@pytest.mark.parametrize("sort_keys, ensure_ascii", _FLAGS)
+def test_dump_json_writes_a_large_report_whole(sort_keys, ensure_ascii):
+    # CPython 3.11's C encoder returns text this long in several chunks
+    report = {"rows": [{"object": f"obj{i}", "verdict": "pass", "x": i / 7}
+                       for i in range(50_000)]}
+    assert dump_json(report, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == _dumps(
+        report, sort_keys, ensure_ascii)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, b"x", {"a": [1, {2}]}, [{"a": 1}, {"b": b"x"}], {"a": (1, frozenset())},
+    {"a": 1, 2: 3}, {"a": [1], 2: [3]}, [{"a": 1, None: 2}], {(1,): 2}, {"a": [], (1,): []},
+], ids=repr)
+@pytest.mark.parametrize("sort_keys", [True, False])
+def test_dump_json_raises_what_json_dumps_raises(value, sort_keys):
+    def outcome(write):
+        try:
+            return "wrote", write()
+        except TypeError as exc:
+            return "raised", str(exc)
+
+    expected = outcome(lambda: _dumps(value, sort_keys, True))
+    assert outcome(lambda: dump_json(value, sort_keys=sort_keys)) == expected
+    assert expected[0] == "raised" or not sort_keys  # sorted, every value here fails
+
+
+def test_dump_json_without_the_c_encoder(monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    value = {"b": [{"x": 1}, {"y": [2, ()]}], "a": {"\u00e9": None}}
+    for sort_keys, ensure_ascii in _FLAGS:
+        assert dump_json(value, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == _dumps(
+            value, sort_keys, ensure_ascii)

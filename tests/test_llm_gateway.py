@@ -256,6 +256,19 @@ def test_malformed_transport_body_is_a_gateway_error():
         gateway.complete(CompletionRequest(prompt="x"))
 
 
+@pytest.mark.parametrize("mode", ["live", "record"])
+def test_a_completion_with_a_lone_surrogate_is_a_gateway_error(tmp_path, mode):
+    # requests decodes "\ud800" in a response body to a lone surrogate, which
+    # no UTF-8 writer, the replay store included, can write
+    path = tmp_path / "store.json"
+    gateway = LlmGateway(mode=mode, store=ReplayStore(path=path), base_url="scripted:",
+                         transport=lambda p: {"choices": [{"message": {"content": "a\ud800b"}}]})
+    with pytest.raises(GatewayError, match="not Unicode text: surrogates not allowed at position 1"):
+        gateway.complete(CompletionRequest(prompt="x"))
+    assert not path.exists()
+    assert gateway.store.entries == {}
+
+
 # ---------------------------------------------------------------------------
 # HTTP endpoint transport
 
