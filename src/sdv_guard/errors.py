@@ -26,6 +26,26 @@ class CatalogParseError(SdvGuardError):
         super().__init__(message)
 
 
+class _LineError(SdvGuardError):
+    """Text outside a line-oriented format; carries the line number."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"{message} (line {line})"
+        super().__init__(message)
+
+
+class _PositionError(SdvGuardError):
+    """Text outside an expression grammar; carries the character position when known."""
+
+    def __init__(self, message: str, position: int | None = None):
+        self.position = position
+        if position is not None:
+            message = f"{message} (at position {position})"
+        super().__init__(message)
+
+
 class CatalogError(SdvGuardError):
     """Structurally invalid catalog content, e.g. duplicate keys."""
 
@@ -58,14 +78,8 @@ class ExtractionFormatError(SdvGuardError):
     """Completion text does not contain a usable entry array."""
 
 
-class DiagramParseError(SdvGuardError):
+class DiagramParseError(_LineError):
     """Activity diagram text outside the supported subset; carries the line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"{message} (line {line})"
-        super().__init__(message)
 
 
 class StructureError(SdvGuardError):
@@ -89,14 +103,8 @@ class ChainGenerationError(SdvGuardError):
         super().__init__(message)
 
 
-class RuleParseError(SdvGuardError):
+class RuleParseError(_PositionError):
     """Rule text outside the grammar; carries the character position when known."""
-
-    def __init__(self, message: str, position: int | None = None):
-        self.position = position
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
 
 
 class MetamodelError(SdvGuardError):
@@ -107,25 +115,16 @@ class InstanceParseError(SdvGuardError):
     """Invalid canonical instance document (duplicate ids, unresolvable references)."""
 
 
-class ModelImportError(SdvGuardError):
+class ModelImportError(_LineError):
     """Object-diagram text outside the supported subset; carries the line number."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"{message} (line {line})"
-        super().__init__(message)
 
-
-class ConstraintError(SdvGuardError):
+class ConstraintError(_PositionError):
     """Constraint text failed to parse or type-check; names the offending symbol."""
 
     def __init__(self, message: str, position: int | None = None, symbol: str | None = None):
-        self.position = position
         self.symbol = symbol
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
+        super().__init__(message, position)
 
 
 class GenerationError(SdvGuardError):

@@ -20,13 +20,13 @@ Rejection reasons:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .catalog import CatalogEntry, MessageCatalog, SignalCatalog, validate_value
 from .errors import ConfigurationError, ExtractionFormatError
 from .llm_gateway import PC1, CompletionRequest, LlmGateway, render_prompt
 from .retrieval import Chunk
+from .util import first_json_array
 
 PROTOCOLS = ("VSS", "CAN")
 
@@ -141,7 +141,7 @@ def parse_extraction_response(text: str) -> list[ExtractedEntry]:
     ``name``, ``type`` and ``protocol`` are required on every object,
     ``value`` is optional.
     """
-    array = _first_json_array(text)
+    array = first_json_array(text, ExtractionFormatError, "completion")
     if array is None:
         raise ExtractionFormatError("completion contains no JSON array of entries")
     entries: list[ExtractedEntry] = []
@@ -168,22 +168,6 @@ def parse_extraction_response(text: str) -> list[ExtractedEntry]:
             protocol=protocol,
         ))
     return entries
-
-
-def _first_json_array(text: str):
-    decoder = json.JSONDecoder()
-    start = text.find("[")
-    while start != -1:
-        try:
-            value, _ = decoder.raw_decode(text, start)
-        except ValueError:
-            value = None
-        except RecursionError:
-            raise ExtractionFormatError("completion nests JSON too deeply to parse") from None
-        if isinstance(value, list):
-            return value
-        start = text.find("[", start + 1)
-    return None
 
 
 def _extract_union(prompts: list[str], gateway: LlmGateway) -> list[ExtractedEntry]:

@@ -50,16 +50,12 @@ from .eventchain import (
     strip_fences,
 )
 from .llm_gateway import PC2B, CompletionRequest, LlmGateway, render_prompt
-from .util import normalize_name
+# MAX_NESTING, the limit shared with OCL constraints, is re-exported
+from .util import MAX_NESTING, TokenStream, normalize_name
 
 MODES = ("require", "forbid")
-# most 'not's and parentheses an expression may nest; deeper input is
-# rejected rather than left to exhaust the parser's recursion
-MAX_NESTING = 64
 VERDICT_PASS = "pass"
 VERDICT_VIOLATED = "violated"
-_KEYWORDS = {"and", "or", "not", "before", "after", "require", "forbid"}
-_WORD_RE = re.compile(r"[A-Za-z0-9_-]+")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 # precedence-monitor states of one atom; _OPENED and _VIOLATED never change
 _UNSEEN, _OPENED, _VIOLATED = 0, 1, 2
@@ -176,48 +172,11 @@ class SafetyReport:
 # parsing
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    position: int
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    index = 0
-    while index < len(text):
-        char = text[index]
-        if char.isspace():
-            index += 1
-            continue
-        if char in "()":
-            tokens.append(_Token(char, index))
-            index += 1
-            continue
-        match = _WORD_RE.match(text, index)
-        if not match:
-            raise RuleParseError(f"unexpected character '{char}'", position=index)
-        tokens.append(_Token(match.group(0), index))
-        index = match.end()
-    return tokens
-
-
-class _ExprParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _lex(text)
-        self.index = 0
-        self.depth = 0  # enclosing 'not's and parentheses
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def take(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise RuleParseError("unexpected end of rule", position=len(self.text))
-        self.index += 1
-        return token
+class _ExprParser(TokenStream):
+    pattern = re.compile(r"(?P<WS>\s+)|(?P<PAREN>[()])|(?P<WORD>[A-Za-z0-9_-]+)")
+    keywords = frozenset({"and", "or", "not", "before", "after", "require", "forbid"})
+    error_type = RuleParseError
+    end_message = "unexpected end of rule"
 
     def parse(self) -> Expr:
         expr = self.expr()
@@ -231,14 +190,14 @@ class _ExprParser:
 
     def expr(self) -> Expr:
         children = [self.term()]
-        while (tok := self.peek()) is not None and tok.text == "or":
+        while self.at("or"):
             self.take()
             children.append(self.term())
         return children[0] if len(children) == 1 else OrExpr(tuple(children))
 
     def term(self) -> Expr:
         children = [self.factor()]
-        while (tok := self.peek()) is not None and tok.text == "and":
+        while self.at("and"):
             self.take()
             children.append(self.factor())
         return children[0] if len(children) == 1 else AndExpr(tuple(children))
@@ -249,12 +208,7 @@ class _ExprParser:
             raise RuleParseError("expected an atom", position=len(self.text))
         if token.text not in ("not", "("):
             return self.atom()
-        self.take()
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise RuleParseError(
-                f"expression nests deeper than {MAX_NESTING} levels", position=token.position
-            )
+        self.nest(self.take())
         if token.text == "not":
             inner = NotExpr(self.factor())
         else:
@@ -277,9 +231,7 @@ class _ExprParser:
 
     def event(self) -> str:
         words: list[str] = []
-        while (tok := self.peek()) is not None:
-            if tok.text in _KEYWORDS or tok.text in "()":
-                break
+        while self.at("WORD"):  # keywords and parentheses end an event
             words.append(self.take().text)
         if not words:
             token = self.peek()

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 
 from ..errors import ConstraintError
-from ..util import parse_number
+from ..util import MAX_NESTING, TokenStream, parse_number
 from .model import InstanceModel, Metamodel, ModelObject
 
 _TOKEN_SPEC = [
@@ -53,43 +53,10 @@ _TOKEN_SPEC = [
     ("DOT", r"\."),
     ("COLON", r":"),
 ]
-_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC))
-
-_KEYWORDS = {"context", "inv", "let", "in", "implies", "and", "or", "not", "self"}
 
 _CMP_OPS = {"EQ": "=", "NE": "<>", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
 
 _LET_TYPES = {"Real", "Integer", "String", "Boolean"}
-
-# deeper input is rejected rather than left to exhaust the recursion of the
-# parser, the compiler or the evaluator
-MAX_NESTING = 64
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    position: int
-
-
-def _lex(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    index = 0
-    while index < len(text):
-        match = _TOKEN_RE.match(text, index)
-        if match is None:
-            raise ConstraintError(
-                f"unexpected character '{text[index]}'", position=index
-            )
-        kind = match.lastgroup
-        if kind not in ("WS", "COMMENT"):
-            value = match.group(0)
-            if kind == "IDENT" and value in _KEYWORDS:
-                kind = value  # keyword tokens carry their own kind
-            tokens.append(Token(kind=kind, text=value, position=index))
-        index = match.end()
-    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -197,36 +164,11 @@ class ConstraintSet:
         return len(self.constraints)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _lex(text)
-        self.index = 0
-        self.depth = 0
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def take(self, kind: str | None = None) -> Token:
-        token = self.peek()
-        if token is None:
-            raise ConstraintError("unexpected end of constraint text",
-                                  position=len(self.text))
-        if kind is not None and token.kind != kind:
-            raise ConstraintError(
-                f"expected {kind}, got '{token.text}'", position=token.position
-            )
-        self.index += 1
-        return token
-
-    def at(self, kind: str) -> bool:
-        token = self.peek()
-        return token is not None and token.kind == kind
-
-    def nest(self, token: Token) -> None:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise _too_deep(token)
+class _Parser(TokenStream):
+    pattern = re.compile("|".join(f"(?P<{kind}>{regex})" for kind, regex in _TOKEN_SPEC))
+    keywords = frozenset({"context", "inv", "let", "in", "implies", "and", "or", "not", "self"})
+    error_type = ConstraintError
+    end_message = "unexpected end of constraint text"
 
     def document(self) -> list[Constraint]:
         constraints: list[Constraint] = []
@@ -245,7 +187,7 @@ class _Parser:
                 first = self.peek()
                 body = self.expr()
                 if _height(body) > MAX_NESTING:
-                    raise _too_deep(first)
+                    raise self.too_deep(first)
                 constraints.append(Constraint(name=name, context=context_cls, body=body))
         return constraints
 
@@ -365,12 +307,6 @@ class _Parser:
         raise ConstraintError(
             f"unexpected '{token.text}'", position=token.position
         )
-
-
-def _too_deep(token: Token) -> ConstraintError:
-    return ConstraintError(
-        f"expression nests deeper than {MAX_NESTING} levels", position=token.position
-    )
 
 
 def _height(expr: OclExpr) -> int:

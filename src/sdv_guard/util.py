@@ -1,5 +1,6 @@
 """Small shared helpers: tokenization, name normalization, digests, file
-reading and atomic writing, JSON in both directions, and PlantUML framing."""
+reading and atomic writing, JSON in both directions, the lexer and token
+stream of the rule and constraint grammars, and PlantUML framing."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import json
 import math
 import os
 import re
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -158,21 +160,52 @@ def _reject_lone_surrogates(value) -> None:
             stack.extend(item)
 
 
+# the decoder's hooks for strict JSON: a RepeatedKeys where a key repeats, no
+# float beyond its range, no NaN or Infinity
+_STRICT = {"object_pairs_hook": _object, "parse_float": _json_float,
+           "parse_constant": _reject_constant}
+
+
+def _strict_strings(value, text: str):
+    """``value``, decoded from ``text``, unless a string in it holds a lone
+    surrogate (a ValueError)."""
+    if "\\" in text and _SURROGATE_ESCAPE_RE.search(text):
+        _reject_lone_surrogates(value)
+    return value
+
+
 def load_json(text: str, error_type: type[SdvGuardError], what: str):
     """Decode strict JSON (RFC 8259: no NaN or Infinity) with no number beyond
     a float's range and no lone surrogate in a string into plain values; an
     object whose key repeats is a ``RepeatedKeys``. Any failure, too deep a
     nesting included, is an ``error_type`` naming ``what``."""
     try:
-        value = json.loads(text, object_pairs_hook=_object, parse_float=_json_float,
-                           parse_constant=_reject_constant)
-        if "\\" in text and _SURROGATE_ESCAPE_RE.search(text):
-            _reject_lone_surrogates(value)
-        return value
+        return _strict_strings(json.loads(text, **_STRICT), text)
     except (RecursionError, ValueError, OverflowError) as exc:
         if isinstance(exc, json.JSONDecodeError) and issubclass(error_type, CatalogParseError):
             raise error_type(exc.msg, line=exc.lineno, column=exc.colno) from exc
         raise error_type(f"{what} is not valid JSON: {exc}") from exc
+
+
+def first_json_array(text: str, error_type: type[SdvGuardError], what: str) -> list | None:
+    """The first JSON array in ``text``, which may sit in prose, decoded as
+    ``load_json`` decodes; None when there is none. A ``[`` where no JSON
+    starts is skipped, but an array that is JSON and breaks a strict rule
+    (NaN, a number beyond a float's range, a lone surrogate, too deep a
+    nesting) is an ``error_type`` naming ``what``."""
+    decoder = json.JSONDecoder(**_STRICT)
+    start = text.find("[")
+    while start != -1:
+        try:  # JSON that starts with "[" is an array
+            value, end = decoder.raw_decode(text, start)
+            return _strict_strings(value, text[start:end])
+        except json.JSONDecodeError:
+            start = text.find("[", start + 1)
+        except RecursionError:
+            raise error_type(f"{what} nests JSON too deeply to parse") from None
+        except (ValueError, OverflowError) as exc:
+            raise error_type(f"{what} is not valid JSON: {exc}") from exc
+    return None
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -283,3 +316,73 @@ def plantuml_body(text: str, error_type: type[SdvGuardError]) -> list[tuple[int,
         if not line.startswith("'"):
             body.append((lineno, line))
     return body
+
+
+# ---------------------------------------------------------------------------
+# the front end of the rule and constraint grammars
+
+# most levels an expression of either grammar may nest; deeper input is
+# rejected rather than left to exhaust a parser's, compiler's or evaluator's
+# recursion
+MAX_NESTING = 64
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # the pattern's group name, or a keyword's own text
+    text: str
+    position: int
+
+
+def lex(text: str, pattern: re.Pattern, error_type: type[SdvGuardError],
+        keywords: frozenset[str]) -> list[Token]:
+    """The tokens of ``text``, one named group of ``pattern`` per kind, less
+    ``WS`` and ``COMMENT``; a character no group matches is an ``error_type``."""
+    tokens: list[Token] = []
+    index = 0
+    while index < len(text):
+        match = pattern.match(text, index)
+        if match is None:
+            raise error_type(f"unexpected character '{text[index]}'", position=index)
+        if match.lastgroup not in ("WS", "COMMENT"):
+            value = match.group()
+            tokens.append(Token(value if value in keywords else match.lastgroup, value, index))
+        index = match.end()
+    return tokens
+
+
+class TokenStream:
+    """The tokens of one text, for a recursive-descent parser. A subclass sets
+    its grammar's ``pattern``, ``keywords`` and ``error_type`` for ``lex``,
+    and the ``end_message`` for text that ends too soon."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = lex(text, self.pattern, self.error_type, self.keywords)
+        self.index = 0
+        self.depth = 0  # levels nest() opened and the parser has not closed
+
+    def peek(self) -> Token | None:
+        return self.tokens[self.index] if self.index < len(self.tokens) else None
+
+    def at(self, kind: str) -> bool:
+        return self.index < len(self.tokens) and self.tokens[self.index].kind == kind
+
+    def take(self, kind: str | None = None) -> Token:
+        token = self.peek()
+        if token is None:
+            raise self.error_type(self.end_message, position=len(self.text))
+        if kind is not None and token.kind != kind:
+            raise self.error_type(f"expected {kind}, got '{token.text}'",
+                                  position=token.position)
+        self.index += 1
+        return token
+
+    def nest(self, token: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.too_deep(token)
+
+    def too_deep(self, token: Token) -> SdvGuardError:
+        return self.error_type(f"expression nests deeper than {MAX_NESTING} levels",
+                               position=token.position)

@@ -1,9 +1,10 @@
 """Every JSON input fails closed: one decode, typed errors, no tracebacks.
 
-``util.load_json`` is the only place that decodes JSON text (the extraction
-scanner aside), so each parser reports deep nesting, ``NaN``/``Infinity``
-and malformed text as its own ``SdvGuardError``, and the CLI exits 2 with an
-``error:`` line.
+``util.load_json`` and ``util.first_json_array``, the scanner that finds an
+extraction completion's entry array, are the only places that decode JSON
+text, with the same strict rules, so each parser reports deep nesting,
+``NaN``/``Infinity``, lone surrogates and malformed text as its own
+``SdvGuardError``, and the CLI exits 2 with an ``error:`` line.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def test_deep_nesting_is_the_parsers_error(tmp_path, name):
     ("1e999", "number 1e999 is out of range"),
     ("-1e999", "number -1e999 is out of range"),
 ])
-@pytest.mark.parametrize("name", sorted(set(ENTRIES) - {"extraction"}))
+@pytest.mark.parametrize("name", sorted(ENTRIES))
 def test_non_standard_numbers_are_the_parsers_error(tmp_path, name, constant, message):
     with pytest.raises(ENTRIES[name][2], match=message):
         _call(name, tmp_path, f'{{"x": [{constant}]}}')
@@ -144,7 +145,7 @@ def test_load_json_keeps_surrogate_pairs_and_escaped_backslashes():
                      "doc") == {"\U0001f600": ["\U0001f600", "\\ud800"]}
 
 
-@pytest.mark.parametrize("name", sorted(set(ENTRIES) - {"extraction"}))
+@pytest.mark.parametrize("name", sorted(ENTRIES))
 def test_lone_surrogates_are_the_parsers_error(tmp_path, name):
     with pytest.raises(ENTRIES[name][2], match="lone surrogate U\\+D800"):
         _call(name, tmp_path, r'{"x": ["drive \ud800 actuator"]}')
@@ -205,6 +206,23 @@ def test_cli_reports_a_lone_surrogate_in_a_model(tmp_path, capsys):
     assert main(_argv("instance", str(bad), str(tmp_path / "out"))) == 2
     assert capsys.readouterr().err == ("error: stage 'model' failed: instance model is not "
                                        "valid JSON: a string holds the lone surrogate U+D800\n")
+
+
+@pytest.mark.parametrize("old, new, reason", [
+    # the store holds each completion as a JSON string, so the completion's own
+    # escapes are doubled; a rejected name would go on into the retry prompt
+    ("Vehicle.Cabin.Light", r"Vehicle.Cabin.Lamp\\ud800", "a string holds the lone surrogate U+D800"),
+    ("Vehicle.Cabin.Light", r"Vehicle.Cabin.Light\\ud800", "a string holds the lone surrogate U+D800"),
+    (r'\"value\": true', r'\"value\": NaN', "NaN is not a JSON number"),
+    (r'\"value\": true', r'\"value\": 1e999', "number 1e999 is out of range"),
+], ids=["unknown-name", "known-name", "nan", "1e999"])
+def test_cli_reports_a_completion_that_is_not_strict_json(tmp_path, capsys, old, new, reason):
+    text = (FIXTURES / "replay" / "cabin.json").read_text(encoding="utf-8")
+    assert old in text
+    bad = tmp_path / "cabin.json"
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(_argv("replay", str(bad), str(tmp_path / "out"))) == 2
+    assert capsys.readouterr().err == f"error: completion is not valid JSON: {reason}\n"
 
 
 @pytest.mark.parametrize("name", ["manifest", "vss", "replay"])
@@ -394,7 +412,7 @@ def _json_sites(names: set[str]) -> set[tuple[str, str]]:
 
 def test_json_is_decoded_only_by_load_json_and_the_extraction_scanner():
     assert _json_sites(_DECODERS) == {("util.py", "load_json"),
-                                      ("extraction.py", "_first_json_array")}
+                                      ("util.py", "first_json_array")}
 
 
 def test_json_is_encoded_only_by_the_two_writers():
