@@ -19,11 +19,12 @@ Both are plain JSON files:
   ``min``/``max``/``unit``; the numeric fields must be JSON numbers. Every
   signal must fit the frame: start_bit + bit_length <= dlc * 8.
 
-Catalogs are immutable after construction; parsing the canonical serialized
-form yields an identical catalog. The normalized-alias map behind
-``lookup_normalized`` is built on its first call, from the entries alone, so
-building it late changes no answer: a catalog stays observably immutable.
-Only ``extraction`` reads that map, and only after an exact lookup misses.
+A parsed catalog is its entries, one per leaf or message, sorted by key. A
+leaf's ``type``, a branch's ``description``, a message's ``dlc`` and its
+signals' bit layout, ``scale`` and ``offset`` are checked, then dropped.
+The normalized-alias map behind ``lookup_normalized`` is built on its first
+call, from the entries alone, so a catalog stays observably immutable. Only
+``extraction`` reads that map, and only after an exact lookup misses.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CatalogError, CatalogParseError, SchemaError
-from .util import RepeatedKeys, dump_json, load_json, normalize_name, parse_number
+from .util import RepeatedKeys, load_json, normalize_name, parse_number
 
-VSS_KINDS = ("sensor", "actuator", "attribute", "branch")
 VSS_DATATYPES = ("boolean", "int", "float", "string", "enum")
 
 FRAME_ID_MAX = (1 << 29) - 1
@@ -43,42 +43,6 @@ FRAME_ID_MAX = (1 << 29) - 1
 _LEAF_FIELDS = frozenset(("type", "datatype", "unit", "min", "max", "allowed", "description"))
 _BRANCH_FIELDS = frozenset(("type", "description", "children"))
 _LEAF_KINDS = ("sensor", "actuator", "attribute")
-
-
-@dataclass(frozen=True)
-class VssSignal:
-    path: str
-    kind: str
-    datatype: str | None = None
-    unit: str | None = None
-    min: float | None = None
-    max: float | None = None
-    allowed: tuple[str, ...] | None = None
-    description: str | None = None
-
-    @property
-    def is_branch(self) -> bool:
-        return self.kind == "branch"
-
-
-@dataclass(frozen=True)
-class CanSignal:
-    name: str
-    start_bit: int
-    bit_length: int
-    scale: float = 1.0
-    offset: float = 0.0
-    min: float | None = None
-    max: float | None = None
-    unit: str | None = None
-
-
-@dataclass(frozen=True)
-class CanMessage:
-    frame_id: int
-    name: str
-    dlc: int
-    signals: tuple[CanSignal, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -115,12 +79,13 @@ def _frozen(cls, fields: dict):
     return obj
 
 
-class _Catalog:
-    """The entry lookups both catalogs share."""
+class Catalog:
+    """The entries of a parsed catalog, sorted by key, and their lookups."""
 
-    entries: tuple[CatalogEntry, ...]
-    _entry_by_key: dict[str, CatalogEntry]
-    _by_normalized_key: dict[str, tuple[CatalogEntry, ...]] | None = None
+    def __init__(self, entries: tuple[CatalogEntry, ...]):
+        self.entries = entries
+        self._entry_by_key = {entry.key: entry for entry in entries}
+        self._by_normalized_key: dict[str, tuple[CatalogEntry, ...]] | None = None
 
     def lookup_entry(self, key: str) -> CatalogEntry | None:
         return self._entry_by_key.get(key)
@@ -133,69 +98,6 @@ class _Catalog:
                 groups.setdefault(normalize_name(entry.key), []).append(entry)
             self._by_normalized_key = {k: tuple(v) for k, v in groups.items()}
         return self._by_normalized_key.get(normalize_name(name), ())
-
-
-class SignalCatalog(_Catalog):
-    """Immutable signal tree index: every path (branches included) is unique."""
-
-    def __init__(self, nodes: list[tuple[VssSignal, CatalogEntry | None]]):
-        """``nodes``: each signal with its entry (None for a branch), in any order."""
-        by_path: dict[str, VssSignal] = {}
-        entry_by_key: dict[str, CatalogEntry] = {}
-        for sig, entry in sorted(nodes, key=lambda node: node[0].path):
-            if sig.path in by_path:
-                raise CatalogError(f"duplicate signal path '{sig.path}'")
-            by_path[sig.path] = sig
-            if entry is not None:
-                entry_by_key[sig.path] = entry
-        self.signals = tuple(by_path.values())
-        self._by_path = by_path
-        self.entries = tuple(entry_by_key.values())
-        self._entry_by_key = entry_by_key
-
-    def lookup(self, path: str) -> VssSignal | None:
-        return self._by_path.get(path)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SignalCatalog) and self.signals == other.signals
-
-    def __len__(self) -> int:
-        return len(self.signals)
-
-
-class MessageCatalog(_Catalog):
-    """Immutable message index keyed by name and by frame id."""
-
-    def __init__(self, messages: list[tuple[CanMessage, CatalogEntry]]):
-        """``messages``: each message with its entry, in any order."""
-        by_name: dict[str, CanMessage] = {}
-        by_frame: dict[int, CanMessage] = {}
-        entry_by_key: dict[str, CatalogEntry] = {}
-        for msg, entry in sorted(messages, key=lambda message: message[0].name):
-            if msg.name in by_name:
-                raise CatalogError(f"duplicate message name '{msg.name}'")
-            if msg.frame_id in by_frame:
-                raise CatalogError(f"duplicate frame id 0x{msg.frame_id:X}")
-            by_name[msg.name] = msg
-            by_frame[msg.frame_id] = msg
-            entry_by_key[msg.name] = entry
-        self.messages = tuple(by_name.values())
-        self._by_name = by_name
-        self._by_frame = by_frame
-        self.entries = tuple(entry_by_key.values())
-        self._entry_by_key = entry_by_key
-
-    def lookup(self, name: str) -> CanMessage | None:
-        return self._by_name.get(name)
-
-    def lookup_frame(self, frame_id: int) -> CanMessage | None:
-        return self._by_frame.get(frame_id)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MessageCatalog) and self.messages == other.messages
-
-    def __len__(self) -> int:
-        return len(self.messages)
 
 
 def _float(value, label: str, *args) -> float:
@@ -245,19 +147,29 @@ def _unknown_field(path: str, fields: dict, allowed: frozenset[str]) -> SchemaEr
 # signal catalog parsing
 
 
-def parse_vss_catalog(text: str) -> SignalCatalog:
-    """Parse the signal tree; every leaf reachable from the root becomes a signal."""
+def parse_vss_catalog(text: str) -> Catalog:
+    """Parse the signal tree; every leaf reachable from the root becomes an
+    entry. Every path, branches included, must be unique."""
     doc = load_json(text, CatalogParseError, "signal catalog")
     if not isinstance(doc, dict):
         raise SchemaError("signal catalog root must be an object")
-    return SignalCatalog(_walk_vss(doc))
+    entries = []
+    previous = None
+    for path, entry in sorted(_walk_vss(doc), key=lambda node: node[0]):
+        if path == previous:  # "A.B" as one key and as "A" -> "B"
+            raise CatalogError(f"duplicate signal path '{path}'")
+        previous = path
+        if entry is not None:
+            entries.append(entry)
+    return Catalog(tuple(entries))
 
 
-def _walk_vss(root: dict) -> list[tuple[VssSignal, CatalogEntry | None]]:
-    """Every node under ``root`` with its entry, depth first in document
-    order, so the first fault in document order is the one reported. The
-    stack is explicit: any depth the JSON decoder accepts is walked."""
-    out: list[tuple[VssSignal, CatalogEntry | None]] = []
+def _walk_vss(root: dict) -> list[tuple[str, CatalogEntry | None]]:
+    """Every node's path under ``root`` with its entry (None for a branch),
+    depth first in document order, so the first fault in document order is
+    the one reported. The stack is explicit: any depth the JSON decoder
+    accepts is walked."""
+    out: list[tuple[str, CatalogEntry | None]] = []
     stack = [("", *_members(root))]
     while stack:
         prefix, members, seen = stack[-1]
@@ -269,8 +181,8 @@ def _walk_vss(root: dict) -> list[tuple[VssSignal, CatalogEntry | None]]:
                 if key in seen:
                     raise CatalogError(f"duplicate signal path '{path}'")
                 seen.add(key)
-            node, children = _vss_node(path, value)
-            out.append(node)
+            entry, children = _vss_node(path, value)
+            out.append((path, entry))
             if children is not None:
                 stack.append((path, *_members(children)))
                 break
@@ -287,8 +199,8 @@ def _members(obj: dict):
     return iter(obj.items()), None
 
 
-def _vss_node(path: str, fields) -> tuple[tuple[VssSignal, CatalogEntry | None], dict | None]:
-    """One node's signal and entry, and a branch's children."""
+def _vss_node(path: str, fields) -> tuple[CatalogEntry | None, dict | None]:
+    """A leaf's entry, or a branch's children."""
     if type(fields) is not dict:
         if not isinstance(fields, dict):
             raise SchemaError(f"node '{path}' must be an object")
@@ -304,10 +216,10 @@ def _vss_node(path: str, fields) -> tuple[tuple[VssSignal, CatalogEntry | None],
         kind = fields.get("type", "branch")
         if kind != "branch":
             raise SchemaError(f"node '{path}' has children but type '{kind}'")
-        branch = _branch(path, fields)
+        _opt_str(path, fields, "description")  # checked, not kept
         if not isinstance(fields["children"], dict):
             raise SchemaError(f"children of '{path}' must be an object")
-        return branch, fields["children"]
+        return None, fields["children"]
     # compact branch form: object-valued keys are the children
     kind = fields.get("type")
     if kind in _LEAF_KINDS:
@@ -324,18 +236,14 @@ def _vss_node(path: str, fields) -> tuple[tuple[VssSignal, CatalogEntry | None],
         raise SchemaError(
             f"node '{path}' mixes scalar field '{scalars[0]}' with child nodes"
         )
-    return _branch(path, fields), children
+    _opt_str(path, fields, "description")  # checked, not kept
+    return None, children
 
 
-def _branch(path: str, fields: dict) -> tuple[VssSignal, None]:
-    return VssSignal(path=path, kind="branch",
-                     description=_opt_str(path, fields, "description")), None
-
-
-def _vss_leaf(path: str, fields: dict) -> tuple[VssSignal, CatalogEntry]:
+def _vss_leaf(path: str, fields: dict) -> CatalogEntry:
     if not fields.keys() <= _LEAF_FIELDS:
         raise _unknown_field(path, fields, _LEAF_FIELDS)
-    kind = fields.get("type", "attribute")
+    kind = fields.get("type", "attribute")  # checked, not kept
     if kind not in _LEAF_KINDS:
         raise SchemaError(f"leaf '{path}' has invalid type '{kind}'")
     datatype = fields["datatype"]
@@ -367,58 +275,34 @@ def _vss_leaf(path: str, fields: dict) -> tuple[VssSignal, CatalogEntry]:
         text += " " + unit
     if description:
         text += " " + description
-    return _frozen(VssSignal, {
-        "path": path, "kind": kind, "datatype": datatype, "unit": unit,
-        "min": lo, "max": hi, "allowed": allowed, "description": description,
-    }), _frozen(CatalogEntry, {
+    return _frozen(CatalogEntry, {
         "key": path, "protocol": "VSS", "text": text, "datatype": datatype,
         "bounds": None if lo is None and hi is None else (lo, hi), "allowed": allowed,
     })
-
-
-def serialize_vss_catalog(catalog: SignalCatalog) -> str:
-    """Canonical tree form: explicit children objects, sorted keys, fixed field order."""
-    root: dict = {}
-    nodes: dict[str, dict] = {}
-    for sig in catalog.signals:
-        node: dict = {}
-        if sig.is_branch:
-            node["type"] = "branch"
-            if sig.description is not None:
-                node["description"] = sig.description
-            node["children"] = {}
-        else:
-            node["type"] = sig.kind
-            node["datatype"] = sig.datatype
-            for name in ("unit", "min", "max"):
-                value = getattr(sig, name)
-                if value is not None:
-                    node[name] = value
-            if sig.allowed is not None:
-                node["allowed"] = list(sig.allowed)
-            if sig.description is not None:
-                node["description"] = sig.description
-        nodes[sig.path] = node
-        head, _, tail = sig.path.rpartition(".")
-        if head:
-            parent = nodes.get(head)
-            if parent is None or "children" not in parent:
-                raise CatalogError(f"signal '{sig.path}' has no branch parent '{head}'")
-            parent["children"][tail] = node
-        else:
-            root[sig.path] = node
-    return dump_json(root, ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------
 # message catalog parsing
 
 
-def parse_can_catalog(text: str) -> MessageCatalog:
+def parse_can_catalog(text: str) -> Catalog:
+    """Parse the message array; every message becomes an entry. Names and
+    frame ids must be unique."""
     doc = load_json(text, CatalogParseError, "message catalog")
     if not isinstance(doc, list):
         raise SchemaError("message catalog root must be an array")
-    return MessageCatalog([_parse_message(i, obj) for i, obj in enumerate(doc)])
+    messages = sorted([_parse_message(i, obj) for i, obj in enumerate(doc)],
+                      key=lambda message: message[0].key)
+    names: set[str] = set()
+    frames: set[int] = set()
+    for entry, frame_id in messages:
+        if entry.key in names:
+            raise CatalogError(f"duplicate message name '{entry.key}'")
+        if frame_id in frames:
+            raise CatalogError(f"duplicate frame id 0x{frame_id:X}")
+        names.add(entry.key)
+        frames.add(frame_id)
+    return Catalog(tuple(entry for entry, _ in messages))
 
 
 # ASCII digits only: decimal, or hexadecimal after 0x/0X
@@ -445,8 +329,8 @@ _SIGNAL = "message '{}' signal '{}'"
 _SIGNAL_FIELD = _SIGNAL + " field '{}'"
 
 
-def _parse_message(index: int, obj) -> tuple[CanMessage, CatalogEntry]:
-    """One message and its entry."""
+def _parse_message(index: int, obj) -> tuple[CatalogEntry, int]:
+    """One message's entry and frame id."""
     if not isinstance(obj, dict):
         raise SchemaError(f"message[{index}] must be an object")
     name = obj.get("name")
@@ -459,33 +343,30 @@ def _parse_message(index: int, obj) -> tuple[CanMessage, CatalogEntry]:
     raw_signals = obj.get("signals", [])
     if not isinstance(raw_signals, list):
         raise SchemaError(f"message '{name}' signals must be an array")
-    signals = []
     seen: set[str] = set()
     words = [name, "CAN message", f"0x{frame_id:X}"]
     for sig_obj in raw_signals:
-        sig = _parse_can_signal(name, sig_obj, dlc)
-        if sig.name in seen:
-            raise CatalogError(f"message '{name}' has duplicate signal '{sig.name}'")
-        seen.add(sig.name)
-        signals.append(sig)
-        words.append(sig.name)
-        if sig.unit:
-            words.append(sig.unit)
+        sig_name, unit, lo, hi = _parse_can_signal(name, sig_obj, dlc)
+        if sig_name in seen:
+            raise CatalogError(f"message '{name}' has duplicate signal '{sig_name}'")
+        seen.add(sig_name)
+        words.append(sig_name)
+        if unit:
+            words.append(unit)
     datatype = bounds = None
-    if len(signals) == 1:
-        only = signals[0]
+    if len(raw_signals) == 1:  # one signal: the payload is its value
         datatype = "float"
-        if only.min is not None or only.max is not None:
-            bounds = (only.min, only.max)
-    return _frozen(CanMessage, {
-        "frame_id": frame_id, "name": name, "dlc": dlc, "signals": tuple(signals),
-    }), _frozen(CatalogEntry, {
+        if lo is not None or hi is not None:
+            bounds = (lo, hi)
+    return _frozen(CatalogEntry, {
         "key": name, "protocol": "CAN", "text": " ".join(words), "datatype": datatype,
         "bounds": bounds, "allowed": None,
-    })
+    }), frame_id
 
 
-def _parse_can_signal(message: str, obj, dlc: int) -> CanSignal:
+def _parse_can_signal(message: str, obj, dlc: int
+                      ) -> tuple[str, str | None, float | None, float | None]:
+    """Check one signal; return its name, unit, min and max."""
     if not isinstance(obj, dict):
         raise SchemaError(f"message '{message}' signal must be an object")
     name = obj.get("name")
@@ -511,7 +392,7 @@ def _parse_can_signal(message: str, obj, dlc: int) -> CanSignal:
     if scale == 0:
         raise SchemaError(f"{_SIGNAL.format(message, name)} scale must be non-zero")
     if type(offset) is not float:
-        offset = _float(offset, _SIGNAL_FIELD, message, name, "offset")
+        _float(offset, _SIGNAL_FIELD, message, name, "offset")  # checked, not kept
     lo, hi = obj.get("min"), obj.get("max")
     if lo is not None and type(lo) is not float:
         lo = _float(lo, _SIGNAL_FIELD, message, name, "min")
@@ -524,37 +405,7 @@ def _parse_can_signal(message: str, obj, dlc: int) -> CanSignal:
     unit = obj.get("unit")
     if unit is not None and not isinstance(unit, str):
         raise SchemaError(f"{_SIGNAL.format(message, name)} unit must be a string")
-    return _frozen(CanSignal, {
-        "name": name, "start_bit": start_bit, "bit_length": bit_length,
-        "scale": scale, "offset": offset, "min": lo, "max": hi, "unit": unit,
-    })
-
-
-def serialize_can_catalog(catalog: MessageCatalog) -> str:
-    """Canonical array form: messages sorted by name, hex frame ids, fixed field order."""
-    out = []
-    for msg in catalog.messages:
-        entry: dict = {
-            "frame_id": f"0x{msg.frame_id:X}",
-            "name": msg.name,
-            "dlc": msg.dlc,
-            "signals": [],
-        }
-        for sig in msg.signals:
-            sig_obj: dict = {
-                "name": sig.name,
-                "start_bit": sig.start_bit,
-                "bit_length": sig.bit_length,
-                "scale": sig.scale,
-                "offset": sig.offset,
-            }
-            for name in ("min", "max", "unit"):
-                value = getattr(sig, name)
-                if value is not None:
-                    sig_obj[name] = value
-            entry["signals"].append(sig_obj)
-        out.append(entry)
-    return dump_json(out, sort_keys=False, ensure_ascii=False)
+    return name, unit, lo, hi
 
 
 # ---------------------------------------------------------------------------

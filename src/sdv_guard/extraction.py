@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import CatalogEntry, MessageCatalog, SignalCatalog, validate_value
+from .catalog import Catalog, CatalogEntry, validate_value
 from .errors import ConfigurationError, ExtractionFormatError
 from .llm_gateway import PC1, CompletionRequest, LlmGateway, render_prompt
 from .retrieval import Chunk
@@ -202,7 +202,7 @@ def extract_entries(code: str, chunks: list[Chunk], gateway: LlmGateway) -> list
 
 
 def run_extraction(code: str, chunks: list[Chunk], gateway: LlmGateway,
-                   signal_catalog: SignalCatalog, message_catalog: MessageCatalog,
+                   signal_catalog: Catalog, message_catalog: Catalog,
                    max_retries: int = 1) -> ExtractionReport:
     """Extract, validate, and re-extract once per allowed retry while entries fail.
 
@@ -222,8 +222,7 @@ def run_extraction(code: str, chunks: list[Chunk], gateway: LlmGateway,
     return report
 
 
-def _resolve(name: str, catalog: SignalCatalog | MessageCatalog
-             ) -> tuple[CatalogEntry | None, str]:
+def _resolve(name: str, catalog: Catalog) -> tuple[CatalogEntry | None, str]:
     """Exact lookup first, then unique normalized-alias match.
 
     Returns (entry, status) where status is 'exact', 'alias', 'ambiguous'
@@ -240,8 +239,8 @@ def _resolve(name: str, catalog: SignalCatalog | MessageCatalog
     return None, "absent"
 
 
-def validate_entries(entries: list[ExtractedEntry], signal_catalog: SignalCatalog,
-                     message_catalog: MessageCatalog,
+def validate_entries(entries: list[ExtractedEntry], signal_catalog: Catalog,
+                     message_catalog: Catalog,
                      source_digest: str = "") -> ExtractionReport:
     """Partition extracted entries into accepted and rejected against the catalogs."""
     accepted: list[AcceptedEntry] = []

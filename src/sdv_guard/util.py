@@ -227,6 +227,16 @@ def _not_serializable(value):
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
+# what dump_json checks each C encoder against: nested containers, flat rows,
+# empty containers, non-ASCII text and keys out of order
+_LAYOUT_SAMPLE = {
+    "rows": [{"z": 1, "a": "\u00b0C"}, {"b": -2.5, "c": None}],
+    "tree": {"list": [[1, True], {"k": [], "e": {}}], "text": "\u2603 \U0001f600 \"q\"\n"},
+    "empty": (),
+}
+_LAYOUT_CHECKED: dict = {}  # each c_make_encoder met -> whether its layout matched
+
+
 def dump_json(value, *, sort_keys: bool = True, ensure_ascii: bool = True) -> str:
     """The one layout of every indented JSON file: 2-space indent, a final
     newline; keys sorted and non-ASCII escaped unless a flag says otherwise.
@@ -235,11 +245,29 @@ def dump_json(value, *, sort_keys: bool = True, ensure_ascii: bool = True) -> st
     writes ``indent`` output with its pure-Python encoder, so this hands each
     container of scalars to the C encoder instead, with the indent of its
     depth as the item separator, and lays out in Python only the containers
-    above them."""
+    above them. The C encoder is private API: the first time one is met, its
+    layout of a small sample is checked against ``json.dumps``, and on a
+    ``TypeError`` or any difference ``json.dumps`` writes from then on."""
     make_encoder = json.encoder.c_make_encoder
-    if make_encoder is None:  # no C accelerator, as on other interpreters
+    if make_encoder is not None and make_encoder not in _LAYOUT_CHECKED:
+        try:
+            _LAYOUT_CHECKED[make_encoder] = all(  # each value of each flag
+                _fast_dump(_LAYOUT_SAMPLE, make_encoder, string, flag)
+                == json.dumps(_LAYOUT_SAMPLE, indent=2, sort_keys=flag, ensure_ascii=flag) + "\n"
+                for flag, string in ((True, json.encoder.encode_basestring_ascii),
+                                     (False, json.encoder.encode_basestring)))
+        except TypeError:  # called with a signature it no longer has
+            _LAYOUT_CHECKED[make_encoder] = False
+    if make_encoder is None or not _LAYOUT_CHECKED[make_encoder]:
+        # no C accelerator, as on other interpreters, or one that lays out otherwise
         return json.dumps(value, indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii) + "\n"
     string = json.encoder.encode_basestring_ascii if ensure_ascii else json.encoder.encode_basestring
+    return _fast_dump(value, make_encoder, string, sort_keys)
+
+
+def _fast_dump(value, make_encoder, string, sort_keys: bool) -> str:
+    """``dump_json``'s text, written with ``make_encoder`` (CPython's
+    ``c_make_encoder``) and the string encoder ``string``."""
     encoders = []  # encoders[d] starts each item on a line d + 1 levels in
 
     def encode(item, depth: int) -> str:

@@ -1,22 +1,19 @@
-"""Catalog parsing, canonical serialization, and value validation."""
+"""Catalog parsing and value validation."""
 
 import dataclasses
 import json
-import random
 
 import pytest
 
-from bench import generators as gen
 from sdv_guard.catalog import (
     CatalogEntry,
     CatalogError,
     parse_can_catalog,
     parse_vss_catalog,
-    serialize_can_catalog,
-    serialize_vss_catalog,
     validate_value,
 )
 from sdv_guard.errors import CatalogParseError, SchemaError
+from conftest import ROOT
 
 
 # ---------------------------------------------------------------------------
@@ -24,26 +21,23 @@ from sdv_guard.errors import CatalogParseError, SchemaError
 
 
 def test_fixture_signal_catalog_shape(signal_catalog):
-    leaves = [s for s in signal_catalog.signals if not s.is_branch]
-    assert len(leaves) == 11
     assert len(signal_catalog.entries) == 11
+    keys = [entry.key for entry in signal_catalog.entries]
+    assert keys == sorted(keys)
 
-    target = signal_catalog.lookup("Vehicle.Speed.Target")
-    assert target.kind == "actuator"
+    target = signal_catalog.lookup_entry("Vehicle.Speed.Target")
+    assert target.protocol == "VSS"
     assert target.datatype == "float"
-    assert (target.min, target.max) == (0.0, 30.0)
-    assert target.unit == "km/h"
+    assert target.bounds == (0.0, 30.0)
+    assert target.text.startswith("Vehicle.Speed.Target float km/h ")
+    assert target.allowed is None
 
-    entry = signal_catalog.lookup_entry("Vehicle.Speed.Target")
-    assert entry.protocol == "VSS"
-    assert entry.bounds == (0.0, 30.0)
-
-    mode = signal_catalog.lookup("Vehicle.ADAS.Mode")
+    mode = signal_catalog.lookup_entry("Vehicle.ADAS.Mode")
     assert mode.datatype == "enum"
     assert mode.allowed == ("off", "assist", "autonomous")
+    assert mode.bounds is None
 
-    branch = signal_catalog.lookup("Vehicle.ADAS")
-    assert branch.is_branch
+    # a branch has no entry
     assert signal_catalog.lookup_entry("Vehicle.ADAS") is None
 
 
@@ -61,14 +55,7 @@ def test_compact_branch_form_equivalent_to_explicit_children():
             "Speed": {"type": "sensor", "datatype": "float", "min": 0, "max": 100},
         }
     })
-    assert parse_vss_catalog(explicit) == parse_vss_catalog(compact)
-
-
-def test_signal_catalog_round_trip(signal_catalog, vss_text):
-    canonical = serialize_vss_catalog(signal_catalog)
-    again = parse_vss_catalog(canonical)
-    assert again == signal_catalog
-    assert serialize_vss_catalog(again) == canonical
+    assert parse_vss_catalog(explicit).entries == parse_vss_catalog(compact).entries
 
 
 HUGE = 10 ** 400  # an integer past a float's range
@@ -84,6 +71,10 @@ HUGE = 10 ** 400  # an integer past a float's range
     ({"type": "relay", "datatype": "boolean"}, "invalid type"),
     ({"datatype": "int", "min": -HUGE}, "^field 'min' of 'Leaf' is out of range$"),
     ({"datatype": "int", "max": HUGE}, "^field 'max' of 'Leaf' is out of range$"),
+    # a branch's description is checked, though not kept
+    ({"children": {}, "description": 4}, "^field 'description' of 'Leaf' must be a string$"),
+    ({"C": {"datatype": "int"}, "description": 4},
+     "^field 'description' of 'Leaf' must be a string$"),
 ])
 def test_signal_schema_errors(node, message_part):
     with pytest.raises(SchemaError, match=message_part):
@@ -118,14 +109,13 @@ def test_signal_catalog_bad_json_carries_position():
 
 
 def test_fixture_message_catalog_shape(message_catalog):
-    assert len(message_catalog) == 6
-    brake = message_catalog.lookup("BrakeCmd")
-    assert brake.frame_id == 0x101
-    assert brake.dlc == 8
-    assert message_catalog.lookup_frame(0x101) is brake
+    assert len(message_catalog.entries) == 6
+    keys = [entry.key for entry in message_catalog.entries]
+    assert keys == sorted(keys)
 
     entry = message_catalog.lookup_entry("BrakeCmd")
     assert entry.protocol == "CAN"
+    assert entry.text.startswith("BrakeCmd CAN message 0x101 ")
     assert entry.datatype == "float"  # single-signal payload interpretation
     assert entry.bounds == (0.0, 100.0)
 
@@ -138,13 +128,13 @@ def test_fixture_message_catalog_shape(message_catalog):
 def test_frame_id_hex_and_decimal_are_equivalent():
     hex_form = json.dumps([{"frame_id": "0x1A", "name": "M", "dlc": 1}])
     dec_form = json.dumps([{"frame_id": 26, "name": "M", "dlc": 1}])
-    assert parse_can_catalog(hex_form) == parse_can_catalog(dec_form)
+    assert parse_can_catalog(hex_form).entries == parse_can_catalog(dec_form).entries
 
 
 @pytest.mark.parametrize("raw", ["0x1A", "0X1a", " 0x1a\t", "26", "\n26 ", "026", "\u2003 26"])
 def test_frame_id_strings_of_ascii_digits(raw):
     text = json.dumps([{"frame_id": raw, "name": "M", "dlc": 1}])
-    assert parse_can_catalog(text).messages[0].frame_id == 26
+    assert parse_can_catalog(text).entries[0].text == "M CAN message 0x1A"
 
 
 @pytest.mark.parametrize("raw", ["１２", "٣", "1_000", "0x_1F", "0x1_F", " +12 ", "-5", "0x",
@@ -154,13 +144,6 @@ def test_frame_id_strings_outside_the_grammar_are_rejected(raw):
     with pytest.raises(SchemaError) as err:
         parse_can_catalog(text)
     assert str(err.value) == f"invalid frame_id {raw!r}"
-
-
-def test_message_catalog_round_trip(message_catalog):
-    canonical = serialize_can_catalog(message_catalog)
-    again = parse_can_catalog(canonical)
-    assert again == message_catalog
-    assert serialize_can_catalog(again) == canonical
 
 
 @pytest.mark.parametrize("message, message_part", [
@@ -208,30 +191,9 @@ def test_duplicate_message_identity_rejected():
         parse_can_catalog(json.dumps(two_frames))
 
 
-def _bench_catalogs(seed: int):
-    rng = random.Random(seed)
-    vss_text, _ = gen.vss_catalog(rng, 300)
-    can_text, _ = gen.can_catalog(rng, 120)
-    return (parse_vss_catalog(vss_text), serialize_vss_catalog, parse_vss_catalog), \
-        (parse_can_catalog(can_text), serialize_can_catalog, parse_can_catalog)
-
-
-@pytest.mark.parametrize("seed", range(1, 6))
-def test_bench_catalogs_round_trip(seed):
-    for catalog, serialize, parse in _bench_catalogs(seed):
-        canonical = serialize(catalog)
-        again = parse(canonical)
-        assert again == catalog
-        assert again.entries == catalog.entries
-        assert serialize(again) == canonical
-
-
 def test_parsed_objects_are_frozen_and_equal_by_value(signal_catalog, message_catalog):
     # the parsers build these without __init__; they must be the same values
-    objects = [*signal_catalog.signals, *signal_catalog.entries, *message_catalog.messages,
-               *message_catalog.entries,
-               *(sig for msg in message_catalog.messages for sig in msg.signals)]
-    for obj in objects:
+    for obj in (*signal_catalog.entries, *message_catalog.entries):
         cls = type(obj)
         values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(cls)}
         built = cls(**values)
@@ -247,6 +209,27 @@ def test_alias_lookup_finds_the_entry_under_any_separators(vss_text):
     assert catalog.lookup_normalized("vehicle_speed_target") == (target,)
     assert catalog.lookup_normalized("Vehicle-Speed-Target") == (target,)
     assert catalog.lookup_normalized("no such signal") == ()
+
+
+# ---------------------------------------------------------------------------
+# the examples in docs/formats.md
+
+
+def _format_section(number: int) -> str:
+    text = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {number}. ", 1)[1].split("\n## ", 1)[0]
+
+
+@pytest.mark.parametrize("number, parse, key, text", [
+    (1, parse_vss_catalog, "Vehicle.Speed.Target",
+     "Vehicle.Speed.Target float km/h Requested target speed for the driving function"),
+    (2, parse_can_catalog, "BrakeCmd", "BrakeCmd CAN message 0x101 Force N"),
+], ids=["vss", "can"])
+def test_format_example_parses_to_the_quoted_retrieval_text(number, parse, key, text):
+    section = _format_section(number)
+    assert f'`"{text}"`' in " ".join(section.split())  # as quoted in the prose
+    catalog = parse(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert catalog.lookup_entry(key).text == text
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The catalog parsers against the code they replaced.
 
-Three references are kept here, with only their names changed:
+Three references are kept here, with only their names changed, and with
+local copies of the signal and message classes they built:
 
 * ``_ref_parse_vss_catalog``, the pair-list VSS parser: it decoded every
   JSON object as a list of pairs and walked that form recursively.
@@ -11,10 +12,10 @@ Three references are kept here, with only their names changed:
 * ``_ref_parse_can_catalog``, the CAN parser that formatted each error
   context up front and read a ``frame_id`` string with ``int()``.
 
-``parse_vss_catalog`` and ``parse_can_catalog`` must give the same signals
-or messages, the same entries and the same answer to every lookup, or the
-same error type and message, on the fixture catalogs, on bench catalogs and
-on random catalogs with repeated keys and several faults.
+``parse_vss_catalog`` and ``parse_can_catalog`` must give the same entries
+and the same answer to every lookup, or the same error type and message, on
+the fixture catalogs, on bench catalogs and on random catalogs with repeated
+keys and several faults.
 
 The intended differences are kept out of the random catalogs, and
 ``test_intended_differences_from_the_reference`` and
@@ -34,6 +35,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
@@ -41,16 +43,53 @@ from bench import generators as gen
 from sdv_guard.catalog import (
     FRAME_ID_MAX,
     VSS_DATATYPES,
-    CanMessage,
-    CanSignal,
     CatalogEntry,
-    VssSignal,
     parse_can_catalog,
     parse_vss_catalog,
 )
 from sdv_guard.errors import CatalogError, CatalogParseError, SchemaError, SdvGuardError
 from sdv_guard.util import load_json, normalize_name
 from conftest import FIXTURES
+
+# ---------------------------------------------------------------------------
+# the reference's signal and message classes, as they were
+
+
+@dataclass(frozen=True)
+class VssSignal:
+    path: str
+    kind: str
+    datatype: str | None = None
+    unit: str | None = None
+    min: float | None = None
+    max: float | None = None
+    allowed: tuple[str, ...] | None = None
+    description: str | None = None
+
+    @property
+    def is_branch(self) -> bool:
+        return self.kind == "branch"
+
+
+@dataclass(frozen=True)
+class CanSignal:
+    name: str
+    start_bit: int
+    bit_length: int
+    scale: float = 1.0
+    offset: float = 0.0
+    min: float | None = None
+    max: float | None = None
+    unit: str | None = None
+
+
+@dataclass(frozen=True)
+class CanMessage:
+    frame_id: int
+    name: str
+    dlc: int
+    signals: tuple[CanSignal, ...] = ()
+
 
 # ---------------------------------------------------------------------------
 # the reference: the pair-list parser, as it was
@@ -446,27 +485,17 @@ def _probes(entries) -> list[str]:
 
 
 def _view(catalog) -> tuple:
-    """What a caller can observe of a catalog: its signals or messages, its
-    entries, and every lookup on the probe names."""
+    """What a caller can observe of a catalog: its entries, and every lookup
+    on the probe names."""
     probes = _probes(catalog.entries)
     lookups = [(catalog.lookup_entry(p), catalog.lookup_normalized(p)) for p in probes]
-    if hasattr(catalog, "signals"):
-        items = catalog.signals
-        lookups += [catalog.lookup(sig.path) for sig in items]
-    else:
-        items = catalog.messages
-        lookups += [(catalog.lookup(msg.name), catalog.lookup_frame(msg.frame_id))
-                    for msg in items]
-    return items, catalog.entries, lookups
+    return catalog.entries, lookups
 
 
 def _assert_built_whole(catalog) -> None:
-    """Each signal, message and entry holds every field of its class, in order."""
-    items = catalog.signals if hasattr(catalog, "signals") else catalog.messages
-    objects = [*items, *catalog.entries,
-               *(sig for msg in getattr(catalog, "messages", ()) for sig in msg.signals)]
-    for obj in objects:
-        assert list(vars(obj)) == list(type(obj).__dataclass_fields__), obj
+    """Each entry holds every field of its class, in order."""
+    for entry in catalog.entries:
+        assert list(vars(entry)) == list(CatalogEntry.__dataclass_fields__), entry
 
 
 def _assert_same(parse, reference, text: str) -> tuple:

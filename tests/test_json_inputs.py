@@ -46,6 +46,7 @@ from sdv_guard.pipeline import (
 )
 from sdv_guard.pipeline.cli import main
 from sdv_guard.topology import parse_instance, parse_metamodel
+from sdv_guard import util
 from sdv_guard.util import RepeatedKeys, dump_json, load_json, parse_number
 
 from conftest import FIXTURES, ROOT
@@ -603,6 +604,37 @@ def test_dump_json_raises_what_json_dumps_raises(value, sort_keys):
     expected = outcome(lambda: _dumps(value, sort_keys, True))
     assert outcome(lambda: dump_json(value, sort_keys=sort_keys)) == expected
     assert expected[0] == "raised" or not sort_keys  # sorted, every value here fails
+
+
+_C_MAKE_ENCODER = json.encoder.c_make_encoder
+
+
+def _c_encoder_with_another_signature(markers, default, encoder, indent, key_separator,
+                                      item_separator, sort_keys, skipkeys):
+    return _C_MAKE_ENCODER(markers, default, encoder, indent, key_separator,
+                           item_separator, sort_keys, skipkeys, True)
+
+
+def _c_encoder_laying_out_otherwise(*args):
+    encode = _C_MAKE_ENCODER(*args)
+    return lambda item, level: [chunk.replace(": ", ":") for chunk in encode(item, level)]
+
+
+@pytest.mark.parametrize("make_encoder", [_c_encoder_with_another_signature,
+                                          _c_encoder_laying_out_otherwise])
+def test_dump_json_falls_back_when_the_c_encoder_fails_its_check(monkeypatch, make_encoder):
+    # c_make_encoder is private and may change between Python versions
+    monkeypatch.setattr(json.encoder, "c_make_encoder", make_encoder)
+    value = {"b": [{"x": 1}, {"y": [2, ()]}], "a": {"\u00e9": None, "c": [3, 4]}}
+    for sort_keys, ensure_ascii in _FLAGS:
+        assert dump_json(value, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == _dumps(
+            value, sort_keys, ensure_ascii)
+    assert util._LAYOUT_CHECKED[make_encoder] is False
+
+
+def test_dump_json_keeps_the_c_encoder_that_passes_its_check():
+    dump_json({"a": [1]})
+    assert util._LAYOUT_CHECKED[json.encoder.c_make_encoder] is True
 
 
 def test_dump_json_without_the_c_encoder(monkeypatch):
