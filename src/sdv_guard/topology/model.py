@@ -36,8 +36,10 @@ delimiter is rejected). Import and export are inverses over this subset.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 
 from ..errors import InstanceParseError, MetamodelError, ModelImportError
 from ..util import dump_json, load_json, parse_number, plantuml_body
@@ -49,20 +51,20 @@ _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 
 @dataclass(frozen=True)
 class Attribute:
+    """Equal by name and kind; ``category`` and ``target`` are read from the
+    kind once, when the attribute is made."""
+
     name: str
     kind: str
+    # 'string' | 'real' | 'int' | 'bool' | 'enum' | 'ref'
+    category: str = field(init=False, repr=False, compare=False)
+    # the enum or class name of an enum()/ref() kind, else None
+    target: str | None = field(init=False, repr=False, compare=False)
 
-    @property
-    def category(self) -> str:
-        """'string' | 'real' | 'int' | 'bool' | 'enum' | 'ref'"""
-        return self.kind.split("(", 1)[0]
-
-    @property
-    def target(self) -> str | None:
-        """Enum or class name for enum()/ref() kinds."""
-        if "(" in self.kind:
-            return self.kind[self.kind.index("(") + 1:-1]
-        return None
+    def __post_init__(self):
+        category, paren, rest = self.kind.partition("(")
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "target", rest[:-1] if paren else None)
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,11 @@ class Metamodel:
         self.classes = {c.name: c for c in classes}
         self.enums = {e.name: e for e in enums}
         self._order = tuple(c.name for c in classes)
-        # per class: its lineage (itself, then its ancestors, including an
-        # undeclared one that ends the chain) and its merged attributes
-        self._lineage: dict[str, tuple[str, ...]] = {}
-        self._attributes: dict[str, dict[str, Attribute]] = {}
+        # per class: its merged attributes; per class name: the declared
+        # classes whose lineage (the class itself, then its ancestors, up to
+        # an undeclared one that ends the chain) holds it
+        self._attributes: dict[str, Mapping[str, Attribute]] = {}
+        subclasses: dict[str, set[str]] = {}
         for cls in self.classes.values():
             lineage = [cls.name]
             current = cls.parent
@@ -97,26 +100,29 @@ class Metamodel:
                 lineage.append(current)
                 ancestor = self.classes.get(current)
                 current = ancestor.parent if ancestor else None
-            self._lineage[cls.name] = tuple(lineage)
+            for name in lineage:
+                subclasses.setdefault(name, set()).add(cls.name)
             merged: dict[str, Attribute] = {}
             for name in reversed(lineage):
                 if name in self.classes:
                     merged.update((a.name, a) for a in self.classes[name].attributes)
-            self._attributes[cls.name] = merged
+            self._attributes[cls.name] = MappingProxyType(merged)
+        self._subclasses = {name: frozenset(names) for name, names in subclasses.items()}
 
     def class_names(self) -> tuple[str, ...]:
         return self._order
 
-    def is_subclass(self, child: str, ancestor: str) -> bool:
-        """True when child == ancestor or child inherits from it."""
-        return ancestor in self._lineage.get(child, (child,))
+    def subclasses(self, ancestor: str) -> frozenset[str]:
+        """The declared classes that are ``ancestor`` or inherit from it."""
+        return self._subclasses.get(ancestor, frozenset())
 
-    def all_attributes(self, class_name: str) -> dict[str, Attribute]:
-        """Own and inherited attributes, nearest declaration wins."""
-        return dict(self._attributes.get(class_name, {}))
+    def attributes(self, class_name: str) -> Mapping[str, Attribute]:
+        """Own and inherited attributes, nearest declaration wins: the
+        metamodel's own table, read-only, empty for an undeclared class."""
+        return self._attributes.get(class_name) or MappingProxyType({})
 
     def resolve_attribute(self, class_name: str, attr_name: str) -> Attribute | None:
-        return self._attributes.get(class_name, {}).get(attr_name)
+        return self.attributes(class_name).get(attr_name)
 
     def __eq__(self, other) -> bool:
         return (
@@ -383,7 +389,8 @@ def _value_matches(kind_category: str, value, enum: EnumDef | None) -> bool:
 def conform(model: InstanceModel, metamodel: Metamodel) -> ConformanceReport:
     """Check every object against its class: kinds, targets, abstractness."""
     violations: list[ConformanceViolation] = []
-    for obj in model.objects.values():
+    objects = model.objects
+    for obj in objects.values():
         cls = metamodel.classes.get(obj.cls)
         if cls is None:
             violations.append(ConformanceViolation(
@@ -394,7 +401,7 @@ def conform(model: InstanceModel, metamodel: Metamodel) -> ConformanceReport:
             violations.append(ConformanceViolation(
                 obj.id, "abstract-class", f"class '{obj.cls}' is abstract"
             ))
-        declared = metamodel.all_attributes(obj.cls)
+        declared = metamodel.attributes(obj.cls)
         for name, value in obj.attrs.items():
             attr = declared.get(name)
             if attr is None:
@@ -402,14 +409,15 @@ def conform(model: InstanceModel, metamodel: Metamodel) -> ConformanceReport:
                     obj.id, "unknown-attribute", f"'{obj.cls}' declares no '{name}'"
                 ))
                 continue
-            if attr.category == "ref":
+            category = attr.category
+            if category == "ref":
                 violations.append(ConformanceViolation(
                     obj.id, "kind-mismatch",
                     f"'{name}' is a reference, assign it under references"
                 ))
                 continue
-            enum = metamodel.enums.get(attr.target) if attr.category == "enum" else None
-            if not _value_matches(attr.category, value, enum):
+            enum = metamodel.enums.get(attr.target) if category == "enum" else None
+            if not _value_matches(category, value, enum):
                 violations.append(ConformanceViolation(
                     obj.id, "kind-mismatch",
                     f"'{name}' = {value!r} does not match kind {attr.kind}"
@@ -427,16 +435,14 @@ def conform(model: InstanceModel, metamodel: Metamodel) -> ConformanceReport:
                     f"'{name}' has kind {attr.kind}, not a reference"
                 ))
                 continue
-            target = model.get(target_id)
+            target = objects.get(target_id)
             if target is None:
                 violations.append(ConformanceViolation(
                     obj.id, "dangling-reference",
                     f"'{name}' points to missing object '{target_id}'"
                 ))
                 continue
-            if target.cls not in metamodel.classes or not metamodel.is_subclass(
-                target.cls, attr.target
-            ):
+            if target.cls not in metamodel.subclasses(attr.target):
                 violations.append(ConformanceViolation(
                     obj.id, "ill-typed-reference",
                     f"'{name}' must target {attr.target}, got {target.cls} '{target_id}'"

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from ..errors import ConstraintError
 from ..util import MAX_NESTING, TokenStream, parse_number
@@ -597,8 +599,7 @@ VERDICT_FAIL = "fail"
 VERDICT_NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class ConstraintVerdict:
+class ConstraintVerdict(NamedTuple):
     constraint: str
     object_id: str
     verdict: str
@@ -609,7 +610,7 @@ class ConstraintVerdict:
 class TopologyReport:
     rows: tuple[ConstraintVerdict, ...]
 
-    @property
+    @cached_property  # rows never change, so the first read serves every later one
     def failing(self) -> tuple[ConstraintVerdict, ...]:
         return tuple(r for r in self.rows if r.verdict == VERDICT_FAIL)
 
@@ -621,13 +622,10 @@ class TopologyReport:
         return {
             "overall": self.overall,
             "rows": [
-                {
-                    "constraint": r.constraint,
-                    "object": r.object_id,
-                    "verdict": r.verdict,
-                    **({"reason": r.reason} if r.reason else {}),
-                }
-                for r in self.rows
+                {"constraint": constraint, "object": object_id, "verdict": verdict,
+                 "reason": reason} if reason else
+                {"constraint": constraint, "object": object_id, "verdict": verdict}
+                for constraint, object_id, verdict, reason in self.rows
             ],
         }
 
@@ -637,31 +635,31 @@ def eval_constraints(model: InstanceModel, constraints: ConstraintSet,
     """Evaluate every constraint against every object; nothing is skipped silently.
 
     Each constraint is type-checked against ``metamodel`` again, once, and a
-    constraint that does not check raises ConstraintError.
+    constraint that does not check raises ConstraintError. The rows follow
+    the constraints in file order and, within each, every object by id.
     """
     rows: list[ConstraintVerdict] = []
+    append = rows.append
+    new = tuple.__new__  # ConstraintVerdict(...) without its argument handling
     objects = sorted(model.objects.values(), key=lambda o: o.id)
     for constraint in constraints.constraints:
         evaluate = _compile(constraint, metamodel)
+        applicable = metamodel.subclasses(constraint.context)
+        name = constraint.name
         for obj in objects:
-            if not metamodel.is_subclass(obj.cls, constraint.context):
-                rows.append(ConstraintVerdict(
-                    constraint.name, obj.id, VERDICT_NOT_APPLICABLE,
-                ))
+            if obj.cls not in applicable:
+                append(new(ConstraintVerdict,
+                           (name, obj.id, VERDICT_NOT_APPLICABLE, "")))
                 continue
             try:
                 value = evaluate(model, {"self": obj})
                 if not isinstance(value, bool):
                     raise _EvalFault(f"constraint produced {value!r}, not a boolean")
             except _EvalFault as fault:
-                rows.append(ConstraintVerdict(
-                    constraint.name, obj.id, VERDICT_FAIL, reason=str(fault),
-                ))
+                append(new(ConstraintVerdict, (name, obj.id, VERDICT_FAIL, str(fault))))
                 continue
-            if value:
-                rows.append(ConstraintVerdict(constraint.name, obj.id, VERDICT_PASS))
-            else:
-                rows.append(ConstraintVerdict(constraint.name, obj.id, VERDICT_FAIL))
+            append(new(ConstraintVerdict,
+                       (name, obj.id, VERDICT_PASS if value else VERDICT_FAIL, "")))
     return TopologyReport(rows=tuple(rows))
 
 

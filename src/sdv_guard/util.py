@@ -10,7 +10,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import CatalogParseError, ConfigurationError, SdvGuardError
@@ -217,8 +217,11 @@ def _flat(values) -> bool:
 
 
 def _flat_rows(items) -> bool:
-    """Every item is a non-empty dict of scalars."""
-    return all(isinstance(row, dict) and row and _flat(row.values()) for row in items)
+    """Every item is a non-empty dict of scalars. Checked without a Python
+    step per row: each type among the values is tested once."""
+    return (all(map(isinstance, items, repeat(dict))) and all(items)
+            and not any(issubclass(kind, _CONTAINERS) for kind in
+                        set(map(type, chain.from_iterable(map(dict.values, items))))))
 
 
 def _not_serializable(value):

@@ -46,6 +46,7 @@ from sdv_guard.pipeline import (
 )
 from sdv_guard.pipeline.cli import main
 from sdv_guard.topology import parse_instance, parse_metamodel
+from sdv_guard.topology.ocl import ConstraintVerdict
 from sdv_guard import util
 from sdv_guard.util import RepeatedKeys, dump_json, load_json, parse_number
 
@@ -587,6 +588,39 @@ def test_dump_json_writes_a_large_report_whole(sort_keys, ensure_ascii):
                        for i in range(50_000)]}
     assert dump_json(report, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == _dumps(
         report, sort_keys, ensure_ascii)
+
+
+class _Items(list):
+    pass
+
+
+# lists whose items look like flat rows but are not: a row value that is a
+# container subclass, an empty row, or an item that is not a dict
+_NEAR_ROWS = [
+    [{"a": 1}, {"b": RepeatedKeys([("k", 1), ("k", [2])])}],
+    [{"a": 1}, {"v": ConstraintVerdict("c", "o", "fail", "why")}],
+    [{"a": _Items([1, 2]), "b": "x"}, {"c": 2}],
+    [{"a": 1}, {"b": 2, "c": _Items()}],
+    [{"a": 1}, {}],
+    [{}, {"a": 1}],
+    [{}],
+    [{"a": 1}, [1, 2]],
+    [{"a": 1}, ConstraintVerdict("c", "o", "pass")],
+    [{"a": 1}, 3],
+    [{"a": 1}, None],
+    ({"a": 1}, {"b": (2,)}),
+    # rows that are flat: a dict subclass row, a tuple of rows
+    [RepeatedKeys([("a", 1), ("a", 2)]), {"b": 1}],
+    ({"a": 1}, {"b": "}"}),
+]
+
+
+@pytest.mark.parametrize("rows", _NEAR_ROWS, ids=repr)
+@pytest.mark.parametrize("sort_keys, ensure_ascii", _FLAGS)
+def test_dump_json_lays_out_items_that_are_not_flat_rows(rows, sort_keys, ensure_ascii):
+    for value in (rows, {"rows": rows}, [[rows]]):
+        assert dump_json(value, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == _dumps(
+            value, sort_keys, ensure_ascii)
 
 
 @pytest.mark.parametrize("value", [

@@ -39,7 +39,7 @@ from sdv_guard.topology import (
 )
 
 from sdv_guard.pipeline.cli import main
-from sdv_guard.topology.ocl import MAX_NESTING
+from sdv_guard.topology.ocl import MAX_NESTING, ConstraintVerdict
 
 from conftest import scripted_gateway
 
@@ -82,16 +82,17 @@ def test_default_metamodel_shape(metamodel):
 
 
 def test_subclass_relation(metamodel):
-    assert metamodel.is_subclass("Camera", "Component")
-    assert metamodel.is_subclass("VSSMessage", "Message")
-    assert metamodel.is_subclass("Message", "Message")
-    assert not metamodel.is_subclass("Message", "VSSMessage")
-    assert not metamodel.is_subclass("Camera", "Network")
-    assert not metamodel.is_subclass("NoSuchClass", "Component")
+    assert "Camera" in metamodel.subclasses("Component")
+    assert "VSSMessage" in metamodel.subclasses("Message")
+    assert "Message" in metamodel.subclasses("Message")
+    assert "Message" not in metamodel.subclasses("VSSMessage")
+    assert "Camera" not in metamodel.subclasses("Network")
+    assert "NoSuchClass" not in metamodel.subclasses("Component")
+    assert metamodel.subclasses("NoSuchClass") == frozenset()
 
 
 def test_inherited_attributes(metamodel):
-    attrs = metamodel.all_attributes("VSSMessage")
+    attrs = metamodel.attributes("VSSMessage")
     assert set(attrs) == {"source", "target", "network", "standard",
                           "payloadValue", "vssPath", "category"}
     assert attrs["source"].category == "ref"
@@ -99,6 +100,14 @@ def test_inherited_attributes(metamodel):
     assert attrs["standard"].category == "enum"
     assert metamodel.resolve_attribute("Camera", "name").kind == "string"
     assert metamodel.resolve_attribute("Camera", "vssPath") is None
+
+
+def test_attribute_table_is_read_only(metamodel):
+    attrs = metamodel.attributes("VSSMessage")
+    with pytest.raises(TypeError):
+        attrs["stray"] = attrs["source"]
+    assert "stray" not in metamodel.attributes("VSSMessage")
+    assert dict(metamodel.attributes("NoSuchClass")) == {}
 
 
 def test_metamodel_serialization_round_trip(metamodel):
@@ -737,6 +746,50 @@ def test_render_topology_report_layout(metamodel, security_constraints):
     data = report.to_dict()
     assert data["overall"] == "fail"
     assert {"constraint", "object", "verdict"} <= set(data["rows"][0])
+
+
+def test_report_rows_leave_out_reason_exactly_when_it_is_empty(metamodel):
+    constraints = parse_constraints(
+        "context Message inv Real: self.payloadValue.toReal() > 0.0\n"
+        "inv Raw: self.standard = MessageStandardKind::RAW", metamodel)
+    model = _model(*(ModelObject(f"m{payload}", "Message",
+                                 attrs={"payloadValue": payload, "standard": "RAW"})
+                     for payload in ("1", "-1", "x")),
+                   ModelObject("cam", "Camera", attrs={"name": "c"}))
+    report = eval_constraints(model, constraints, metamodel)
+    assert {(r.verdict, bool(r.reason)) for r in report.rows} == {
+        (VERDICT_PASS, False), (VERDICT_FAIL, False), (VERDICT_FAIL, True),
+        (VERDICT_NOT_APPLICABLE, False)}
+    rows = report.to_dict()["rows"]
+    assert len(rows) == len(report.rows)
+    for row, verdict in zip(rows, report.rows):
+        expected = {"constraint": verdict.constraint, "object": verdict.object_id,
+                    "verdict": verdict.verdict}
+        if verdict.reason:
+            expected["reason"] = verdict.reason
+        assert row == expected
+        assert list(row) == list(expected)  # the same key order
+
+
+def test_report_rows_are_hashable_immutable_and_equal_by_value(metamodel,
+                                                               security_constraints):
+    first = eval_constraints(_steer_message("hard left"), security_constraints, metamodel)
+    second = eval_constraints(_steer_message("hard left"), security_constraints, metamodel)
+    assert first == second
+    assert first.rows == second.rows and first.rows is not second.rows
+    assert {hash(row) for row in first.rows} == {hash(row) for row in second.rows}
+    assert len(set(first.rows + second.rows)) == len(first.rows)
+    row = _verdict_of(first, "SteeringCommandWithinLimits", "m")
+    assert row == ConstraintVerdict("SteeringCommandWithinLimits", "m", VERDICT_FAIL,
+                                    row.reason)
+    assert row != ConstraintVerdict("SteeringCommandWithinLimits", "m", VERDICT_FAIL)
+    assert ConstraintVerdict("c", "o", VERDICT_PASS).reason == ""
+    with pytest.raises(AttributeError):
+        row.verdict = VERDICT_PASS
+    with pytest.raises(TypeError):
+        row[2] = VERDICT_PASS
+    assert first.failing == tuple(r for r in first.rows if r.verdict == VERDICT_FAIL)
+    assert first.failing is first.failing  # worked out once
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The topology layer against reference implementations.
 
 ``parse_constraints`` and ``eval_constraints`` compile each constraint in one
-typed pass, and ``Metamodel`` answers class questions from tables built once.
-The references below are the separate type checker, tree-walking evaluator
+typed pass, ``conform`` reads per-class tables, and ``Metamodel`` answers
+class questions from tables built once. The references below are the
+separate type checker, tree-walking evaluator, per-object conformance check
 and parent-chain walks they replaced. Both sides must give the same errors,
 the same reports and the same class answers.
 """
@@ -14,6 +15,8 @@ import pytest
 from sdv_guard.errors import ConstraintError, MetamodelError
 from sdv_guard.topology import (
     Attribute,
+    ConformanceReport,
+    ConformanceViolation,
     ConstraintSet,
     EnumDef,
     InstanceModel,
@@ -24,6 +27,7 @@ from sdv_guard.topology import (
     VERDICT_FAIL,
     VERDICT_NOT_APPLICABLE,
     VERDICT_PASS,
+    conform,
     default_metamodel,
     eval_constraints,
     import_class_diagram,
@@ -80,6 +84,99 @@ def _ref_all_attributes(metamodel, class_name):
 
 def _ref_resolve_attribute(metamodel, class_name, attr_name):
     return _ref_all_attributes(metamodel, class_name).get(attr_name)
+
+
+def _ref_category(attr):
+    return attr.kind.split("(", 1)[0]
+
+
+def _ref_target(attr):
+    if "(" in attr.kind:
+        return attr.kind[attr.kind.index("(") + 1:-1]
+    return None
+
+
+# ---------------------------------------------------------------------------
+# reference: conformance, one object at a time
+
+
+def _ref_value_matches(kind_category, value, enum):
+    if kind_category == "string":
+        return isinstance(value, str)
+    if kind_category == "bool":
+        return isinstance(value, bool)
+    if kind_category == "int":
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind_category == "real":
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind_category == "enum":
+        return isinstance(value, str) and enum is not None and value in enum.literals
+    return False
+
+
+def _ref_conform(model, metamodel):
+    """Check every object against its class: kinds, targets, abstractness."""
+    violations = []
+    for obj in model.objects.values():
+        cls = metamodel.classes.get(obj.cls)
+        if cls is None:
+            violations.append(ConformanceViolation(
+                obj.id, "unknown-class", f"class '{obj.cls}' is not in the metamodel"
+            ))
+            continue
+        if cls.abstract:
+            violations.append(ConformanceViolation(
+                obj.id, "abstract-class", f"class '{obj.cls}' is abstract"
+            ))
+        declared = _ref_all_attributes(metamodel, obj.cls)
+        for name, value in obj.attrs.items():
+            attr = declared.get(name)
+            if attr is None:
+                violations.append(ConformanceViolation(
+                    obj.id, "unknown-attribute", f"'{obj.cls}' declares no '{name}'"
+                ))
+                continue
+            if _ref_category(attr) == "ref":
+                violations.append(ConformanceViolation(
+                    obj.id, "kind-mismatch",
+                    f"'{name}' is a reference, assign it under references"
+                ))
+                continue
+            enum = (metamodel.enums.get(_ref_target(attr))
+                    if _ref_category(attr) == "enum" else None)
+            if not _ref_value_matches(_ref_category(attr), value, enum):
+                violations.append(ConformanceViolation(
+                    obj.id, "kind-mismatch",
+                    f"'{name}' = {value!r} does not match kind {attr.kind}"
+                ))
+        for name, target_id in obj.refs.items():
+            attr = declared.get(name)
+            if attr is None:
+                violations.append(ConformanceViolation(
+                    obj.id, "unknown-attribute", f"'{obj.cls}' declares no '{name}'"
+                ))
+                continue
+            if _ref_category(attr) != "ref":
+                violations.append(ConformanceViolation(
+                    obj.id, "kind-mismatch",
+                    f"'{name}' has kind {attr.kind}, not a reference"
+                ))
+                continue
+            target = model.get(target_id)
+            if target is None:
+                violations.append(ConformanceViolation(
+                    obj.id, "dangling-reference",
+                    f"'{name}' points to missing object '{target_id}'"
+                ))
+                continue
+            if target.cls not in metamodel.classes or not _ref_is_subclass(
+                metamodel, target.cls, _ref_target(attr)
+            ):
+                violations.append(ConformanceViolation(
+                    obj.id, "ill-typed-reference",
+                    f"'{name}' must target {_ref_target(attr)}, got {target.cls} '{target_id}'"
+                ))
+    return ConformanceReport(violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +697,8 @@ def test_seeded_rich_models_match_reference(seed):
     assert any(r.reason for r in report.rows)
 
 
-def test_hand_built_faults_match_reference():
-    metamodel = parse_metamodel(_RICH_METAMODEL)
-    constraints = parse_constraints(_RICH_CONSTRAINTS, metamodel)
-    model = InstanceModel([
+def _hand_built_faults():
+    return InstanceModel([
         ModelObject("a", "Sensor", attrs={"secure": "yes", "rate": True, "count": 3.0,
                                           "mode": "off", "label": 1}),
         ModelObject("b", "SmartSensor", attrs={"text": " 12 ", "level": "high",
@@ -617,10 +712,78 @@ def test_hand_built_faults_match_reference():
         ModelObject("f", "Ghost", attrs={"label": ""}),
         ModelObject("g", "Sensor"),
     ])
-    report = _assert_same_reports(model, constraints, metamodel)
+
+
+def test_hand_built_faults_match_reference():
+    metamodel = parse_metamodel(_RICH_METAMODEL)
+    constraints = parse_constraints(_RICH_CONSTRAINTS, metamodel)
+    report = _assert_same_reports(_hand_built_faults(), constraints, metamodel)
     reasons = {r.reason for r in report.rows if r.reason}
     assert "reference 'c.peer' dangles" in reasons
     assert "object 'g' has no value for 'secure'" in reasons
+
+
+# ---------------------------------------------------------------------------
+# tests: conformance
+
+
+def _assert_same_conformance(model, metamodel):
+    expected = _ref_conform(model, metamodel)
+    actual = conform(model, metamodel)
+    assert actual == expected  # the same violations, in the same order
+    assert actual.render_text() == expected.render_text()
+    return actual
+
+
+@pytest.mark.parametrize("name", ["system.json", "system.puml", "system-bad.puml"])
+def test_fixture_conformance_matches_reference(fixtures_dir, name):
+    text = (fixtures_dir / "topology" / name).read_text(encoding="utf-8")
+    model = parse_instance(text) if name.endswith(".json") else import_class_diagram(text)
+    assert _assert_same_conformance(model, default_metamodel()).ok
+
+
+@pytest.mark.parametrize("source", ["default", "rich"])
+def test_hand_built_faults_conform_as_the_reference(source):
+    metamodel = (default_metamodel() if source == "default"
+                 else parse_metamodel(_RICH_METAMODEL))
+    assert not _assert_same_conformance(_hand_built_faults(), metamodel).ok
+
+
+def _subclass_references(model, metamodel):
+    """(object id, reference) pairs that point at a strict subclass of the
+    class the reference declares."""
+    pairs = set()
+    for obj in model.objects.values():
+        declared = _ref_all_attributes(metamodel, obj.cls)
+        for name, target_id in obj.refs.items():
+            attr, target = declared.get(name), model.get(target_id)
+            if (attr is not None and _ref_category(attr) == "ref" and target is not None
+                    and target.cls in metamodel.classes and target.cls != _ref_target(attr)
+                    and _ref_is_subclass(metamodel, target.cls, _ref_target(attr))):
+                pairs.add((obj.id, name))
+    return pairs
+
+
+@pytest.mark.parametrize("source", ["default", "rich"])
+def test_seeded_faulty_models_conform_as_the_reference(source):
+    metamodel = (default_metamodel() if source == "default"
+                 else parse_metamodel(_RICH_METAMODEL))
+    kinds, messages, allowed = set(), [], 0
+    for seed in range(12):
+        model = _random_model(random.Random(200 + seed), metamodel, 40)
+        report = _assert_same_conformance(model, metamodel)
+        kinds |= {v.kind for v in report.violations}
+        messages += [v.message for v in report.violations]
+        flagged = {(v.object_id, v.message.split("'")[1]) for v in report.violations}
+        subclass_refs = _subclass_references(model, metamodel)
+        assert not subclass_refs & flagged  # a subclass is an allowed target
+        allowed += len(subclass_refs)
+    assert kinds == {"unknown-class", "abstract-class", "unknown-attribute",
+                     "kind-mismatch", "dangling-reference", "ill-typed-reference"}
+    assert any(m.endswith("is a reference, assign it under references") for m in messages)
+    assert any(m.endswith("not a reference") for m in messages)
+    assert any(" = '" in m and "does not match kind enum(" in m for m in messages)
+    assert allowed
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +792,9 @@ def test_hand_built_faults_match_reference():
 
 def _class_answers(metamodel, names):
     return [
-        (child, ancestor, metamodel.is_subclass(child, ancestor))
-        for child in names for ancestor in names
+        (name, metamodel.subclasses(name)) for name in names
     ], [
-        (name, metamodel.all_attributes(name),
+        (name, dict(metamodel.attributes(name)),
          [(attr, metamodel.resolve_attribute(name, attr)) for attr in names])
         for name in names
     ]
@@ -640,8 +802,8 @@ def _class_answers(metamodel, names):
 
 def _ref_class_answers(metamodel, names):
     return [
-        (child, ancestor, _ref_is_subclass(metamodel, child, ancestor))
-        for child in names for ancestor in names
+        (name, frozenset(c for c in metamodel.classes if _ref_is_subclass(metamodel, c, name)))
+        for name in names
     ], [
         (name, _ref_all_attributes(metamodel, name),
          [(attr, _ref_resolve_attribute(metamodel, name, attr)) for attr in names])
@@ -662,11 +824,17 @@ def test_class_tables_match_reference(source):
                     == _ref_resolve_attribute(metamodel, name, attr))
 
 
-def test_all_attributes_returns_a_fresh_dict():
-    metamodel = default_metamodel()
-    metamodel.all_attributes("VSSMessage").clear()
-    assert metamodel.all_attributes("VSSMessage") == _ref_all_attributes(
-        metamodel, "VSSMessage")
+@pytest.mark.parametrize("kind", ["string", "real", "int", "bool", "enum(Mode)",
+                                  "ref(Sensor)", "enum()", "odd(", "a(b(c))"])
+def test_attribute_category_and_target_match_reference(kind):
+    attr = Attribute("x", kind)
+    assert (attr.category, attr.target) == (_ref_category(attr), _ref_target(attr))
+    # still equal, hashed and shown by name and kind alone
+    assert attr == Attribute("x", kind) and hash(attr) == hash(Attribute("x", kind))
+    assert attr != Attribute("y", kind)
+    assert repr(attr) == f"Attribute(name='x', kind={kind!r})"
+    with pytest.raises(AttributeError):
+        attr.category = "string"
 
 
 def test_directly_built_metamodel_with_an_undeclared_parent():
@@ -681,9 +849,8 @@ def test_directly_built_metamodel_with_an_undeclared_parent():
     )
     names = ["X", "Y", "Z", "Ghost", "Other"]
     assert _class_answers(metamodel, names) == _ref_class_answers(metamodel, names)
-    assert metamodel.is_subclass("X", "Ghost")
-    assert metamodel.is_subclass("Y", "Ghost")
-    assert not metamodel.is_subclass("Ghost", "X")
+    assert metamodel.subclasses("Ghost") == {"X", "Y"}
+    assert metamodel.subclasses("X") == {"X", "Y"}
 
 
 def test_directly_built_cycle_raises():
