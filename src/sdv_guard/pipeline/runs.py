@@ -357,7 +357,7 @@ def run_topology_pipeline(gateway: LlmGateway, config: PipelineConfig,
         writer.write(f"model{suffix}.puml", export_class_diagram(model))
         writer.write(f"model{suffix}.json", serialize_instance(model))
         writer.write(f"topology{suffix}.txt", render_topology_report(report))
-        writer.write(f"topology{suffix}.json", dump_json(report.to_dict()))
+        writer.write(f"topology{suffix}.json", report.to_json())
         iterations.append(TopologyIteration(index=index, model=model, report=report))
         record.iterations.append({
             "index": index,

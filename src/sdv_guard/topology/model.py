@@ -42,11 +42,14 @@ from importlib import resources
 from types import MappingProxyType
 
 from ..errors import InstanceParseError, MetamodelError, ModelImportError
-from ..util import dump_json, load_json, parse_number, plantuml_body
+from ..util import RecordColumns, dump_json, load_json, parse_number, plantuml_body
 
-KIND_RE = re.compile(r"^(string|real|int|bool|enum\(([A-Za-z_][A-Za-z0-9_]*)\)|ref\(([A-Za-z_][A-Za-z0-9_]*)\))$")
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
+# matched whole (fullmatch): "$" would also match before a final newline
+KIND_RE = re.compile(r"string|real|int|bool|enum\(([A-Za-z_][A-Za-z0-9_]*)\)|ref\(([A-Za-z_][A-Za-z0-9_]*)\)")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+# the characters str.splitlines ends a line at; no object-diagram line can hold one
+_LINE_BREAK_RE = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,7 @@ def parse_metamodel(text: str) -> Metamodel:
             raise MetamodelError("enum declarations must be objects")
         name = obj.get("name")
         literals = obj.get("literals")
-        if not isinstance(name, str) or not _NAME_RE.match(name):
+        if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
             raise MetamodelError(f"invalid enum name {name!r}")
         if not isinstance(literals, list) or not literals or not all(
             isinstance(l, str) and l for l in literals
@@ -165,7 +168,7 @@ def parse_metamodel(text: str) -> Metamodel:
         if not isinstance(obj, dict):
             raise MetamodelError("class declarations must be objects")
         name = obj.get("name")
-        if not isinstance(name, str) or not _NAME_RE.match(name):
+        if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
             raise MetamodelError(f"invalid class name {name!r}")
         attributes = []
         if not isinstance(obj.get("attributes", []), list):
@@ -173,9 +176,9 @@ def parse_metamodel(text: str) -> Metamodel:
         for attr in obj.get("attributes", []):
             attr_name = attr.get("name") if isinstance(attr, dict) else None
             kind = attr.get("kind") if isinstance(attr, dict) else None
-            if not isinstance(attr_name, str) or not _NAME_RE.match(attr_name):
+            if not isinstance(attr_name, str) or not _NAME_RE.fullmatch(attr_name):
                 raise MetamodelError(f"class '{name}' has an invalid attribute name")
-            if not isinstance(kind, str) or not KIND_RE.match(kind):
+            if not isinstance(kind, str) or not KIND_RE.fullmatch(kind):
                 raise MetamodelError(
                     f"attribute '{name}.{attr_name}' has invalid kind {kind!r}"
                 )
@@ -296,7 +299,7 @@ def parse_instance(text: str) -> InstanceModel:
             raise InstanceParseError("every object declaration must be an object")
         object_id = obj.get("id")
         cls = obj.get("class")
-        if not isinstance(object_id, str) or not _ID_RE.match(object_id):
+        if not isinstance(object_id, str) or not _ID_RE.fullmatch(object_id):
             raise InstanceParseError(f"invalid object id {object_id!r}")
         if not isinstance(cls, str) or not cls:
             raise InstanceParseError(f"object '{object_id}' is missing its class")
@@ -310,6 +313,11 @@ def parse_instance(text: str) -> InstanceModel:
             if value is not None and not isinstance(value, _SCALAR_TYPES):
                 raise InstanceParseError(
                     f"attribute '{object_id}.{name}' must be a scalar"
+                )
+            if isinstance(value, str) and _LINE_BREAK_RE.search(value):
+                raise InstanceParseError(
+                    f"attribute '{object_id}.{name}' holds a line break, "
+                    f"which no object-diagram line can"
                 )
         for name, value in refs.items():
             if not isinstance(value, str):
@@ -330,18 +338,15 @@ def parse_instance(text: str) -> InstanceModel:
 
 
 def serialize_instance(model: InstanceModel) -> str:
-    doc = {
-        "objects": [
-            {
-                "id": obj.id,
-                "class": obj.cls,
-                "attributes": obj.attrs,
-                "references": obj.refs,
-            }
-            for obj in sorted(model.objects.values(), key=lambda o: o.id)
-        ]
-    }
-    return dump_json(doc, ensure_ascii=False)
+    """The canonical JSON form: the objects by id, each ``{"id", "class",
+    "attributes", "references"}``, handed to ``dump_json`` as columns."""
+    objects = sorted(model.objects.values(), key=lambda o: o.id)
+    return dump_json({"objects": RecordColumns({
+        "id": [obj.id for obj in objects],
+        "class": [obj.cls for obj in objects],
+        "attributes": [obj.attrs for obj in objects],
+        "references": [obj.refs for obj in objects],
+    })}, ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +469,9 @@ _ARROW_RE = re.compile(
 )
 # the first characters of a number (util.parse_number) once stripped
 _NUMBER_STARTS = frozenset("-0123456789")
+# a string that exports unquoted: it imports back as the same string, and no
+# number has this form
+_BARE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 
 
 def _parse_scalar(raw: str, lineno: int):
@@ -532,8 +540,8 @@ def _format_scalar(value) -> str:
     if isinstance(value, (int, float)):
         return repr(value)
     text = str(value)
-    if text not in ("true", "false") and re.match(r"^[A-Za-z_][A-Za-z0-9_-]*$", text):
-        return text  # bare: round-trips as the same string; no number has this form
+    if text not in ("true", "false") and _BARE_RE.fullmatch(text):
+        return text
     return f'"{text}"'
 
 

@@ -28,13 +28,14 @@ flagging.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from ..errors import ConstraintError
-from ..util import MAX_NESTING, TokenStream, parse_number
+from ..util import MAX_NESTING, RecordColumns, TokenStream, dump_json, parse_number
 from .model import InstanceModel, Metamodel, ModelObject
 
 _TOKEN_SPEC = [
@@ -351,28 +352,23 @@ def _boolean(value) -> bool:
     return value
 
 
-def _compare(op: str, left, right) -> bool:
-    numeric = (
-        isinstance(left, (int, float)) and not isinstance(left, bool)
-        and isinstance(right, (int, float)) and not isinstance(right, bool)
-    )
-    if op in ("<", "<=", ">", ">="):
-        if not numeric:
-            raise _EvalFault(f"'{op}' needs numeric operands")
-        return {
-            "<": left < right, "<=": left <= right,
-            ">": left > right, ">=": left >= right,
-        }[op]
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# each ordering operator's comparison; the compiler binds one per Compare
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _same(left, right) -> bool:
+    """``=`` at run time: objects by id, numbers exactly (an int against a
+    float too), any other values of one type by value."""
     if isinstance(left, ModelObject) or isinstance(right, ModelObject):
-        same = (
-            isinstance(left, ModelObject) and isinstance(right, ModelObject)
-            and left.id == right.id
-        )
-    elif numeric or type(left) is type(right):
-        same = left == right  # exact, also between an int and a float
-    else:
-        raise _EvalFault(f"cannot compare {left!r} with {right!r}")
-    return same if op == "=" else not same
+        return (isinstance(left, ModelObject) and isinstance(right, ModelObject)
+                and left.id == right.id)
+    if type(left) is type(right) or (_is_number(left) and _is_number(right)):
+        return left == right
+    raise _EvalFault(f"cannot compare {left!r} with {right!r}")
 
 
 def _constant(value):
@@ -495,15 +491,23 @@ class _Compiler:
             left_type, left = self.compile(expr.left, env)
             right_type, right = self.compile(expr.right, env)
             op = expr.op
-            if op in ("<", "<=", ">", ">="):
-                if not (_is_numeric(left_type) and _is_numeric(right_type)):
-                    self.fail(f"'{op}' needs numeric operands")
-            else:
+            ordering = _ORDERINGS.get(op)
+            if ordering is None:
                 if not _comparable(left_type, right_type):
                     self.fail(f"cannot compare {_type_name(left_type)} "
                               f"with {_type_name(right_type)}")
-            return _BOOL, lambda model, scope: _compare(
-                op, left(model, scope), right(model, scope))
+                negate = op == "<>"
+                return _BOOL, lambda model, scope: _same(left(model, scope),
+                                                         right(model, scope)) != negate
+            if not (_is_numeric(left_type) and _is_numeric(right_type)):
+                self.fail(f"'{op}' needs numeric operands")
+
+            def order(model, scope):
+                lhs, rhs = left(model, scope), right(model, scope)
+                if _is_number(lhs) and _is_number(rhs):
+                    return ordering(lhs, rhs)
+                raise _EvalFault(f"'{op}' needs numeric operands")
+            return _BOOL, order
         if isinstance(expr, NotOp):
             child_type, child = self.compile(expr.child, env)
             if child_type != _BOOL:
@@ -619,6 +623,7 @@ class TopologyReport:
         return VERDICT_FAIL if self.failing else VERDICT_PASS
 
     def to_dict(self) -> dict:
+        """The document of ``topology_iterN.json``; ``to_json`` writes its text."""
         return {
             "overall": self.overall,
             "rows": [
@@ -628,6 +633,15 @@ class TopologyReport:
                 for constraint, object_id, verdict, reason in self.rows
             ],
         }
+
+    def to_json(self) -> str:
+        """Exactly ``dump_json(self.to_dict())``, the rows handed over as
+        columns."""
+        constraints, objects, verdicts, reasons = zip(*self.rows) if self.rows else ((),) * 4
+        return dump_json({"overall": self.overall, "rows": RecordColumns({
+            "constraint": constraints, "object": objects, "verdict": verdicts,
+            "reason": [reason or None for reason in reasons],  # to_dict leaves "" out
+        })})
 
 
 def eval_constraints(model: InstanceModel, constraints: ConstraintSet,

@@ -425,6 +425,45 @@ def test_json_is_encoded_only_by_the_two_writers():
     assert _json_sites({"encoder"}) == {("util.py", "dump_json")}
 
 
+def _references(name: str, source: str, filename: str) -> set[tuple[str, str]]:
+    """(file, innermost function) of every reference to ``name`` in
+    ``source``: as a name, an attribute, an import or a string."""
+    found = set()
+
+    def visit(node, scope: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and name in node.name.split("."))
+                or (isinstance(node, ast.Constant) and node.value == name)):
+            found.add((filename, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_one_checked_path_reaches_the_private_c_encoder():
+    # json.encoder.c_make_encoder is private API: only dump_json takes it, and
+    # checks its layout first
+    found = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        found |= _references("c_make_encoder", path.read_text(encoding="utf-8"), path.name)
+    assert found == {("util.py", "dump_json")}
+
+
+@pytest.mark.parametrize("source", [
+    "json.encoder.c_make_encoder(None)",
+    "from json.encoder import c_make_encoder",
+    "getattr(json.encoder, 'c_make_encoder')",
+    "def f():\n    return c_make_encoder",
+])
+def test_the_c_encoder_pin_sees_every_way_to_it(source):
+    assert _references("c_make_encoder", source, "m.py")
+
+
 @pytest.mark.parametrize("source", [
     "json.encoder.c_make_encoder(None)",
     "from json.encoder import c_make_encoder",
@@ -677,3 +716,64 @@ def test_dump_json_without_the_c_encoder(monkeypatch):
     for sort_keys, ensure_ascii in _FLAGS:
         assert dump_json(value, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == _dumps(
             value, sort_keys, ensure_ascii)
+
+
+def _columns(sort_keys: bool):
+    """RecordColumns' columns, all of one length: of strings, of dicts of
+    scalars or of any JSON value, each with or without Nones."""
+    keys = _STRINGS if sort_keys else st.one_of(_STRINGS, st.integers(), st.none())
+    flat = st.dictionaries(keys, _SCALARS, max_size=4)
+    values = st.sampled_from([_STRINGS, flat, _json_values(sort_keys)])
+    column = values.flatmap(lambda value: st.sampled_from([value, value | st.none()]))
+
+    def columns(count: int):
+        return st.dictionaries(keys, column.flatmap(
+            lambda value: st.lists(value, min_size=count, max_size=count)), max_size=4)
+
+    return st.integers(min_value=0, max_value=5).flatmap(columns)
+
+
+def _nested(value, depth: int):
+    """``value`` ``depth`` levels into a document of dicts and lists."""
+    for level in range(depth):
+        value = [value] if level % 2 else {"k": value}
+    return value
+
+
+def _check_record_columns(sort_keys: bool, ensure_ascii: bool, examples: int):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(_columns(sort_keys), st.integers(min_value=0, max_value=4))
+    def run(columns, depth):
+        records = util.RecordColumns(columns)
+        assert dump_json(_nested(records, depth), sort_keys=sort_keys,
+                         ensure_ascii=ensure_ascii) == _dumps(
+            _nested(records.records(), depth), sort_keys, ensure_ascii)
+
+    run()
+
+
+@pytest.mark.parametrize("sort_keys, ensure_ascii", _FLAGS)
+def test_dump_json_writes_record_columns_as_their_records(sort_keys, ensure_ascii):
+    _check_record_columns(sort_keys, ensure_ascii, 150)
+
+
+@pytest.mark.parametrize("columns, records", [
+    ({}, []),
+    ({"a": [], "b": []}, []),
+    ({"a": ["x", None], "b": [None, None]}, [{"a": "x"}, {}]),
+    ({"b": [{}, {"k": 1}], "a": [None, "y"]}, [{"b": {}}, {"b": {"k": 1}, "a": "y"}]),
+])
+def test_record_columns_leave_a_none_out(columns, records):
+    assert util.RecordColumns(columns).records() == records
+    for sort_keys, ensure_ascii in _FLAGS:
+        assert dump_json({"rows": util.RecordColumns(columns)}, sort_keys=sort_keys,
+                         ensure_ascii=ensure_ascii) == _dumps(
+            {"rows": records}, sort_keys, ensure_ascii)
+
+
+@pytest.mark.parametrize("make_encoder", [None, _c_encoder_with_another_signature,
+                                          _c_encoder_laying_out_otherwise])
+def test_record_columns_without_a_checked_c_encoder(monkeypatch, make_encoder):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", make_encoder)
+    for sort_keys, ensure_ascii in _FLAGS:
+        _check_record_columns(sort_keys, ensure_ascii, 25)

@@ -17,6 +17,7 @@ from sdv_guard.errors import (
 from sdv_guard.topology import (
     InstanceModel,
     ModelObject,
+    TopologyReport,
     VERDICT_FAIL,
     VERDICT_NOT_APPLICABLE,
     VERDICT_PASS,
@@ -40,6 +41,8 @@ from sdv_guard.topology import (
 
 from sdv_guard.pipeline.cli import main
 from sdv_guard.topology.ocl import MAX_NESTING, ConstraintVerdict
+from sdv_guard import util
+from sdv_guard.util import dump_json
 
 from conftest import scripted_gateway
 
@@ -193,6 +196,70 @@ def test_instance_json_round_trip(fixtures_dir):
 def test_instance_json_rejects(doc, message):
     with pytest.raises(InstanceParseError, match=message):
         parse_instance(doc)
+
+
+# "$" also matches before a final newline; every name is matched whole
+@pytest.mark.parametrize("doc, message", [
+    ('{"classes": [{"name": "A\\n"}]}', "invalid class name"),
+    ('{"classes": [{"name": "A", "attributes": [{"name": "x\\n", "kind": "int"}]}]}',
+     "invalid attribute name"),
+    ('{"classes": [{"name": "A", "attributes": [{"name": "x", "kind": "string\\n"}]}]}',
+     "invalid kind"),
+    ('{"classes": [{"name": "A", "attributes": [{"name": "x", "kind": "enum(E)\\n"}]}], '
+     '"enums": [{"name": "E", "literals": ["a"]}]}', "invalid kind"),
+    ('{"classes": [{"name": "A"}], "enums": [{"name": "E\\n", "literals": ["a"]}]}',
+     "invalid enum name"),
+])
+def test_metamodel_names_with_a_final_newline_are_rejected(doc, message):
+    with pytest.raises(MetamodelError, match=message):
+        parse_metamodel(doc)
+
+
+def test_an_object_id_with_a_final_newline_is_rejected():
+    with pytest.raises(InstanceParseError, match="invalid object id 'o1\\\\n'"):
+        parse_instance('{"objects": [{"id": "o1\\n", "class": "Camera"}]}')
+
+
+# every character str.splitlines ends a line at, none of which an
+# object-diagram line can hold
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_line_breaks_are_the_characters_splitlines_breaks_at():
+    text = "".join(map(chr, [*range(0xD800), *range(0xE000, 0x110000)]))
+    assert {line[-1] for line in text.splitlines(keepends=True)[:-1]} == set(LINE_BREAKS)
+
+
+@pytest.mark.parametrize("escaped", [False, True])
+@pytest.mark.parametrize("value", [f"a{c}b" for c in LINE_BREAKS] + ["x\r", "\u2028"])
+def test_a_string_attribute_with_a_line_break_is_rejected(value, escaped):
+    # ensure_ascii escapes every line break; without it only the control
+    # characters are escaped, and U+0085, U+2028 and U+2029 stay raw
+    doc = json.dumps({"objects": [{"id": "cam", "class": "Camera",
+                                   "attributes": {"name": value}}]}, ensure_ascii=escaped)
+    with pytest.raises(InstanceParseError, match="attribute 'cam.name' holds a line break"):
+        parse_instance(doc)
+
+
+def test_strings_the_object_diagram_can_hold_still_parse():
+    values = ["a\tb", "\u00e9\u2603 \\n", '"q"', "\x1f", "\u0084\u2027"]
+    model = parse_instance(json.dumps({"objects": [
+        {"id": f"c{i}", "class": "Camera", "attributes": {"name": value}}
+        for i, value in enumerate(values)]}))
+    assert [model.get(f"c{i}").attrs["name"] for i in range(len(values))] == values
+    assert import_class_diagram(export_class_diagram(model)) == model
+
+
+def test_cli_rejects_a_model_with_a_line_break_in_a_string(tmp_path, fixtures_dir, capsys):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"objects": [{"id": "cam", "class": "Camera",
+                                              "attributes": {"name": "a\nb"}}]}))
+    code = main(["--out", str(tmp_path / "out"), "analyze-topology", "--model", str(model),
+                 "--constraints", str(fixtures_dir / "topology" / "security.ocl")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: ") and "'cam.name' holds a line break" in err
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +857,53 @@ def test_report_rows_are_hashable_immutable_and_equal_by_value(metamodel,
         row[2] = VERDICT_PASS
     assert first.failing == tuple(r for r in first.rows if r.verdict == VERDICT_FAIL)
     assert first.failing is first.failing  # worked out once
+
+
+# ---------------------------------------------------------------------------
+# model_iterN.json and topology_iterN.json: byte for byte dump_json's text
+
+# quotes, backslashes, control characters, non-ASCII text and pieces of the
+# layout itself
+_TEXT = st.one_of(
+    st.sampled_from(['"', "\\", "\n", "\x00\x1f\x7f", "\u00e9", "\U0001f600", "\u2028",
+                     "},\n        {", "{}", ": ", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.integers(min_value=-2 ** 100, max_value=2 ** 100),
+                     st.floats(), st.just(-0.0), _TEXT)
+_OBJECTS = st.lists(st.builds(ModelObject, id=_TEXT, cls=_TEXT,
+                              attrs=st.dictionaries(_TEXT, _SCALARS, max_size=4),
+                              refs=st.dictionaries(_TEXT, _TEXT, max_size=3)),
+                    max_size=6, unique_by=lambda obj: obj.id)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_OBJECTS)
+@example([])
+@example([ModelObject("b", "C"),
+          ModelObject("a", "C", attrs={"x": None, "y": -0.0, "z": 10 ** 30}, refs={"r": "b"})])
+def test_serialize_instance_writes_what_dump_json_writes(objects):
+    expected = dump_json({"objects": [
+        {"id": obj.id, "class": obj.cls, "attributes": obj.attrs, "references": obj.refs}
+        for obj in sorted(objects, key=lambda obj: obj.id)]}, ensure_ascii=False)
+    assert serialize_instance(_model(*objects)) == expected
+    assert util._LAYOUT_CHECKED[json.encoder.c_make_encoder]  # written on the C path
+
+
+_VERDICTS = st.sampled_from([VERDICT_PASS, VERDICT_FAIL, VERDICT_NOT_APPLICABLE])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.builds(ConstraintVerdict, _TEXT, _TEXT, _VERDICTS, st.just("") | _TEXT),
+                max_size=8))
+@example([])
+@example([ConstraintVerdict("c", "o", VERDICT_PASS)])
+@example([ConstraintVerdict("c", "o", VERDICT_FAIL, 'say "no"\n\u00e9'),
+          ConstraintVerdict("c", "p", VERDICT_NOT_APPLICABLE)])
+def test_report_json_writes_what_dump_json_writes(rows):
+    report = TopologyReport(tuple(rows))
+    assert report.to_json() == dump_json(report.to_dict())
+    assert util._LAYOUT_CHECKED[json.encoder.c_make_encoder]  # written on the C path
 
 
 # ---------------------------------------------------------------------------
