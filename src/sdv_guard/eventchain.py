@@ -112,9 +112,10 @@ class ChainDocument:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.nodes: list[Node] = []
+        # (id, kind, label) in creation order; each becomes a Node, with its
+        # notes, once the text is read
+        self.nodes: list[tuple[str, str, str]] = []
         self.edges: list[Edge] = []
-        self.counter = 0
         # dangling edge sources waiting for their target: (node_id, guard)
         self.frontier: list[tuple[str, str | None]] = []
         self.if_stack: list[dict] = []
@@ -122,12 +123,13 @@ class _Parser:
         self.notes: dict[str, list[tuple[str, str]]] = {}
 
     def new_node(self, kind: str, label: str = "") -> str:
-        self.counter += 1
-        node_id = f"n{self.counter}"
-        self.nodes.append(Node(id=node_id, kind=kind, label=label))
+        node_id = f"n{len(self.nodes) + 1}"
+        self.nodes.append((node_id, kind, label))
         return node_id
 
     def connect(self, node_id: str) -> None:
+        """Edges from every dangling source, all created earlier, to the node
+        just created: ``edges`` stays in the order its targets were made."""
         for src, guard in self.frontier:
             self.edges.append(Edge(src=src, dst=node_id, guard=guard))
         self.frontier = []
@@ -194,11 +196,8 @@ class _Parser:
             raise DiagramParseError(
                 "if block is never closed", line=self.if_stack[-1]["line"]
             )
-        nodes = tuple(
-            Node(id=n.id, kind=n.kind, label=n.label,
-                 notes=tuple(self.notes.get(n.id, ())))
-            for n in self.nodes
-        )
+        nodes = tuple(Node(node_id, kind, label, tuple(self.notes.get(node_id, ())))
+                      for node_id, kind, label in self.nodes)
         graph = ActivityGraph(nodes=nodes, edges=tuple(self.edges))
         _validate_structure(graph)
         return graph
@@ -222,66 +221,47 @@ def parse_activity_diagram(text: str) -> ActivityGraph:
 
 
 def _validate_structure(graph: ActivityGraph) -> None:
-    starts = [n for n in graph.nodes if n.kind == "start"]
-    stops = [n for n in graph.nodes if n.kind == "stop"]
+    """Check a parsed graph. Each edge's source was created before its target
+    and the edges come in target-creation order, so one pass forward over the
+    edges finds every node reachable from the start, and one pass backward
+    every node that reaches a stop. On a graph that passes both, the grammar
+    has given each action one outgoing edge, each decision its two guarded
+    edges and each stop none, so only a decision's guards are left to check."""
+    starts = [n.id for n in graph.nodes if n.kind == "start"]
+    reaches_stop = {n.id for n in graph.nodes if n.kind == "stop"}
     if len(starts) != 1:
         raise StructureError(
             f"diagram must have exactly one start node, found {len(starts)}"
         )
-    if not stops:
+    if not reaches_stop:
         raise StructureError("diagram has no stop node")
 
-    forward: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    backward: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    outgoing: dict[str, list[Edge]] = {n.id: [] for n in graph.nodes}
+    reachable = set(starts)
     for edge in graph.edges:
-        forward[edge.src].append(edge.dst)
-        backward[edge.dst].append(edge.src)
-        outgoing[edge.src].append(edge)
-
-    reachable = _flood([starts[0].id], forward)
-    unreachable = sorted(set(forward) - reachable)
+        if edge.src in reachable:
+            reachable.add(edge.dst)
+    unreachable = sorted(n.id for n in graph.nodes if n.id not in reachable)
     if unreachable:
         raise StructureError(
             "unreachable from start: " + ", ".join(unreachable)
         )
-    reaches_stop = _flood([stop.id for stop in stops], backward)
-    stranded = sorted(set(forward) - reaches_stop)
+    for edge in reversed(graph.edges):
+        if edge.dst in reaches_stop:
+            reaches_stop.add(edge.src)
+    stranded = sorted(n.id for n in graph.nodes if n.id not in reaches_stop)
     if stranded:
         raise StructureError(
             "cannot reach any stop: " + ", ".join(stranded)
         )
+    guards: dict[str, set[str]] = {}
+    for edge in graph.edges:
+        if edge.guard is not None:  # only a decision's edges carry one
+            guards.setdefault(edge.src, set()).add(edge.guard)
     for node in graph.nodes:
-        out = outgoing[node.id]
-        if node.kind == "action" and len(out) != 1:
+        if node.kind == "decision" and len(guards[node.id]) < 2:
             raise StructureError(
-                f"action '{node.id}' must have exactly one outgoing edge, has {len(out)}"
+                f"decision '{node.id}' has duplicate guards"
             )
-        if node.kind == "decision":
-            guards = [e.guard or "" for e in out]
-            if len(out) < 2:
-                raise StructureError(
-                    f"decision '{node.id}' must have at least two outgoing edges"
-                )
-            if len(set(guards)) != len(guards):
-                raise StructureError(
-                    f"decision '{node.id}' has duplicate guards"
-                )
-        if node.kind == "stop" and out:
-            raise StructureError(f"stop '{node.id}' must have no outgoing edges")
-
-
-def _flood(origins: list[str], adjacency: dict[str, list[str]]) -> set[str]:
-    """Every node reachable from any of ``origins``, the origins included."""
-    seen = set(origins)
-    queue = list(origins)
-    while queue:
-        current = queue.pop()
-        for nxt in adjacency[current]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -240,8 +240,7 @@ def _resolve(name: str, catalog: Catalog) -> tuple[CatalogEntry | None, str]:
 
 
 def validate_entries(entries: list[ExtractedEntry], signal_catalog: Catalog,
-                     message_catalog: Catalog,
-                     source_digest: str = "") -> ExtractionReport:
+                     message_catalog: Catalog) -> ExtractionReport:
     """Partition extracted entries into accepted and rejected against the catalogs."""
     accepted: list[AcceptedEntry] = []
     rejected: list[RejectedEntry] = []
@@ -306,6 +305,5 @@ def validate_entries(entries: list[ExtractedEntry], signal_catalog: Catalog,
     return ExtractionReport(
         accepted=tuple(accepted),
         rejected=tuple(rejected),
-        source_digest=source_digest,
         notes=tuple(notes),
     )

@@ -218,8 +218,7 @@ def _mapping_note(expected_keys: tuple[str, ...], accepted: set[str]) -> str | N
 
 
 def run_eval_harness(manifest_path: str | Path, runs: int = 10,
-                     fault_rate: float = 0.0, seed: int | None = None,
-                     config: PipelineConfig | None = None) -> HarnessReport:
+                     fault_rate: float = 0.0, seed: int | None = None) -> HarnessReport:
     """Score every scenario over ``runs`` runs against expectations.
 
     Replay is deterministic, so each scenario is replayed once and each
@@ -231,8 +230,7 @@ def run_eval_harness(manifest_path: str | Path, runs: int = 10,
         raise ConfigurationError(f"runs must be at least 1, got {runs}")
     if not 0.0 <= fault_rate <= 1.0:
         raise ConfigurationError(f"fault rate must be within [0, 1], got {fault_rate}")
-    if config is None:
-        config = PipelineConfig()
+    config = PipelineConfig()
     scenarios = parse_manifest(manifest_path)
     rng = random.Random(seed)
     outcomes: list[ScenarioOutcome] = []

@@ -44,10 +44,14 @@ from types import MappingProxyType
 from ..errors import InstanceParseError, MetamodelError, ModelImportError
 from ..util import RecordColumns, dump_json, load_json, parse_number, plantuml_body
 
+# a class, enum, attribute or reference name, and an object id: the one
+# grammar of both instance forms, the JSON one and the object diagram
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_ID = r"[A-Za-z_][A-Za-z0-9_.-]*"
 # matched whole (fullmatch): "$" would also match before a final newline
-KIND_RE = re.compile(r"string|real|int|bool|enum\(([A-Za-z_][A-Za-z0-9_]*)\)|ref\(([A-Za-z_][A-Za-z0-9_]*)\)")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+KIND_RE = re.compile(rf"string|real|int|bool|enum\(({_NAME})\)|ref\(({_NAME})\)")
+_NAME_RE = re.compile(_NAME)
+_ID_RE = re.compile(_ID)
 # the characters str.splitlines ends a line at; no object-diagram line can hold one
 _LINE_BREAK_RE = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
@@ -259,13 +263,6 @@ class ModelObject:
     attrs: dict[str, object] = field(default_factory=dict)
     refs: dict[str, str] = field(default_factory=dict)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModelObject)
-            and (self.id, self.cls, self.attrs, self.refs)
-            == (other.id, other.cls, other.attrs, other.refs)
-        )
-
 
 class InstanceModel:
     def __init__(self, objects: list[ModelObject]):
@@ -294,6 +291,15 @@ def parse_instance(text: str) -> InstanceModel:
     if not isinstance(raw, dict) or not isinstance(raw.get("objects"), list):
         raise InstanceParseError("instance model must be an object with an 'objects' array")
     objects: list[ModelObject] = []
+    # the class names and keys already matched against _NAME_RE: a model
+    # holds thousands of objects but few distinct names
+    names: set[str] = set()
+
+    def check_name(name: str, what: str, object_id: str) -> None:
+        if not _NAME_RE.fullmatch(name):
+            raise InstanceParseError(f"object '{object_id}' has an invalid {what} {name!r}")
+        names.add(name)
+
     for obj in raw["objects"]:
         if not isinstance(obj, dict):
             raise InstanceParseError("every object declaration must be an object")
@@ -303,6 +309,8 @@ def parse_instance(text: str) -> InstanceModel:
             raise InstanceParseError(f"invalid object id {object_id!r}")
         if not isinstance(cls, str) or not cls:
             raise InstanceParseError(f"object '{object_id}' is missing its class")
+        if cls not in names:
+            check_name(cls, "class name", object_id)
         attrs = obj.get("attributes", {})
         refs = obj.get("references", {})
         if not isinstance(attrs, dict) or not isinstance(refs, dict):
@@ -310,7 +318,14 @@ def parse_instance(text: str) -> InstanceModel:
                 f"object '{object_id}' attributes/references must be objects"
             )
         for name, value in attrs.items():
-            if value is not None and not isinstance(value, _SCALAR_TYPES):
+            if name not in names:
+                check_name(name, "attribute name", object_id)
+            if value is None:
+                raise InstanceParseError(
+                    f"attribute '{object_id}.{name}' is null, which no object-diagram "
+                    f"line can hold"
+                )
+            if not isinstance(value, _SCALAR_TYPES):
                 raise InstanceParseError(
                     f"attribute '{object_id}.{name}' must be a scalar"
                 )
@@ -320,6 +335,8 @@ def parse_instance(text: str) -> InstanceModel:
                     f"which no object-diagram line can"
                 )
         for name, value in refs.items():
+            if name not in names:
+                check_name(name, "reference name", object_id)
             if not isinstance(value, str):
                 raise InstanceParseError(
                     f"reference '{object_id}.{name}' must be an object id"
@@ -332,7 +349,7 @@ def parse_instance(text: str) -> InstanceModel:
         for name, target in obj.refs.items():
             if target not in model.objects:
                 raise InstanceParseError(
-                    f"reference '{obj.id}.{name}' points to unknown object '{target}'"
+                    f"reference '{obj.id}.{name}' points to unknown object {target!r}"
                 )
     return model
 
@@ -458,15 +475,9 @@ def conform(model: InstanceModel, metamodel: Metamodel) -> ConformanceReport:
 # ---------------------------------------------------------------------------
 # PlantUML object-diagram import/export
 
-_OBJECT_RE = re.compile(
-    r"^object\s+(?P<id>[A-Za-z_][A-Za-z0-9_.-]*)\s*:\s*(?P<cls>[A-Za-z_][A-Za-z0-9_]*)$"
-)
-_ATTR_RE = re.compile(
-    r"^(?P<id>[A-Za-z_][A-Za-z0-9_.-]*)\s*:\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*=\s*(?P<value>.+)$"
-)
-_ARROW_RE = re.compile(
-    r"^(?P<src>[A-Za-z_][A-Za-z0-9_.-]*)\s*-+>\s*(?P<dst>[A-Za-z_][A-Za-z0-9_.-]*)\s*:\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)$"
-)
+_OBJECT_RE = re.compile(rf"^object\s+(?P<id>{_ID})\s*:\s*(?P<cls>{_NAME})$")
+_ATTR_RE = re.compile(rf"^(?P<id>{_ID})\s*:\s*(?P<name>{_NAME})\s*=\s*(?P<value>.+)$")
+_ARROW_RE = re.compile(rf"^(?P<src>{_ID})\s*-+>\s*(?P<dst>{_ID})\s*:\s*(?P<name>{_NAME})$")
 # the first characters of a number (util.parse_number) once stripped
 _NUMBER_STARTS = frozenset("-0123456789")
 # a string that exports unquoted: it imports back as the same string, and no

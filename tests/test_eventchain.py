@@ -1,6 +1,7 @@
 """Activity-diagram parsing, canonical chain documents, path enumeration."""
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -132,9 +133,9 @@ def test_structure_errors(text, message):
         parse_activity_diagram(text)
 
 
-def test_stop_check_floods_once_from_all_stops():
-    # 5,000 early exits, then a merge and an action that reach no stop; one
-    # backward flood from all stops must name them as one flood per stop did
+def test_nodes_behind_thousands_of_exits_that_reach_no_stop_are_named():
+    # 5,000 early exits, then a merge and an action that reach no stop; the
+    # stop check names both, and only them
     lines = ["@startuml", "start"]
     for _ in range(5000):
         lines += ["if (exit?) then (yes)", "stop", "endif"]
@@ -335,6 +336,19 @@ _STATEMENT = st.recursive(_ACTIONS, lambda stmt: st.tuples(
     max_leaves=10)
 _EDITS = st.lists(st.tuples(st.integers(0, 40), st.none() | _JUNK_LINES), max_size=2)
 
+
+def _diagram(statements, edits) -> str:
+    """The statements between start and stop, then each edit: a line
+    deleted (None) or inserted."""
+    lines = ["@startuml", "start", *(line for stmt in statements for line in stmt),
+             "stop", "@enduml"]
+    for index, line in edits:
+        if line is None:
+            del lines[index % len(lines)]
+        else:
+            lines.insert(index % (len(lines) + 1), line)
+    return "\n".join(lines)
+
 # chain documents: a well-formed node list with random, mostly forward
 # edges, fields of any JSON type, or any JSON value
 _IDS = ("s", "a", "b", "c", "d", "m", "z")
@@ -399,18 +413,34 @@ def _enumerate_and_check(document) -> None:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(statements=st.lists(_STATEMENT, max_size=5), edits=_EDITS)
 def test_fuzzed_diagrams_raise_only_toolkit_errors(statements, edits):
-    lines = ["@startuml", "start", *(line for stmt in statements for line in stmt),
-             "stop", "@enduml"]
-    for index, line in edits:
-        if line is None:
-            del lines[index % len(lines)]
-        else:
-            lines.insert(index % (len(lines) + 1), line)
-    text = "\n".join(lines)
     try:
-        _enumerate_and_check(to_chain_document(parse_activity_diagram(text)))
+        _enumerate_and_check(to_chain_document(parse_activity_diagram(
+            _diagram(statements, edits))))
     except SdvGuardError:
         pass
+
+
+# the structure check rests on how the parser builds a graph: it adds each
+# edge when it creates the edge's target, and the grammar fixes how many
+# edges leave an action, a decision and a stop
+_OUT_EDGES = {"action": 1, "decision": 2, "stop": 0}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(statements=st.lists(_STATEMENT, max_size=5), edits=_EDITS)
+def test_parsed_diagrams_keep_the_construction_invariants(statements, edits):
+    try:
+        graph = parse_activity_diagram(_diagram(statements, edits))
+    except SdvGuardError:
+        return
+    created = {node.id: index for index, node in enumerate(graph.nodes)}
+    assert all(created[edge.src] < created[edge.dst] for edge in graph.edges)
+    targets = [created[edge.dst] for edge in graph.edges]
+    assert targets == sorted(targets)
+    out = Counter(edge.src for edge in graph.edges)
+    for node in graph.nodes:
+        if node.kind in _OUT_EDGES:
+            assert out[node.id] == _OUT_EDGES[node.kind], node
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -1,0 +1,295 @@
+"""The activity-diagram parser against the parser it replaced.
+
+The reference below is the earlier parser, kept verbatim: it built each
+``Node`` twice, and its structure check built forward, backward and outgoing
+maps, flooded the graph both ways and checked the outgoing edges of every
+action, decision and stop. On any text both must give an equal graph, or
+the same error: type and message.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sdv_guard import eventchain
+from sdv_guard.errors import DiagramParseError, SdvGuardError, StructureError
+from sdv_guard.eventchain import (
+    NOTE_KEYS,
+    _ACTION_RE,
+    _ELSE_RE,
+    _IF_RE,
+    _NOTE_RE,
+    ActivityGraph,
+    Edge,
+    Node,
+)
+from sdv_guard.util import plantuml_body
+
+from conftest import FIXTURES
+from test_eventchain import _EDITS, _JUNK_LINES, _STATEMENT, _diagram
+
+# ---------------------------------------------------------------------------
+# reference: the earlier parser and structure check
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.nodes: list[Node] = []
+        self.edges: list[Edge] = []
+        self.counter = 0
+        # dangling edge sources waiting for their target: (node_id, guard)
+        self.frontier: list[tuple[str, str | None]] = []
+        self.if_stack: list[dict] = []
+        self.last_action: str | None = None
+        self.notes: dict[str, list[tuple[str, str]]] = {}
+
+    def new_node(self, kind: str, label: str = "") -> str:
+        self.counter += 1
+        node_id = f"n{self.counter}"
+        self.nodes.append(Node(id=node_id, kind=kind, label=label))
+        return node_id
+
+    def connect(self, node_id: str) -> None:
+        for src, guard in self.frontier:
+            self.edges.append(Edge(src=src, dst=node_id, guard=guard))
+        self.frontier = []
+
+    def parse(self) -> ActivityGraph:
+        for lineno, line in plantuml_body(self.text, DiagramParseError):
+            if line == "start":
+                node_id = self.new_node("start")
+                self.frontier = [(node_id, None)]
+                self.last_action = None
+            elif line == "stop":
+                node_id = self.new_node("stop")
+                self.connect(node_id)
+                self.last_action = None
+            elif match := _ACTION_RE.match(line):
+                node_id = self.new_node("action", label=match.group("label").strip())
+                self.connect(node_id)
+                self.frontier = [(node_id, None)]
+                self.last_action = node_id
+            elif match := _IF_RE.match(line):
+                node_id = self.new_node("decision", label=match.group("cond").strip())
+                self.connect(node_id)
+                guard = (match.group("guard") or "yes").strip()
+                self.if_stack.append({
+                    "decision": node_id,
+                    "arms": [],
+                    "has_else": False,
+                    "line": lineno,
+                })
+                self.frontier = [(node_id, guard)]
+                self.last_action = None
+            elif match := _ELSE_RE.match(line):
+                if not self.if_stack:
+                    raise DiagramParseError("'else' outside an if block", line=lineno)
+                frame = self.if_stack[-1]
+                if frame["has_else"]:
+                    raise DiagramParseError("duplicate 'else' in if block", line=lineno)
+                frame["arms"].append(self.frontier)
+                frame["has_else"] = True
+                guard = (match.group("guard") or "no").strip()
+                self.frontier = [(frame["decision"], guard)]
+                self.last_action = None
+            elif line == "endif":
+                if not self.if_stack:
+                    raise DiagramParseError("'endif' without a matching 'if'", line=lineno)
+                frame = self.if_stack.pop()
+                arms = frame["arms"] + [self.frontier]
+                if not frame["has_else"]:
+                    arms.append([(frame["decision"], "no")])
+                incoming = [pair for arm in arms for pair in arm]
+                if incoming:
+                    node_id = self.new_node("merge")
+                    self.frontier = incoming
+                    self.connect(node_id)
+                    self.frontier = [(node_id, None)]
+                else:
+                    self.frontier = []
+                self.last_action = None
+            elif match := _NOTE_RE.match(line):
+                self._attach_note(lineno, match.group("key"), match.group("value").strip())
+            else:
+                raise DiagramParseError(f"unsupported directive '{line}'", line=lineno)
+        if self.if_stack:
+            raise DiagramParseError(
+                "if block is never closed", line=self.if_stack[-1]["line"]
+            )
+        nodes = tuple(
+            Node(id=n.id, kind=n.kind, label=n.label,
+                 notes=tuple(self.notes.get(n.id, ())))
+            for n in self.nodes
+        )
+        graph = ActivityGraph(nodes=nodes, edges=tuple(self.edges))
+        _validate_structure(graph)
+        return graph
+
+    def _attach_note(self, lineno: int, key: str, value: str) -> None:
+        if key not in NOTE_KEYS:
+            raise DiagramParseError(
+                f"unknown note key '{key}' (expected one of {', '.join(NOTE_KEYS)})",
+                line=lineno,
+            )
+        if self.last_action is None:
+            raise DiagramParseError("note has no preceding action", line=lineno)
+        existing = self.notes.setdefault(self.last_action, [])
+        if any(name == key for name, _ in existing):
+            raise DiagramParseError(f"duplicate note key '{key}'", line=lineno)
+        existing.append((key, value))
+
+
+def _validate_structure(graph: ActivityGraph) -> None:
+    starts = [n for n in graph.nodes if n.kind == "start"]
+    stops = [n for n in graph.nodes if n.kind == "stop"]
+    if len(starts) != 1:
+        raise StructureError(
+            f"diagram must have exactly one start node, found {len(starts)}"
+        )
+    if not stops:
+        raise StructureError("diagram has no stop node")
+
+    forward: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+    backward: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+    outgoing: dict[str, list[Edge]] = {n.id: [] for n in graph.nodes}
+    for edge in graph.edges:
+        forward[edge.src].append(edge.dst)
+        backward[edge.dst].append(edge.src)
+        outgoing[edge.src].append(edge)
+
+    reachable = _flood([starts[0].id], forward)
+    unreachable = sorted(set(forward) - reachable)
+    if unreachable:
+        raise StructureError(
+            "unreachable from start: " + ", ".join(unreachable)
+        )
+    reaches_stop = _flood([stop.id for stop in stops], backward)
+    stranded = sorted(set(forward) - reaches_stop)
+    if stranded:
+        raise StructureError(
+            "cannot reach any stop: " + ", ".join(stranded)
+        )
+    for node in graph.nodes:
+        out = outgoing[node.id]
+        if node.kind == "action" and len(out) != 1:
+            raise StructureError(
+                f"action '{node.id}' must have exactly one outgoing edge, has {len(out)}"
+            )
+        if node.kind == "decision":
+            guards = [e.guard or "" for e in out]
+            if len(out) < 2:
+                raise StructureError(
+                    f"decision '{node.id}' must have at least two outgoing edges"
+                )
+            if len(set(guards)) != len(guards):
+                raise StructureError(
+                    f"decision '{node.id}' has duplicate guards"
+                )
+        if node.kind == "stop" and out:
+            raise StructureError(f"stop '{node.id}' must have no outgoing edges")
+
+
+def _flood(origins: list[str], adjacency: dict[str, list[str]]) -> set[str]:
+    """Every node reachable from any of ``origins``, the origins included."""
+    seen = set(origins)
+    queue = list(origins)
+    while queue:
+        current = queue.pop()
+        for nxt in adjacency[current]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def _reference(text: str) -> ActivityGraph:
+    return _Parser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# both sides
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except SdvGuardError as exc:
+        return type(exc), str(exc)
+
+
+def _same(text: str):
+    expected = _outcome(_reference, text)
+    assert _outcome(eventchain.parse_activity_diagram, text) == expected
+    return expected
+
+
+def test_the_two_sides_are_different_parsers():
+    assert eventchain._Parser is not _Parser
+    assert eventchain._validate_structure is not _validate_structure
+
+
+@pytest.mark.parametrize("path", sorted((FIXTURES / "chains").glob("*.puml")),
+                         ids=lambda path: path.name)
+def test_fixture_diagrams_parse_to_equal_graphs(path):
+    assert isinstance(_same(path.read_text(encoding="utf-8")), ActivityGraph)
+
+
+def _body(*lines: str) -> str:
+    return "\n".join(["@startuml", *lines, "@enduml"])
+
+
+# every structure error a diagram can reach, and diagrams too large to
+# check by hand; None where the diagram parses
+@pytest.mark.parametrize("text, message", [
+    pytest.param(_body("start", ":A;", "stop", "start", "stop"),
+                 "diagram must have exactly one start node, found 2", id="two-starts"),
+    pytest.param(_body(":A;", "stop"),
+                 "diagram must have exactly one start node, found 0", id="no-start"),
+    pytest.param(_body("start", ":A;"), "diagram has no stop node", id="no-stop"),
+    pytest.param(_body(":A;", "start", ":B;", "stop"),
+                 "unreachable from start: n1", id="action-before-start"),
+    pytest.param(_body("start", "stop", ":A;", ":B;", "stop"),
+                 "unreachable from start: n3, n4, n5", id="actions-after-a-stop"),
+    pytest.param(_body("if (x) then (yes)", "start", "else (no)", "endif", "stop"),
+                 "unreachable from start: n1", id="start-inside-an-arm"),
+    pytest.param(_body("start", "if (x) then (yes)", "stop", "else (no)", ":A;", "endif"),
+                 "cannot reach any stop: n4, n5", id="stranded-arm"),
+    pytest.param(_body("start", "stop", *[f":A{i};" for i in range(8)], "stop"),
+                 "unreachable from start: n10, n11, n3, n4, n5, n6, n7, n8, n9",
+                 id="unreachable-ids-in-text-order"),
+    pytest.param(_body("start", "if (x) then (yes)", "stop", "else (no)",
+                       *[f":A{i};" for i in range(8)], "endif"),
+                 "cannot reach any stop: n10, n11, n12, n4, n5, n6, n7, n8, n9",
+                 id="stranded-ids-in-text-order"),
+    pytest.param(_body("start", "if (x) then (no)", ":A;", "endif", "stop"),
+                 "decision 'n2' has duplicate guards", id="implicit-no-twice"),
+    pytest.param(_body("start", "if (x) then (a)", "else (a)", "endif",
+                       "if (y) then ( )", "else ()", "endif", "stop"),
+                 "decision 'n2' has duplicate guards", id="first-duplicate-named"),
+    pytest.param(_body("start", *["if (exit?) then (yes)", "stop", "endif"] * 2000,
+                       ":Stranded;"),
+                 "cannot reach any stop: n6001, n6002", id="2000-exits"),
+    pytest.param(_body("start", *[f":Step {i};" for i in range(1500)], "stop"), None,
+                 id="1500-actions"),
+    pytest.param(_body("start", *["if (a?) then (yes)", ":A;", "else (no)", ":B;",
+                                  "endif"] * 12, "stop"), None, id="12-decisions"),
+])
+def test_structure_checks_match_the_reference(text, message):
+    outcome = _same(text)
+    if message is None:
+        assert isinstance(outcome, ActivityGraph)
+    else:
+        assert outcome == (StructureError, message)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(statements=st.lists(_STATEMENT, max_size=5), edits=_EDITS)
+def test_fuzzed_diagrams_match_the_reference(statements, edits):
+    _same(_diagram(statements, edits))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=st.lists(_JUNK_LINES, max_size=12))
+def test_junk_diagrams_match_the_reference(lines):
+    _same(_body(*lines))

@@ -149,7 +149,7 @@ def test_validate_accepts_exact_alias_and_valueless(signal_catalog, message_cata
         _entry("Vehicle.ADAS.ObstacleDetection.Camera", "boolean"),
         _entry("BrakeCmd", "frame", "50", "CAN"),              # CAN: type not checked
         _entry("SpeedReport", "frame", "whatever", "CAN"),     # multi-signal: any value
-    ], signal_catalog, message_catalog, source_digest="d")
+    ], signal_catalog, message_catalog)
     assert report.rejected == ()
     assert [a.resolved_key for a in report.accepted] == [
         "Vehicle.Speed.Target",
@@ -158,7 +158,6 @@ def test_validate_accepts_exact_alias_and_valueless(signal_catalog, message_cata
         "BrakeCmd",
         "SpeedReport",
     ]
-    assert report.source_digest == "d"
     # the two distinct accepted values for one key are surfaced, not merged
     assert report.notes == (
         "conflicting values for Vehicle.Speed.Target: 20.0, 25.0",
@@ -238,14 +237,14 @@ def test_report_to_dict_shape(signal_catalog, message_catalog):
     report = validate_entries([
         _entry("Vehicle.Speed.Target", "float", "25.0"),
         _entry("Nope", "float", "1"),
-    ], signal_catalog, message_catalog, source_digest="abc")
+    ], signal_catalog, message_catalog)
     data = report.to_dict()
     assert data["accepted"] == [{
         "name": "Vehicle.Speed.Target", "type": "float", "value": "25.0",
         "protocol": "VSS", "resolved_key": "Vehicle.Speed.Target",
     }]
     assert data["rejected"][0]["reason"] == REASON_UNKNOWN_NAME
-    assert data["source_digest"] == "abc"
+    assert data["source_digest"] == ""
     assert data["notes"] == []
 
 

@@ -1,5 +1,6 @@
 """The sources keep to the oldest Python that ``pyproject.toml`` supports,
-and every public name in ``src/`` has a caller."""
+every public name in ``src/`` has a caller and every defaulted parameter a
+caller that passes it."""
 
 from __future__ import annotations
 
@@ -85,3 +86,114 @@ def test_every_public_name_has_a_caller():
     unexpected = {name: where for name, where in uncalled.items()
                   if name not in UNCALLED_BY_DESIGN}
     assert sorted(uncalled) == sorted(UNCALLED_BY_DESIGN), unexpected
+
+
+# Defaulted parameters that no code in src/, scripts/ or bench/ passes, each
+# kept on purpose; the functions in UNCALLED_BY_DESIGN are left out as a whole.
+# Calls are matched by the callee's name, so a call of any function of that
+# name counts.
+UNPASSED_BY_DESIGN = {
+    ("build_gateway", "transport"): "the tests hand the gateway a fake endpoint through it",
+    ("generate_instance", "current_model"): "the paper's PC3 prompt updates a current "
+                                            "model; the tests drive that update",
+}
+
+
+def _defaulted(function: ast.FunctionDef | ast.AsyncFunctionDef,
+               method: bool) -> list[tuple[str, int | None]]:
+    """Each defaulted parameter with the index of the positional argument of a
+    call that fills it, or None when only a keyword can."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    offset = 1 if method else 0  # the instance or class a method is called on
+    out: list[tuple[str, int | None]] = [
+        (arg.arg, index - offset) for index, arg in enumerate(positional) if index >= first]
+    out += [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None]
+    return out
+
+
+def _definitions(tree: ast.Module):
+    """(call name, parameter, positional index or None) for each defaulted
+    parameter of a function or method; ``__init__`` is called by its class."""
+    owner = {stmt: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for stmt in node.body}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            cls = owner.get(node)
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            name = cls.name if cls is not None and node.name == "__init__" else node.name
+            for param, index in _defaulted(node, method=cls is not None and not static):
+                yield name, param, index
+
+
+def _callee(func: ast.expr) -> str | None:
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def _calls(tree: ast.Module):
+    """(callee name, call) for each call; ``cls(...)`` inside a class calls
+    that class."""
+    owner: dict[ast.AST, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            owner.update((inner, node.name) for inner in ast.walk(node))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = _callee(node.func)
+            yield (owner.get(node, name) if name == "cls" else name), node
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether ``call`` may fill ``param``: by keyword, by position, or
+    through ``*`` or ``**``."""
+    positional = 0
+    for arg in call.args:
+        if isinstance(arg, ast.Starred):
+            return True
+        positional += 1
+    if index is not None and positional > index:
+        return True
+    return any(keyword.arg in (None, param) for keyword in call.keywords)
+
+
+def test_every_defaulted_parameter_is_passed():
+    defaulted: dict[tuple[str, str], tuple[int | None, str]] = {}
+    calls: dict[str, list[ast.Call]] = {}
+    bases: dict[str, set[str]] = {}
+    # a function or class handed to a call as a value is called where this
+    # test cannot follow, so its parameters count as passed
+    handed: set[str] = set()
+    for top in ("src", "scripts", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if top == "src":
+                where = path.relative_to(ROOT).as_posix()
+                defaulted.update(((name, param), (index, where))
+                                 for name, param, index in _definitions(tree))
+            for name, call in _calls(tree):
+                calls.setdefault(name, []).append(call)
+                handed.update(_callee(arg) for arg in
+                              [*call.args, *(keyword.value for keyword in call.keywords)])
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    bases.setdefault(node.name, set()).update(map(_callee, node.bases))
+
+    def callers(name: str) -> list[ast.Call]:
+        """Calls of ``name``, and of every class that inherits from it."""
+        found = list(calls.get(name, ()))
+        for sub, parents in bases.items():
+            if name in parents:
+                found += callers(sub)
+        return found
+
+    unpassed = {f"{name}({param}=)": where
+                for (name, param), (index, where) in defaulted.items()
+                if name not in UNCALLED_BY_DESIGN and name not in handed
+                and not any(_passes(call, param, index) for call in callers(name))}
+    expected = {f"{name}({param}=)" for name, param in UNPASSED_BY_DESIGN}
+    unexpected = {name: where for name, where in unpassed.items() if name not in expected}
+    assert sorted(unpassed) == sorted(expected), unexpected

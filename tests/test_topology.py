@@ -192,6 +192,15 @@ def test_instance_json_round_trip(fixtures_dir):
      "unknown object 'ghost'"),
     ('{"objects": [{"id": "x", "class": "A"}, {"id": "x", "class": "B"}]}',
      "duplicate object id"),
+    ('{"objects": [{"id": "x", "class": "A-B"}]}', "object 'x' has an invalid class name 'A-B'"),
+    ('{"objects": [{"id": "x", "class": "A", "attributes": {"a.b": 1}}]}',
+     "object 'x' has an invalid attribute name 'a.b'"),
+    ('{"objects": [{"id": "x", "class": "A", "references": {"": "x"}}]}',
+     "object 'x' has an invalid reference name ''"),
+    ('{"objects": [{"id": "x", "class": "A", "attributes": {"a": null}}]}',
+     "attribute 'x.a' is null"),
+    ('{"objects": [{"id": "x", "class": "A", "references": {"r": "a\\nb"}}]}',
+     "unknown object 'a\\\\nb'"),
 ])
 def test_instance_json_rejects(doc, message):
     with pytest.raises(InstanceParseError, match=message):
@@ -213,6 +222,16 @@ def test_instance_json_rejects(doc, message):
 def test_metamodel_names_with_a_final_newline_are_rejected(doc, message):
     with pytest.raises(MetamodelError, match=message):
         parse_metamodel(doc)
+
+
+def test_a_bad_name_is_reported_at_the_first_object_that_holds_it():
+    doc = json.dumps({"objects": [
+        {"id": "a", "class": "Camera", "attributes": {"name": "x"}},
+        {"id": "b", "class": "Camera", "attributes": {"name": "y", "bad-key": 1}},
+        {"id": "c", "class": "Camera", "attributes": {"bad-key": 2}},
+    ]})
+    with pytest.raises(InstanceParseError, match="^object 'b' has an invalid attribute name"):
+        parse_instance(doc)
 
 
 def test_an_object_id_with_a_final_newline_is_rejected():
@@ -857,6 +876,31 @@ def test_report_rows_are_hashable_immutable_and_equal_by_value(metamodel,
         row[2] = VERDICT_PASS
     assert first.failing == tuple(r for r in first.rows if r.verdict == VERDICT_FAIL)
     assert first.failing is first.failing  # worked out once
+
+
+# names the object diagram cannot hold, and a value it cannot hold
+@pytest.mark.parametrize("obj, message", [
+    pytest.param({"id": "cam", "class": "Camera", "attributes": {"bad\nkey": "x"}},
+                 "object 'cam' has an invalid attribute name 'bad\\nkey'", id="attribute-key"),
+    pytest.param({"id": "cam", "class": "Bad\nClass"},
+                 "object 'cam' has an invalid class name 'Bad\\nClass'", id="class"),
+    pytest.param({"id": "cam", "class": "Camera", "references": {"bad\nkey": "ok"}},
+                 "object 'cam' has an invalid reference name 'bad\\nkey'", id="reference-key"),
+    pytest.param({"id": "cam", "class": "Camera", "attributes": {"name": None}},
+                 "attribute 'cam.name' is null, which no object-diagram line can hold",
+                 id="null-value"),
+])
+def test_cli_rejects_a_model_the_object_diagram_cannot_hold(tmp_path, fixtures_dir, capsys,
+                                                            obj, message):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"objects": [{"id": "ok", "class": "Camera"}, obj]}))
+    code = main(["--out", str(tmp_path / "out"), "analyze-topology", "--model", str(model),
+                 "--constraints", str(fixtures_dir / "topology" / "security.ocl")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == f"error: stage 'model' failed: {message}\n"
+    assert out == ""
+    assert not list((tmp_path / "out").rglob("conformance.txt"))
 
 
 # ---------------------------------------------------------------------------
