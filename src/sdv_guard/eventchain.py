@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     ChainGenerationError,
@@ -394,14 +396,30 @@ def chain_digest(document: ChainDocument) -> str:
     return sha256_text(serialize_chain(document))
 
 
+class Run(NamedTuple):
+    """A straight run: a maximal chain of reachable nodes in which each node
+    but the last has one outgoing edge, to a node with one incoming edge.
+    Every path that enters a run walks all of it."""
+
+    nodes: tuple[str, ...]
+    steps: tuple[tuple[str, str], ...]  # (event, node id) of its actions, in order
+    successors: tuple[int, ...]  # runs the last node's edges enter, in declaration
+    # order, as indices into ChainOrder.runs; empty after a stop
+
+
 class ChainOrder:
-    """A chain document's start-reachable graph, checked and ordered once.
+    """A chain document's start-reachable graph, checked and cut into straight
+    runs in topological order, once.
 
     The one walk over a chain's graph: iterative, following edges in
-    declaration order, marking nodes in progress and finished. It raises
-    the structure errors (not exactly one start, a cycle, a dead end) for
-    the first offending node in that order; a node it has fully explored
-    holds no error, so it is never entered twice.
+    declaration order, walking each straight run in one go and marking nodes
+    in progress and finished. It raises the structure errors (not exactly
+    one start, a cycle, a dead end) for the first offending node in that
+    order; a node it has fully explored holds no error, so it is never
+    entered twice. ``runs[0]`` starts at the start node, and every edge
+    between runs goes to a later one. Edges are counted, not neighbours: a
+    decision whose two edges both enter its merge (both arms empty) ends its
+    run, and each edge enters the merge's run once.
     """
 
     def __init__(self, document: ChainDocument):
@@ -411,44 +429,70 @@ class ChainOrder:
             raise StructureError(
                 f"path enumeration needs exactly one start node, found {len(starts)}"
             )
-        self.start = starts[0].id
-        self.kinds = {n.id: n.kind for n in graph.nodes}
+        kinds = {n.id: n.kind for n in graph.nodes}
         events = dict(document.events)
-        self.events: dict[str, str] = {}  # per reachable action node
         outgoing: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+        incoming = dict.fromkeys(outgoing, 0)
         for edge in graph.edges:
             outgoing[edge.src].append(edge.dst)
-        # successors in declaration order; a stop ends every path through it
-        self.successors: dict[str, list[str]] = {}
-        finished: list[str] = []
+            incoming[edge.dst] += 1
+        # (nodes, steps, exits) per run, in the order the walk leaves them;
+        # only a run's first node can be an edge's target from another run
+        finished: list[tuple[list[str], list[tuple[str, str]], list[str]]] = []
+        entered: set[str] = set()  # first nodes of the runs entered
         on_stack: set[str] = set()
-        stack = [(self.start, False)]  # (node, leaving it)
+        stack: list = [(starts[0].id, None)]  # (node to enter, None) or (None, run to leave)
         while stack:
             node_id, leaving = stack.pop()
-            if leaving:
-                on_stack.discard(node_id)
-                finished.append(node_id)
+            if leaving is not None:
+                on_stack.difference_update(leaving[0])
+                finished.append(leaving)
                 continue
             if node_id in on_stack:
                 raise UnsupportedStructureError(
                     f"chain contains a cycle through node '{node_id}'"
                 )
-            if node_id in self.successors:
+            if node_id in entered:
                 continue
-            if self.kinds[node_id] == "action":
-                self.events[node_id] = events[node_id]
-            if self.kinds[node_id] == "stop":
-                self.successors[node_id] = []
-                finished.append(node_id)
-                continue
-            if not outgoing[node_id]:
-                raise StructureError(f"node '{node_id}' dead-ends before any stop")
-            self.successors[node_id] = outgoing[node_id]
-            on_stack.add(node_id)
-            stack.append((node_id, True))
-            stack.extend((dst, False) for dst in reversed(outgoing[node_id]))
+            entered.add(node_id)
+            nodes: list[str] = []
+            steps: list[tuple[str, str]] = []
+            while True:
+                nodes.append(node_id)
+                on_stack.add(node_id)
+                kind = kinds[node_id]
+                if kind == "action":
+                    steps.append((events[node_id], node_id))
+                # a stop ends every path through it
+                exits = [] if kind == "stop" else outgoing[node_id]
+                if not exits and kind != "stop":
+                    raise StructureError(f"node '{node_id}' dead-ends before any stop")
+                # a cycle back into the run is raised when the walk enters
+                # its target, next
+                if len(exits) != 1 or incoming[exits[0]] != 1 or exits[0] in on_stack:
+                    break
+                node_id = exits[0]
+            run = (nodes, steps, exits)
+            stack.append((None, run))
+            stack.extend((dst, None) for dst in reversed(exits))
         finished.reverse()
-        self.topological = finished
+        index = {nodes[0]: i for i, (nodes, _steps, _exits) in enumerate(finished)}
+        self.runs = [Run(tuple(nodes), tuple(steps), tuple(index[dst] for dst in exits))
+                     for nodes, steps, exits in finished]
+        # the distinct events of the reachable actions
+        self.events: set[str] = set().union(*(map(itemgetter(0), run.steps) for run in self.runs))
+        self._event_steps: dict[tuple[int, int], tuple[EventStep, ...]] = {}
+
+    def event_steps(self, run: int, position: int) -> tuple[EventStep, ...]:
+        """The steps of ``runs[run]`` on a path that enters it at ``position``,
+        built once per (run, position)."""
+        key = (run, position)
+        found = self._event_steps.get(key)
+        if found is None:
+            found = self._event_steps[key] = tuple(
+                EventStep(position=position + offset, event=event, node_id=node_id)
+                for offset, (event, node_id) in enumerate(self.runs[run].steps))
+        return found
 
 
 def enumerate_paths(document: ChainDocument) -> list[EventSequence]:
@@ -457,25 +501,22 @@ def enumerate_paths(document: ChainDocument) -> list[EventSequence]:
     Returns the action-event sequences; decision and merge nodes contribute
     no events. The graph is checked by ``ChainOrder`` first, so a cycle
     raises an unsupported-structure error naming a node on it. The paths
-    are then walked with an explicit stack; None on the stack drops the
-    last step once its subtree is done.
+    are then walked run by run with an explicit stack; each entry carries
+    the path length its run starts at, so entering it first cuts the steps
+    back to that length.
     """
     order = ChainOrder(document)
     paths: list[EventSequence] = []
     steps: list[EventStep] = []
-    stack: list[str | None] = [order.start]
+    stack = [(0, 0)]  # (run, position)
     while stack:
-        node_id = stack.pop()
-        if node_id is None:
-            steps.pop()
-            continue
-        event = order.events.get(node_id)
-        if event is not None:
-            steps.append(EventStep(position=len(steps), event=event, node_id=node_id))
-            stack.append(None)
-        if order.kinds[node_id] == "stop":
+        run, position = stack.pop()
+        del steps[position:]
+        steps.extend(order.event_steps(run, position))
+        successors = order.runs[run].successors
+        if not successors:
             paths.append(EventSequence(steps=tuple(steps)))
-        stack.extend(reversed(order.successors[node_id]))
+        stack.extend((dst, len(steps)) for dst in reversed(successors))
     return paths
 
 

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..errors import SdvGuardError
+from ..errors import ConfigurationError, SdvGuardError
 from ..eventchain import (
     generate_chain,
     parse_activity_diagram,
@@ -115,10 +115,13 @@ def _cmd_build_chain(args) -> int:
     diagram, document = generate_chain(code, current_chain, report.accepted, gateway)
     print(diagram, end="" if diagram.endswith("\n") else "\n")
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "chain.puml").write_text(diagram, encoding="utf-8")
-    (out_dir / "chain.json").write_text(serialize_chain(document) + "\n",
-                                        encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "chain.puml").write_text(diagram, encoding="utf-8")
+        (out_dir / "chain.json").write_text(serialize_chain(document) + "\n",
+                                            encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write the chain under '{out_dir}': {exc}") from exc
     return 0
 
 

@@ -89,11 +89,16 @@ def _config_echo(config: PipelineConfig) -> dict:
 
 class _ArtifactWriter:
     """Run context: owns the run record, runs each stage, writes artifact
-    files and tracks their digests."""
+    files and tracks their digests. An output directory or artifact that
+    cannot be written is a typed error naming its path."""
 
     def __init__(self, out_dir: str | Path, kind: str, config: PipelineConfig):
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot create output directory '{self.out_dir}': {exc}") from exc
         self.record = RunRecord(kind=kind, started_at=_now(), config=_config_echo(config))
 
     def stage(self, name: str, fn):
@@ -107,9 +112,17 @@ class _ArtifactWriter:
             raise PipelineError(name, exc, record=self.record) from exc
 
     def write(self, name: str, text: str) -> Path:
+        """Write one artifact; on failure, the record is finished with
+        verdict "error" and a PipelineError names the stage "write"."""
         path = self.out_dir / name
         data = text.encode("utf-8")
-        path.write_bytes(data)
+        try:
+            path.write_bytes(data)
+        except OSError as exc:
+            self.record.verdict = "error"
+            self.finish()
+            cause = ConfigurationError(f"cannot write artifact '{path}': {exc}")
+            raise PipelineError("write", cause, record=self.record) from exc
         self.record.artifacts[name] = {"path": name, "sha256": sha256_bytes(data)}
         return path
 

@@ -29,8 +29,9 @@ Atom semantics over one path (a finite event sequence):
 
 Hence ``A after B`` == ``B before A``, and ``A before A`` is false exactly
 when A occurs. A ``require`` rule passes iff its expression is true on every
-path; ``forbid`` passes iff it is false on every path. Each failing path is
-recorded as a witness with the truth value of every atom on that path.
+path; ``forbid`` passes iff it is false on every path. The first
+``MAX_WITNESSES`` failing paths are recorded as witnesses with the truth
+value of every atom on that path; the rest are counted.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fnmatch import translate
+from operator import itemgetter
 
 from .errors import RuleParseError
 from .eventchain import (
@@ -63,6 +65,8 @@ _UNSEEN, _OPENED, _VIOLATED = 0, 1, 2
 # events its rule names. Every path the old recursive checker could walk, one
 # stack frame per node under Python's default limit of 1,000, is shorter.
 MAX_RENDERED_PATH = 1000
+# most witnesses listed per rule; the report counts the violating paths past it
+MAX_WITNESSES = 1000
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,7 @@ class RuleResult:
     rule: SafetyRule
     verdict: str  # "pass" | "violated"
     witnesses: tuple[Witness, ...]
+    unlisted: int = 0  # violating paths past the MAX_WITNESSES listed
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,8 @@ class SafetyReport:
                         }
                         for w in r.witnesses
                     ],
+                    # only when the witness list is cut
+                    **({"unlisted_violating_paths": r.unlisted} if r.unlisted else {}),
                 }
                 for r in self.results
             ],
@@ -391,17 +398,18 @@ def _truth(program: list[tuple[str, int]], atom_values: list[bool]) -> bool:
 def _rule_monitor(order: ChainOrder, rule: SafetyRule):
     """The rule as a product of precedence monitors, one per distinct atom.
 
-    Returns ``(initial, step, verdict)``. A state holds one of _UNSEEN,
-    _OPENED, _VIOLATED per atom, moved by ``_advance``.
-    ``step(state, node_id)`` is the state after that node;
+    Returns ``(initial, named, step, verdict)``. A state holds one of
+    _UNSEEN, _OPENED, _VIOLATED per atom, moved by ``_advance``. ``named``
+    is the set of chain events that some atom names, directly or through an
+    alias; every other event leaves every state as it is.
+    ``step(state, event)`` is the state after a named event;
     ``verdict(state)`` is ``(fails, atom values, expression value)`` for a
     path that ends in that state.
     """
     atoms, program = _compile(rule.expr)
     sides = [_sides(atom) for atom in atoms]
-    chain_events = set(order.events.values())
     # the chain events each rule event stands for: itself and its aliases' matches
-    stands_for = {name: _stands_for(rule, name, chain_events)
+    stands_for = {name: _stands_for(rule, name, order.events)
                   for name in {name for side in sides for name in side}}
     # (opens, closes) per atom, for each chain event that touches some atom
     effects = {
@@ -413,16 +421,12 @@ def _rule_monitor(order: ChainOrder, rule: SafetyRule):
     transitions: dict[tuple[tuple[int, ...], str], tuple[int, ...]] = {}
     verdicts: dict[tuple[int, ...], tuple[bool, tuple[tuple[str, bool], ...], bool]] = {}
 
-    def step(state: tuple[int, ...], node_id: str) -> tuple[int, ...]:
-        event = order.events.get(node_id)
-        effect = effects.get(event)
-        if effect is None:
-            return state
+    def step(state: tuple[int, ...], event: str) -> tuple[int, ...]:
         key = (state, event)
         nxt = transitions.get(key)
         if nxt is None:
             nxt = transitions[key] = tuple(
-                _advance(s, opens, closes) for s, (opens, closes) in zip(state, effect)
+                _advance(s, opens, closes) for s, (opens, closes) in zip(state, effects[event])
             )
         return nxt
 
@@ -438,55 +442,72 @@ def _rule_monitor(order: ChainOrder, rule: SafetyRule):
             )
         return found
 
-    return (_UNSEEN,) * len(atoms), step, verdict
+    return (_UNSEEN,) * len(atoms), effects.keys(), step, verdict
 
 
-def _eval_rule(order: ChainOrder, rule: SafetyRule) -> RuleResult:
-    initial, step, verdict = _rule_monitor(order, rule)
-    kinds, successors = order.kinds, order.successors
+def _first_offsets(order: ChainOrder) -> list[dict[str, int]]:
+    """Per run, each of its events with the offset of its first occurrence.
 
-    # forward: per node, the monitor states it can be entered in and the
-    # state it leaves in for each
-    moves: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {}
-    entry = {order.start: {initial}}
-    for node_id in order.topological:
-        move = moves[node_id] = {}
-        for state in entry[node_id]:
-            move[state] = step(state, node_id)
-        for dst in successors[node_id]:
-            entry.setdefault(dst, set()).update(move.values())
+    A monitor leaves _UNSEEN, for good, at the first event that touches it,
+    so a later occurrence of the same event in the run changes no state."""
+    firsts = []
+    for run in order.runs:
+        # later offsets first, so that the first occurrence's is the one kept
+        events = map(itemgetter(0), reversed(run.steps))
+        firsts.append(dict(zip(events, range(len(run.steps) - 1, -1, -1))))
+    return firsts
 
-    # backward: per node, the entry states from which some path fails the rule
-    failing: dict[str, set[tuple[int, ...]]] = {}
-    for node_id in reversed(order.topological):
-        bad = failing[node_id] = set()
-        for state, after in moves[node_id].items():
-            if kinds[node_id] == "stop":
-                if verdict(after)[0]:
-                    bad.add(state)
-                continue
-            for dst in successors[node_id]:
-                if after in failing[dst]:
-                    bad.add(state)
-                    break
 
-    # pruned walk in declaration order: only failing (node, state) pairs are
-    # entered; None on the stack drops the last step once its subtree is done
+def _eval_rule(order: ChainOrder, firsts: list[dict[str, int]],
+               rule: SafetyRule) -> RuleResult:
+    initial, named, step, verdict = _rule_monitor(order, rule)
+    runs = order.runs
+
+    # forward: per run, the monitor states it can be entered in and the
+    # state it leaves in for each; the monitor steps only at the first
+    # occurrence in the run of each event the rule names
+    moves: list[dict[tuple[int, ...], tuple[int, ...]]] = []
+    entry: list[set[tuple[int, ...]]] = [set() for _ in runs]
+    entry[0].add(initial)
+    for index, run in enumerate(runs):
+        first = firsts[index]
+        hits = sorted(first.keys() & named, key=first.__getitem__)
+        move = {}
+        for state in entry[index]:
+            after = state
+            for event in hits:
+                after = step(after, event)
+            move[state] = after
+        moves.append(move)
+        for dst in run.successors:
+            entry[dst].update(move.values())
+
+    # backward: per run and entry state, the number of paths on from there
+    # that fail the rule; parallel edges count once each
+    counts: list[dict[tuple[int, ...], int]] = [{} for _ in runs]
+    for index in range(len(runs) - 1, -1, -1):
+        successors = runs[index].successors
+        count = counts[index]
+        for state, after in moves[index].items():
+            if successors:
+                count[state] = sum(counts[dst][after] for dst in successors)
+            else:
+                count[state] = 1 if verdict(after)[0] else 0
+
+    # walk in declaration order entering only failing (run, state) pairs, up
+    # to MAX_WITNESSES witnesses; each stack entry carries the path length
+    # its run starts at, so entering it first cuts the steps back to that
+    violating = counts[0][initial]
     witnesses: list[Witness] = []
     steps: list[EventStep] = []
-    stack = [(order.start, initial)] if initial in failing[order.start] else []
-    while stack:
-        item = stack.pop()
-        if item is None:
-            steps.pop()
-            continue
-        node_id, state = item
-        event = order.events.get(node_id)
-        if event is not None:
-            steps.append(EventStep(position=len(steps), event=event, node_id=node_id))
-            stack.append(None)
-        after = moves[node_id][state]
-        if kinds[node_id] == "stop":
+    stack = [(0, initial, 0)] if violating else []
+    while stack and len(witnesses) < MAX_WITNESSES:
+        index, state, position = stack.pop()
+        del steps[position:]
+        steps.extend(order.event_steps(index, position))
+        after = moves[index][state]
+        successors = runs[index].successors
+        if not successors:
             _fails, atom_values, value = verdict(after)
             witnesses.append(Witness(
                 sequence=EventSequence(steps=tuple(steps)),
@@ -494,36 +515,43 @@ def _eval_rule(order: ChainOrder, rule: SafetyRule) -> RuleResult:
                 expr_value=value,
             ))
             continue
-        for dst in reversed(successors[node_id]):
-            if after in failing[dst]:
-                stack.append((dst, after))
-    verdict_text = VERDICT_VIOLATED if witnesses else VERDICT_PASS
-    return RuleResult(rule=rule, verdict=verdict_text, witnesses=tuple(witnesses))
+        for dst in reversed(successors):
+            if counts[dst][after]:
+                stack.append((dst, after, len(steps)))
+    verdict_text = VERDICT_VIOLATED if violating else VERDICT_PASS
+    return RuleResult(rule=rule, verdict=verdict_text, witnesses=tuple(witnesses),
+                      unlisted=violating - len(witnesses))
 
 
 def eval_rule(document: ChainDocument, rule: SafetyRule) -> RuleResult:
     """Evaluate one rule over every start-to-stop path of the chain.
 
-    The witnesses are every failing path, in ``enumerate_paths`` order, but
-    passing paths are never enumerated: see ``check``.
+    The witnesses are the first MAX_WITNESSES failing paths, in
+    ``enumerate_paths`` order, but passing paths are never enumerated: see
+    ``check``.
     """
-    return _eval_rule(ChainOrder(document), rule)
+    order = ChainOrder(document)
+    return _eval_rule(order, _first_offsets(order), rule)
 
 
 def check(document: ChainDocument, ruleset: RuleSet) -> SafetyReport:
     """Check every rule on every path of the chain.
 
-    The graph is checked and ordered once, by ``ChainOrder``. Per rule, the reachable monitor
-    states are propagated forward in topological order, the (node, state)
-    pairs that can still reach a failing stop are marked backward, and a walk
-    in edge-declaration order that enters only marked pairs emits the
-    witnesses. Cost: nodes times monitor states, plus the witnesses' size.
-    An empty rule set checks nothing, not even the structure.
+    The graph is checked and cut into straight runs once, by ``ChainOrder``.
+    Per rule, the reachable monitor states are propagated forward over the
+    runs in topological order, stepping only at the events the rule names;
+    the number of failing paths on from each (run, state) pair is counted
+    backward; and a walk in edge-declaration order that enters only pairs
+    with failing paths emits the first MAX_WITNESSES witnesses. The report
+    counts the violating paths past them. Cost: runs times monitor states,
+    plus the listed witnesses' size. An empty rule set checks nothing, not
+    even the structure.
     """
     if not ruleset.rules:
         return SafetyReport(results=(), chain_digest=chain_digest(document))
     order = ChainOrder(document)
-    results = tuple(_eval_rule(order, rule) for rule in ruleset.rules)
+    firsts = _first_offsets(order)
+    results = tuple(_eval_rule(order, firsts, rule) for rule in ruleset.rules)
     return SafetyReport(results=results, chain_digest=chain_digest(document))
 
 
@@ -564,6 +592,8 @@ def render_report(report: SafetyReport) -> str:
             lines.append(f"  witness {index + 1}: {path_text}")
             for atom_text, value in witness.atom_values:
                 lines.append(f"    {atom_text}: {'true' if value else 'false'}")
+        if result.unlisted:
+            lines.append(f"  ({result.unlisted} more violating paths)")
     return "\n".join(lines) + "\n"
 
 

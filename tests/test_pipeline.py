@@ -914,6 +914,39 @@ def test_cli_errors_exit_2(fixtures_dir, tmp_path, capsys):
     assert "unknown key 'topk'" in captured.err
 
 
+@pytest.mark.parametrize("command", ["analyze-safety", "build-chain"])
+def test_cli_out_naming_a_file_is_a_typed_error(fixtures_dir, tmp_path, capsys, command):
+    p = _paths(fixtures_dir)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    argv = ["--out", str(taken), command, "--code", p["code"], "--vss", p["vss"],
+            "--can", p["can"], "--replay", p["replay"]]
+    if command == "analyze-safety":
+        argv += ["--rules", p["rules"]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cannot ")
+    assert f"'{taken}'" in captured.err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_cli_artifact_path_that_is_a_directory_is_a_typed_error(fixtures_dir, tmp_path,
+                                                                capsys):
+    base = fixtures_dir / "topology"
+    out = tmp_path / "out"
+    (out / "topology_iter1.txt").mkdir(parents=True)
+    code = main(["--out", str(out), "analyze-topology", "--model", str(base / "system.puml"),
+                 "--constraints", str(base / "security.ocl")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(
+        f"error: stage 'write' failed: cannot write artifact '{out / 'topology_iter1.txt'}'")
+    record = json.loads((out / "run.json").read_text())
+    assert record["verdict"] == "error"
+    assert sorted(record["artifacts"]) == ["model_iter1.json", "model_iter1.puml"]
+
+
 @pytest.mark.parametrize("exc", [RecursionError("deep"), KeyError("k"), ValueError()])
 def test_cli_fails_closed_on_internal_errors(fixtures_dir, monkeypatch, capsys, exc):
     def broken(args):

@@ -1,5 +1,7 @@
 """Temporal rule parsing and evaluation over event-chain paths."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from sdv_guard.pipeline.cli import main
 from sdv_guard.safety_rules import (
     MAX_NESTING,
     MAX_RENDERED_PATH,
+    MAX_WITNESSES,
     AndExpr,
     NotExpr,
     OrExpr,
@@ -464,6 +467,33 @@ def test_twenty_decisions_report_exactly_the_violating_paths():
         assert [s.position for s in witness.sequence.steps] == list(range(21))
         assert witness.atom_values == (("warn before brake", False),)
         assert witness.expr_value is False
+
+
+def test_twenty_four_decisions_list_the_first_witnesses_and_count_the_rest():
+    # nothing warns, so all 2^24 paths fail; the first listed takes every yes-arm
+    document = _sequential_decisions(24, warn_arms=0)
+    started = time.perf_counter()
+    report = check(document, parse_rules("r: warn before brake\n"))
+    text = render_report(report)
+    assert time.perf_counter() - started < 1.0
+    (result,) = report.results
+    assert result.verdict == "violated"
+    assert len(result.witnesses) == MAX_WITNESSES
+    assert result.unlisted == 2 ** 24 - MAX_WITNESSES
+    assert result.witnesses[0].sequence.events == (
+        *(f"task-{i}-yes" for i in range(24)), "brake")
+    assert text.endswith(f"    warn before brake: false\n  ({2 ** 24 - MAX_WITNESSES}"
+                         " more violating paths)\n")
+    assert text.count("more violating paths") == 1
+    assert report.to_dict()["rules"][0]["unlisted_violating_paths"] == 2 ** 24 - MAX_WITNESSES
+
+
+def test_uncut_witness_lists_are_not_counted():
+    report = check(_sequential_decisions(3, warn_arms=0), parse_rules("r: warn before brake\n"))
+    assert len(report.results[0].witnesses) == 8
+    assert report.results[0].unlisted == 0
+    assert "more violating paths" not in render_report(report)
+    assert "unlisted_violating_paths" not in report.to_dict()["rules"][0]
 
 
 def test_deep_hand_built_expression_is_checked_without_recursion():

@@ -1,12 +1,15 @@
-"""Rule checking and path enumeration against the recursive references.
+"""Rule checking and path enumeration against the implementations they replaced.
 
 ``check`` and ``eval_rule`` run a product of precedence monitors over the
-chain's DAG and never enumerate passing paths; ``enumerate_paths`` walks the
-paths with an explicit stack. The references below are the implementations
-they replaced, kept verbatim: a recursive path enumerator, and a checker that
-evaluates every atom on every path it yields. Both sides must give equal
-paths and reports, byte-identical rendered text and the same structure
-errors.
+chain's straight runs, stepping only at the events a rule names, and never
+enumerate passing paths; ``enumerate_paths`` walks the runs with an explicit
+stack. The references below are kept verbatim: a recursive path
+enumerator; a checker that evaluates every atom on every path it yields;
+and the per-node checker, which stepped the same monitors at every node in
+three passes over the graph. All must give equal paths and reports,
+byte-identical rendered text and the same structure errors. The references
+list every witness, so their reports are cut to the first MAX_WITNESSES per
+rule, with a count of the rest, before they are compared.
 """
 
 import json
@@ -16,10 +19,13 @@ from fnmatch import fnmatchcase
 import pytest
 
 from bench import generators as gen
+from bench.workloads import CHAIN_SCHEDULE, LINEAR_ACTIONS, LINEAR_CHAINS
+from sdv_guard import safety_rules
 from sdv_guard.errors import StructureError, UnsupportedStructureError
 from sdv_guard.eventchain import (
     ActivityGraph,
     ChainDocument,
+    ChainOrder,
     Edge,
     EventSequence,
     EventStep,
@@ -31,6 +37,8 @@ from sdv_guard.eventchain import (
     to_chain_document,
 )
 from sdv_guard.safety_rules import (
+    _UNSEEN,
+    _VIOLATED,
     VERDICT_PASS,
     VERDICT_VIOLATED,
     AndExpr,
@@ -45,6 +53,11 @@ from sdv_guard.safety_rules import (
     check,
     eval_atom,
     eval_rule,
+    _advance,
+    _compile,
+    _sides,
+    _stands_for,
+    _truth,
     parse_rules,
     render_report,
 )
@@ -182,13 +195,214 @@ def _ref_check(document, ruleset):
     return SafetyReport(results=results, chain_digest=chain_digest(document))
 
 
-def _assert_same(document, ruleset):
-    assert enumerate_paths(document) == _ref_enumerate_paths(document)
-    expected = _ref_check(document, ruleset)
-    actual = check(document, ruleset)
+# ---------------------------------------------------------------------------
+# reference: the per-node checker, with the per-node walk it ran on
+
+
+class _NodeOrder:
+    """A chain document's start-reachable graph, checked and ordered once.
+
+    The one walk over a chain's graph: iterative, following edges in
+    declaration order, marking nodes in progress and finished. It raises
+    the structure errors (not exactly one start, a cycle, a dead end) for
+    the first offending node in that order; a node it has fully explored
+    holds no error, so it is never entered twice.
+    """
+
+    def __init__(self, document: ChainDocument):
+        graph = document.graph
+        starts = [n for n in graph.nodes if n.kind == "start"]
+        if len(starts) != 1:
+            raise StructureError(
+                f"path enumeration needs exactly one start node, found {len(starts)}"
+            )
+        self.start = starts[0].id
+        self.kinds = {n.id: n.kind for n in graph.nodes}
+        events = dict(document.events)
+        self.events: dict[str, str] = {}  # per reachable action node
+        outgoing: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+        for edge in graph.edges:
+            outgoing[edge.src].append(edge.dst)
+        # successors in declaration order; a stop ends every path through it
+        self.successors: dict[str, list[str]] = {}
+        finished: list[str] = []
+        on_stack: set[str] = set()
+        stack = [(self.start, False)]  # (node, leaving it)
+        while stack:
+            node_id, leaving = stack.pop()
+            if leaving:
+                on_stack.discard(node_id)
+                finished.append(node_id)
+                continue
+            if node_id in on_stack:
+                raise UnsupportedStructureError(
+                    f"chain contains a cycle through node '{node_id}'"
+                )
+            if node_id in self.successors:
+                continue
+            if self.kinds[node_id] == "action":
+                self.events[node_id] = events[node_id]
+            if self.kinds[node_id] == "stop":
+                self.successors[node_id] = []
+                finished.append(node_id)
+                continue
+            if not outgoing[node_id]:
+                raise StructureError(f"node '{node_id}' dead-ends before any stop")
+            self.successors[node_id] = outgoing[node_id]
+            on_stack.add(node_id)
+            stack.append((node_id, True))
+            stack.extend((dst, False) for dst in reversed(outgoing[node_id]))
+        finished.reverse()
+        self.topological = finished
+
+
+def _node_rule_monitor(order: _NodeOrder, rule: SafetyRule):
+    """The rule as a product of precedence monitors, one per distinct atom.
+
+    Returns ``(initial, step, verdict)``. A state holds one of _UNSEEN,
+    _OPENED, _VIOLATED per atom, moved by ``_advance``.
+    ``step(state, node_id)`` is the state after that node;
+    ``verdict(state)`` is ``(fails, atom values, expression value)`` for a
+    path that ends in that state.
+    """
+    atoms, program = _compile(rule.expr)
+    sides = [_sides(atom) for atom in atoms]
+    chain_events = set(order.events.values())
+    # the chain events each rule event stands for: itself and its aliases' matches
+    stands_for = {name: _stands_for(rule, name, chain_events)
+                  for name in {name for side in sides for name in side}}
+    # (opens, closes) per atom, for each chain event that touches some atom
+    effects = {
+        event: tuple((event in stands_for[opening], event in stands_for[closing])
+                     for opening, closing in sides)
+        for event in set().union(*stands_for.values())
+    }
+    texts = [atom.text() for atom in atoms]
+    transitions: dict[tuple[tuple[int, ...], str], tuple[int, ...]] = {}
+    verdicts: dict[tuple[int, ...], tuple[bool, tuple[tuple[str, bool], ...], bool]] = {}
+
+    def step(state: tuple[int, ...], node_id: str) -> tuple[int, ...]:
+        event = order.events.get(node_id)
+        effect = effects.get(event)
+        if effect is None:
+            return state
+        key = (state, event)
+        nxt = transitions.get(key)
+        if nxt is None:
+            nxt = transitions[key] = tuple(
+                _advance(s, opens, closes) for s, (opens, closes) in zip(state, effect)
+            )
+        return nxt
+
+    def verdict(state: tuple[int, ...]):
+        found = verdicts.get(state)
+        if found is None:
+            values = [s != _VIOLATED for s in state]
+            value = _truth(program, values)
+            found = verdicts[state] = (
+                not value if rule.mode == "require" else value,
+                tuple(sorted(zip(texts, values))),
+                value,
+            )
+        return found
+
+    return (_UNSEEN,) * len(atoms), step, verdict
+
+
+def _node_eval_rule(order: _NodeOrder, rule: SafetyRule) -> RuleResult:
+    initial, step, verdict = _node_rule_monitor(order, rule)
+    kinds, successors = order.kinds, order.successors
+
+    # forward: per node, the monitor states it can be entered in and the
+    # state it leaves in for each
+    moves: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {}
+    entry = {order.start: {initial}}
+    for node_id in order.topological:
+        move = moves[node_id] = {}
+        for state in entry[node_id]:
+            move[state] = step(state, node_id)
+        for dst in successors[node_id]:
+            entry.setdefault(dst, set()).update(move.values())
+
+    # backward: per node, the entry states from which some path fails the rule
+    failing: dict[str, set[tuple[int, ...]]] = {}
+    for node_id in reversed(order.topological):
+        bad = failing[node_id] = set()
+        for state, after in moves[node_id].items():
+            if kinds[node_id] == "stop":
+                if verdict(after)[0]:
+                    bad.add(state)
+                continue
+            for dst in successors[node_id]:
+                if after in failing[dst]:
+                    bad.add(state)
+                    break
+
+    # pruned walk in declaration order: only failing (node, state) pairs are
+    # entered; None on the stack drops the last step once its subtree is done
+    witnesses: list[Witness] = []
+    steps: list[EventStep] = []
+    stack = [(order.start, initial)] if initial in failing[order.start] else []
+    while stack:
+        item = stack.pop()
+        if item is None:
+            steps.pop()
+            continue
+        node_id, state = item
+        event = order.events.get(node_id)
+        if event is not None:
+            steps.append(EventStep(position=len(steps), event=event, node_id=node_id))
+            stack.append(None)
+        after = moves[node_id][state]
+        if kinds[node_id] == "stop":
+            _fails, atom_values, value = verdict(after)
+            witnesses.append(Witness(
+                sequence=EventSequence(steps=tuple(steps)),
+                atom_values=atom_values,
+                expr_value=value,
+            ))
+            continue
+        for dst in reversed(successors[node_id]):
+            if after in failing[dst]:
+                stack.append((dst, after))
+    verdict_text = VERDICT_VIOLATED if witnesses else VERDICT_PASS
+    return RuleResult(rule=rule, verdict=verdict_text, witnesses=tuple(witnesses))
+
+
+def _node_check(document, ruleset):
+    if not ruleset.rules:
+        return SafetyReport(results=(), chain_digest=chain_digest(document))
+    order = _NodeOrder(document)
+    results = tuple(_node_eval_rule(order, rule) for rule in ruleset.rules)
+    return SafetyReport(results=results, chain_digest=chain_digest(document))
+
+
+def _listed(report: SafetyReport) -> SafetyReport:
+    """A reference report as the checker lists it: the first MAX_WITNESSES
+    witnesses of each rule, and the number of the rest."""
+    limit = safety_rules.MAX_WITNESSES
+    return SafetyReport(results=tuple(
+        RuleResult(rule=r.rule, verdict=r.verdict, witnesses=r.witnesses[:limit],
+                   unlisted=max(0, len(r.witnesses) - limit))
+        for r in report.results), chain_digest=report.chain_digest)
+
+
+def _assert_reports_equal(actual: SafetyReport, expected: SafetyReport) -> None:
     assert actual.to_dict() == expected.to_dict()
     assert render_report(actual) == render_report(expected)
     assert actual == expected
+
+
+def _assert_same_as_node_checker(document, ruleset):
+    _assert_reports_equal(check(document, ruleset), _listed(_node_check(document, ruleset)))
+
+
+def _assert_same(document, ruleset):
+    assert enumerate_paths(document) == _ref_enumerate_paths(document)
+    expected = _listed(_ref_check(document, ruleset))
+    actual = check(document, ruleset)
+    _assert_reports_equal(actual, expected)
+    _assert_reports_equal(actual, _listed(_node_check(document, ruleset)))
     for rule, result in zip(ruleset.rules, expected.results):
         assert eval_rule(document, rule) == result
 
@@ -350,6 +564,7 @@ def test_structure_errors_match_reference(name):
     expected = _outcome(_ref_check, document, _ONE_RULE)
     assert expected[0] in (StructureError, UnsupportedStructureError)
     assert _outcome(check, document, _ONE_RULE) == expected
+    assert _outcome(_node_check, document, _ONE_RULE) == expected
     assert _outcome(eval_rule, document, _ONE_RULE.rules[0]) \
         == _outcome(_ref_eval_rule, document, _ONE_RULE.rules[0])
     assert _outcome(enumerate_paths, document) == _outcome(_ref_enumerate_paths, document)
@@ -376,6 +591,7 @@ def test_random_graphs_match_reference(seed):
     )
     ruleset = parse_rules("r1: a before b\n\nr2: forbid c after a or not b before b\n")
     assert _outcome(check, document, ruleset) == _outcome(_ref_check, document, ruleset)
+    assert _outcome(check, document, ruleset) == _outcome(_node_check, document, ruleset)
     assert _outcome(enumerate_paths, document) == _outcome(_ref_enumerate_paths, document)
 
 
@@ -397,6 +613,207 @@ def test_parallel_edges_give_one_witness_each():
     assert [w.sequence for w in report.results[0].witnesses] \
         == [EventSequence(steps=enumerate_paths(document)[0].steps)] * 2
     _assert_same(document, parse_rules("r: b before a\n"))
+
+
+# ---------------------------------------------------------------------------
+# straight runs
+
+
+def _run_breaking_diagram(rng) -> ChainDocument:
+    """A random diagram whose runs break in unusual places: arms of 0 to 50
+    actions, empty arms (parallel decision-to-merge edges), a decision right
+    after a merge, and stops inside arms. At most six decisions."""
+    decisions = [6]
+
+    def actions(lines, count):
+        lines.extend(f":{rng.choice(_LABELS)};" for _ in range(count))
+
+    def block(depth, lines) -> bool:
+        for _ in range(rng.randint(1, 3)):
+            if depth >= 2 or not decisions[0] or rng.random() < 0.3:
+                actions(lines, rng.choice((1, 2, rng.randint(3, 50))))
+                continue
+            decisions[0] -= 1
+            lines.append(f"if (c{len(lines)}) then (yes)")
+            alive = arm(depth, lines)
+            if rng.random() < 0.6:
+                lines.append("else (no)")
+                alive = arm(depth, lines) or alive
+            else:
+                alive = True
+            lines.append("endif")
+            if not alive:
+                return False
+        return True
+
+    def arm(depth, lines) -> bool:
+        actions(lines, rng.choice((0, 0, 1, rng.randint(2, 50))))
+        alive = block(depth + 1, lines) if rng.random() < 0.4 else True
+        if alive and rng.random() < 0.2:
+            lines.append("stop")
+            return False
+        return alive
+
+    lines = ["@startuml", "start"]
+    if block(0, lines):
+        lines.append("stop")
+    lines.append("@enduml")
+    return to_chain_document(parse_activity_diagram("\n".join(lines) + "\n"))
+
+
+def _random_dag(rng) -> ChainDocument:
+    """A valid chain document no diagram parses to: forward edges only, one
+    to three (parallel ones too) from each node but stops, so that actions,
+    decisions and stops get several incoming edges; some stops have edges,
+    and some nodes are unreachable but have edges into reachable ones."""
+    count = rng.randint(3, 12)
+    kinds = ["start"] + [rng.choice(("action", "action", "action", "decision", "merge", "stop"))
+                         for _ in range(count - 2)] + ["stop"]
+    edges = []
+    for i, kind in enumerate(kinds[:-1]):
+        fanout = (rng.random() < 0.2) if kind == "stop" else rng.choice((1, 1, 2, 3))
+        edges += [(f"n{i}", f"n{rng.randrange(i + 1, count)}") for _ in range(fanout)]
+    document = _graph_document(list((f"n{i}", kind) for i, kind in enumerate(kinds)), edges)
+    return ChainDocument(
+        graph=document.graph,
+        events=tuple((node_id, rng.choice(("a", "b", "brake", "warn", "detect-cam")))
+                     for node_id, _ in document.events),
+    )
+
+
+def _reachable(document: ChainDocument) -> set[str]:
+    start = next(n.id for n in document.graph.nodes if n.kind == "start")
+    kinds = {n.id: n.kind for n in document.graph.nodes}
+    seen, todo = {start}, [start]
+    while todo:
+        node_id = todo.pop()
+        if kinds[node_id] == "stop":
+            continue
+        for edge in document.graph.edges:
+            if edge.src == node_id and edge.dst not in seen:
+                seen.add(edge.dst)
+                todo.append(edge.dst)
+    return seen
+
+
+def _run_paths(order: ChainOrder) -> list[list[tuple[str, str]]]:
+    """The (event, node id) steps of every path, as concatenated runs."""
+    paths = []
+
+    def walk(index, steps):
+        run = order.runs[index]
+        steps = steps + list(run.steps)
+        if not run.successors:
+            paths.append(steps)
+        for dst in run.successors:
+            assert dst > index
+            walk(dst, steps)
+
+    walk(0, [])
+    return paths
+
+
+def _assert_runs(document: ChainDocument) -> None:
+    order = ChainOrder(document)
+    nodes = [node_id for run in order.runs for node_id in run.nodes]
+    assert sorted(nodes) == sorted(_reachable(document))
+    assert order.runs[0].nodes[0] == next(n.id for n in document.graph.nodes if n.kind == "start")
+    kinds = {n.id: n.kind for n in document.graph.nodes}
+    events = dict(document.events)
+    for run in order.runs:
+        assert run.steps == tuple((events[n], n) for n in run.nodes if kinds[n] == "action")
+        assert all(kinds[n] != "stop" for n in run.nodes[:-1])
+        assert (kinds[run.nodes[-1]] == "stop") == (not run.successors)
+    assert _run_paths(order) == [[(s.event, s.node_id) for s in path.steps]
+                                 for path in _ref_enumerate_paths(document)]
+
+
+def test_linear_chain_is_one_run():
+    case = gen.linear_case(random.Random(3), "linear", LINEAR_ACTIONS, 2)
+    document = to_chain_document(parse_activity_diagram(case.diagram))
+    [run] = ChainOrder(document).runs
+    assert run.nodes == tuple(n.id for n in document.graph.nodes)
+    assert run.steps == tuple((event, node_id) for node_id, event in document.events)
+    assert run.successors == ()
+
+
+@pytest.mark.parametrize("decisions", [1, 2, 5, 12])
+def test_sequential_decisions_give_three_runs_each(decisions):
+    """start..decision 1; each arm; each merge with the next decision, the
+    last merge with the stop."""
+    lines = ["@startuml", "start", ":Sense;"]
+    for i in range(decisions):
+        lines += [f"if (c{i}) then (yes)", f":Yes {i};", "else (no)", f":No {i};", "endif"]
+    document = to_chain_document(parse_activity_diagram("\n".join(lines + ["stop", "@enduml"])))
+    order = ChainOrder(document)
+    assert len(order.runs) == 3 * decisions + 1
+    _assert_runs(document)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_runs_cover_each_reachable_node_once(seed):
+    rng = random.Random(seed)
+    for document in (_random_diagram(rng), _run_breaking_diagram(rng), _random_dag(rng)):
+        _assert_runs(document)
+
+
+def test_empty_arms_end_the_decisions_run():
+    document = to_chain_document(parse_activity_diagram(
+        "@startuml\nstart\nif (c) then (yes)\nelse (no)\nendif\n:A;\nstop\n@enduml\n"))
+    runs = ChainOrder(document).runs
+    assert [run.nodes for run in runs] == [("n1", "n2"), ("n3", "n4", "n5")]
+    assert runs[0].successors == (1, 1)
+    _assert_same(document, parse_rules("r: b before a\n"))
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_run_breaking_diagrams_match_references(seed):
+    rng = random.Random(seed)
+    _assert_same(_run_breaking_diagram(rng), _random_rules(rng))
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_random_dags_match_references(seed):
+    rng = random.Random(seed)
+    _assert_same(_random_dag(rng), _random_rules(rng))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_chain_scale_cases_match_node_checker(seed):
+    """Every request of the benchmark's chain-scale pool, built as it builds them."""
+    rng = random.Random(seed)
+    cases = [gen.activity_case(rng, f"chain{i}-d{d}-r{n}", d, n, v)
+             for i, (d, n, v) in enumerate(CHAIN_SCHEDULE)]
+    cases += [gen.linear_case(rng, f"linear{i}", LINEAR_ACTIONS, 2) for i in range(LINEAR_CHAINS)]
+    for case in cases:
+        document = to_chain_document(parse_activity_diagram(case.diagram))
+        report = check(document, parse_rules(case.rules))
+        assert {r.rule.name: r.verdict for r in report.results} == case.verdicts
+        _assert_same_as_node_checker(document, parse_rules(case.rules))
+
+
+@pytest.mark.parametrize("actions", [1500, 20000])
+def test_long_linear_chains_match_node_checker(actions):
+    case = gen.linear_case(random.Random(actions), "linear", actions, 6)
+    assert "violated" in case.verdicts.values() and "pass" in case.verdicts.values()
+    document = to_chain_document(parse_activity_diagram(case.diagram))
+    _assert_same_as_node_checker(document, parse_rules(case.rules))
+
+
+def test_witnesses_past_the_cap_are_counted(monkeypatch):
+    """With the cap at 3, the witnesses are the reference's first three and
+    the count of the rest makes up the length of its list."""
+    monkeypatch.setattr(safety_rules, "MAX_WITNESSES", 3)
+    cut = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        document, ruleset = _random_diagram(rng), _random_rules(rng)
+        _assert_same(document, ruleset)
+        for result, expected in zip(check(document, ruleset).results,
+                                    _ref_check(document, ruleset).results):
+            assert len(result.witnesses) + result.unlisted == len(expected.witnesses)
+            cut += result.unlisted > 0
+    assert cut > 10
 
 
 # ---------------------------------------------------------------------------
