@@ -156,8 +156,7 @@ class ReplayStore:
     def save(self) -> None:
         if self.path is None:
             raise ConfigurationError("replay store has no path to save to")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(self.path, dump_json(self.entries, ensure_ascii=False))
+        write_atomic(self.path, dump_json(self.entries, ensure_ascii=False), "replay store")
 
     def record(self, prompt: str, completion: str) -> str:
         digest = prompt_digest(prompt)

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..errors import ConfigurationError, SdvGuardError
+from ..errors import SdvGuardError
 from ..eventchain import (
     generate_chain,
     parse_activity_diagram,
@@ -22,7 +22,7 @@ from ..eventchain import (
 )
 from ..safety_rules import VERDICT_PASS, check, parse_rules, render_report
 from ..topology import default_metamodel, parse_metamodel, render_topology_report
-from ..util import dump_json, read_text
+from ..util import dump_json, read_text, write_atomic
 from .config import PipelineConfig, build_gateway, load_config
 from .harness import render_harness_report, run_eval_harness
 from .runs import run_safety_pipeline_files, run_topology_pipeline
@@ -115,13 +115,8 @@ def _cmd_build_chain(args) -> int:
     diagram, document = generate_chain(code, current_chain, report.accepted, gateway)
     print(diagram, end="" if diagram.endswith("\n") else "\n")
     out_dir = Path(config.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "chain.puml").write_text(diagram, encoding="utf-8")
-        (out_dir / "chain.json").write_text(serialize_chain(document) + "\n",
-                                            encoding="utf-8")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write the chain under '{out_dir}': {exc}") from exc
+    write_atomic(out_dir / "chain.puml", diagram, "chain")
+    write_atomic(out_dir / "chain.json", serialize_chain(document) + "\n", "chain")
     return 0
 
 

@@ -74,16 +74,18 @@ def deploy_stub(source_dir: str | Path, target: str) -> Receipt:
                 )
         return Receipt(target=target, kind="endpoint", files=tuple(files))
     target_dir = Path(target)
-    target_dir.mkdir(parents=True, exist_ok=True)
     for rel, _digest in files:
         destination = target_dir / rel
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(source_dir / rel, destination)
+        try:
+            destination.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(source_dir / rel, destination)
+        except OSError as exc:
+            raise DeploymentError(f"cannot copy '{rel}' to '{destination}': {exc}") from exc
     return Receipt(target=str(target_dir), kind="directory", files=tuple(files))
 
 
 def save_receipt(receipt: Receipt, path: str | Path) -> None:
-    write_atomic(path, dump_json(receipt.to_dict()))
+    write_atomic(path, dump_json(receipt.to_dict()), "receipt")
 
 
 def load_receipt(path: str | Path) -> Receipt:

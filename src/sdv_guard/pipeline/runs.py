@@ -48,7 +48,7 @@ from ..topology import (
     render_topology_report,
     serialize_instance,
 )
-from ..util import dump_json, load_json, mismatched_files, read_text, sha256_bytes, write_atomic
+from ..util import dump_json, load_json, mismatched_files, read_text, sha256_text, write_atomic
 from .config import PipelineConfig
 from .stages import catalog_index, ground_code, run_extraction
 
@@ -112,24 +112,16 @@ class _ArtifactWriter:
             raise PipelineError(name, exc, record=self.record) from exc
 
     def write(self, name: str, text: str) -> Path:
-        """Write one artifact; on failure, the record is finished with
-        verdict "error" and a PipelineError names the stage "write"."""
+        """Write one artifact as the stage "write"."""
         path = self.out_dir / name
-        data = text.encode("utf-8")
-        try:
-            path.write_bytes(data)
-        except OSError as exc:
-            self.record.verdict = "error"
-            self.finish()
-            cause = ConfigurationError(f"cannot write artifact '{path}': {exc}")
-            raise PipelineError("write", cause, record=self.record) from exc
-        self.record.artifacts[name] = {"path": name, "sha256": sha256_bytes(data)}
+        self.stage("write", lambda: write_atomic(path, text, "artifact"))
+        self.record.artifacts[name] = {"path": name, "sha256": sha256_text(text)}
         return path
 
     def finish(self) -> Path:
         self.record.finished_at = _now()
         path = self.out_dir / "run.json"
-        write_atomic(path, dump_json(self.record.to_dict()))
+        write_atomic(path, dump_json(self.record.to_dict()), "run record")
         return path
 
 

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -73,16 +74,37 @@ def read_text(path: str | Path, what: str, missing: str | None = None) -> str:
         raise ConfigurationError(f"cannot read {what} file '{path}': {exc}") from exc
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write UTF-8 text beside ``path``, then swap it in: a crash mid-write
-    leaves the old file whole, and no temporary file behind."""
-    path = Path(path)
-    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+_NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+
+
+def write_atomic(path: str | Path, text: str, what: str) -> None:
+    """The program's one file writer. Write UTF-8 text to ``<path>.<pid>.tmp``,
+    creating a missing parent directory, then swap it in over ``path``: a
+    process that dies mid-write leaves the old file whole (nothing calls
+    fsync, so a power loss may not), and a failed write leaves no temporary
+    file behind. Every failure is a ``ConfigurationError`` naming the
+    ``what`` file."""
+    path = os.fspath(path)
+    partial = f"{path}.{os.getpid()}.tmp"
+    data = memoryview(text.encode("utf-8"))
     try:
-        partial.write_text(text, encoding="utf-8")
+        try:
+            fd = os.open(partial, _NEW_FILE, 0o666)
+        except FileNotFoundError:  # no parent directory yet
+            os.makedirs(os.path.dirname(partial), exist_ok=True)
+            fd = os.open(partial, _NEW_FILE, 0o666)
+        try:
+            while data:  # os.write may write less than it is given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):  # as when there was no file to remove
+            os.unlink(partial)
+        if isinstance(exc, OSError):
+            raise ConfigurationError(f"cannot write {what} '{path}': {exc}") from exc
+        raise
 
 
 class RepeatedKeys(dict):

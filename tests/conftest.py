@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -39,15 +40,16 @@ def message_catalog(can_text):
 
 
 def write_dies_half_way(monkeypatch) -> None:
-    """Until ``monkeypatch.undo()``, every ``Path.write_text`` writes half its
-    text and then raises ``OSError("disk full")``."""
-    real_write_text = Path.write_text
+    """Until ``monkeypatch.undo()``, every ``os.write``, the call through which
+    ``util.write_atomic`` writes each file, writes half its bytes and then
+    raises ``OSError("disk full")``."""
+    real_write = os.write
 
-    def crash_mid_write(self, text, *args, **kwargs):
-        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+    def crash_mid_write(fd, data):
+        real_write(fd, data[: len(data) // 2])
         raise OSError("disk full")
 
-    monkeypatch.setattr(Path, "write_text", crash_mid_write)
+    monkeypatch.setattr(os, "write", crash_mid_write)
 
 
 def scripted_gateway(completions, record_prompts=None) -> LlmGateway:

@@ -478,6 +478,107 @@ def test_the_encode_pin_sees_every_way_to_the_encoders(source):
     assert sites.found
 
 
+# ---------------------------------------------------------------------------
+# one file writer
+
+_OS_WRITERS = {"open", "write", "replace", "rename"}
+_SHUTIL_WRITERS = {"copyfile", "copy", "copy2", "copytree", "move"}
+
+
+def _opens_to_write(call: ast.Call) -> bool:
+    """An ``open(file, mode)``, ``io.open(file, mode)`` or ``path.open(mode)``
+    whose mode may write: one that holds w, a, x or +, or is not a constant."""
+    func = call.func
+    position = 0 if isinstance(func, ast.Attribute) and not (
+        isinstance(func.value, ast.Name) and func.value.id == "io") else 1
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[position] if len(call.args) > position else ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def _writer_sites(source: str, filename: str) -> set[tuple[str, str, str]]:
+    """(file, innermost function, call) of every way ``source`` can write a
+    file: ``write_text`` or ``write_bytes`` on any object, ``os.open``,
+    ``os.write``, ``os.replace``, ``os.rename``, ``shutil``'s copies, an
+    import of any of these or of ``os`` or ``shutil`` under another name, and
+    an ``open`` whose mode may write."""
+    found = set()
+
+    def visit(node, scope: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else ""
+            if (node.attr in ("write_text", "write_bytes")
+                    or (owner == "os" and node.attr in _OS_WRITERS)
+                    or (owner == "shutil" and node.attr in _SHUTIL_WRITERS)):
+                found.add((filename, scope, f"{owner}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom):
+            writers = {"os": _OS_WRITERS, "shutil": _SHUTIL_WRITERS}.get(node.module, set())
+            if any(alias.name in writers for alias in node.names):
+                found.add((filename, scope, f"from {node.module} import"))
+        elif isinstance(node, ast.Import):
+            if any(alias.name in ("os", "shutil") and alias.asname not in (None, alias.name)
+                   for alias in node.names):
+                found.add((filename, scope, "import as"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            is_os_open = isinstance(func, ast.Attribute) and getattr(func.value, "id", "") == "os"
+            if name == "open" and not is_os_open and _opens_to_write(node):
+                found.add((filename, scope, "open"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_files_are_written_only_by_write_atomic_and_the_deploy_copy():
+    found = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        found |= _writer_sites(path.read_text(encoding="utf-8"), path.name)
+    assert found == {("util.py", "write_atomic", "os.open"),
+                     ("util.py", "write_atomic", "os.write"),
+                     ("util.py", "write_atomic", "os.replace"),
+                     ("deploy.py", "deploy_stub", "shutil.copyfile")}
+
+
+@pytest.mark.parametrize("source", [
+    "path.write_text(text)",
+    "path.write_bytes(data)",
+    "os.write(fd, data)",
+    "os.replace(partial, path)",
+    "os.rename(partial, path)",
+    "shutil.copyfile(a, b)",
+    "shutil.move(a, b)",
+    "from os import write",
+    "from shutil import copy2",
+    "import os as o",
+    "open(path, 'w')",
+    "open(path, mode='ab')",
+    "open(path, mode)",
+    "io.open(path, 'x')",
+    "path.open('r+')",
+    "def f():\n    return os.open",
+])
+def test_the_writer_pin_sees_every_way_to_write(source):
+    assert _writer_sites(source, "m.py")
+
+
+@pytest.mark.parametrize("source", [
+    "open(path)",
+    "open('x.txt', 'rb')",
+    "io.open('x.txt')",
+    "path.open(encoding='utf-8')",
+    "path.read_text()",
+    "import os",
+])
+def test_the_writer_pin_passes_reads(source):
+    assert not _writer_sites(source, "m.py")
+
+
 # every float() call, by (file, innermost function); only util._json_float
 # is given text, which the JSON grammar has already matched; the others
 # convert numbers (JSON numbers, ints, a Fraction)

@@ -134,7 +134,7 @@ def test_replay_store_save_failing_part_way_keeps_the_old_store(tmp_path, monkey
 
     store.record("prompt two", "completion two")
     write_dies_half_way(monkeypatch)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(ConfigurationError, match="disk full"):
         store.save()
     monkeypatch.undo()
 
@@ -145,6 +145,17 @@ def test_replay_store_save_failing_part_way_keeps_the_old_store(tmp_path, monkey
     store.save()
     assert ReplayStore.load(path).lookup("prompt two") == "completion two"
     assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
+
+
+def test_record_mode_store_under_a_regular_file_is_a_configuration_error(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    gateway = LlmGateway(mode="record", store=ReplayStore(path=taken / "store.json"),
+                         base_url="scripted:",
+                         transport=lambda p: {"choices": [{"message": {"content": "a"}}]})
+    with pytest.raises(ConfigurationError, match="cannot write replay store"):
+        gateway.complete(CompletionRequest(prompt="q"))
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_replay_store_rejects_bad_files(tmp_path):

@@ -2,6 +2,8 @@
 
 import http.server
 import json
+import os
+import re
 import sys
 import threading
 
@@ -35,7 +37,7 @@ from sdv_guard.pipeline.cli import main
 from sdv_guard.pipeline.runs import _ArtifactWriter
 from sdv_guard.pipeline.stages import catalog_index, ground_code
 from sdv_guard.retrieval import build_index
-from sdv_guard.util import read_text
+from sdv_guard.util import read_text, write_atomic
 
 from conftest import replay_gateway, scripted_gateway, write_dies_half_way
 
@@ -128,6 +130,28 @@ def test_build_gateway_replay_needs_existing_store(tmp_path):
 def test_read_text_names_what_is_missing():
     with pytest.raises(ConfigurationError, match="rules file '/no/rules.txt'"):
         read_text("/no/rules.txt", "rules")
+
+
+def test_write_atomic_creates_a_missing_parent_and_survives_short_writes(tmp_path,
+                                                                          monkeypatch):
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:3]))
+    path = tmp_path / "a" / "b" / "report.txt"
+    write_atomic(path, "caf\u00e9 au lait\n", "report")
+    monkeypatch.undo()
+    assert path.read_bytes() == "caf\u00e9 au lait\n".encode("utf-8")
+    assert os.listdir(path.parent) == ["report.txt"]
+
+
+def test_write_atomic_under_a_regular_file_is_a_configuration_error(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    # the failed open leaves no temporary file, so its cleanup must not raise
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"cannot write report '{taken / 'report.txt'}': ")):
+        write_atomic(taken / "report.txt", "text\n", "report")
+    assert taken.read_text() == "not a directory\n"
+    assert os.listdir(tmp_path) == ["taken"]
 
 
 def _entries_json(entries) -> str:
@@ -700,7 +724,7 @@ def test_record_write_failing_part_way_keeps_the_old_file(tmp_path, monkeypatch,
     path = save(tmp_path, "pass")
     before = path.read_bytes()
     write_dies_half_way(monkeypatch)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(ConfigurationError, match="disk full"):
         save(tmp_path, "violated")
     monkeypatch.undo()
 
@@ -709,6 +733,15 @@ def test_record_write_failing_part_way_keeps_the_old_file(tmp_path, monkeypatch,
     assert save(tmp_path, "violated") == path
     assert "violated" in path.read_text()
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_deploy_to_a_directory_target_that_is_a_file_fails_closed(artifact_dir, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    with pytest.raises(DeploymentError,
+                       match=re.escape(f"cannot copy 'report.txt' to '{taken / 'report.txt'}': ")):
+        deploy_stub(artifact_dir, str(taken))
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_deploy_rejects_bad_sources(tmp_path):
@@ -927,7 +960,10 @@ def test_cli_out_naming_a_file_is_a_typed_error(fixtures_dir, tmp_path, capsys, 
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: cannot ")
-    assert f"'{taken}'" in captured.err
+    # analyze-safety cannot create the out directory; build-chain names the
+    # first file it cannot write under it
+    failed = taken / "chain.puml" if command == "build-chain" else taken
+    assert f"'{failed}'" in captured.err
     assert taken.read_text() == "not a directory\n"
 
 
@@ -945,6 +981,41 @@ def test_cli_artifact_path_that_is_a_directory_is_a_typed_error(fixtures_dir, tm
     record = json.loads((out / "run.json").read_text())
     assert record["verdict"] == "error"
     assert sorted(record["artifacts"]) == ["model_iter1.json", "model_iter1.puml"]
+
+
+def _analyze_topology(out, fixtures_dir):
+    base = fixtures_dir / "topology"
+    return main(["--out", str(out), "analyze-topology", "--model", str(base / "system.puml"),
+                 "--constraints", str(base / "security.ocl")])
+
+
+def test_cli_run_record_that_cannot_be_written_is_a_typed_error(fixtures_dir, tmp_path,
+                                                                capsys):
+    out = tmp_path / "out"
+    (out / "run.json").mkdir(parents=True)
+    code = _analyze_topology(out, fixtures_dir)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write run record '{out / 'run.json'}': ")
+    assert "internal error:" not in captured.err
+
+
+def test_cli_run_whose_writes_die_half_way_leaves_every_file_whole(fixtures_dir, tmp_path,
+                                                                   monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert _analyze_topology(out, fixtures_dir) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+
+    write_dies_half_way(monkeypatch)
+    code = _analyze_topology(out, fixtures_dir)
+    monkeypatch.undo()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cannot write ")
+    assert "disk full" in captured.err
+    # no temporary file, and every artifact and the record as the first run left them
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("exc", [RecursionError("deep"), KeyError("k"), ValueError()])
