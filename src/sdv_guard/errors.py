@@ -136,13 +136,16 @@ class GenerationError(SdvGuardError):
 
 
 class PipelineError(SdvGuardError):
-    """A pipeline stage failed; carries the stage name and the run record so far."""
+    """A pipeline stage failed; carries the stage name and the run record so
+    far. ``unwritten`` is the error that kept that record from being saved."""
 
-    def __init__(self, stage: str, cause: Exception, record=None):
+    def __init__(self, stage: str, cause: Exception, record=None,
+                 unwritten: Exception | None = None):
         self.stage = stage
         self.cause = cause
         self.record = record
-        super().__init__(f"stage '{stage}' failed: {cause}")
+        tail = f"; {unwritten}" if unwritten is not None else ""
+        super().__init__(f"stage '{stage}' failed: {cause}{tail}")
 
 
 class DeploymentError(SdvGuardError):

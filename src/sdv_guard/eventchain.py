@@ -65,12 +65,6 @@ class Node:
     label: str = ""
     notes: tuple[tuple[str, str], ...] = ()
 
-    def note(self, key: str) -> str | None:
-        for name, value in self.notes:
-            if name == key:
-                return value
-        return None
-
 
 @dataclass(frozen=True)
 class Edge:

@@ -86,25 +86,6 @@ class HarnessReport:
     def all_perfect(self) -> bool:
         return all(o.successes == o.runs for o in self.outcomes)
 
-    def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "fault_rate": self.fault_rate,
-            "seed": self.seed,
-            "scenarios": [
-                {
-                    "id": o.scenario_id,
-                    "kind": o.kind,
-                    "runs": o.runs,
-                    "successes": o.successes,
-                    "rate": [o.success_rate.numerator, o.success_rate.denominator],
-                    "percent": o.percent,
-                    "failures": list(o.failures),
-                }
-                for o in self.outcomes
-            ],
-        }
-
 
 def render_harness_report(report: HarnessReport) -> str:
     lines = []

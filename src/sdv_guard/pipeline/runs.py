@@ -103,12 +103,20 @@ class _ArtifactWriter:
 
     def stage(self, name: str, fn):
         """Run one stage; a failure finishes the record with verdict "error"
-        and is raised as a PipelineError naming the stage."""
+        and is raised as a PipelineError naming the stage. A PipelineError
+        from a stage run inside this one has done both and passes through.
+        A record that cannot be written is named in the stage's error."""
         try:
             return fn()
+        except PipelineError:
+            raise
         except SdvGuardError as exc:
             self.record.verdict = "error"
-            self.finish()
+            try:
+                self.finish()
+            except SdvGuardError as unwritten:
+                raise PipelineError(name, exc, record=self.record,
+                                    unwritten=unwritten) from exc
             raise PipelineError(name, exc, record=self.record) from exc
 
     def write(self, name: str, text: str) -> Path:

@@ -314,11 +314,11 @@ def _parse_alias(line: str) -> tuple[str, tuple[str, ...]]:
 # evaluation
 
 
-def _stands_for(rule: SafetyRule | None, rule_event: str, events: set[str]) -> set[str]:
+def _stands_for(rule: SafetyRule, rule_event: str, events: set[str]) -> set[str]:
     """The members of ``events`` that ``rule_event`` names: itself, and the
-    matches of its alias globs when a rule is given, each glob compiled once."""
+    matches of its alias globs, each glob compiled once."""
     found = events & {rule_event}
-    for pattern in rule.alias_patterns(rule_event) if rule is not None else ():
+    for pattern in rule.alias_patterns(rule_event):
         match = re.compile(translate(pattern)).match
         found.update(e for e in events if match(e))
     return found
@@ -338,17 +338,6 @@ def _advance(state: int, opens: bool, closes: bool) -> int:
     if state != _UNSEEN:
         return state
     return _VIOLATED if closes else _OPENED if opens else _UNSEEN
-
-
-def eval_atom(sequence: EventSequence, atom: RuleAtom,
-              rule: SafetyRule | None = None) -> bool:
-    """Truth of one ordering atom on one path (see module docstring)."""
-    events = set(sequence.events)
-    opens, closes = (_stands_for(rule, side, events) for side in _sides(atom))
-    state = _UNSEEN
-    for event in sequence.events:
-        state = _advance(state, event in opens, event in closes)
-    return state != _VIOLATED
 
 
 def _compile(expr: Expr) -> tuple[list[RuleAtom], list[tuple[str, int]]]:
@@ -521,17 +510,6 @@ def _eval_rule(order: ChainOrder, firsts: list[dict[str, int]],
     verdict_text = VERDICT_VIOLATED if violating else VERDICT_PASS
     return RuleResult(rule=rule, verdict=verdict_text, witnesses=tuple(witnesses),
                       unlisted=violating - len(witnesses))
-
-
-def eval_rule(document: ChainDocument, rule: SafetyRule) -> RuleResult:
-    """Evaluate one rule over every start-to-stop path of the chain.
-
-    The witnesses are the first MAX_WITNESSES failing paths, in
-    ``enumerate_paths`` order, but passing paths are never enumerated: see
-    ``check``.
-    """
-    order = ChainOrder(document)
-    return _eval_rule(order, _first_offsets(order), rule)
 
 
 def check(document: ChainDocument, ruleset: RuleSet) -> SafetyReport:

@@ -622,25 +622,14 @@ class TopologyReport:
     def overall(self) -> str:
         return VERDICT_FAIL if self.failing else VERDICT_PASS
 
-    def to_dict(self) -> dict:
-        """The document of ``topology_iterN.json``; ``to_json`` writes its text."""
-        return {
-            "overall": self.overall,
-            "rows": [
-                {"constraint": constraint, "object": object_id, "verdict": verdict,
-                 "reason": reason} if reason else
-                {"constraint": constraint, "object": object_id, "verdict": verdict}
-                for constraint, object_id, verdict, reason in self.rows
-            ],
-        }
-
     def to_json(self) -> str:
-        """Exactly ``dump_json(self.to_dict())``, the rows handed over as
-        columns."""
+        """The document of ``topology_iterN.json``: ``overall``, then one
+        object per row with its constraint, object, verdict and, only when
+        not empty, reason. The rows are handed over as columns."""
         constraints, objects, verdicts, reasons = zip(*self.rows) if self.rows else ((),) * 4
         return dump_json({"overall": self.overall, "rows": RecordColumns({
             "constraint": constraints, "object": objects, "verdict": verdicts,
-            "reason": [reason or None for reason in reasons],  # to_dict leaves "" out
+            "reason": [reason or None for reason in reasons],  # None leaves the key out
         })})
 
 

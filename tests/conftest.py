@@ -1,4 +1,5 @@
-"""Shared fixtures: repository paths, parsed catalogs, scripted gateways."""
+"""Shared fixtures: repository paths, parsed catalogs, scripted gateways,
+straight-line chains."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from sdv_guard.catalog import parse_can_catalog, parse_vss_catalog
+from sdv_guard.eventchain import ActivityGraph, ChainDocument, Edge, Node
 from sdv_guard.llm_gateway import LlmGateway, ReplayStore
+from sdv_guard.safety_rules import RuleAtom, RuleSet, SafetyRule, check
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -76,3 +79,27 @@ def scripted_gateway(completions, record_prompts=None) -> LlmGateway:
 def replay_gateway(store_name: str) -> LlmGateway:
     store = ReplayStore.load(FIXTURES / "replay" / f"{store_name}.json")
     return LlmGateway(mode="replay", store=store)
+
+
+def linear_chain(events) -> ChainDocument:
+    """A straight-line document: start -> one action per event -> stop."""
+    nodes = [Node(id="s", kind="start")]
+    edges = []
+    prev = "s"
+    for i, event in enumerate(events):
+        node_id = f"a{i}"
+        nodes.append(Node(id=node_id, kind="action", label=event))
+        edges.append(Edge(src=prev, dst=node_id))
+        prev = node_id
+    nodes.append(Node(id="z", kind="stop"))
+    edges.append(Edge(src=prev, dst="z"))
+    graph = ActivityGraph(nodes=tuple(nodes), edges=tuple(edges))
+    return ChainDocument(graph=graph,
+                         events=tuple((f"a{i}", e) for i, e in enumerate(events)))
+
+
+def atom_holds(events, atom: RuleAtom, aliases=()) -> bool:
+    """Whether ``atom``, with the given alias lines, holds on the one path of
+    a straight-line chain of ``events``, as ``check`` finds it."""
+    rule = SafetyRule(name="r", expr=atom, aliases=tuple(aliases))
+    return check(linear_chain(events), RuleSet(rules=(rule,))).overall == "pass"

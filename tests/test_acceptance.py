@@ -14,17 +14,7 @@ import time
 import pytest
 
 from sdv_guard.catalog import CatalogEntry
-from sdv_guard.eventchain import (
-    ActivityGraph,
-    ChainDocument,
-    Edge,
-    EventSequence,
-    EventStep,
-    Node,
-    enumerate_paths,
-    parse_activity_diagram,
-    to_chain_document,
-)
+from sdv_guard.eventchain import enumerate_paths, parse_activity_diagram, to_chain_document
 from sdv_guard.pipeline import (
     PipelineConfig,
     run_eval_harness,
@@ -32,7 +22,7 @@ from sdv_guard.pipeline import (
 )
 from sdv_guard.pipeline.stages import catalog_index, ground_code, run_extraction
 from sdv_guard.retrieval import build_index, chunk_entries, retrieve_top_k
-from sdv_guard.safety_rules import RuleAtom, eval_atom, eval_rule, parse_rules
+from sdv_guard.safety_rules import check, parse_rules
 from sdv_guard.topology import (
     VERDICT_FAIL,
     VERDICT_PASS,
@@ -43,7 +33,7 @@ from sdv_guard.topology import (
 )
 from sdv_guard.util import token_estimate
 
-from conftest import replay_gateway, scripted_gateway
+from conftest import linear_chain, replay_gateway, scripted_gateway
 
 
 def _verdict(number: int, problems: list, summary: str) -> None:
@@ -104,62 +94,37 @@ def test_criterion_1_recorded_scenarios(fixtures_dir, tmp_path):
 # criterion 2: ordering semantics hold on ten thousand random sequences
 
 
-def _seq(events) -> EventSequence:
-    return EventSequence(steps=tuple(
-        EventStep(position=i, event=e, node_id=f"n{i}")
-        for i, e in enumerate(events)
-    ))
-
-
-def _linear_chain(events) -> ChainDocument:
-    nodes = [Node(id="s", kind="start")]
-    edges = []
-    prev = "s"
-    for i, event in enumerate(events):
-        node_id = f"a{i}"
-        nodes.append(Node(id=node_id, kind="action", label=event))
-        edges.append(Edge(src=prev, dst=node_id))
-        prev = node_id
-    nodes.append(Node(id="z", kind="stop"))
-    edges.append(Edge(src=prev, dst="z"))
-    graph = ActivityGraph(nodes=tuple(nodes), edges=tuple(edges))
-    return ChainDocument(graph=graph,
-                         events=tuple((f"a{i}", e) for i, e in enumerate(events)))
-
-
 def test_criterion_2_ordering_identities():
     alphabet = "abcdef"
-    # one require rule and its negated forbid twin per ordered event pair
-    mode_pairs = {}
-    for x in alphabet:
-        for y in alphabet:
-            parsed = parse_rules(
-                f"r: require {x} before {y}\n\nf: forbid not ({x} before {y})\n")
-            mode_pairs[(x, y)] = parsed.rules
+    # per ordered event pair: x before y, its swapped twin, x before x, and
+    # the negated forbid twin of x before y, each its own rule
+    rulesets = {
+        (x, y): parse_rules(
+            f"before: require {x} before {y}\n\nafter: require {y} after {x}\n\n"
+            f"self: require {x} before {x}\n\nforbid: forbid not ({x} before {y})\n")
+        for x in alphabet for y in alphabet
+    }
 
     rng = random.Random(91046)
     problems = []
     sequences = 10_000
     for i in range(sequences):
         events = [rng.choice(alphabet) for _ in range(rng.randint(0, 8))]
-        seq = _seq(events)
         x, y = rng.choice(alphabet), rng.choice(alphabet)
+        report = check(linear_chain(events), rulesets[(x, y)])
+        passes = {r.rule.name: r.verdict == "pass" for r in report.results}
 
         # 1. "x before y" and "y after x" are the same statement
-        if eval_atom(seq, RuleAtom(x, "before", y)) \
-                != eval_atom(seq, RuleAtom(y, "after", x)):
+        if passes["before"] != passes["after"]:
             problems.append(f"duality broke on {events} with ({x}, {y})")
         # 2. an ordering over an absent right event holds vacuously
-        if y not in events and not eval_atom(seq, RuleAtom(x, "before", y)):
+        if y not in events and not passes["before"]:
             problems.append(f"vacuity broke on {events} with ({x}, {y})")
         # 3. nothing strictly precedes its own first occurrence
-        if eval_atom(seq, RuleAtom(x, "before", x)) != (x not in events):
+        if passes["self"] != (x not in events):
             problems.append(f"self-ordering broke on {events} with {x}")
         # 4. requiring an expression equals forbidding its negation
-        require_rule, forbid_rule = mode_pairs[(x, y)]
-        document = _linear_chain(events)
-        if eval_rule(document, require_rule).verdict \
-                != eval_rule(document, forbid_rule).verdict:
+        if passes["before"] != passes["forbid"]:
             problems.append(f"mode duality broke on {events} with ({x}, {y})")
         if problems and len(problems) >= 5:
             break
@@ -215,8 +180,7 @@ def test_criterion_3_exhaustive_paths():
     if len(all_yes) != 1:
         problems.append(f"{len(all_yes)} paths carry all three risks, expected 1")
 
-    (rule,) = parse_rules(TRIPLE_RISK_RULE).rules
-    result = eval_rule(document, rule)
+    (result,) = check(document, parse_rules(TRIPLE_RISK_RULE)).results
     if result.verdict != "violated":
         problems.append(f"verdict {result.verdict}, expected violated")
     if len(result.witnesses) != 1:

@@ -63,9 +63,10 @@ def test_parse_branching_fixture(fixtures_dir):
                      "action", "merge", "stop"]
     sense = graph.nodes[1]
     assert sense.label == "Camera sense"
-    assert sense.note("input") == "Vehicle.ADAS.ObstacleDetection.Camera"
-    assert sense.note("input_format") == "vss boolean"
-    assert sense.note("output") is None
+    notes = dict(sense.notes)
+    assert notes["input"] == "Vehicle.ADAS.ObstacleDetection.Camera"
+    assert notes["input_format"] == "vss boolean"
+    assert "output" not in notes
     decision = graph.nodes[2]
     assert decision.label == "pedestrian in frame?"
     guards = {e.guard for e in graph.edges if e.src == decision.id}

@@ -140,8 +140,7 @@ def mixed_manifest(fixtures_dir, tmp_path):
 def test_harness_matches_per_run_reference(mixed_manifest, runs, fault_rate, seed):
     report = run_eval_harness(mixed_manifest, runs=runs, fault_rate=fault_rate,
                               seed=seed)
-    assert report.to_dict() == _reference_harness(
-        mixed_manifest, runs, fault_rate, seed).to_dict()
+    assert report == _reference_harness(mixed_manifest, runs, fault_rate, seed)
 
 
 def test_mixed_manifest_exercises_every_outcome(mixed_manifest):

@@ -605,8 +605,7 @@ def test_harness_full_manifest_is_perfect(fixtures_dir):
     rendered = render_harness_report(report)
     assert "s1-mapping (mapping): 2/2 (100.0%)" in rendered
     assert "s3-chain (chain): 2/2 (100.0%)" in rendered
-    data = report.to_dict()
-    assert data["scenarios"][0]["rate"] == [1, 1]
+    assert report.outcomes[0].success_rate == 1
 
 
 def test_harness_fault_injection_is_seeded(fixtures_dir):
@@ -1012,10 +1011,50 @@ def test_cli_run_whose_writes_die_half_way_leaves_every_file_whole(fixtures_dir,
     monkeypatch.undo()
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: cannot write ")
+    assert captured.err.startswith("error: stage 'write' failed: cannot write artifact ")
     assert "disk full" in captured.err
     # no temporary file, and every artifact and the record as the first run left them
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_cli_write_failing_inside_a_stage_is_named_once(fixtures_dir, tmp_path,
+                                                         monkeypatch, capsys):
+    model = tmp_path / "ufo.puml"
+    model.write_text("@startuml\nobject ufo : Spaceship\n@enduml\n")
+    out = tmp_path / "out"
+    (out / "conformance.txt").mkdir(parents=True)
+    finished = []
+    real_finish = _ArtifactWriter.finish
+
+    def counted_finish(self):
+        finished.append(self.record.verdict)
+        return real_finish(self)
+
+    monkeypatch.setattr(_ArtifactWriter, "finish", counted_finish)
+    code = main(["--out", str(out), "analyze-topology", "--model", str(model),
+                 "--constraints", str(fixtures_dir / "topology" / "security.ocl")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(
+        f"error: stage 'write' failed: cannot write artifact '{out / 'conformance.txt'}': ")
+    assert captured.err.count("failed") == 1
+    assert finished == ["error"]
+    assert json.loads((out / "run.json").read_text())["verdict"] == "error"
+
+
+def test_cli_stage_failure_survives_an_unwritable_run_record(fixtures_dir, tmp_path,
+                                                             capsys):
+    out = tmp_path / "out"
+    (out / "run.json").mkdir(parents=True)
+    p = _paths(fixtures_dir)
+    code = main(["--out", str(out), "analyze-safety", "--code", p["code"],
+                 "--vss", p["vss"], "--can", p["can"], "--rules", p["rules"],
+                 "--replay", str(fixtures_dir / "replay" / "cabin.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: stage 'extraction' failed: no recorded completion ")
+    assert f"cannot write run record '{out / 'run.json'}'" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("exc", [RecursionError("deep"), KeyError("k"), ValueError()])

@@ -7,16 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdv_guard.errors import RuleParseError
-from sdv_guard.eventchain import (
-    ActivityGraph,
-    ChainDocument,
-    Edge,
-    EventSequence,
-    EventStep,
-    Node,
-    parse_activity_diagram,
-    to_chain_document,
-)
+from sdv_guard.eventchain import ChainDocument, parse_activity_diagram, to_chain_document
 from sdv_guard.pipeline.cli import main
 from sdv_guard.safety_rules import (
     MAX_NESTING,
@@ -30,38 +21,12 @@ from sdv_guard.safety_rules import (
     SafetyRule,
     build_correction_prompt,
     check,
-    eval_atom,
-    eval_rule,
     parse_rules,
     render_report,
     suggest_correction,
 )
 
-from conftest import scripted_gateway
-
-
-def _seq(*events: str) -> EventSequence:
-    return EventSequence(steps=tuple(
-        EventStep(position=i, event=e, node_id=f"n{i}")
-        for i, e in enumerate(events)
-    ))
-
-
-def _linear_chain(*events: str) -> ChainDocument:
-    """A straight-line document: start -> one action per event -> stop."""
-    nodes = [Node(id="s", kind="start")]
-    edges = []
-    prev = "s"
-    for i, event in enumerate(events):
-        node_id = f"a{i}"
-        nodes.append(Node(id=node_id, kind="action", label=event))
-        edges.append(Edge(src=prev, dst=node_id))
-        prev = node_id
-    nodes.append(Node(id="z", kind="stop"))
-    edges.append(Edge(src=prev, dst="z"))
-    graph = ActivityGraph(nodes=tuple(nodes), edges=tuple(edges))
-    return ChainDocument(graph=graph,
-                         events=tuple((f"a{i}", e) for i, e in enumerate(events)))
+from conftest import atom_holds, linear_chain, scripted_gateway
 
 
 def _fixture_doc(fixtures_dir, name: str) -> ChainDocument:
@@ -202,7 +167,7 @@ AFTER = RuleAtom("a", "after", "b")
     (("x", "a", "x", "b"), True),
 ])
 def test_before_semantics(events, expected):
-    assert eval_atom(_seq(*events), BEFORE) is expected
+    assert atom_holds(events, BEFORE) is expected
 
 
 @pytest.mark.parametrize("events, expected", [
@@ -214,25 +179,22 @@ def test_before_semantics(events, expected):
     (("a", "b", "a"), False),  # the first a has no earlier b
 ])
 def test_after_semantics(events, expected):
-    assert eval_atom(_seq(*events), AFTER) is expected
+    assert atom_holds(events, AFTER) is expected
 
 
 def test_self_reference_is_false_exactly_when_present():
     atom = RuleAtom("a", "before", "a")
-    assert eval_atom(_seq("x", "y"), atom) is True
-    assert eval_atom(_seq("x", "a"), atom) is False
-
-
-_EVENTS = st.lists(st.sampled_from("abcdef"), max_size=12).map(lambda e: _seq(*e))
+    assert atom_holds(("x", "y"), atom) is True
+    assert atom_holds(("x", "a"), atom) is False
 
 
 @settings(max_examples=300, deadline=None)
-@given(sequence=_EVENTS, a=st.sampled_from("abcdef"), b=st.sampled_from("abcdef"))
-def test_atom_identities(sequence, a, b):
-    before = eval_atom(sequence, RuleAtom(a, "before", b))
-    after_swapped = eval_atom(sequence, RuleAtom(b, "after", a))
+@given(events=st.lists(st.sampled_from("abcdef"), max_size=12),
+       a=st.sampled_from("abcdef"), b=st.sampled_from("abcdef"))
+def test_atom_identities(events, a, b):
+    before = atom_holds(events, RuleAtom(a, "before", b))
+    after_swapped = atom_holds(events, RuleAtom(b, "after", a))
     assert before == after_swapped  # after is before with the operands swapped
-    events = sequence.events
     if b not in events:
         assert before is True  # vacuous
     if a == b:
@@ -242,11 +204,10 @@ def test_atom_identities(sequence, a, b):
 @settings(max_examples=100, deadline=None)
 @given(events=st.lists(st.sampled_from("abcd"), max_size=10))
 def test_require_forbid_duality(events):
-    require = parse_rules("r: require a before b\n").rules[0]
-    forbid_dual = parse_rules("r: forbid not (a before b)\n").rules[0]
-    document = _linear_chain(*events)
-    assert eval_rule(document, require).verdict \
-        == eval_rule(document, forbid_dual).verdict
+    require = parse_rules("r: require a before b\n")
+    forbid_dual = parse_rules("r: forbid not (a before b)\n")
+    document = linear_chain(events)
+    assert check(document, require).overall == check(document, forbid_dual).overall
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +263,20 @@ def test_guards_are_not_events(fixtures_dir):
     # the s2 decision guard mentions the lidar flag, but only action labels
     # can satisfy a rule event
     document = _fixture_doc(fixtures_dir, "s2")
-    rule = parse_rules("r: lidar-flag-set before brake\n").rules[0]
-    result = eval_rule(document, rule)
+    (result,) = check(document, parse_rules("r: lidar-flag-set before brake\n")).results
     # brake occurs with no matching left event anywhere -> atom false
     assert result.verdict == "violated"
 
 
 def test_alias_patterns_are_globs():
-    rule = parse_rules(
+    rules = parse_rules(
         "alias detected = pedestrian-*-detected\n"
         "r: camera-sense before detected\n"
-    ).rules[0]
-    document = _linear_chain("camera-sense", "pedestrian-camera-detected")
-    assert eval_rule(document, rule).verdict == "pass"
-    flipped = _linear_chain("pedestrian-lidar-detected", "camera-sense")
-    assert eval_rule(flipped, rule).verdict == "violated"
+    )
+    document = linear_chain(("camera-sense", "pedestrian-camera-detected"))
+    assert check(document, rules).overall == "pass"
+    flipped = linear_chain(("pedestrian-lidar-detected", "camera-sense"))
+    assert check(flipped, rules).overall == "violated"
 
 
 # ---------------------------------------------------------------------------
@@ -501,5 +461,5 @@ def test_deep_hand_built_expression_is_checked_without_recursion():
     for _ in range(5001):
         expr = NotExpr(expr)
     rule = SafetyRule(name="deep", expr=AndExpr((expr,)))
-    report = check(_linear_chain("b", "a"), RuleSet(rules=(rule,)))
+    report = check(linear_chain(("b", "a")), RuleSet(rules=(rule,)))
     assert report.overall == "pass"  # an odd number of 'not's over a false atom

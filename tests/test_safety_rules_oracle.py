@@ -1,8 +1,8 @@
 """Rule checking and path enumeration against the implementations they replaced.
 
-``check`` and ``eval_rule`` run a product of precedence monitors over the
-chain's straight runs, stepping only at the events a rule names, and never
-enumerate passing paths; ``enumerate_paths`` walks the runs with an explicit
+``check`` runs a product of precedence monitors over the chain's straight
+runs, stepping only at the events a rule names, and never enumerates passing
+paths; ``enumerate_paths`` walks the runs with an explicit
 stack. The references below are kept verbatim: a recursive path
 enumerator; a checker that evaluates every atom on every path it yields;
 and the per-node checker, which stepped the same monitors at every node in
@@ -51,8 +51,6 @@ from sdv_guard.safety_rules import (
     SafetyRule,
     Witness,
     check,
-    eval_atom,
-    eval_rule,
     _advance,
     _compile,
     _sides,
@@ -61,6 +59,8 @@ from sdv_guard.safety_rules import (
     parse_rules,
     render_report,
 )
+
+from conftest import atom_holds
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +403,8 @@ def _assert_same(document, ruleset):
     actual = check(document, ruleset)
     _assert_reports_equal(actual, expected)
     _assert_reports_equal(actual, _listed(_node_check(document, ruleset)))
-    for rule, result in zip(ruleset.rules, expected.results):
-        assert eval_rule(document, rule) == result
+    for rule, result in zip(ruleset.rules, expected.results):  # each rule on its own
+        assert check(document, RuleSet(rules=(rule,))).results == (result,)
 
 
 def _outcome(fn, *args):
@@ -565,8 +565,6 @@ def test_structure_errors_match_reference(name):
     assert expected[0] in (StructureError, UnsupportedStructureError)
     assert _outcome(check, document, _ONE_RULE) == expected
     assert _outcome(_node_check, document, _ONE_RULE) == expected
-    assert _outcome(eval_rule, document, _ONE_RULE.rules[0]) \
-        == _outcome(_ref_eval_rule, document, _ONE_RULE.rules[0])
     assert _outcome(enumerate_paths, document) == _outcome(_ref_enumerate_paths, document)
 
 
@@ -843,7 +841,7 @@ _ATOM_NAMES = ("a", "b", "c", "brake", "detect", "warn", "ghost")
 
 
 @pytest.mark.parametrize("seed", range(200))
-def test_eval_atom_matches_reference(seed):
+def test_atom_truth_matches_reference(seed):
     rng = random.Random(seed)
     events = [rng.choice(_ATOM_EVENTS) for _ in range(rng.randint(0, 8))]
     sequence = EventSequence(steps=tuple(
@@ -852,5 +850,6 @@ def test_eval_atom_matches_reference(seed):
         left = rng.choice(_ATOM_NAMES)
         right = left if rng.random() < 0.25 else rng.choice(_ATOM_NAMES)
         atom = RuleAtom(left, rng.choice(("before", "after")), right)
-        for rule in (None, _ATOM_RULE):
-            assert eval_atom(sequence, atom, rule) == _ref_eval_atom(sequence, atom, rule)
+        assert atom_holds(events, atom) == _ref_eval_atom(sequence, atom)
+        assert atom_holds(events, atom, _ATOM_RULE.aliases) \
+            == _ref_eval_atom(sequence, atom, _ATOM_RULE)

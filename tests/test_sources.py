@@ -1,6 +1,6 @@
 """The sources keep to the oldest Python that ``pyproject.toml`` supports,
-every public name in ``src/`` has a caller and every defaulted parameter a
-caller that passes it."""
+every public name and method in ``src/`` has a caller and every defaulted
+parameter a caller that passes it."""
 
 from __future__ import annotations
 
@@ -28,10 +28,6 @@ def test_every_source_parses_as_python_3_10(path):
 
 # Public names that no code in src/, scripts/ or bench/ uses, each kept on purpose.
 UNCALLED_BY_DESIGN = {
-    "eval_atom": "the documented meaning of one ordering atom on one path; "
-                 "the acceptance tests check rule verdicts against it",
-    "eval_rule": "one rule over one chain, without a whole rule set; "
-                 "the acceptance tests use it",
     "load_run_record": "reads run.json back (docs/formats.md), for checking a run afterwards",
     "verify_artifacts": "re-hashes a run's artifacts against run.json (README, docs/formats.md)",
     "save_receipt": "writes a deployment receipt atomically (docs/formats.md)",
@@ -86,6 +82,28 @@ def test_every_public_name_has_a_caller():
     unexpected = {name: where for name, where in uncalled.items()
                   if name not in UNCALLED_BY_DESIGN}
     assert sorted(uncalled) == sorted(UNCALLED_BY_DESIGN), unexpected
+
+
+def test_every_public_method_has_a_caller():
+    """Every public method or property of a class in ``src/`` is read as an
+    attribute somewhere in ``src/``, ``scripts/`` or ``bench/``. Uses are
+    matched by name alone, not by class, so a ``to_dict`` passes whenever
+    any ``to_dict`` is called."""
+    methods: dict[str, str] = {}
+    used: set[str] = set()
+    for top in ("src", "scripts", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif top == "src" and isinstance(node, ast.ClassDef):
+                    where = path.relative_to(ROOT).as_posix()
+                    methods.update((f"{node.name}.{stmt.name}", where) for stmt in node.body
+                                   if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                                   and not stmt.name.startswith("_"))
+    uncalled = {name: where for name, where in methods.items()
+                if name.rpartition(".")[2] not in used}
+    assert uncalled == {}
 
 
 # Defaulted parameters that no code in src/, scripts/ or bench/ passes, each
