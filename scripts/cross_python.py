@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Run the README's commands under other Python interpreters and compare.
+
+Usage: python scripts/cross_python.py PY [PY ...]
+
+Every ``sdv-guard`` command in the README's shell blocks is run as
+``PY -m sdv_guard.pipeline.cli ARGS``, with this checkout's ``src/`` first on
+``PYTHONPATH``, once under the running interpreter and once under each
+``PY``. Each interpreter runs the commands in order in a temporary directory
+of its own that links ``fixtures/``, so every ``--out`` path is the same
+relative path under each. The stdout and exit code of each command, and the
+bytes of every file written under ``out/`` except ``run.json`` (which holds
+timestamps), must equal the running interpreter's.
+
+Prints one line per interpreter, ``same`` or the number of differences, and
+each difference under it. Exits 0 when every interpreter agrees, 1 when one
+differs, and 2 when no interpreter is given or one cannot be started.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_SHELL_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each ``sdv-guard`` command in the README's shell
+    blocks, in order, with continuation lines joined and comments dropped."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in _SHELL_BLOCK.findall(text):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["sdv-guard"]:
+                commands.append(words[1:])
+    return commands
+
+
+def run_all(python: str, commands: list[list[str]]) -> dict[str, bytes | str]:
+    """What ``python`` gives for ``commands``: per command its exit code and
+    stdout, and per file under ``out/`` but ``run.json`` its bytes."""
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("SDVGUARD_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    results: dict[str, bytes | str] = {}
+    with tempfile.TemporaryDirectory() as work:
+        base = Path(work)
+        (base / "fixtures").symlink_to(ROOT / "fixtures", target_is_directory=True)
+        for index, args in enumerate(commands, start=1):
+            done = subprocess.run([python, "-m", "sdv_guard.pipeline.cli", *args],
+                                  cwd=base, env=env, capture_output=True, timeout=600)
+            name = f"command {index} ({' '.join(args[:3])} ...)"
+            results[f"{name} exit code"] = str(done.returncode)
+            results[f"{name} stdout"] = done.stdout
+        for path in sorted((base / "out").rglob("*")):
+            if path.is_file() and path.name != "run.json":
+                results[path.relative_to(base).as_posix()] = path.read_bytes()
+    return results
+
+
+def differences(expected: dict, actual: dict) -> list[str]:
+    return [f"{name}: {'missing' if name not in actual else 'extra' if name not in expected else 'differs'}"
+            for name in sorted(expected.keys() | actual.keys())
+            if expected.get(name) != actual.get(name)]
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    commands = readme_commands()
+    reference = run_all(sys.executable, commands)
+    status = 0
+    for python in argv:
+        try:
+            found = differences(reference, run_all(python, commands))
+        except OSError as exc:  # no such interpreter
+            print(f"{python}: cannot run: {exc}")
+            status = 2
+            continue
+        print(f"{python}: {'same' if not found else f'{len(found)} differences'}"
+              f" ({len(commands)} commands, {len(reference)} results)")
+        for line in found:
+            print(f"  {line}")
+        if found:
+            status = max(status, 1)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

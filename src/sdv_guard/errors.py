@@ -91,7 +91,8 @@ class TransformError(SdvGuardError):
 
 
 class UnsupportedStructureError(SdvGuardError):
-    """Path enumeration hit a structure it cannot enumerate (a cycle)."""
+    """Path enumeration hit a structure it cannot enumerate (a cycle), or a
+    rule's monitor product outgrew its budget."""
 
 
 class ChainGenerationError(SdvGuardError):

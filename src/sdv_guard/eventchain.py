@@ -23,6 +23,12 @@ A parsed graph serializes to a canonical JSON document:
      "edges": [{"from", "to", "guard"?}, ...],
      "metadata": {"source_digest": ..., "generation_prompt_digest": ...}}
 
+``serialize_chain`` writes that text directly, without building the dict,
+byte for byte as ``canonical_json`` would write it; a document keeps its
+text once written (``ChainDocument.text``), so the artifact and the digest
+share it. Nodes, edges and event steps are named tuples, built positionally
+where many are built at once.
+
 Parsing that document back yields an equal document. The canonical form can
 encode cycles and dead ends; ``ChainOrder`` is the one walk that rejects them.
 It checks a document's graph and orders it once, without recursion, and both
@@ -34,6 +40,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -45,7 +53,14 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .llm_gateway import PC2, CompletionRequest, LlmGateway, prompt_digest, render_prompt
-from .util import canonical_json, load_json, normalize_name, plantuml_body, sha256_text
+from .util import (
+    canonical_json,
+    json_strings,
+    load_json,
+    normalize_name,
+    plantuml_body,
+    sha256_text,
+)
 
 NODE_KINDS = ("start", "stop", "action", "decision", "merge")
 NOTE_KEYS = ("input", "input_format", "output", "output_format")
@@ -58,16 +73,14 @@ _NOTE_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     kind: str
     label: str = ""
     notes: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     guard: str | None = None
@@ -79,8 +92,7 @@ class ActivityGraph:
     edges: tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class EventStep:
+class EventStep(NamedTuple):
     position: int
     event: str
     node_id: str
@@ -92,7 +104,7 @@ class EventSequence:
 
     @property
     def events(self) -> tuple[str, ...]:
-        return tuple(step.event for step in self.steps)
+        return tuple(map(itemgetter(1), self.steps))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -103,6 +115,11 @@ class ChainDocument:
     graph: ActivityGraph
     events: tuple[tuple[str, str], ...]  # (action node id, normalized event)
     metadata: tuple[tuple[str, str], ...] = ()
+
+    @cached_property
+    def text(self) -> str:
+        """The canonical JSON form, written once per document."""
+        return serialize_chain(self)
 
 
 class _Parser:
@@ -127,7 +144,7 @@ class _Parser:
         """Edges from every dangling source, all created earlier, to the node
         just created: ``edges`` stays in the order its targets were made."""
         for src, guard in self.frontier:
-            self.edges.append(Edge(src=src, dst=node_id, guard=guard))
+            self.edges.append(Edge(src, node_id, guard))
         self.frontier = []
 
     def parse(self) -> ActivityGraph:
@@ -285,27 +302,39 @@ def to_chain_document(graph: ActivityGraph, source_digest: str = "",
 
 
 def serialize_chain(document: ChainDocument) -> str:
-    """Canonical JSON form; equal documents serialize to identical bytes."""
+    """Canonical JSON form; equal documents serialize to identical bytes.
+
+    The text is ``canonical_json`` of the document as a dict (nodes with
+    ``id``, ``kind``, ``label`` and, when present, ``event`` and ``notes``;
+    edges with ``from``, ``to`` and, when present, ``guard``; the metadata),
+    written without building that dict: every string comes from one
+    ``json_strings`` call, and each node and edge is one f-string with its
+    keys in sorted order. ``ChainDocument.text`` keeps it.
+    """
+    nodes, edges = document.graph.nodes, document.graph.edges
     events = dict(document.events)
-    nodes = []
-    for node in document.graph.nodes:
-        obj: dict = {"id": node.id, "kind": node.kind, "label": node.label}
-        if node.id in events:
-            obj["event"] = events[node.id]
+    # each event, then each node's id, kind and label, then each edge's
+    # source, target and guard; zip draws from its arguments left to right
+    # and stops at the first one exhausted, so each zip below takes exactly
+    # its own share
+    texts = iter(json_strings(chain(events.values(),
+                                    chain.from_iterable(map(itemgetter(0, 1, 2), nodes)),
+                                    chain.from_iterable(edges))))
+    event_text = dict(zip(events, texts))
+    node_texts = []
+    for node, node_id, kind, label in zip(nodes, texts, texts, texts):
+        event = event_text.get(node.id)
+        lead = "{" if event is None else f'{{"event":{event},'
+        text = f'{lead}"id":{node_id},"kind":{kind},"label":{label}'
         if node.notes:
-            obj["notes"] = {k: v for k, v in node.notes}
-        nodes.append(obj)
-    edges = []
-    for edge in document.graph.edges:
-        obj = {"from": edge.src, "to": edge.dst}
-        if edge.guard is not None:
-            obj["guard"] = edge.guard
-        edges.append(obj)
-    return canonical_json({
-        "nodes": nodes,
-        "edges": edges,
-        "metadata": {k: v for k, v in document.metadata},
-    })
+            text += f',"notes":{canonical_json(dict(node.notes))}'
+        node_texts.append(text + "}")
+    edge_texts = [f'{{"from":{src},"to":{dst}}}' if edge.guard is None
+                  else f'{{"from":{src},"guard":{guard},"to":{dst}}}'
+                  for edge, src, dst, guard in zip(edges, texts, texts, texts)]
+    return (f'{{"edges":[{",".join(edge_texts)}],'
+            f'"metadata":{canonical_json(dict(document.metadata))},'
+            f'"nodes":[{",".join(node_texts)}]}}')
 
 
 def parse_chain_document(text: str) -> ChainDocument:
@@ -342,10 +371,7 @@ def parse_chain_document(text: str) -> ChainDocument:
         label = obj.get("label", "")
         if not isinstance(label, str):
             raise TransformError(f"chain node '{node_id}' label must be a string")
-        nodes.append(Node(
-            id=node_id, kind=kind, label=label,
-            notes=tuple((k, str(v)) for k, v in notes.items()),
-        ))
+        nodes.append(Node(node_id, kind, label, tuple((k, str(v)) for k, v in notes.items())))
         if kind == "action":
             event = obj.get("event")
             if not isinstance(event, str) or not event:
@@ -365,7 +391,7 @@ def parse_chain_document(text: str) -> ChainDocument:
             raise TransformError(f"edge {src!r} -> {dst!r} references unknown nodes")
         if guard is not None and not isinstance(guard, str):
             raise TransformError(f"edge {src!r} -> {dst!r} guard must be a string")
-        edges.append(Edge(src=src, dst=dst, guard=guard))
+        edges.append(Edge(src, dst, guard))
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise TransformError("chain metadata must be an object")
@@ -387,7 +413,7 @@ def _objects(raw: dict, field: str) -> list[dict]:
 
 
 def chain_digest(document: ChainDocument) -> str:
-    return sha256_text(serialize_chain(document))
+    return sha256_text(document.text)
 
 
 class Run(NamedTuple):
@@ -484,7 +510,7 @@ class ChainOrder:
         found = self._event_steps.get(key)
         if found is None:
             found = self._event_steps[key] = tuple(
-                EventStep(position=position + offset, event=event, node_id=node_id)
+                EventStep(position + offset, event, node_id)
                 for offset, (event, node_id) in enumerate(self.runs[run].steps))
         return found
 

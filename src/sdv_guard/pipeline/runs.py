@@ -19,7 +19,7 @@ from ..errors import (
     PipelineError,
     SdvGuardError,
 )
-from ..eventchain import generate_chain, serialize_chain
+from ..eventchain import generate_chain
 from ..extraction import ExtractionReport
 from ..llm_gateway import LlmGateway
 from ..safety_rules import (
@@ -231,7 +231,7 @@ def run_safety_pipeline(code: str, vss_text: str, can_text: str, rules_text: str
                                    extraction.accepted, gateway),
         )
         writer.write(f"chain{suffix}.puml", diagram)
-        writer.write(f"chain{suffix}.json", serialize_chain(document) + "\n")
+        writer.write(f"chain{suffix}.json", document.text + "\n")
         safety = writer.stage("check", lambda: check(document, ruleset))
         writer.write(f"safety{suffix}.txt", render_report(safety))
         writer.write(f"safety{suffix}.json", dump_json(safety.to_dict()))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fnmatch import translate
 from operator import itemgetter
 
-from .errors import RuleParseError
+from .errors import RuleParseError, UnsupportedStructureError
 from .eventchain import (
     ChainDocument,
     ChainOrder,
@@ -67,6 +67,9 @@ _UNSEEN, _OPENED, _VIOLATED = 0, 1, 2
 MAX_RENDERED_PATH = 1000
 # most witnesses listed per rule; the report counts the violating paths past it
 MAX_WITNESSES = 1000
+# most (run, monitor state) pairs one rule may reach; the monitor product can
+# grow as 2^atoms, so a rule past it fails closed rather than run for minutes
+MAX_MONITOR_PAIRS = 250_000
 
 
 @dataclass(frozen=True)
@@ -458,7 +461,13 @@ def _eval_rule(order: ChainOrder, firsts: list[dict[str, int]],
     moves: list[dict[tuple[int, ...], tuple[int, ...]]] = []
     entry: list[set[tuple[int, ...]]] = [set() for _ in runs]
     entry[0].add(initial)
+    pairs = 0
     for index, run in enumerate(runs):
+        pairs += len(entry[index])
+        if pairs > MAX_MONITOR_PAIRS:
+            raise UnsupportedStructureError(
+                f"rule '{rule.name}' reaches {pairs} (run, monitor state) pairs, "
+                f"more than the limit of {MAX_MONITOR_PAIRS}")
         first = firsts[index]
         hits = sorted(first.keys() & named, key=first.__getitem__)
         move = {}
@@ -522,7 +531,9 @@ def check(document: ChainDocument, ruleset: RuleSet) -> SafetyReport:
     backward; and a walk in edge-declaration order that enters only pairs
     with failing paths emits the first MAX_WITNESSES witnesses. The report
     counts the violating paths past them. Cost: runs times monitor states,
-    plus the listed witnesses' size. An empty rule set checks nothing, not
+    plus the listed witnesses' size. A rule whose forward pass reaches more
+    than MAX_MONITOR_PAIRS (run, state) pairs is an
+    ``UnsupportedStructureError``. An empty rule set checks nothing, not
     even the structure.
     """
     if not ruleset.rules:

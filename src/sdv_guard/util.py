@@ -251,8 +251,8 @@ _STRING_OR_NONE = frozenset({str, type(None)})
 
 
 def _flat(values) -> bool:
-    """No value is a container."""
-    return not any(map(isinstance, values, repeat(_CONTAINERS)))
+    """No value is a container. Each type among the values is tested once."""
+    return not any(map(issubclass, set(map(type, values)), repeat(_CONTAINERS)))
 
 
 def _flat_dicts(items) -> bool:
@@ -389,6 +389,15 @@ def _fast_dump(value, make_encoder, string, sort_keys: bool) -> str:
         return f"{{\n{inner}{body}\n{outer}}}"
 
     return write(value, 0) + "\n"
+
+
+def json_strings(values) -> list[str]:
+    """The JSON text of each string (or None) in ``values``, as
+    ``canonical_json`` writes it, from one ``dump_json`` call: no string's
+    text holds a line break, so the indented list splits at its item
+    separator."""
+    text = dump_json(list(values), sort_keys=False, ensure_ascii=False)
+    return text[4:-3].split(",\n  ") if len(text) > 3 else []
 
 
 def canonical_json(value) -> str:

@@ -1,0 +1,44 @@
+"""``scripts/cross_python.py`` compares the README commands across Python
+interpreters; run against the interpreter running the tests it finds no
+difference."""
+
+import importlib.util
+import subprocess
+import sys
+
+from conftest import ROOT
+
+SCRIPT = ROOT / "scripts" / "cross_python.py"
+_SPEC = importlib.util.spec_from_file_location("cross_python", SCRIPT)
+cross_python = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(cross_python)
+
+
+def test_the_readme_commands_are_found():
+    commands = cross_python.readme_commands()
+    assert [args[args.index("--out") + 1] if "--out" in args else args[0]
+            for args in commands] == [
+        "out/s1", "out/s3", "out/topo", "out/bad", "out/fix", "extract-signals",
+        "out/chain", "check-chain", "eval", "eval"]
+    assert commands[-1][-6:] == ["--runs", "200", "--fault-rate", "0.3", "--seed", "1"]
+
+
+def test_differences_name_each_missing_extra_and_changed_result():
+    expected = {"a": b"1", "b": b"2", "c": "0"}
+    assert cross_python.differences(expected, dict(expected)) == []
+    assert cross_python.differences(expected, {"a": b"1", "c": "1", "d": b""}) == [
+        "b: missing", "c: differs", "d: extra"]
+
+
+def test_the_running_interpreter_agrees_with_itself():
+    done = subprocess.run([sys.executable, str(SCRIPT), sys.executable],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == f"{sys.executable}: same (10 commands, 54 results)\n"
+
+
+def test_no_interpreter_is_a_usage_error():
+    done = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("Usage: python scripts/cross_python.py PY")

@@ -1,29 +1,43 @@
-"""The activity-diagram parser against the parser it replaced.
+"""The activity-diagram parser and the chain writer against the code they
+replaced.
 
-The reference below is the earlier parser, kept verbatim: it built each
-``Node`` twice, and its structure check built forward, backward and outgoing
-maps, flooded the graph both ways and checked the outgoing edges of every
-action, decision and stop. On any text both must give an equal graph, or
-the same error: type and message.
+The first reference below is the earlier parser, kept verbatim: it built
+each ``Node`` twice, and its structure check built forward, backward and
+outgoing maps, flooded the graph both ways and checked the outgoing edges of
+every action, decision and stop. On any text both must give an equal graph,
+or the same error: type and message.
+
+The second is the earlier chain serializer, kept verbatim: it built a dict
+per node and edge and handed the whole document to ``canonical_json``. On
+any document both must give the same text, with ``dump_json`` on its C
+encoder or on its ``json.dumps`` fallback.
 """
+
+import contextlib
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdv_guard import eventchain
+from sdv_guard import eventchain, util
 from sdv_guard.errors import DiagramParseError, SdvGuardError, StructureError
 from sdv_guard.eventchain import (
+    NODE_KINDS,
     NOTE_KEYS,
     _ACTION_RE,
     _ELSE_RE,
     _IF_RE,
     _NOTE_RE,
     ActivityGraph,
+    ChainDocument,
     Edge,
     Node,
+    parse_chain_document,
+    serialize_chain,
 )
-from sdv_guard.util import plantuml_body
+from sdv_guard.pipeline.cli import main
+from sdv_guard.util import canonical_json, json_strings, plantuml_body, sha256_text
 
 from conftest import FIXTURES
 from test_eventchain import _EDITS, _JUNK_LINES, _STATEMENT, _diagram
@@ -293,3 +307,135 @@ def test_fuzzed_diagrams_match_the_reference(statements, edits):
 @given(lines=st.lists(_JUNK_LINES, max_size=12))
 def test_junk_diagrams_match_the_reference(lines):
     _same(_body(*lines))
+
+
+# ---------------------------------------------------------------------------
+# reference: the earlier chain serializer
+
+
+def _ref_serialize_chain(document: ChainDocument) -> str:
+    """Canonical JSON form; equal documents serialize to identical bytes."""
+    events = dict(document.events)
+    nodes = []
+    for node in document.graph.nodes:
+        obj: dict = {"id": node.id, "kind": node.kind, "label": node.label}
+        if node.id in events:
+            obj["event"] = events[node.id]
+        if node.notes:
+            obj["notes"] = {k: v for k, v in node.notes}
+        nodes.append(obj)
+    edges = []
+    for edge in document.graph.edges:
+        obj = {"from": edge.src, "to": edge.dst}
+        if edge.guard is not None:
+            obj["guard"] = edge.guard
+        edges.append(obj)
+    return canonical_json({
+        "nodes": nodes,
+        "edges": edges,
+        "metadata": {k: v for k, v in document.metadata},
+    })
+
+
+# strings that JSON must escape or that sit at the edge of what it keeps:
+# quotes, backslashes, every control character, line and paragraph
+# separators, DEL, non-BMP text, the writer's own separators, and ""
+_AWKWARD = ['"', "\\", *map(chr, range(0x20)), "\u2028", "\u2029", "\x7f", "\u00e9",
+            "\U0001f600", "/", ",\n  ", "}", "{", '","', ""]
+_TEXT = st.lists(st.sampled_from(_AWKWARD) | st.text(max_size=3), max_size=4).map("".join)
+
+
+@st.composite
+def _documents(draw) -> ChainDocument:
+    """A chain document built directly, so any string may sit anywhere: node
+    ids (some repeated), kinds, labels, notes, events for some nodes (and
+    for ids no node has), edges between nodes or unknown ids, with or
+    without a guard, and metadata."""
+    ids = draw(st.lists(_TEXT, max_size=6))
+    nodes = tuple(Node(node_id, draw(st.sampled_from(NODE_KINDS) | _TEXT), draw(_TEXT),
+                       tuple(draw(st.lists(st.tuples(st.sampled_from(NOTE_KEYS) | _TEXT,
+                                                     _TEXT), max_size=3))))
+                  for node_id in ids)
+    endpoint = st.sampled_from(ids) | _TEXT if ids else _TEXT
+    edges = tuple(draw(st.lists(st.builds(Edge, endpoint, endpoint, st.none() | _TEXT),
+                                max_size=8)))
+    events = tuple(draw(st.lists(st.tuples(endpoint, _TEXT), max_size=4)))
+    metadata = tuple(draw(st.lists(st.tuples(_TEXT, _TEXT), max_size=3)))
+    return ChainDocument(graph=ActivityGraph(nodes=nodes, edges=edges),
+                         events=events, metadata=metadata)
+
+
+_LAYOUTS = ["c-encoder", "json.dumps"]
+
+
+@contextlib.contextmanager
+def _layout(name: str):
+    """``dump_json`` on its C encoder, or forced onto its ``json.dumps``
+    fallback, as when the C encoder's layout check fails."""
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "json.dumps":
+            patch.setitem(util._LAYOUT_CHECKED, json.encoder.c_make_encoder, False)
+
+            def fast_dump(*args):
+                raise AssertionError("the C encoder was used")
+
+            patch.setattr(util, "_fast_dump", fast_dump)
+        yield
+
+
+def test_the_two_sides_are_different_serializers():
+    assert serialize_chain.__code__ is not _ref_serialize_chain.__code__
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_json_strings_write_each_string_as_canonical_json(layout):
+    with _layout(layout):
+        assert json_strings(_AWKWARD) == list(map(canonical_json, _AWKWARD))
+        assert json_strings([]) == []
+        assert json_strings(iter(["a"])) == ['"a"']
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(texts=st.lists(_TEXT | st.text(), max_size=6))
+def test_fuzzed_strings_match_canonical_json(layout, texts):
+    with _layout(layout):
+        assert json_strings(texts) == list(map(canonical_json, texts))
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(document=_documents())
+def test_fuzzed_documents_serialize_as_the_reference(layout, document):
+    with _layout(layout):
+        text = serialize_chain(document)
+    assert text == _ref_serialize_chain(document)
+    assert document.text == text
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("path", sorted((FIXTURES / "chains").glob("*.puml")),
+                         ids=lambda path: path.name)
+def test_fixture_chains_serialize_as_the_reference(layout, path):
+    document = eventchain.to_chain_document(
+        eventchain.parse_activity_diagram(path.read_text(encoding="utf-8")),
+        source_digest="\"s\"", generation_prompt_digest="\u2028")
+    with _layout(layout):
+        text = serialize_chain(document)
+    assert text == _ref_serialize_chain(document)
+    assert serialize_chain(parse_chain_document(text)) == text
+
+
+def test_the_readme_scenario_keeps_its_chain_digest(tmp_path, capsys):
+    out = tmp_path / "s1"
+    code = main(["--out", str(out), "analyze-safety", "--code", str(FIXTURES / "code" / "s1.py"),
+                 "--vss", str(FIXTURES / "catalogs" / "vss.json"),
+                 "--can", str(FIXTURES / "catalogs" / "can.json"),
+                 "--rules", str(FIXTURES / "rules" / "rules-s1.txt"),
+                 "--replay", str(FIXTURES / "replay" / "s1.json")])
+    assert code == 1
+    digest = "bf737cf9a993de0632507dab10196ae3c9bcfc18ba9ca36014bb11c53befde8d"
+    assert f"chain: {digest}\n" in capsys.readouterr().out
+    text = (out / "chain_iter1.json").read_text(encoding="utf-8")
+    assert sha256_text(text.removesuffix("\n")) == digest
+    assert _ref_serialize_chain(parse_chain_document(text)) + "\n" == text

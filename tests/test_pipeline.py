@@ -32,12 +32,13 @@ from sdv_guard.pipeline import (
     verify_receipt,
 )
 from sdv_guard.pipeline import cli as cli_module
+from sdv_guard.pipeline import runs as runs_module
 from sdv_guard.pipeline import stages as stages_module
 from sdv_guard.pipeline.cli import main
 from sdv_guard.pipeline.runs import _ArtifactWriter
 from sdv_guard.pipeline.stages import catalog_index, ground_code
 from sdv_guard.retrieval import build_index
-from sdv_guard.util import read_text, write_atomic
+from sdv_guard.util import read_text, sha256_text, write_atomic
 
 from conftest import replay_gateway, scripted_gateway, write_dies_half_way
 
@@ -845,6 +846,36 @@ def test_cli_analyze_safety_corrective(fixtures_dir, tmp_path, capsys):
                  "--auto-correct", "--max-iterations", "2"])
     assert code == 0
     assert capsys.readouterr().out.startswith("overall: pass")
+
+
+def test_each_safety_iteration_serializes_its_chain_once(fixtures_dir, tmp_path,
+                                                        monkeypatch):
+    # chain_iterN.json and the report's chain digest share one text
+    serialized = []
+    real = eventchain.serialize_chain
+
+    def counting(document):
+        serialized.append(document)
+        return real(document)
+
+    monkeypatch.setattr(eventchain, "serialize_chain", counting)
+    monkeypatch.setattr(runs_module, "serialize_chain", counting, raising=False)
+    p = _paths(fixtures_dir)
+    out = tmp_path / "out"
+    code = main(["--out", str(out), "analyze-safety",
+                 "--code", str(fixtures_dir / "code" / "s3.py"),
+                 "--vss", p["vss"], "--can", p["can"],
+                 "--rules", str(fixtures_dir / "rules" / "rules-s3.txt"),
+                 "--replay", str(fixtures_dir / "replay" / "s3_corrective.json"),
+                 "--auto-correct", "--max-iterations", "2"])
+    assert code == 0
+    assert len(json.loads((out / "run.json").read_text())["iterations"]) == 2
+    assert len(serialized) == 2
+    for index, document in enumerate(serialized, start=1):
+        text = (out / f"chain_iter{index}.json").read_text()
+        assert text == real(document) + "\n"
+        assert f'"chain_digest": "{sha256_text(real(document))}"' in (
+            out / f"safety_iter{index}.json").read_text()
 
 
 def test_cli_analyze_topology(fixtures_dir, tmp_path, capsys):

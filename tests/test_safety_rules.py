@@ -1,15 +1,18 @@
 """Temporal rule parsing and evaluation over event-chain paths."""
 
+import json
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdv_guard.errors import RuleParseError
+from sdv_guard import safety_rules
+from sdv_guard.errors import RuleParseError, UnsupportedStructureError
 from sdv_guard.eventchain import ChainDocument, parse_activity_diagram, to_chain_document
 from sdv_guard.pipeline.cli import main
 from sdv_guard.safety_rules import (
+    MAX_MONITOR_PAIRS,
     MAX_NESTING,
     MAX_RENDERED_PATH,
     MAX_WITNESSES,
@@ -26,7 +29,7 @@ from sdv_guard.safety_rules import (
     suggest_correction,
 )
 
-from conftest import atom_holds, linear_chain, scripted_gateway
+from conftest import FIXTURES, atom_holds, linear_chain, scripted_gateway
 
 
 def _fixture_doc(fixtures_dir, name: str) -> ChainDocument:
@@ -463,3 +466,77 @@ def test_deep_hand_built_expression_is_checked_without_recursion():
     rule = SafetyRule(name="deep", expr=AndExpr((expr,)))
     report = check(linear_chain(("b", "a")), RuleSet(rules=(rule,)))
     assert report.overall == "pass"  # an odd number of 'not's over a false atom
+
+
+# ---------------------------------------------------------------------------
+# the monitor budget: a rule of d atoms over d decisions reaches about 2^d
+# monitor states per run, so (run, state) pairs grow as 4 * 2^d - 3
+
+
+def _monitor_blowup(decisions: int) -> tuple[str, str]:
+    """A diagram of ``decisions`` if/else blocks in a row, an action on each
+    arm, and the rule ``ev-0 before zz or ... or ev-(d-1) before zz``, one
+    atom per decision."""
+    lines = ["@startuml", "start"]
+    for i in range(decisions):
+        lines += [f"if (c{i}) then (yes)", f":ev {i};", "else (no)", f":other {i};", "endif"]
+    lines += [":zz;", "stop", "@enduml"]
+    rule = " or ".join(f"ev-{i} before zz" for i in range(decisions))
+    return "\n".join(lines) + "\n", f"big: {rule}\n"
+
+
+def _budget_message(pairs: int, limit: int = MAX_MONITOR_PAIRS) -> str:
+    return f"rule 'big' reaches {pairs} (run, monitor state) pairs, more than the limit of {limit}"
+
+
+def test_monitor_pairs_up_to_the_budget_are_checked(monkeypatch):
+    diagram, rules = _monitor_blowup(2)
+    document = to_chain_document(parse_activity_diagram(diagram))
+    monkeypatch.setattr(safety_rules, "MAX_MONITOR_PAIRS", 4 * 2 ** 2 - 3)
+    assert check(document, parse_rules(rules)).overall == "violated"
+    monkeypatch.setattr(safety_rules, "MAX_MONITOR_PAIRS", 4 * 2 ** 2 - 4)
+    with pytest.raises(UnsupportedStructureError) as raised:
+        check(document, parse_rules(rules))
+    assert str(raised.value) == _budget_message(13, limit=12)
+
+
+def test_fourteen_atoms_stay_within_the_budget():
+    diagram, rules = _monitor_blowup(14)  # 65,533 pairs
+    report = check(to_chain_document(parse_activity_diagram(diagram)), parse_rules(rules))
+    assert report.overall == "violated"
+
+
+def test_sixteen_atoms_fail_closed_through_check_chain(tmp_path, capsys):
+    diagram, rules = _monitor_blowup(16)  # 262,141 pairs
+    (tmp_path / "chain.puml").write_text(diagram)
+    (tmp_path / "rules.txt").write_text(rules)
+    started = time.perf_counter()
+    code = main(["check-chain", "--chain", str(tmp_path / "chain.puml"),
+                 "--rules", str(tmp_path / "rules.txt")])
+    assert time.perf_counter() - started < 5.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {_budget_message(262141)}\n"
+
+
+def test_sixteen_atoms_fail_closed_through_analyze_safety(tmp_path, capsys):
+    diagram, rules = _monitor_blowup(16)
+    store = json.loads((FIXTURES / "replay" / "s1.json").read_text(encoding="utf-8"))
+    (chain_digest,) = [digest for digest, text in store.items() if "@startuml" in text]
+    store[chain_digest] = diagram
+    (tmp_path / "store.json").write_text(json.dumps(store))
+    (tmp_path / "rules.txt").write_text(rules)
+    out = tmp_path / "out"
+    code = main(["--out", str(out), "analyze-safety",
+                 "--code", str(FIXTURES / "code" / "s1.py"),
+                 "--vss", str(FIXTURES / "catalogs" / "vss.json"),
+                 "--can", str(FIXTURES / "catalogs" / "can.json"),
+                 "--rules", str(tmp_path / "rules.txt"),
+                 "--replay", str(tmp_path / "store.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: stage 'check' failed: {_budget_message(262141)}\n")
+    assert json.loads((out / "run.json").read_text())["verdict"] == "error"
+    assert (out / "chain_iter1.json").exists()
+    assert not (out / "safety_iter1.txt").exists()
