@@ -19,9 +19,10 @@ Both are plain JSON files:
   ``min``/``max``/``unit``; the numeric fields must be JSON numbers. Every
   signal must fit the frame: start_bit + bit_length <= dlc * 8.
 
-A parsed catalog is its entries, one per leaf or message, sorted by key. A
-leaf's ``type``, a branch's ``description``, a message's ``dlc`` and its
-signals' bit layout, ``scale`` and ``offset`` are checked, then dropped.
+A parsed catalog is its entries, one per leaf or message, sorted by key; an
+entry is a named tuple, which the parsers build positionally. A leaf's
+``type``, a branch's ``description``, a message's ``dlc`` and its signals'
+bit layout, ``scale`` and ``offset`` are checked, then dropped.
 The normalized-alias map behind ``lookup_normalized`` is built on its first
 call, from the entries alone, so a catalog stays observably immutable. Only
 ``extraction`` reads that map, and only after an exact lookup misses.
@@ -32,6 +33,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CatalogError, CatalogParseError, SchemaError
 from .util import RepeatedKeys, load_json, normalize_name, parse_number
@@ -45,8 +47,7 @@ _BRANCH_FIELDS = frozenset(("type", "description", "children"))
 _LEAF_KINDS = ("sensor", "actuator", "attribute")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """Flattened, retrieval-ready view of one signal or message.
 
     ``text`` is the searchable surface; ``datatype``/``bounds``/``allowed``
@@ -67,16 +68,6 @@ class ValueVerdict:
     ok: bool
     violation: str | None = None  # type-mismatch | below-min | above-max | not-allowed
     detail: str | None = None
-
-
-def _frozen(cls, fields: dict):
-    """``cls(**fields)`` for a frozen dataclass ``cls``, given every field in
-    declaration order. It stores ``fields`` as the instance dict at once,
-    where ``__init__`` calls ``object.__setattr__`` per field. The instance
-    is frozen, hashable and equal by value all the same."""
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", fields)
-    return obj
 
 
 class Catalog:
@@ -275,10 +266,8 @@ def _vss_leaf(path: str, fields: dict) -> CatalogEntry:
         text += " " + unit
     if description:
         text += " " + description
-    return _frozen(CatalogEntry, {
-        "key": path, "protocol": "VSS", "text": text, "datatype": datatype,
-        "bounds": None if lo is None and hi is None else (lo, hi), "allowed": allowed,
-    })
+    return CatalogEntry(path, "VSS", text, datatype,
+                        None if lo is None and hi is None else (lo, hi), allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +347,7 @@ def _parse_message(index: int, obj) -> tuple[CatalogEntry, int]:
         datatype = "float"
         if lo is not None or hi is not None:
             bounds = (lo, hi)
-    return _frozen(CatalogEntry, {
-        "key": name, "protocol": "CAN", "text": " ".join(words), "datatype": datatype,
-        "bounds": bounds, "allowed": None,
-    }), frame_id
+    return CatalogEntry(name, "CAN", " ".join(words), datatype, bounds), frame_id
 
 
 def _parse_can_signal(message: str, obj, dlc: int

@@ -31,9 +31,11 @@ where many are built at once.
 
 Parsing that document back yields an equal document. The canonical form can
 encode cycles and dead ends; ``ChainOrder`` is the one walk that rejects them.
-It checks a document's graph and orders it once, without recursion, and both
+It checks a document's graph and orders it once, without recursion, into
+straight runs that hold their event steps and distinct events, and both
 ``enumerate_paths`` (every maximal start-to-stop path, edges followed in
-declaration order) and ``safety_rules.check`` start from it.
+declaration order) and ``safety_rules.check`` start from it: a path's steps
+are the steps of the runs it walks, joined.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ class ActivityGraph:
 
 
 class EventStep(NamedTuple):
-    position: int
+    """One action on a path; its position is its index in the path's steps."""
+
     event: str
     node_id: str
 
@@ -104,7 +107,7 @@ class EventSequence:
 
     @property
     def events(self) -> tuple[str, ...]:
-        return tuple(map(itemgetter(1), self.steps))
+        return tuple(map(itemgetter(0), self.steps))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -365,13 +368,15 @@ def parse_chain_document(text: str) -> ChainDocument:
         notes = obj.get("notes", {})
         if not isinstance(notes, dict):
             raise TransformError(f"chain node '{node_id}' notes must be an object")
-        for key in notes:
+        for key, value in notes.items():
             if key not in NOTE_KEYS:
                 raise TransformError(f"chain node '{node_id}' has unknown note '{key}'")
+            if not isinstance(value, str):
+                raise TransformError(f"chain node '{node_id}' note '{key}' must be a string")
         label = obj.get("label", "")
         if not isinstance(label, str):
             raise TransformError(f"chain node '{node_id}' label must be a string")
-        nodes.append(Node(node_id, kind, label, tuple((k, str(v)) for k, v in notes.items())))
+        nodes.append(Node(node_id, kind, label, tuple(notes.items())))
         if kind == "action":
             event = obj.get("event")
             if not isinstance(event, str) or not event:
@@ -395,10 +400,13 @@ def parse_chain_document(text: str) -> ChainDocument:
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise TransformError("chain metadata must be an object")
+    for key, value in metadata.items():
+        if not isinstance(value, str):
+            raise TransformError(f"chain metadata '{key}' must be a string")
     return ChainDocument(
         graph=ActivityGraph(nodes=tuple(nodes), edges=tuple(edges)),
         events=tuple(events),
-        metadata=tuple(sorted((str(k), str(v)) for k, v in metadata.items())),
+        metadata=tuple(sorted(metadata.items())),
     )
 
 
@@ -419,10 +427,13 @@ def chain_digest(document: ChainDocument) -> str:
 class Run(NamedTuple):
     """A straight run: a maximal chain of reachable nodes in which each node
     but the last has one outgoing edge, to a node with one incoming edge.
-    Every path that enters a run walks all of it."""
+    Every path that enters a run walks all of it, so its steps are built
+    once and shared by every path through it. ``events`` lists the run's
+    distinct events in order of first occurrence."""
 
     nodes: tuple[str, ...]
-    steps: tuple[tuple[str, str], ...]  # (event, node id) of its actions, in order
+    steps: tuple[EventStep, ...]  # its actions, in order
+    events: tuple[str, ...]  # its distinct events, in order of first occurrence
     successors: tuple[int, ...]  # runs the last node's edges enter, in declaration
     # order, as indices into ChainOrder.runs; empty after a stop
 
@@ -439,7 +450,9 @@ class ChainOrder:
     entered twice. ``runs[0]`` starts at the start node, and every edge
     between runs goes to a later one. Edges are counted, not neighbours: a
     decision whose two edges both enter its merge (both arms empty) ends its
-    run, and each edge enters the merge's run once.
+    run, and each edge enters the merge's run once. Each reachable action's
+    ``EventStep`` is built here, once, in its run; ``events`` is the set of
+    the runs' events.
     """
 
     def __init__(self, document: ChainDocument):
@@ -458,7 +471,7 @@ class ChainOrder:
             incoming[edge.dst] += 1
         # (nodes, steps, exits) per run, in the order the walk leaves them;
         # only a run's first node can be an edge's target from another run
-        finished: list[tuple[list[str], list[tuple[str, str]], list[str]]] = []
+        finished: list[tuple[list[str], list[EventStep], list[str]]] = []
         entered: set[str] = set()  # first nodes of the runs entered
         on_stack: set[str] = set()
         stack: list = [(starts[0].id, None)]  # (node to enter, None) or (None, run to leave)
@@ -476,13 +489,13 @@ class ChainOrder:
                 continue
             entered.add(node_id)
             nodes: list[str] = []
-            steps: list[tuple[str, str]] = []
+            steps: list[EventStep] = []
             while True:
                 nodes.append(node_id)
                 on_stack.add(node_id)
                 kind = kinds[node_id]
                 if kind == "action":
-                    steps.append((events[node_id], node_id))
+                    steps.append(EventStep(events[node_id], node_id))
                 # a stop ends every path through it
                 exits = [] if kind == "stop" else outgoing[node_id]
                 if not exits and kind != "stop":
@@ -497,22 +510,12 @@ class ChainOrder:
             stack.extend((dst, None) for dst in reversed(exits))
         finished.reverse()
         index = {nodes[0]: i for i, (nodes, _steps, _exits) in enumerate(finished)}
-        self.runs = [Run(tuple(nodes), tuple(steps), tuple(index[dst] for dst in exits))
+        self.runs = [Run(tuple(nodes), tuple(steps),
+                         tuple(dict.fromkeys(map(itemgetter(0), steps))),
+                         tuple(index[dst] for dst in exits))
                      for nodes, steps, exits in finished]
         # the distinct events of the reachable actions
-        self.events: set[str] = set().union(*(map(itemgetter(0), run.steps) for run in self.runs))
-        self._event_steps: dict[tuple[int, int], tuple[EventStep, ...]] = {}
-
-    def event_steps(self, run: int, position: int) -> tuple[EventStep, ...]:
-        """The steps of ``runs[run]`` on a path that enters it at ``position``,
-        built once per (run, position)."""
-        key = (run, position)
-        found = self._event_steps.get(key)
-        if found is None:
-            found = self._event_steps[key] = tuple(
-                EventStep(position + offset, event, node_id)
-                for offset, (event, node_id) in enumerate(self.runs[run].steps))
-        return found
+        self.events: set[str] = set().union(*(run.events for run in self.runs))
 
 
 def enumerate_paths(document: ChainDocument) -> list[EventSequence]:
@@ -523,7 +526,7 @@ def enumerate_paths(document: ChainDocument) -> list[EventSequence]:
     raises an unsupported-structure error naming a node on it. The paths
     are then walked run by run with an explicit stack; each entry carries
     the path length its run starts at, so entering it first cuts the steps
-    back to that length.
+    back to that length, then appends the run's steps.
     """
     order = ChainOrder(document)
     paths: list[EventSequence] = []
@@ -532,7 +535,7 @@ def enumerate_paths(document: ChainDocument) -> list[EventSequence]:
     while stack:
         run, position = stack.pop()
         del steps[position:]
-        steps.extend(order.event_steps(run, position))
+        steps.extend(order.runs[run].steps)
         successors = order.runs[run].successors
         if not successors:
             paths.append(EventSequence(steps=tuple(steps)))

@@ -39,7 +39,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fnmatch import translate
-from operator import itemgetter
 
 from .errors import RuleParseError, UnsupportedStructureError
 from .eventchain import (
@@ -162,8 +161,8 @@ class SafetyReport:
                     "witnesses": [
                         {
                             "path": [
-                                {"position": s.position, "event": s.event, "node": s.node_id}
-                                for s in w.sequence.steps
+                                {"position": position, "event": s.event, "node": s.node_id}
+                                for position, s in enumerate(w.sequence.steps)
                             ],
                             "atoms": [[text, value] for text, value in w.atom_values],
                             "value": w.expr_value,
@@ -437,27 +436,14 @@ def _rule_monitor(order: ChainOrder, rule: SafetyRule):
     return (_UNSEEN,) * len(atoms), effects.keys(), step, verdict
 
 
-def _first_offsets(order: ChainOrder) -> list[dict[str, int]]:
-    """Per run, each of its events with the offset of its first occurrence.
-
-    A monitor leaves _UNSEEN, for good, at the first event that touches it,
-    so a later occurrence of the same event in the run changes no state."""
-    firsts = []
-    for run in order.runs:
-        # later offsets first, so that the first occurrence's is the one kept
-        events = map(itemgetter(0), reversed(run.steps))
-        firsts.append(dict(zip(events, range(len(run.steps) - 1, -1, -1))))
-    return firsts
-
-
-def _eval_rule(order: ChainOrder, firsts: list[dict[str, int]],
-               rule: SafetyRule) -> RuleResult:
+def _eval_rule(order: ChainOrder, rule: SafetyRule) -> RuleResult:
     initial, named, step, verdict = _rule_monitor(order, rule)
     runs = order.runs
 
     # forward: per run, the monitor states it can be entered in and the
     # state it leaves in for each; the monitor steps only at the first
-    # occurrence in the run of each event the rule names
+    # occurrence in the run of each event the rule names, since a monitor
+    # leaves _UNSEEN for good at the first event that touches it
     moves: list[dict[tuple[int, ...], tuple[int, ...]]] = []
     entry: list[set[tuple[int, ...]]] = [set() for _ in runs]
     entry[0].add(initial)
@@ -468,8 +454,7 @@ def _eval_rule(order: ChainOrder, firsts: list[dict[str, int]],
             raise UnsupportedStructureError(
                 f"rule '{rule.name}' reaches {pairs} (run, monitor state) pairs, "
                 f"more than the limit of {MAX_MONITOR_PAIRS}")
-        first = firsts[index]
-        hits = sorted(first.keys() & named, key=first.__getitem__)
+        hits = [event for event in run.events if event in named]
         move = {}
         for state in entry[index]:
             after = state
@@ -502,7 +487,7 @@ def _eval_rule(order: ChainOrder, firsts: list[dict[str, int]],
     while stack and len(witnesses) < MAX_WITNESSES:
         index, state, position = stack.pop()
         del steps[position:]
-        steps.extend(order.event_steps(index, position))
+        steps.extend(runs[index].steps)
         after = moves[index][state]
         successors = runs[index].successors
         if not successors:
@@ -526,7 +511,8 @@ def check(document: ChainDocument, ruleset: RuleSet) -> SafetyReport:
 
     The graph is checked and cut into straight runs once, by ``ChainOrder``.
     Per rule, the reachable monitor states are propagated forward over the
-    runs in topological order, stepping only at the events the rule names;
+    runs in topological order, stepping only at the first occurrence in each
+    run (``Run.events``) of each event the rule names;
     the number of failing paths on from each (run, state) pair is counted
     backward; and a walk in edge-declaration order that enters only pairs
     with failing paths emits the first MAX_WITNESSES witnesses. The report
@@ -539,8 +525,7 @@ def check(document: ChainDocument, ruleset: RuleSet) -> SafetyReport:
     if not ruleset.rules:
         return SafetyReport(results=(), chain_digest=chain_digest(document))
     order = ChainOrder(document)
-    firsts = _first_offsets(order)
-    results = tuple(_eval_rule(order, firsts, rule) for rule in ruleset.rules)
+    results = tuple(_eval_rule(order, rule) for rule in ruleset.rules)
     return SafetyReport(results=results, chain_digest=chain_digest(document))
 
 

@@ -1,6 +1,5 @@
 """Catalog parsing and value validation."""
 
-import dataclasses
 import json
 
 import pytest
@@ -88,6 +87,17 @@ def test_signal_duplicate_key_rejected():
         parse_vss_catalog(text)
 
 
+@pytest.mark.parametrize("text", [
+    '{"A.B": {"datatype": "int"}, "A": {"B": {"datatype": "int"}}}',
+    '{"A": {"children": {"B": {"datatype": "int"}}}, "A.B": {"datatype": "float"}}',
+    '{"A.B": {"C": {"datatype": "int"}}, "A": {"B": {"D": {"datatype": "int"}}}}',
+])
+def test_signal_path_given_as_one_key_and_as_a_branch_rejected(text):
+    # each key is unique in its object; only the joined paths collide
+    with pytest.raises(CatalogError, match="duplicate signal path 'A.B'"):
+        parse_vss_catalog(text)
+
+
 def test_signal_scalar_mixed_with_children_rejected():
     text = json.dumps({
         "Vehicle": {
@@ -146,6 +156,15 @@ def test_frame_id_strings_outside_the_grammar_are_rejected(raw):
     assert str(err.value) == f"invalid frame_id {raw!r}"
 
 
+def test_frame_id_past_the_integer_digit_limit_is_rejected():
+    # int() refuses decimal strings of more than 4,300 digits
+    raw = "1" * 5000
+    text = json.dumps([{"frame_id": raw, "name": "M", "dlc": 1}])
+    with pytest.raises(SchemaError) as err:
+        parse_can_catalog(text)
+    assert str(err.value) == f"invalid frame_id {raw!r}"
+
+
 @pytest.mark.parametrize("message, message_part", [
     ({"frame_id": 1 << 29, "name": "M", "dlc": 1}, "29-bit"),
     ({"frame_id": -1, "name": "M", "dlc": 1}, "29-bit"),
@@ -192,15 +211,14 @@ def test_duplicate_message_identity_rejected():
 
 
 def test_parsed_objects_are_frozen_and_equal_by_value(signal_catalog, message_catalog):
-    # the parsers build these without __init__; they must be the same values
+    # the parsers build these positionally; they must be the same values as
+    # entries built by field name
     for obj in (*signal_catalog.entries, *message_catalog.entries):
-        cls = type(obj)
-        values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(cls)}
-        built = cls(**values)
-        assert vars(obj) == vars(built) and list(vars(obj)) == list(vars(built))
-        assert (obj, hash(obj), repr(obj)) == (built, hash(built), repr(built))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, dataclasses.fields(cls)[0].name, None)
+        assert type(obj) is CatalogEntry
+        for built in (CatalogEntry(**obj._asdict()), CatalogEntry(*obj)):
+            assert (obj, hash(obj), repr(obj)) == (built, hash(built), repr(built))
+        with pytest.raises(AttributeError):
+            obj.key = None
 
 
 def test_alias_lookup_finds_the_entry_under_any_separators(vss_text):

@@ -493,9 +493,14 @@ def _view(catalog) -> tuple:
 
 
 def _assert_built_whole(catalog) -> None:
-    """Each entry holds every field of its class, in order."""
+    """Each entry is an immutable ``CatalogEntry`` that equals, hashes and
+    prints like one built from its own fields."""
     for entry in catalog.entries:
-        assert list(vars(entry)) == list(CatalogEntry.__dataclass_fields__), entry
+        assert type(entry) is CatalogEntry, entry
+        built = CatalogEntry(*entry)
+        assert (entry, hash(entry), repr(entry)) == (built, hash(built), repr(built))
+        with pytest.raises(AttributeError):
+            entry.key = None
 
 
 def _assert_same(parse, reference, text: str) -> tuple:

@@ -31,6 +31,7 @@ from sdv_guard.eventchain import (
 from sdv_guard.extraction import AcceptedEntry, ExtractedEntry
 from sdv_guard.llm_gateway import prompt_digest
 from sdv_guard.pipeline.cli import main
+from sdv_guard.safety_rules import check, parse_rules
 from sdv_guard.safety_rules import check, parse_rules, render_report
 from sdv_guard.util import sha256_text
 
@@ -230,6 +231,19 @@ _START = '{"id": "a", "kind": "start"}'
     ('{"nodes": [{"id": "a", "kind": "start", "label": 5}]}', "label must be a string"),
     (f'{{"nodes": [{_START}], "edges": [{{"from": "a", "to": "a", "guard": []}}]}}',
      "guard must be a string"),
+    # str() would turn these into text that is not in the file: "None", "{'a': 1}"
+    ('{"nodes": [{"id": "a", "kind": "action", "event": "a", "notes": {"input": null}}]}',
+     "chain node 'a' note 'input' must be a string"),
+    ('{"nodes": [{"id": "a", "kind": "action", "event": "a", "notes": {"output": {"a": 1}}}]}',
+     "chain node 'a' note 'output' must be a string"),
+    ('{"nodes": [{"id": "a", "kind": "action", "event": "a", "notes": {"input": 7}}]}',
+     "chain node 'a' note 'input' must be a string"),
+    (f'{{"nodes": [{_START}], "metadata": {{"source_digest": null}}}}',
+     "chain metadata 'source_digest' must be a string"),
+    (f'{{"nodes": [{_START}], "metadata": {{"extra": {{"a": 1}}}}}}',
+     "chain metadata 'extra' must be a string"),
+    (f'{{"nodes": [{_START}], "metadata": {{"n": [1]}}}}',
+     "chain metadata 'n' must be a string"),
     pytest.param("[" * 100_000 + "]" * 100_000, "not valid JSON", id="nested-100000-deep"),
 ])
 def test_malformed_chain_document_shapes_fail_closed(tmp_path, capsys, payload, message):
@@ -255,10 +269,17 @@ def test_paths_of_the_branching_fixture(fixtures_dir):
         ("camera-sense", "pedestrian-camera-detected", "accelerate"),
         ("camera-sense", "cruise"),
     ]
-    # steps carry their position and the owning node
-    first = paths[0].steps
-    assert [s.position for s in first] == [0, 1, 2]
+    # steps carry their event and the owning node; a step's position is its
+    # index on the path, which a report writes out
+    assert [s.node_id for s in paths[0].steps] == ["n2", "n4", "n5"]
     assert len(paths[0]) == 3
+    # "ghost" never occurs, so the forbidden rule holds on every path
+    report = check(document, parse_rules("r: forbid ghost before ghost\n")).to_dict()
+    assert [w["path"] for w in report["rules"][0]["witnesses"]] == [
+        [{"position": i, "event": s.event, "node": s.node_id} for i, s in enumerate(p.steps)]
+        for p in paths
+    ]
+    assert [s["position"] for s in report["rules"][0]["witnesses"][0]["path"]] == [0, 1, 2]
 
 
 def test_three_decisions_give_eight_paths():

@@ -119,6 +119,8 @@ def mixed_manifest(fixtures_dir, tmp_path):
                   rules=rules, expected_verdicts={"rule1": "violated"}),
         _scenario(fixtures_dir, "s1-chain-wrong", "chain", "s1", "s1",
                   rules=rules, expected_verdicts={"rule1": "pass"}),
+        _scenario(fixtures_dir, "s1-chain-unknown-rule", "chain", "s1", "s1",
+                  rules=rules, expected_verdicts={"rule9": "pass"}),
         _scenario(fixtures_dir, "cabin-wrong", "mapping", "cabin", "cabin",
                   expected_accepted=["Vehicle.Cabin.Light",
                                      "Vehicle.Speed.Target"]),
@@ -149,6 +151,8 @@ def test_mixed_manifest_exercises_every_outcome(mixed_manifest):
     assert by_id["s2-mapping"].successes == 7
     assert by_id["s1-chain"].successes == 7
     assert by_id["s1-chain-wrong"].failures[0] == "rule 'rule1' was violated, expected pass"
+    assert by_id["s1-chain-unknown-rule"].failures \
+        == ("rule 'rule9' not present in the report",) * 5
     assert by_id["cabin-wrong"].failures == ("missing Vehicle.Speed.Target",) * 5
     assert by_id["s2-replay-miss"].failures[0].startswith("ReplayMissError: ")
     assert by_id["s1-mapping"].successes == 7

@@ -29,6 +29,8 @@ from sdv_guard.llm_gateway import (
     render_prompt,
 )
 
+from sdv_guard.pipeline.cli import main
+
 from conftest import write_dies_half_way
 
 # Scripted transports in the fixture generator key on these openings, so any
@@ -287,12 +289,13 @@ def test_a_completion_with_a_lone_surrogate_is_a_gateway_error(tmp_path, mode):
 class _EndpointHandler(http.server.BaseHTTPRequestHandler):
     response: dict = {}
     status: int = 200
+    raw_body: bytes | None = None  # sent as it is, in place of the response
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         type(self).last_payload = json.loads(self.rfile.read(length))
         type(self).last_headers = dict(self.headers)
-        body = json.dumps(type(self).response).encode()
+        body = type(self).raw_body or json.dumps(type(self).response).encode()
         self.send_response(type(self).status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -330,6 +333,37 @@ def test_http_endpoint_failure_statuses(endpoint):
     gateway = LlmGateway(mode="live", base_url=endpoint)
     with pytest.raises(GatewayError, match="500"):
         gateway.complete(CompletionRequest(prompt="ping"))
+
+
+def test_http_endpoint_non_json_body(endpoint, monkeypatch):
+    monkeypatch.setattr(_EndpointHandler, "status", 200)
+    monkeypatch.setattr(_EndpointHandler, "raw_body", b"<html>gateway timeout</html>")
+    gateway = LlmGateway(mode="live", base_url=endpoint)
+    with pytest.raises(GatewayError, match="^completion endpoint returned non-JSON body$"):
+        gateway.complete(CompletionRequest(prompt="ping"))
+
+
+def test_cli_record_flag_stores_what_the_endpoint_returns(endpoint, monkeypatch, tmp_path,
+                                                          capsys, fixtures_dir):
+    replay = fixtures_dir / "replay" / "cabin.json"
+    [completion] = json.loads(replay.read_text(encoding="utf-8")).values()
+    monkeypatch.setattr(_EndpointHandler, "status", 200)
+    monkeypatch.setattr(_EndpointHandler, "response",
+                        {"choices": [{"message": {"content": completion}}]})
+    monkeypatch.setenv(llm_gateway.ENV_URL, endpoint)
+    inputs = ["--code", str(fixtures_dir / "code" / "cabin.py"),
+              "--vss", str(fixtures_dir / "catalogs" / "vss.json"),
+              "--can", str(fixtures_dir / "catalogs" / "can.json")]
+    store = tmp_path / "recorded.json"
+    assert main(["--out", str(tmp_path / "a"), "extract-signals", *inputs,
+                 "--record", str(store)]) == 0
+    recorded = capsys.readouterr().out
+    # the store holds the one completion under the digest of the prompt sent
+    assert json.loads(store.read_text(encoding="utf-8")) \
+        == json.loads(replay.read_text(encoding="utf-8"))
+    assert main(["--out", str(tmp_path / "b"), "extract-signals", *inputs,
+                 "--replay", str(store)]) == 0
+    assert capsys.readouterr().out == recorded
 
 
 def test_http_endpoint_unreachable(monkeypatch):

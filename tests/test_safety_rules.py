@@ -426,8 +426,8 @@ def test_twenty_decisions_report_exactly_the_violating_paths():
         prefix + ["task-19-yes", "brake"],
         prefix + ["task-19-no", "brake"],
     ]
-    for witness in result.witnesses:
-        assert [s.position for s in witness.sequence.steps] == list(range(21))
+    for witness, written in zip(result.witnesses, report.to_dict()["rules"][0]["witnesses"]):
+        assert [s["position"] for s in written["path"]] == list(range(21))
         assert witness.atom_values == (("warn before brake", False),)
         assert witness.expr_value is False
 

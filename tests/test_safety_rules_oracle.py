@@ -98,9 +98,7 @@ def _ref_enumerate_paths(document: ChainDocument) -> list[EventSequence]:
         kind = kinds[node_id]
         appended = False
         if kind == "action":
-            steps.append(EventStep(
-                position=len(steps), event=events[node_id], node_id=node_id,
-            ))
+            steps.append(EventStep(event=events[node_id], node_id=node_id))
             appended = True
         if kind == "stop":
             paths.append(EventSequence(steps=tuple(steps)))
@@ -134,8 +132,8 @@ def _ref_matches(chain_event, rule_event, rule):
 
 def _ref_positions(sequence, event, rule):
     return [
-        step.position
-        for step in sequence.steps
+        position
+        for position, step in enumerate(sequence.steps)
         if _ref_matches(step.event, event, rule)
     ]
 
@@ -351,7 +349,7 @@ def _node_eval_rule(order: _NodeOrder, rule: SafetyRule) -> RuleResult:
         node_id, state = item
         event = order.events.get(node_id)
         if event is not None:
-            steps.append(EventStep(position=len(steps), event=event, node_id=node_id))
+            steps.append(EventStep(event=event, node_id=node_id))
             stack.append(None)
         after = moves[node_id][state]
         if kinds[node_id] == "stop":
@@ -824,7 +822,9 @@ def test_long_linear_chain_is_one_path(actions):
     document = to_chain_document(parse_activity_diagram(case.diagram))
     [path] = enumerate_paths(document)
     assert len(path) == actions
-    assert [step.position for step in path.steps] == list(range(actions))
+    # "ghost" never occurs, so the forbidden rule holds on the one path
+    [rule] = check(document, parse_rules("r: forbid ghost before ghost\n")).to_dict()["rules"]
+    assert [s["position"] for s in rule["witnesses"][0]["path"]] == list(range(actions))
     assert path.events == tuple(event for _node, event in document.events)
     assert [step.node_id for step in path.steps] == [node for node, _event in document.events]
 
@@ -845,7 +845,7 @@ def test_atom_truth_matches_reference(seed):
     rng = random.Random(seed)
     events = [rng.choice(_ATOM_EVENTS) for _ in range(rng.randint(0, 8))]
     sequence = EventSequence(steps=tuple(
-        EventStep(position=i, event=e, node_id=f"n{i}") for i, e in enumerate(events)))
+        EventStep(event=e, node_id=f"n{i}") for i, e in enumerate(events)))
     for _ in range(10):
         left = rng.choice(_ATOM_NAMES)
         right = left if rng.random() < 0.25 else rng.choice(_ATOM_NAMES)

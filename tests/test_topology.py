@@ -139,6 +139,8 @@ def test_metamodel_serialization_round_trip(metamodel):
      "non-empty literal list"),
     ('{"classes": [{"name": "A"}], "enums": [{"name": "E", "literals": ["x", "x"]}]}',
      "repeats a literal"),
+    ('{"classes": [{"name": "A"}], "enums": [{"name": "E", "literals": ["x"]}, '
+     '{"name": "E", "literals": ["y"]}]}', "duplicate enum name"),
     ('{"classes": [{"name": "A"}], "enums": [1]}', "enum declarations must be objects"),
     ('{"classes": [{"name": "A"}], "enums": "xy"}', "'enums' must be an array"),
     ('{"classes": [{"name": "A"}], "enums": null}', "'enums' must be an array"),
@@ -326,6 +328,7 @@ def test_scalar_forms_round_trip():
 @given(st.lists(st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)),
                 max_size=6))
 @example([10000000000000000.0, 1e-05, -2.5e300, 5e-324, 10 ** 40])
+@example([False, True, 0, 1])  # booleans, kept apart from the numbers 0 and 1
 def test_numbers_round_trip_through_the_object_diagram(values):
     attrs = {f"a{i}": value for i, value in enumerate(values)}
     model = _model(ModelObject(id="o", cls="Thing", attrs=attrs))
@@ -345,11 +348,13 @@ def test_unquoted_scalars_parse_by_shape():
         "o : e = 1e+16\n"
         "o : f = -2E-3\n"
         "o : g = \"1e5\"\n"
+        "o : h = false\n"
         "@enduml\n"
     )
     attrs = model.get("o").attrs
     assert attrs == {"a": 25.0, "b": -3, "c": True, "d": "quoted",
-                     "e": 1e16, "f": -0.002, "g": "1e5"}
+                     "e": 1e16, "f": -0.002, "g": "1e5", "h": False}
+    assert attrs["c"] is True and attrs["h"] is False
     assert isinstance(attrs["e"], float)
     # a number-like string stays quoted on export
     assert 'o : g = "1e5"' in export_class_diagram(model)
