@@ -3,7 +3,9 @@
 Stage 1 ranks entries lexically with BM25 (k1 = 1.2, b = 0.75; idf(t) =
 ln(1 + (N - df + 0.5) / (df + 0.5)); the score sums over distinct query
 terms, added term-at-a-time over their postings in sorted order, so every
-score is bit-identical to the per-entry formula). The pool is the first
+score is bit-identical to the per-entry formula). A posting lists the entry
+position of each occurrence of its term, so a query counts tf and df, and
+works out idf, for its own terms only. The pool is the first
 min(4k, N) entries by (-score, key); entries no term hits score 0 and fill
 it in key order. Stage 2 reranks the pool by the fraction of distinct query
 tokens present in the entry text, breaking ties by stage-1 score and then by
@@ -18,12 +20,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from .catalog import CatalogEntry
 from .errors import ChunkingError, ConfigurationError
-from .util import token_estimate, tokenize
+from .util import token_estimate, tokenize, tokenize_each
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -63,20 +65,22 @@ class Chunk:
 
 
 class RetrievalIndex:
-    """Inverted index with each term's idf and each entry's length norm; immutable."""
+    """Positional inverted index with each entry's length norm; immutable."""
 
     def __init__(self, entries: tuple[CatalogEntry, ...]):
         self.entries = entries
-        self.postings = postings = defaultdict(dict)  # term -> {position: tf}
+        # term -> the position of each of its occurrences, ascending
+        self.postings = postings = {}
+        get = postings.get
         lengths = []  # each entry's token count; its tokens are dropped once posted
-        for pos, entry in enumerate(entries):
-            tokens = tokenize(entry.text)
+        for pos, tokens in enumerate(tokenize_each([entry.text for entry in entries])):
             lengths.append(len(tokens))
             for tok in tokens:
-                posting = postings[tok]
-                posting[pos] = posting.get(pos, 0) + 1
-        self.idf = {term: math.log(1 + (len(entries) - len(posting) + 0.5) / (len(posting) + 0.5))
-                    for term, posting in postings.items()}
+                posting = get(tok)
+                if posting is None:
+                    postings[tok] = [pos]
+                else:
+                    posting.append(pos)
         avg_doc_length = sum(lengths) / len(entries) if entries else 0.0
         # an entry without tokens has no postings, so its norm is never read
         self.norms = tuple(BM25_K1 * (1 - BM25_B + BM25_B * length / avg_doc_length)
@@ -90,11 +94,13 @@ def build_index(entries) -> RetrievalIndex:
     entries = tuple(entries)
     if not entries:
         raise ConfigurationError("cannot build a retrieval index over zero entries")
-    seen: set[str] = set()
-    for entry in entries:
-        if entry.key in seen:
-            raise ConfigurationError(f"duplicate entry key '{entry.key}' in index")
-        seen.add(entry.key)
+    keys = [entry.key for entry in entries]
+    if len(set(keys)) != len(keys):
+        seen: set[str] = set()
+        for key in keys:
+            if key in seen:
+                raise ConfigurationError(f"duplicate entry key '{key}' in index")
+            seen.add(key)
     return RetrievalIndex(entries)
 
 
@@ -103,12 +109,15 @@ def score_stage1(index: RetrievalIndex, query: str, k: int = DEFAULT_TOP_K) -> l
     query_tokens = tokenize(query)
     if not query_tokens:
         return []
+    entries, norms = index.entries, index.norms
     scores: dict[int, float] = {}
-    for term in sorted(index.idf.keys() & query_tokens):
-        idf = index.idf[term]
-        for pos, tf in index.postings[term].items():
-            scores[pos] = scores.get(pos, 0.0) + idf * tf * (BM25_K1 + 1) / (tf + index.norms[pos])
-    entries = index.entries
+    get = scores.get
+    k1_plus_1 = BM25_K1 + 1
+    for term in sorted(index.postings.keys() & query_tokens):
+        tfs = Counter(index.postings[term])  # position -> tf; df is its length
+        idf = math.log(1 + (len(entries) - len(tfs) + 0.5) / (len(tfs) + 0.5))
+        for pos, tf in tfs.items():
+            scores[pos] = get(pos, 0.0) + idf * tf * k1_plus_1 / (tf + norms[pos])
     size = min(POOL_FACTOR * k, len(entries))
     ranked = [(-score, entries[pos].key, pos) for pos, score in scores.items()]
     if len(ranked) < size:

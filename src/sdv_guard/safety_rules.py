@@ -30,8 +30,9 @@ Atom semantics over one path (a finite event sequence):
 Hence ``A after B`` == ``B before A``, and ``A before A`` is false exactly
 when A occurs. A ``require`` rule passes iff its expression is true on every
 path; ``forbid`` passes iff it is false on every path. The first
-``MAX_WITNESSES`` failing paths are recorded as witnesses with the truth
-value of every atom on that path; the rest are counted.
+``MAX_WITNESSES`` failing paths, and no more than ``MAX_WITNESS_STEPS``
+steps of them but always the first, are recorded as witnesses with the
+truth value of every atom on that path; the rest are counted.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ _UNSEEN, _OPENED, _VIOLATED = 0, 1, 2
 MAX_RENDERED_PATH = 1000
 # most witnesses listed per rule; the report counts the violating paths past it
 MAX_WITNESSES = 1000
+# most steps the listed witnesses of one rule may hold together; the first
+# witness is listed whatever its length, and the paths past the cap are
+# counted. The largest total of the fixtures, the tests and the bench's
+# chain pools is 25,000 (1,000 witnesses of 25 steps).
+MAX_WITNESS_STEPS = 50_000
 # most (run, monitor state) pairs one rule may reach; the monitor product can
 # grow as 2^atoms, so a rule past it fails closed rather than run for minutes
 MAX_MONITOR_PAIRS = 250_000
@@ -133,7 +139,7 @@ class RuleResult:
     rule: SafetyRule
     verdict: str  # "pass" | "violated"
     witnesses: tuple[Witness, ...]
-    unlisted: int = 0  # violating paths past the MAX_WITNESSES listed
+    unlisted: int = 0  # violating paths past the witnesses listed
 
 
 @dataclass(frozen=True)
@@ -478,11 +484,13 @@ def _eval_rule(order: ChainOrder, rule: SafetyRule) -> RuleResult:
                 count[state] = 1 if verdict(after)[0] else 0
 
     # walk in declaration order entering only failing (run, state) pairs, up
-    # to MAX_WITNESSES witnesses; each stack entry carries the path length
-    # its run starts at, so entering it first cuts the steps back to that
+    # to MAX_WITNESSES witnesses of MAX_WITNESS_STEPS steps in all; each
+    # stack entry carries the path length its run starts at, so entering it
+    # first cuts the steps back to that
     violating = counts[0][initial]
     witnesses: list[Witness] = []
     steps: list[EventStep] = []
+    listed_steps = 0
     stack = [(0, initial, 0)] if violating else []
     while stack and len(witnesses) < MAX_WITNESSES:
         index, state, position = stack.pop()
@@ -491,6 +499,9 @@ def _eval_rule(order: ChainOrder, rule: SafetyRule) -> RuleResult:
         after = moves[index][state]
         successors = runs[index].successors
         if not successors:
+            listed_steps += len(steps)
+            if witnesses and listed_steps > MAX_WITNESS_STEPS:
+                break
             _fails, atom_values, value = verdict(after)
             witnesses.append(Witness(
                 sequence=EventSequence(steps=tuple(steps)),
@@ -515,7 +526,8 @@ def check(document: ChainDocument, ruleset: RuleSet) -> SafetyReport:
     run (``Run.events``) of each event the rule names;
     the number of failing paths on from each (run, state) pair is counted
     backward; and a walk in edge-declaration order that enters only pairs
-    with failing paths emits the first MAX_WITNESSES witnesses. The report
+    with failing paths emits the first MAX_WITNESSES witnesses, stopping
+    before one that would take them past MAX_WITNESS_STEPS steps. The report
     counts the violating paths past them. Cost: runs times monitor states,
     plus the listed witnesses' size. A rule whose forward pass reaches more
     than MAX_MONITOR_PAIRS (run, state) pairs is an

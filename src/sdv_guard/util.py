@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -22,6 +23,8 @@ _NORM_RE = re.compile(r"[^a-z0-9]+")
 # a space; a table that maps every ASCII character keeps str.translate fast
 _ASCII_SEPARATORS = str.maketrans({c: c if "a" <= c <= "z" or "0" <= c <= "9" else " "
                                    for c in map(chr, range(128))})
+# the same, except that a line break stays one
+_LINE_SEPARATORS = {**_ASCII_SEPARATORS, ord("\n"): "\n"}
 
 
 def tokenize(text: str) -> list[str]:
@@ -30,6 +33,15 @@ def tokenize(text: str) -> list[str]:
     if text.isascii():  # the same tokens, found faster than by the pattern
         return text.translate(_ASCII_SEPARATORS).split()
     return _TOKEN_RE.findall(text)
+
+
+def tokenize_each(texts: list[str]) -> Iterator[list[str]]:
+    """``tokenize`` of each text, lazily. ASCII texts without a line break are
+    lowercased and translated as one joined text, then split line by line."""
+    joined = "\n".join(texts)
+    if joined.isascii() and joined.count("\n") == len(texts) - 1:
+        return map(str.split, joined.lower().translate(_LINE_SEPARATORS).split("\n"))
+    return map(tokenize, texts)
 
 
 def normalize_name(text: str) -> str:
@@ -209,23 +221,59 @@ def load_json(text: str, error_type: type[SdvGuardError], what: str):
         raise error_type(f"{what} is not valid JSON: {exc}") from exc
 
 
+# first_json_array decodes from each "[" on a window of the text, from
+# _FIRST_WINDOW characters on, doubled while a decode fails within
+# _WINDOW_MARGIN of the window's end, where a literal, escape or number cut
+# short may be what failed
+_FIRST_WINDOW = 1024
+_WINDOW_MARGIN = 16
+# most characters its failed decodes may read in all: _SCAN_FACTOR times the
+# text's length, plus _SCAN_ALLOWANCE. Each "[" inside an unclosed one reads
+# on to where the outer one failed, so deep nesting before a long tail would
+# multiply the text's length by the depth.
+_SCAN_FACTOR = 4
+_SCAN_ALLOWANCE = 65_536
+
+
 def first_json_array(text: str, error_type: type[SdvGuardError], what: str) -> list | None:
     """The first JSON array in ``text``, which may sit in prose, decoded as
     ``load_json`` decodes; None when there is none. A ``[`` where no JSON
     starts is skipped, but an array that is JSON and breaks a strict rule
     (NaN, a number beyond a float's range, a lone surrogate, too deep a
-    nesting) is an ``error_type`` naming ``what``."""
+    nesting) is an ``error_type`` naming ``what``, and so is text whose
+    skipped ``[`` read more than a few times its length.
+
+    Each decode reads a window of the text that ends in a NUL, which JSON
+    accepts nowhere, so the scan stops in the window and a skipped ``[``
+    costs what the decoder read from it: decoding from ``[`` in the whole
+    text would cost its offset too, which a ``JSONDecodeError`` counts the
+    lines of. A decode that ends clear of the window's end reads the text as
+    a decode of the whole text would; one that breaks a strict rule is
+    repeated on the rest of the text, as a number it converted may have been
+    cut short."""
     decoder = json.JSONDecoder(**_STRICT)
-    start = text.find("[")
+    budget = _SCAN_FACTOR * len(text) + _SCAN_ALLOWANCE
+    start, size = text.find("["), _FIRST_WINDOW
     while start != -1:
+        window = text[start:start + size]
         try:  # JSON that starts with "[" is an array
-            value, end = decoder.raw_decode(text, start)
-            return _strict_strings(value, text[start:end])
-        except json.JSONDecodeError:
-            start = text.find("[", start + 1)
+            value, end = decoder.raw_decode(window + "\0")
+            return _strict_strings(value, window[:end])
+        except json.JSONDecodeError as exc:
+            budget -= exc.pos
+            if budget < 0:
+                raise error_type(f"{what} holds too many '[' that start no JSON array "
+                                 f"to scan them all") from None
+            if exc.pos >= size - _WINDOW_MARGIN and len(window) == size:
+                size *= 2  # the decode may have run out of window
+            else:
+                start, size = text.find("[", start + 1), _FIRST_WINDOW
         except RecursionError:
             raise error_type(f"{what} nests JSON too deeply to parse") from None
         except (ValueError, OverflowError) as exc:
+            if start + size < len(text):  # a number cut short may be what broke
+                size = len(text) - start
+                continue
             raise error_type(f"{what} is not valid JSON: {exc}") from exc
     return None
 

@@ -8,6 +8,10 @@ entry and sorting all of them by (-score, key), and the pool slice of
 uses the program's. Rankings must be equal and scores equal bit for bit,
 not within a tolerance: both sides add the same floats in the same order.
 Scores are compared as ``float.hex()``, which also tells -0.0 from 0.0.
+
+The index tokenizes a corpus of ASCII texts without line breaks in one pass
+over the joined text, and any other corpus text by text; both paths are
+compared with the reference, which tokenizes each text on its own.
 """
 
 import math
@@ -19,6 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sdv_guard import util
 from sdv_guard.catalog import CatalogEntry, parse_can_catalog, parse_vss_catalog
 from sdv_guard.pipeline.stages import catalog_index
 from sdv_guard.retrieval import (
@@ -158,6 +163,64 @@ def test_entries_without_tokens_score_zero_in_key_order():
         ("k01", "0x0.0p+0"), ("k02", "0x0.0p+0"), ("k03", "0x0.0p+0")]
 
 
+# the first four words send a corpus down the per-text path: three are not
+# ASCII (lowercasing keeps "ß", turns "İ" into "i" and a combining dot, and a
+# final "Σ" into "ς") and one holds a line break. "\r" and "\x1c" end lines
+# for str.splitlines but only separate tokens here.
+ODD_WORDS = ("Straße", "İNFO", "ΟΔΟΣ door", "brake\nlamp", "a\rb", "seat\x1cdoor",
+             "", "...", "BRAKE-Lamp", "K9")
+
+
+@st.composite
+def odd_corpora(draw, words) -> tuple[CatalogEntry, ...]:
+    texts = draw(st.lists(st.lists(st.sampled_from(words), max_size=4).map(" ".join),
+                          min_size=1, max_size=12))
+    keys = draw(st.permutations(range(len(texts))))
+    return tuple(CatalogEntry(key=f"k{keys[pos]:02d}", protocol="VSS", text=text)
+                 for pos, text in enumerate(texts))
+
+
+@pytest.mark.parametrize("words", [WORDS + ODD_WORDS, WORDS + ODD_WORDS[4:]],
+                         ids=["any-text", "ascii-one-line"])
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data(), k=st.integers(min_value=1, max_value=20))
+def test_odd_texts_rank_as_the_per_entry_scorer(words, data, k):
+    entries = data.draw(odd_corpora(words))
+    query = data.draw(st.lists(st.sampled_from(words + ("ghost",)), max_size=5).map(" ".join))
+    assume(any(tokenize(e.text) for e in entries))
+    _assert_matches_reference(entries, query, k)
+
+
+def _tokenize_calls(entries) -> int:
+    """How many texts ``build_index`` tokenizes one by one."""
+    calls = 0
+
+    def counted(text):
+        nonlocal calls
+        calls += 1
+        return tokenize(text)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(util, "tokenize", counted)
+        build_index(entries)
+    return calls
+
+
+@pytest.mark.parametrize("texts, one_by_one", [
+    (("brake lamp", "a\rb", "seat\x1cdoor", "", "..."), False),
+    (("brake lamp", "brake\nlamp"), True),
+    (("brake lamp", "Straße"), True),
+    (("brake lamp", "İ"), True),
+    (("\n",), True),
+    (("",), False),
+])
+def test_only_ascii_texts_without_line_breaks_are_tokenized_joined(texts, one_by_one):
+    entries = _corpus(*texts)
+    assert _tokenize_calls(entries) == (len(entries) if one_by_one else 0)
+    if any(tokenize(text) for text in texts):
+        _assert_matches_reference(entries, "brake lamp door stra i", 2)
+
+
 def _bench_catalogs(seed: int):
     rng = random.Random(seed)
     vss_text, leaves = gen.vss_catalog(rng, CATALOG_LEAVES)
@@ -171,6 +234,7 @@ def _bench_catalogs(seed: int):
 def test_bench_catalogs_rank_as_the_per_entry_scorer(seed):
     signal_catalog, message_catalog, codes = _bench_catalogs(seed)
     index = catalog_index(signal_catalog, message_catalog)
+    assert _tokenize_calls(index.entries) == 0  # the joined-text path
     reference = ReferenceIndex(index.entries)
     n_entries = len(index.entries)
     for code in codes:

@@ -11,10 +11,12 @@ from sdv_guard import safety_rules
 from sdv_guard.errors import RuleParseError, UnsupportedStructureError
 from sdv_guard.eventchain import ChainDocument, parse_activity_diagram, to_chain_document
 from sdv_guard.pipeline.cli import main
+from sdv_guard.util import dump_json
 from sdv_guard.safety_rules import (
     MAX_MONITOR_PAIRS,
     MAX_NESTING,
     MAX_RENDERED_PATH,
+    MAX_WITNESS_STEPS,
     MAX_WITNESSES,
     AndExpr,
     NotExpr,
@@ -449,6 +451,40 @@ def test_twenty_four_decisions_list_the_first_witnesses_and_count_the_rest():
                          " more violating paths)\n")
     assert text.count("more violating paths") == 1
     assert report.to_dict()["rules"][0]["unlisted_violating_paths"] == 2 ** 24 - MAX_WITNESSES
+
+
+def _long_prefix_then_decisions(actions: int, decisions: int) -> ChainDocument:
+    """``:go;``, ``actions`` plain actions, ``decisions`` sequential
+    decisions with one action on each arm, then ``:stop now;``."""
+    lines = ["@startuml", "start", ":go;", *(f":step {i};" for i in range(actions))]
+    for i in range(decisions):
+        lines += [f"if (c{i}) then (yes)", f":left {i};", "else (no)", f":right {i};", "endif"]
+    lines += [":stop now;", "stop", "@enduml"]
+    return to_chain_document(parse_activity_diagram("\n".join(lines) + "\n"))
+
+
+def test_long_witnesses_are_listed_up_to_the_step_cap():
+    # all 1,024 paths fail and each holds 5,012 steps: 1,000 listed witnesses
+    # made a 628 MB safety_iterN.json before the step cap
+    report = check(_long_prefix_then_decisions(5_000, 10),
+                   parse_rules("r: forbid go before stop-now\n"))
+    (result,) = report.results
+    path_steps = 5_000 + 10 + 2
+    listed = len(result.witnesses)
+    assert listed == MAX_WITNESS_STEPS // path_steps
+    assert result.unlisted == 1_024 - listed
+    assert result.witnesses[0].sequence.events[-2:] == ("left-9", "stop-now")
+    assert len(dump_json(report.to_dict())) < 8_000_000
+    assert render_report(report).endswith(f"({1_024 - listed} more violating paths)\n")
+
+
+def test_the_first_witness_is_listed_past_the_step_cap():
+    report = check(_long_prefix_then_decisions(MAX_WITNESS_STEPS, 1),
+                   parse_rules("r: forbid go before stop-now\n"))
+    (result,) = report.results
+    assert len(result.witnesses) == 1
+    assert len(result.witnesses[0].sequence.steps) == MAX_WITNESS_STEPS + 3
+    assert result.unlisted == 1
 
 
 def test_uncut_witness_lists_are_not_counted():
