@@ -337,17 +337,6 @@ def _sides(atom: RuleAtom) -> tuple[str, str]:
     return (atom.left, atom.right) if atom.op == "before" else (atom.right, atom.left)
 
 
-def _advance(state: int, opens: bool, closes: bool) -> int:
-    """One step of a precedence monitor on an event that opens and/or closes it.
-
-    ``A before B`` opens on A and is violated by a B while unseen; the
-    closing side is tested first, so a B that is also an A violates it.
-    """
-    if state != _UNSEEN:
-        return state
-    return _VIOLATED if closes else _OPENED if opens else _UNSEEN
-
-
 def _compile(expr: Expr) -> tuple[list[RuleAtom], list[tuple[str, int]]]:
     """The distinct atoms of ``expr`` and ``expr`` as a post-order program.
 
@@ -392,42 +381,32 @@ def _truth(program: list[tuple[str, int]], atom_values: list[bool]) -> bool:
     return values.pop()
 
 
-def _rule_monitor(order: ChainOrder, rule: SafetyRule):
-    """The rule as a product of precedence monitors, one per distinct atom.
-
-    Returns ``(initial, named, step, verdict)``. A state holds one of
-    _UNSEEN, _OPENED, _VIOLATED per atom, moved by ``_advance``. ``named``
-    is the set of chain events that some atom names, directly or through an
-    alias; every other event leaves every state as it is.
-    ``step(state, event)`` is the state after a named event;
-    ``verdict(state)`` is ``(fails, atom values, expression value)`` for a
-    path that ends in that state.
-    """
-    atoms, program = _compile(rule.expr)
+def _touches(rule: SafetyRule, atoms: list[RuleAtom],
+             events: set[str]) -> dict[str, dict[int, int]]:
+    """Per member of ``events`` that some atom names, directly or through an
+    alias: {atom index: the state that event moves the atom to from _UNSEEN}.
+    ``A before B`` opens on A and is violated by a B; the closing side wins,
+    so a B that is also an A violates it."""
     sides = [_sides(atom) for atom in atoms]
-    # the chain events each rule event stands for: itself and its aliases' matches
-    stands_for = {name: _stands_for(rule, name, order.events)
+    stands_for = {name: _stands_for(rule, name, events)
                   for name in {name for side in sides for name in side}}
-    # (opens, closes) per atom, for each chain event that touches some atom
-    effects = {
-        event: tuple((event in stands_for[opening], event in stands_for[closing])
-                     for opening, closing in sides)
-        for event in set().union(*stands_for.values())
-    }
+    touches: dict[str, dict[int, int]] = {}
+    for index, side in enumerate(sides):
+        for state, name in zip((_OPENED, _VIOLATED), side):
+            for event in stands_for[name]:
+                touches.setdefault(event, {})[index] = state
+    return touches
+
+
+def _eval_rule(order: ChainOrder, rule: SafetyRule) -> RuleResult:
+    # a product of precedence monitors: a state holds one of _UNSEEN,
+    # _OPENED, _VIOLATED per distinct atom
+    atoms, program = _compile(rule.expr)
+    touches = _touches(rule, atoms, order.events)
     texts = [atom.text() for atom in atoms]
-    transitions: dict[tuple[tuple[int, ...], str], tuple[int, ...]] = {}
     verdicts: dict[tuple[int, ...], tuple[bool, tuple[tuple[str, bool], ...], bool]] = {}
 
-    def step(state: tuple[int, ...], event: str) -> tuple[int, ...]:
-        key = (state, event)
-        nxt = transitions.get(key)
-        if nxt is None:
-            nxt = transitions[key] = tuple(
-                _advance(s, opens, closes) for s, (opens, closes) in zip(state, effects[event])
-            )
-        return nxt
-
-    def verdict(state: tuple[int, ...]):
+    def verdict(state: tuple[int, ...]):  # (fails, atom values, expression value)
         found = verdicts.get(state)
         if found is None:
             values = [s != _VIOLATED for s in state]
@@ -439,17 +418,13 @@ def _rule_monitor(order: ChainOrder, rule: SafetyRule):
             )
         return found
 
-    return (_UNSEEN,) * len(atoms), effects.keys(), step, verdict
-
-
-def _eval_rule(order: ChainOrder, rule: SafetyRule) -> RuleResult:
-    initial, named, step, verdict = _rule_monitor(order, rule)
+    initial = (_UNSEEN,) * len(atoms)
     runs = order.runs
 
     # forward: per run, the monitor states it can be entered in and the
-    # state it leaves in for each; the monitor steps only at the first
-    # occurrence in the run of each event the rule names, since a monitor
-    # leaves _UNSEEN for good at the first event that touches it
+    # state it leaves in for each. A monitor leaves _UNSEEN for good at the
+    # first event that touches it, so a run moves a state by its first-touch
+    # table: the state the first touching event gives each atom it touches
     moves: list[dict[tuple[int, ...], tuple[int, ...]]] = []
     entry: list[set[tuple[int, ...]]] = [set() for _ in runs]
     entry[0].add(initial)
@@ -460,12 +435,19 @@ def _eval_rule(order: ChainOrder, rule: SafetyRule) -> RuleResult:
             raise UnsupportedStructureError(
                 f"rule '{rule.name}' reaches {pairs} (run, monitor state) pairs, "
                 f"more than the limit of {MAX_MONITOR_PAIRS}")
-        hits = [event for event in run.events if event in named]
+        first: dict[int, int] = {}
+        for event in reversed(run.events):  # earlier events overwrite later ones
+            if event in touches:
+                first.update(touches[event])
         move = {}
         for state in entry[index]:
             after = state
-            for event in hits:
-                after = step(after, event)
+            if first:
+                after = list(state)
+                for atom, value in first.items():
+                    if after[atom] == _UNSEEN:
+                        after[atom] = value
+                after = tuple(after)
             move[state] = after
         moves.append(move)
         for dst in run.successors:
@@ -522,17 +504,19 @@ def check(document: ChainDocument, ruleset: RuleSet) -> SafetyReport:
 
     The graph is checked and cut into straight runs once, by ``ChainOrder``.
     Per rule, the reachable monitor states are propagated forward over the
-    runs in topological order, stepping only at the first occurrence in each
-    run (``Run.events``) of each event the rule names;
+    runs in topological order, each run moving a state by its first-touch
+    table, built once from ``Run.events``: the state that the first event
+    touching each atom gives it, taken by the atoms still _UNSEEN;
     the number of failing paths on from each (run, state) pair is counted
     backward; and a walk in edge-declaration order that enters only pairs
     with failing paths emits the first MAX_WITNESSES witnesses, stopping
     before one that would take them past MAX_WITNESS_STEPS steps. The report
-    counts the violating paths past them. Cost: runs times monitor states,
-    plus the listed witnesses' size. A rule whose forward pass reaches more
-    than MAX_MONITOR_PAIRS (run, state) pairs is an
-    ``UnsupportedStructureError``. An empty rule set checks nothing, not
-    even the structure.
+    counts the violating paths past them. Cost: O(run events + touched
+    atoms) per run, plus a pass over the run's touched atoms and a copy of
+    the state per (run, state) pair, plus the listed witnesses' size. A rule
+    whose forward pass reaches more than MAX_MONITOR_PAIRS (run, state) pairs
+    is an ``UnsupportedStructureError``. An empty rule set checks nothing,
+    not even the structure.
     """
     if not ruleset.rules:
         return SafetyReport(results=(), chain_digest=chain_digest(document))
@@ -545,10 +529,7 @@ def _abbreviated_path(events: tuple[str, ...], rule: SafetyRule) -> str:
     """A path longer than MAX_RENDERED_PATH events, shown as the events that
     the rule's atoms name, directly or through an alias, with each run of
     other events replaced by its length."""
-    atoms, _program = _compile(rule.expr)
-    names = {name for atom in atoms for name in (atom.left, atom.right)}
-    distinct = set(events)
-    named = set().union(*(_stands_for(rule, name, distinct) for name in names))
+    named = _touches(rule, _compile(rule.expr)[0], set(events))
     parts: list[str] = []
     skipped = 0
     for event in events:

@@ -63,9 +63,13 @@ def sha256_bytes(data: bytes) -> str:
 def mismatched_files(base: Path, expected) -> list[str]:
     """Re-hash recorded files under ``base``; ``expected`` yields
     (name, relative path, sha256). Returns, in order, the names whose file is
-    missing, unreadable or no longer matches its digest."""
+    missing, unreadable or no longer matches its digest. A path that is
+    absolute or holds ``..`` could leave ``base``: it is a
+    ``ConfigurationError`` and is never read."""
     mismatched: list[str] = []
     for name, rel, digest in expected:
+        if Path(rel).is_absolute() or ".." in Path(rel).parts:
+            raise ConfigurationError(f"recorded path '{rel}' of '{name}' leaves '{base}'")
         try:
             actual = sha256_bytes((base / rel).read_bytes())
         except OSError:

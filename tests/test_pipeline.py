@@ -38,7 +38,7 @@ from sdv_guard.pipeline.cli import main
 from sdv_guard.pipeline.runs import _ArtifactWriter
 from sdv_guard.pipeline.stages import catalog_index, ground_code
 from sdv_guard.retrieval import build_index
-from sdv_guard.util import read_text, sha256_text, write_atomic
+from sdv_guard.util import read_text, sha256_bytes, sha256_text, write_atomic
 
 from conftest import replay_gateway, scripted_gateway, write_dies_half_way
 
@@ -414,6 +414,20 @@ def test_verify_artifacts_counts_an_unreadable_artifact_as_changed(tmp_path):
     assert verify_artifacts(load_run_record(tmp_path), tmp_path) == ["dir", "gone"]
 
 
+@pytest.mark.parametrize("escaping", ["../outside.txt", "sub/../../outside.txt", "ABSOLUTE"])
+def test_verify_artifacts_rejects_a_path_that_leaves_the_run(tmp_path, escaping):
+    outside = tmp_path / "outside.txt"
+    outside.write_text("secret\n")
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    rel = str(outside) if escaping == "ABSOLUTE" else escaping
+    (run_dir / "run.json").write_text(json.dumps({"artifacts": {"x": {
+        "path": rel, "sha256": sha256_bytes(outside.read_bytes())}}}))
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"recorded path '{rel}' of 'x' leaves '{run_dir}'")):
+        verify_artifacts(load_run_record(run_dir), run_dir)
+
+
 # ---------------------------------------------------------------------------
 # topology runs
 
@@ -705,6 +719,17 @@ def test_deploy_to_directory_and_verify(artifact_dir, tmp_path):
     (target / "report.txt").write_text("overall: violated\n")
     (target / "sub" / "run.json").unlink()
     assert verify_receipt(receipt) == ["report.txt", "sub/run.json"]
+
+
+def test_verify_receipt_rejects_a_path_that_leaves_the_target(artifact_dir, tmp_path):
+    target = tmp_path / "drop"
+    receipt = deploy_stub(artifact_dir, str(target))
+    rel, digest = receipt.files[0]
+    escaping = Receipt(target=receipt.target, kind="directory",
+                       files=((f"../artifacts/{rel}", digest),))
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"recorded path '../artifacts/{rel}' of '../artifacts/{rel}' leaves '{target}'")):
+        verify_receipt(escaping)
 
 
 def _finish_run(out_dir, verdict):

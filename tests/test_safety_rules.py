@@ -1,6 +1,7 @@
 """Temporal rule parsing and evaluation over event-chain paths."""
 
 import json
+import statistics
 import time
 
 import pytest
@@ -502,6 +503,34 @@ def test_deep_hand_built_expression_is_checked_without_recursion():
     rule = SafetyRule(name="deep", expr=AndExpr((expr,)))
     report = check(linear_chain(("b", "a")), RuleSet(rules=(rule,)))
     assert report.overall == "pass"  # an odd number of 'not's over a false atom
+
+
+def _pairwise_or_rule(atoms: int) -> tuple[ChainDocument, RuleSet]:
+    """A straight chain e0 ... e(2n-1) and the rule ``e1 before e0 or e3
+    before e2 or ...`` of n atoms, each violated by the chain."""
+    document = linear_chain([f"e{i}" for i in range(2 * atoms)])
+    expr = OrExpr(tuple(RuleAtom(f"e{2 * i + 1}", "before", f"e{2 * i}")
+                        for i in range(atoms)))
+    return document, RuleSet(rules=(SafetyRule(name="r", expr=expr),))
+
+
+def _check_cpu_ms(atoms: int) -> float:
+    """Median process-CPU time of checking ``_pairwise_or_rule(atoms)``, in ms."""
+    document, ruleset = _pairwise_or_rule(atoms)
+    times = []
+    for _ in range(5):
+        began = time.process_time()
+        assert check(document, ruleset).overall == "violated"
+        times.append(time.process_time() - began)
+    return statistics.median(times) * 1e3
+
+
+def test_checking_cost_grows_linearly_with_atoms_and_events():
+    # n against 8n: work linear in atoms and events costs about 8 times as
+    # much, work that grows as atoms × events about 64 times
+    small = _check_cpu_ms(250)
+    large = _check_cpu_ms(2_000)
+    assert large < 16 * max(small, 0.5)
 
 
 # ---------------------------------------------------------------------------

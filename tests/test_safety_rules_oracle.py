@@ -1,8 +1,8 @@
 """Rule checking and path enumeration against the implementations they replaced.
 
 ``check`` runs a product of precedence monitors over the chain's straight
-runs, stepping only at the events a rule names, and never enumerates passing
-paths; ``enumerate_paths`` walks the runs with an explicit
+runs, moving each state once per run by the run's first-touch table, and
+never enumerates passing paths; ``enumerate_paths`` walks the runs with an explicit
 stack. The references below are kept verbatim: a recursive path
 enumerator; a checker that evaluates every atom on every path it yields;
 and the per-node checker, which stepped the same monitors at every node in
@@ -37,6 +37,7 @@ from sdv_guard.eventchain import (
     to_chain_document,
 )
 from sdv_guard.safety_rules import (
+    _OPENED,
     _UNSEEN,
     _VIOLATED,
     VERDICT_PASS,
@@ -51,7 +52,6 @@ from sdv_guard.safety_rules import (
     SafetyRule,
     Witness,
     check,
-    _advance,
     _compile,
     _sides,
     _stands_for,
@@ -252,6 +252,17 @@ class _NodeOrder:
             stack.extend((dst, False) for dst in reversed(outgoing[node_id]))
         finished.reverse()
         self.topological = finished
+
+
+def _advance(state: int, opens: bool, closes: bool) -> int:
+    """One step of a precedence monitor on an event that opens and/or closes it.
+
+    ``A before B`` opens on A and is violated by a B while unseen; the
+    closing side is tested first, so a B that is also an A violates it.
+    """
+    if state != _UNSEEN:
+        return state
+    return _VIOLATED if closes else _OPENED if opens else _UNSEEN
 
 
 def _node_rule_monitor(order: _NodeOrder, rule: SafetyRule):
@@ -853,3 +864,60 @@ def test_atom_truth_matches_reference(seed):
         assert atom_holds(events, atom) == _ref_eval_atom(sequence, atom)
         assert atom_holds(events, atom, _ATOM_RULE.aliases) \
             == _ref_eval_atom(sequence, atom, _ATOM_RULE)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relation: actions whose events no rule names change no result.
+# The references above share the checker's parsing and its alias lookup, so
+# this relation is checked against the inputs alone: which events a rule
+# names is read from its atoms and alias lines, not through the checker
+
+
+_FILLERS = ("idle", "idle-radar", "detect-idle", "bus")  # "idle" no rule names
+
+
+def _rule_names(rule: SafetyRule, event: str) -> bool:
+    """Whether an atom of ``rule`` names ``event``, directly or through one
+    of the alias globs given for that atom's event."""
+    aliases = dict(rule.aliases)
+    return any(event == side or any(fnmatchcase(event, p) for p in aliases.get(side, ()))
+               for atom in _ref_expr_atoms(rule.expr) for side in (atom.left, atom.right))
+
+
+def _with_fillers(rng, document: ChainDocument, fillers: list[str]) -> ChainDocument:
+    """``document`` with one to four actions of ``fillers`` events, each
+    inserted on a random edge; every edge keeps its place among its source's
+    outgoing edges."""
+    nodes, edges, events = list(document.graph.nodes), list(document.graph.edges), \
+        list(document.events)
+    for index in range(rng.randint(1, 4)):
+        node_id, event = f"filler{index}", rng.choice(fillers)
+        nodes.append(Node(node_id, "action", event))
+        events.append((node_id, event))
+        at = rng.randrange(len(edges))
+        edges[at:at + 1] = [edges[at]._replace(dst=node_id), Edge(node_id, edges[at].dst)]
+    return ChainDocument(graph=ActivityGraph(nodes=tuple(nodes), edges=tuple(edges)),
+                         events=tuple(events))
+
+
+def _named_view(rule: SafetyRule, result: RuleResult) -> list:
+    """Each listed witness as the events ``rule`` names, its atom values and
+    its expression value."""
+    return [(tuple(e for e in w.sequence.events if _rule_names(rule, e)),
+             w.atom_values, w.expr_value) for w in result.witnesses]
+
+
+@pytest.mark.parametrize("seed", range(400))
+def test_actions_that_no_rule_names_change_no_result(seed):
+    rng = random.Random(seed)
+    document = _random_diagram(rng)
+    ruleset = _random_rules(rng)
+    fillers = [e for e in _FILLERS if not any(_rule_names(r, e) for r in ruleset.rules)]
+    padded = _with_fillers(rng, document, fillers)
+    assert len(padded.events) > len(document.events)
+    for rule, before, after in zip(ruleset.rules, check(document, ruleset).results,
+                                   check(padded, ruleset).results):
+        assert after.verdict == before.verdict
+        assert len(after.witnesses) + after.unlisted == len(before.witnesses) + before.unlisted
+        if not before.unlisted and not after.unlisted:
+            assert _named_view(rule, after) == _named_view(rule, before)
