@@ -12,9 +12,12 @@ relative path under each. The stdout and exit code of each command, and the
 bytes of every file written under ``out/`` except ``run.json`` (which holds
 timestamps), must equal the running interpreter's.
 
-Prints one line per interpreter, ``same`` or the number of differences, and
-each difference under it. Exits 0 when every interpreter agrees, 1 when one
-differs, and 2 when no interpreter is given or one cannot be started.
+Each ``PY`` is first asked its version with ``PY -c ...``; one that cannot
+start, exits non-zero or hangs cannot run Python and is not compared. Prints
+one line per interpreter, ``cannot run`` and why, or the version compared
+and ``same`` or the number of differences, with each difference under it.
+Exits 0 when every interpreter agrees, 1 when one differs, and 2 when no
+interpreter is given or one cannot run Python.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+VERSION_TIMEOUT_S = 60  # for an interpreter to report its version
 _SHELL_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
@@ -74,22 +78,46 @@ def differences(expected: dict, actual: dict) -> list[str]:
             if expected.get(name) != actual.get(name)]
 
 
+def python_version(python: str) -> str:
+    """The version ``python`` reports. A ``RuntimeError`` says why when it
+    cannot start, exits non-zero or does not answer in time, as a shell
+    shim for an interpreter that is not installed does."""
+    try:
+        done = subprocess.run([python, "-c", "import sys; print(sys.version.split()[0])"],
+                              capture_output=True, text=True, timeout=VERSION_TIMEOUT_S)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        raise RuntimeError(exc) from None
+    if done.returncode != 0:
+        said = (done.stderr or done.stdout).strip().splitlines()
+        raise RuntimeError(f"exit code {done.returncode}" + (f": {said[0]}" if said else ""))
+    return done.stdout.strip()
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    commands = readme_commands()
-    reference = run_all(sys.executable, commands)
     status = 0
+    runnable = []  # (interpreter, its version)
     for python in argv:
         try:
+            runnable.append((python, python_version(python)))
+        except RuntimeError as exc:
+            print(f"{python}: cannot run: {exc}")
+            status = 2
+    if not runnable:
+        return status
+    commands = readme_commands()
+    reference = run_all(sys.executable, commands)
+    for python, version in runnable:
+        try:
             found = differences(reference, run_all(python, commands))
-        except OSError as exc:  # no such interpreter
+        except (OSError, subprocess.TimeoutExpired) as exc:
             print(f"{python}: cannot run: {exc}")
             status = 2
             continue
         print(f"{python}: {'same' if not found else f'{len(found)} differences'}"
-              f" ({len(commands)} commands, {len(reference)} results)")
+              f" (Python {version}, {len(commands)} commands, {len(reference)} results)")
         for line in found:
             print(f"  {line}")
         if found:

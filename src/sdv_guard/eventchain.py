@@ -57,7 +57,7 @@ from .errors import (
 from .llm_gateway import PC2, CompletionRequest, LlmGateway, prompt_digest, render_prompt
 from .util import (
     canonical_json,
-    json_strings,
+    json_scalars,
     load_json,
     normalize_name,
     plantuml_body,
@@ -311,7 +311,7 @@ def serialize_chain(document: ChainDocument) -> str:
     ``id``, ``kind``, ``label`` and, when present, ``event`` and ``notes``;
     edges with ``from``, ``to`` and, when present, ``guard``; the metadata),
     written without building that dict: every string comes from one
-    ``json_strings`` call, and each node and edge is one f-string with its
+    ``json_scalars`` call, and each node and edge is one f-string with its
     keys in sorted order. ``ChainDocument.text`` keeps it.
     """
     nodes, edges = document.graph.nodes, document.graph.edges
@@ -320,9 +320,9 @@ def serialize_chain(document: ChainDocument) -> str:
     # source, target and guard; zip draws from its arguments left to right
     # and stops at the first one exhausted, so each zip below takes exactly
     # its own share
-    texts = iter(json_strings(chain(events.values(),
+    texts = iter(json_scalars(chain(events.values(),
                                     chain.from_iterable(map(itemgetter(0, 1, 2), nodes)),
-                                    chain.from_iterable(edges))))
+                                    chain.from_iterable(edges)), ensure_ascii=False))
     event_text = dict(zip(events, texts))
     node_texts = []
     for node, node_id, kind, label in zip(nodes, texts, texts, texts):

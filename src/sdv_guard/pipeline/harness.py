@@ -38,7 +38,7 @@ from ..errors import ConfigurationError, SdvGuardError
 from ..eventchain import generate_chain
 from ..llm_gateway import LlmGateway, ReplayStore
 from ..safety_rules import VERDICT_PASS, VERDICT_VIOLATED, check, parse_rules
-from ..util import load_json, read_text
+from ..util import canonical_json, load_json, read_text
 from .config import PipelineConfig
 from .stages import catalog_index, extract_grounded, load_catalogs
 
@@ -122,7 +122,10 @@ def parse_manifest(path: str | Path) -> list[Scenario]:
     for obj in raw["scenarios"]:
         if not isinstance(obj, dict):
             raise ConfigurationError("every scenario must be an object")
-        scenario_id = str(obj.get("id", "")) or "(unnamed)"
+        scenario_id = obj.get("id", "(unnamed)")
+        if not isinstance(scenario_id, str) or not scenario_id:
+            raise ConfigurationError(
+                f"scenario id {canonical_json(scenario_id)} must be a non-empty string")
         if scenario_id in seen:
             raise ConfigurationError(f"duplicate scenario id '{scenario_id}'")
         seen.add(scenario_id)

@@ -39,10 +39,11 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain, islice
 from types import MappingProxyType
 
 from ..errors import InstanceParseError, MetamodelError, ModelImportError
-from ..util import RecordColumns, dump_json, load_json, parse_number, plantuml_body
+from ..util import dump_json, json_scalars, load_json, parse_number, plantuml_body
 
 # a class, enum, attribute or reference name, and an object id: the one
 # grammar of both instance forms, the JSON one and the object diagram
@@ -356,14 +357,27 @@ def parse_instance(text: str) -> InstanceModel:
 
 def serialize_instance(model: InstanceModel) -> str:
     """The canonical JSON form: the objects by id, each ``{"id", "class",
-    "attributes", "references"}``, handed to ``dump_json`` as columns."""
+    "attributes", "references"}``, byte for byte what ``dump_json(...,
+    ensure_ascii=False)`` writes. The layout is written here, with the text
+    of the names and scalars from ``json_scalars``."""
     objects = sorted(model.objects.values(), key=lambda o: o.id)
-    return dump_json({"objects": RecordColumns({
-        "id": [obj.id for obj in objects],
-        "class": [obj.cls for obj in objects],
-        "attributes": [obj.attrs for obj in objects],
-        "references": [obj.refs for obj in objects],
-    })}, ensure_ascii=False)
+    if not objects:
+        return '{\n  "objects": []\n}\n'
+    # the attributes of each object, then the references of each, by name
+    dicts = ([sorted(obj.attrs.items()) for obj in objects]
+             + [sorted(obj.refs.items()) for obj in objects])
+    texts = json_scalars(chain.from_iterable(chain.from_iterable(dicts)), ensure_ascii=False)
+    members = iter([f"{name}: {value}" for name, value in zip(texts[::2], texts[1::2])])
+    bodies = [",\n        ".join(islice(members, len(pairs))) for pairs in dicts]
+    bodies = [f"{{\n        {body}\n      }}" if body else "{}" for body in bodies]
+    ids = json_scalars([obj.id for obj in objects], ensure_ascii=False)
+    classes = json_scalars([obj.cls for obj in objects], ensure_ascii=False)
+    items = ",\n    ".join([
+        f'{{\n      "attributes": {attributes},\n      "class": {cls},\n      "id": {object_id},\n'
+        f'      "references": {references}\n    }}'
+        for attributes, cls, object_id, references
+        in zip(bodies, classes, ids, bodies[len(objects):])])
+    return f'{{\n  "objects": [\n    {items}\n  ]\n}}\n'
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,11 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from ..errors import ConstraintError
-from ..util import MAX_NESTING, RecordColumns, TokenStream, dump_json, parse_number
+from ..util import MAX_NESTING, TokenStream, json_scalars, parse_number
 from .model import InstanceModel, Metamodel, ModelObject
 
 _TOKEN_SPEC = [
@@ -623,14 +624,23 @@ class TopologyReport:
         return VERDICT_FAIL if self.failing else VERDICT_PASS
 
     def to_json(self) -> str:
-        """The document of ``topology_iterN.json``: ``overall``, then one
-        object per row with its constraint, object, verdict and, only when
-        not empty, reason. The rows are handed over as columns."""
-        constraints, objects, verdicts, reasons = zip(*self.rows) if self.rows else ((),) * 4
-        return dump_json({"overall": self.overall, "rows": RecordColumns({
-            "constraint": constraints, "object": objects, "verdict": verdicts,
-            "reason": [reason or None for reason in reasons],  # None leaves the key out
-        })})
+        """The document of ``topology_iterN.json``, byte for byte what
+        ``dump_json`` writes: ``overall``, then one object per row with its
+        constraint, object, verdict and, only when not empty, reason. The
+        layout is written here, with the text of each distinct string from
+        one ``json_scalars`` call."""
+        if not self.rows:
+            return f'{{\n  "overall": "{self.overall}",\n  "rows": []\n}}\n'
+        strings = list(set(chain.from_iterable(self.rows)))
+        text = dict(zip(strings, json_scalars(strings)))
+        rows = ",\n    ".join([
+            f'{{\n      "constraint": {text[constraint]},\n      "object": {text[object_id]},\n'
+            f'      "reason": {text[reason]},\n      "verdict": {text[verdict]}\n    }}'
+            if reason else
+            f'{{\n      "constraint": {text[constraint]},\n      "object": {text[object_id]},\n'
+            f'      "verdict": {text[verdict]}\n    }}'
+            for constraint, object_id, verdict, reason in self.rows])
+        return f'{{\n  "overall": "{self.overall}",\n  "rows": [\n    {rows}\n  ]\n}}\n'
 
 
 def eval_constraints(model: InstanceModel, constraints: ConstraintSet,

@@ -12,7 +12,6 @@ import re
 from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import CatalogParseError, ConfigurationError, SdvGuardError
@@ -282,174 +281,20 @@ def first_json_array(text: str, error_type: type[SdvGuardError], what: str) -> l
     return None
 
 
-class RecordColumns:
-    """A list of records held as columns, which ``dump_json`` writes without
-    building a dict per record: record i holds ``name: column[i]`` for each
-    column whose value at i is not None. ``records()`` is that list."""
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns: dict):
-        self.columns = columns  # field name -> its values, one per record
-
-    def records(self) -> list[dict]:
-        names = list(self.columns)
-        return [{name: value for name, value in zip(names, values) if value is not None}
-                for values in zip(*self.columns.values())]
-
-
-_CONTAINERS = (dict, list, tuple, RecordColumns)
-_STRING_OR_NONE = frozenset({str, type(None)})
-
-
-def _flat(values) -> bool:
-    """No value is a container. Each type among the values is tested once."""
-    return not any(map(issubclass, set(map(type, values)), repeat(_CONTAINERS)))
-
-
-def _flat_dicts(items) -> bool:
-    """Every item is a dict of scalars. Checked without a Python step per
-    item: each type among the values is tested once."""
-    return (all(map(isinstance, items, repeat(dict)))
-            and not any(issubclass(kind, _CONTAINERS) for kind in
-                        set(map(type, chain.from_iterable(map(dict.values, items))))))
-
-
-def _default(value):
-    """The encoders' ``default`` hook: a RecordColumns is its records; any
-    other value of no JSON type is json.dumps's error."""
-    if isinstance(value, RecordColumns):
-        return value.records()
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-# what dump_json checks each C encoder against: nested containers, flat rows,
-# empty containers, non-ASCII text and keys out of order
-_LAYOUT_SAMPLE = {
-    "rows": [{"z": 1, "a": "\u00b0C"}, {"b": -2.5, "c": None}],
-    "tree": {"list": [[1, True], {"k": [], "e": {}}], "text": "\u2603 \U0001f600 \"q\"\n"},
-    "empty": (),
-}
-_LAYOUT_CHECKED: dict = {}  # each c_make_encoder met -> whether its layout matched
-
-
 def dump_json(value, *, sort_keys: bool = True, ensure_ascii: bool = True) -> str:
     """The one layout of every indented JSON file: 2-space indent, a final
-    newline; keys sorted and non-ASCII escaped unless a flag says otherwise.
-    A ``RecordColumns`` is written as its records.
-
-    The text is exactly ``json.dumps(value, indent=2, ...) + "\\n"``. CPython
-    writes ``indent`` output with its pure-Python encoder, so this hands each
-    container of scalars to the C encoder instead, with the indent of its
-    depth as the item separator, and lays out in Python only the containers
-    above them. The C encoder is private API: the first time one is met, its
-    layout of a small sample is checked against ``json.dumps``, and on a
-    ``TypeError`` or any difference ``json.dumps`` writes from then on."""
-    make_encoder = json.encoder.c_make_encoder
-    if make_encoder is not None and make_encoder not in _LAYOUT_CHECKED:
-        try:
-            _LAYOUT_CHECKED[make_encoder] = all(  # each value of each flag
-                _fast_dump(_LAYOUT_SAMPLE, make_encoder, string, flag)
-                == json.dumps(_LAYOUT_SAMPLE, indent=2, sort_keys=flag, ensure_ascii=flag) + "\n"
-                for flag, string in ((True, json.encoder.encode_basestring_ascii),
-                                     (False, json.encoder.encode_basestring)))
-        except TypeError:  # called with a signature it no longer has
-            _LAYOUT_CHECKED[make_encoder] = False
-    if make_encoder is None or not _LAYOUT_CHECKED[make_encoder]:
-        # no C accelerator, as on other interpreters, or one that lays out otherwise
-        return json.dumps(value, indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii,
-                          default=_default) + "\n"
-    string = json.encoder.encode_basestring_ascii if ensure_ascii else json.encoder.encode_basestring
-    return _fast_dump(value, make_encoder, string, sort_keys)
+    newline; keys sorted and non-ASCII escaped unless a flag says otherwise."""
+    return json.dumps(value, indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii) + "\n"
 
 
-def _fast_dump(value, make_encoder, string, sort_keys: bool) -> str:
-    """``dump_json``'s text, written with ``make_encoder`` (CPython's
-    ``c_make_encoder``) and the string encoder ``string``."""
-    encoders = []  # encoders[d] starts each item on a line d + 1 levels in
-
-    def encode(item, depth: int) -> str:
-        while len(encoders) <= depth:
-            separator = ",\n" + "  " * (len(encoders) + 1)
-            encoders.append(make_encoder(None, _default, string, None, ": ",
-                                         separator, sort_keys, False, True))
-        # the C encoder may return its text in several chunks
-        return "".join(encoders[depth](item, 0))
-
-    def key(name) -> str:
-        if isinstance(name, str):
-            return string(name)
-        if name is None or isinstance(name, (int, float)):  # as its value, quoted
-            return string(encode(name, 0))
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {name.__class__.__name__}")
-
-    def dicts(items, depth: int) -> list[str]:
-        """The text of each dict of scalars of the non-empty ``items`` at
-        ``depth``, from one call: the list's items and each dict's items share
-        the separator, but a dict of scalars holds "}" + separator + "{"
-        nowhere, because strings escape newlines, no scalar ends in "}" and no
-        key opens with "{"."""
-        outer, inner = "  " * depth, "  " * (depth + 1)
-        bodies = encode(items, depth)[2:-2].split(f"}},\n{inner}{{")
-        return [f"{{\n{inner}{body}\n{outer}}}" if body else "{}" for body in bodies]
-
-    def records(columns: dict, depth: int) -> str:
-        """A RecordColumns at ``depth``, written a column at a time: a column
-        of strings escapes each distinct one once, a column of dicts of
-        scalars is one ``dicts`` call, and each record joins its fields."""
-        if not min(map(len, columns.values()), default=0):
-            return "[]"
-        row, field = "  " * (depth + 1), "  " * (depth + 2)
-        fields = []  # per column, each record's ",\n" + indent + key + value, or ""
-        for name in sorted(columns) if sort_keys else columns:
-            values = columns[name]
-            lead = f",\n{field}{key(name)}: "
-            if set(map(type, values)) <= _STRING_OR_NONE:
-                text = {value: lead + string(value) for value in set(values) - {None}}
-                text[None] = ""
-                fields.append(map(text.__getitem__, values))
-            elif _flat_dicts(values):
-                fields.append(map(lead.__add__, dicts(values, depth + 2)))
-            else:
-                fields.append(["" if value is None else lead + write(value, depth + 2)
-                               for value in values])
-        body = f",\n{row}".join([f"{{{text[1:]}\n{row}}}" if text else "{}"
-                                 for text in map("".join, zip(*fields))])
-        return f"[\n{row}{body}\n{'  ' * depth}]"
-
-    def write(item, depth: int) -> str:
-        if not isinstance(item, _CONTAINERS):
-            return encode(item, 0)
-        if isinstance(item, RecordColumns):
-            return records(item.columns, depth)
-        outer, inner = "  " * depth, "  " * (depth + 1)
-        is_dict = isinstance(item, dict)
-        if _flat(item.values() if is_dict else item):
-            text = encode(item, depth)
-            if len(text) == 2:  # empty
-                return text
-            return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
-        separator = ",\n" + inner
-        if not is_dict:
-            children = (dicts(item, depth + 1) if _flat_dicts(item)
-                        else [write(child, depth + 1) for child in item])
-            return f"[\n{inner}{separator.join(children)}\n{outer}]"
-        pairs = sorted(item.items()) if sort_keys else item.items()
-        body = separator.join([f"{key(name)}: {write(child, depth + 1)}"
-                               for name, child in pairs])
-        return f"{{\n{inner}{body}\n{outer}}}"
-
-    return write(value, 0) + "\n"
-
-
-def json_strings(values) -> list[str]:
-    """The JSON text of each string (or None) in ``values``, as
-    ``canonical_json`` writes it, from one ``dump_json`` call: no string's
-    text holds a line break, so the indented list splits at its item
-    separator."""
-    text = dump_json(list(values), sort_keys=False, ensure_ascii=False)
-    return text[4:-3].split(",\n  ") if len(text) > 3 else []
+def json_scalars(values, ensure_ascii: bool = True) -> list[str]:
+    """The JSON text of each scalar in ``values``, exactly as ``json.dumps(value,
+    ensure_ascii=ensure_ascii)`` writes it, for the writers that lay out a
+    large document themselves. It comes from one ``json.dumps`` of the list
+    with ",\n" between items, which the text of no scalar holds: a string's
+    line breaks are escaped."""
+    text = json.dumps(list(values), ensure_ascii=ensure_ascii, separators=(",\n", ": "))
+    return text[1:-1].split(",\n") if text != "[]" else []
 
 
 def canonical_json(value) -> str:

@@ -6,6 +6,8 @@ import importlib.util
 import subprocess
 import sys
 
+import pytest
+
 from conftest import ROOT
 
 SCRIPT = ROOT / "scripts" / "cross_python.py"
@@ -34,7 +36,8 @@ def test_the_running_interpreter_agrees_with_itself():
     done = subprocess.run([sys.executable, str(SCRIPT), sys.executable],
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout == f"{sys.executable}: same (10 commands, 54 results)\n"
+    version = sys.version.split()[0]
+    assert done.stdout == f"{sys.executable}: same (Python {version}, 10 commands, 54 results)\n"
 
 
 def test_no_interpreter_is_a_usage_error():
@@ -42,3 +45,30 @@ def test_no_interpreter_is_a_usage_error():
                           timeout=60)
     assert done.returncode == 2
     assert done.stderr.startswith("Usage: python scripts/cross_python.py PY")
+
+
+def _fake_python(tmp_path, body: str):
+    fake = tmp_path / "python-fake"
+    fake.write_text(f"#!/bin/sh\n{body}\n")
+    fake.chmod(0o755)
+    return fake
+
+
+def test_an_interpreter_that_cannot_run_python_exits_2(tmp_path):
+    # as a pyenv shim for a version that is not installed
+    fake = _fake_python(tmp_path, "echo 'python3.10: command not found' >&2\nexit 127")
+    missing = tmp_path / "no-such-python"
+    done = subprocess.run([sys.executable, str(SCRIPT), str(fake), str(missing)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    first, second = done.stdout.splitlines()
+    assert first == f"{fake}: cannot run: exit code 127: python3.10: command not found"
+    assert second.startswith(f"{missing}: cannot run: [Errno 2] No such file or directory")
+
+
+def test_an_interpreter_that_hangs_cannot_run(tmp_path, monkeypatch):
+    fake = _fake_python(tmp_path, "exec sleep 5")
+    monkeypatch.setattr(cross_python, "VERSION_TIMEOUT_S", 0.2)
+    with pytest.raises(RuntimeError, match="timed out after 0.2 seconds"):
+        cross_python.python_version(str(fake))
+    assert cross_python.python_version(sys.executable) == sys.version.split()[0]

@@ -9,18 +9,14 @@ or the same error: type and message.
 
 The second is the earlier chain serializer, kept verbatim: it built a dict
 per node and edge and handed the whole document to ``canonical_json``. On
-any document both must give the same text, with ``dump_json`` on its C
-encoder or on its ``json.dumps`` fallback.
+any document both must give the same text.
 """
-
-import contextlib
-import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdv_guard import eventchain, util
+from sdv_guard import eventchain
 from sdv_guard.errors import DiagramParseError, SdvGuardError, StructureError
 from sdv_guard.eventchain import (
     NODE_KINDS,
@@ -37,7 +33,7 @@ from sdv_guard.eventchain import (
     serialize_chain,
 )
 from sdv_guard.pipeline.cli import main
-from sdv_guard.util import canonical_json, json_strings, plantuml_body, sha256_text
+from sdv_guard.util import canonical_json, json_scalars, plantuml_body, sha256_text
 
 from conftest import FIXTURES
 from test_eventchain import _EDITS, _JUNK_LINES, _STATEMENT, _diagram
@@ -365,65 +361,50 @@ def _documents(draw) -> ChainDocument:
                          events=events, metadata=metadata)
 
 
-_LAYOUTS = ["c-encoder", "json.dumps"]
-
-
-@contextlib.contextmanager
-def _layout(name: str):
-    """``dump_json`` on its C encoder, or forced onto its ``json.dumps``
-    fallback, as when the C encoder's layout check fails."""
-    with pytest.MonkeyPatch.context() as patch:
-        if name == "json.dumps":
-            patch.setitem(util._LAYOUT_CHECKED, json.encoder.c_make_encoder, False)
-
-            def fast_dump(*args):
-                raise AssertionError("the C encoder was used")
-
-            patch.setattr(util, "_fast_dump", fast_dump)
-        yield
-
-
 def test_the_two_sides_are_different_serializers():
     assert serialize_chain.__code__ is not _ref_serialize_chain.__code__
 
 
-@pytest.mark.parametrize("layout", _LAYOUTS)
-def test_json_strings_write_each_string_as_canonical_json(layout):
-    with _layout(layout):
-        assert json_strings(_AWKWARD) == list(map(canonical_json, _AWKWARD))
-        assert json_strings([]) == []
-        assert json_strings(iter(["a"])) == ['"a"']
+def test_json_strings_write_each_string_as_canonical_json():
+    assert json_scalars(_AWKWARD, ensure_ascii=False) == list(map(canonical_json, _AWKWARD))
+    assert json_scalars([], ensure_ascii=False) == []
+    assert json_scalars(iter(["a"]), ensure_ascii=False) == ['"a"']
 
 
-@pytest.mark.parametrize("layout", _LAYOUTS)
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(texts=st.lists(_TEXT | st.text(), max_size=6))
-def test_fuzzed_strings_match_canonical_json(layout, texts):
-    with _layout(layout):
-        assert json_strings(texts) == list(map(canonical_json, texts))
+def test_fuzzed_strings_match_canonical_json(texts):
+    assert json_scalars(texts, ensure_ascii=False) == list(map(canonical_json, texts))
 
 
-@pytest.mark.parametrize("layout", _LAYOUTS)
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(document=_documents())
-def test_fuzzed_documents_serialize_as_the_reference(layout, document):
-    with _layout(layout):
-        text = serialize_chain(document)
+def test_fuzzed_documents_serialize_as_the_reference(document):
+    text = serialize_chain(document)
     assert text == _ref_serialize_chain(document)
     assert document.text == text
 
 
-@pytest.mark.parametrize("layout", _LAYOUTS)
 @pytest.mark.parametrize("path", sorted((FIXTURES / "chains").glob("*.puml")),
                          ids=lambda path: path.name)
-def test_fixture_chains_serialize_as_the_reference(layout, path):
+def test_fixture_chains_serialize_as_the_reference(path):
     document = eventchain.to_chain_document(
         eventchain.parse_activity_diagram(path.read_text(encoding="utf-8")),
         source_digest="\"s\"", generation_prompt_digest="\u2028")
-    with _layout(layout):
-        text = serialize_chain(document)
+    text = serialize_chain(document)
     assert text == _ref_serialize_chain(document)
     assert serialize_chain(parse_chain_document(text)) == text
+
+
+def test_a_long_chain_serializes_as_the_reference():
+    # thousands of strings, and a None guard on most edges, in one json_scalars call
+    statements = "\n".join(f":step {i} \u00e9 \"q\";" if i % 50 else
+                           f"if (mode {i}?) then (yes)\n:branch {i};\nendif"
+                           for i in range(1_500))
+    document = eventchain.to_chain_document(eventchain.parse_activity_diagram(
+        f"@startuml\nstart\n{statements}\nstop\n@enduml\n"))
+    assert len(document.graph.nodes) > 1_500
+    assert serialize_chain(document) == _ref_serialize_chain(document)
 
 
 def test_the_readme_scenario_keeps_its_chain_digest(tmp_path, capsys):

@@ -417,12 +417,12 @@ def test_json_is_decoded_only_by_load_json_and_the_extraction_scanner():
                                       ("util.py", "first_json_array")}
 
 
-def test_json_is_encoded_only_by_the_two_writers():
-    # one indented layout for files and stdout, one compact form for hashing
+def test_json_is_encoded_only_by_the_three_writers():
+    # one indented layout for files and stdout, one compact form for hashing,
+    # and the scalar texts of the writers that lay out their own documents
     assert _json_sites(_ENCODERS) == {("util.py", "dump_json"),
+                                      ("util.py", "json_scalars"),
                                       ("util.py", "canonical_json")}
-    # and only the indented writer drives the C encoder
-    assert _json_sites({"encoder"}) == {("util.py", "dump_json")}
 
 
 def _references(name: str, source: str, filename: str) -> set[tuple[str, str]]:
@@ -436,6 +436,7 @@ def _references(name: str, source: str, filename: str) -> set[tuple[str, str]]:
         if ((isinstance(node, ast.Name) and node.id == name)
                 or (isinstance(node, ast.Attribute) and node.attr == name)
                 or (isinstance(node, ast.alias) and name in node.name.split("."))
+                or (isinstance(node, ast.ImportFrom) and name in (node.module or "").split("."))
                 or (isinstance(node, ast.Constant) and node.value == name)):
             found.add((filename, scope))
         for child in ast.iter_child_nodes(node):
@@ -445,23 +446,32 @@ def _references(name: str, source: str, filename: str) -> set[tuple[str, str]]:
     return found
 
 
-def test_one_checked_path_reaches_the_private_c_encoder():
-    # json.encoder.c_make_encoder is private API: only dump_json takes it, and
-    # checks its layout first
+def _encoder_references(source: str, filename: str) -> set[tuple[str, str]]:
+    return (_references("c_make_encoder", source, filename)
+            | _references("encoder", source, filename))
+
+
+def test_nothing_reaches_the_json_encoder_module():
+    # json.encoder holds CPython's private C encoder; every writer goes
+    # through json.dumps instead
     found = set()
     for path in sorted((ROOT / "src").rglob("*.py")):
-        found |= _references("c_make_encoder", path.read_text(encoding="utf-8"), path.name)
-    assert found == {("util.py", "dump_json")}
+        found |= _encoder_references(path.read_text(encoding="utf-8"), path.name)
+    assert found == set()
 
 
 @pytest.mark.parametrize("source", [
     "json.encoder.c_make_encoder(None)",
+    "json.encoder.encode_basestring('a')",
     "from json.encoder import c_make_encoder",
-    "getattr(json.encoder, 'c_make_encoder')",
+    "from json.encoder import encode_basestring",
+    "from json import encoder",
+    "import json.encoder",
+    "getattr(json, 'encoder')",
     "def f():\n    return c_make_encoder",
 ])
-def test_the_c_encoder_pin_sees_every_way_to_it(source):
-    assert _references("c_make_encoder", source, "m.py")
+def test_the_encoder_pin_sees_every_way_to_it(source):
+    assert _encoder_references(source, "m.py")
 
 
 @pytest.mark.parametrize("source", [
@@ -723,7 +733,6 @@ def test_dump_json_writes_what_json_dumps_writes(sort_keys, ensure_ascii):
 
 @pytest.mark.parametrize("sort_keys, ensure_ascii", _FLAGS)
 def test_dump_json_writes_a_large_report_whole(sort_keys, ensure_ascii):
-    # CPython 3.11's C encoder returns text this long in several chunks
     report = {"rows": [{"object": f"obj{i}", "verdict": "pass", "x": i / 7}
                        for i in range(50_000)]}
     assert dump_json(report, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == _dumps(
@@ -780,101 +789,51 @@ def test_dump_json_raises_what_json_dumps_raises(value, sort_keys):
     assert expected[0] == "raised" or not sort_keys  # sorted, every value here fails
 
 
-_C_MAKE_ENCODER = json.encoder.c_make_encoder
+# ---------------------------------------------------------------------------
+# json_scalars: the scalar texts of the writers that lay out their own
+# documents, each what json.dumps writes for it
+
+# the booleans beside the ints and floats equal to them, big ints, the float
+# specials, and strings with quotes, backslashes, control characters, U+2028
+# and non-BMP characters
+_SCALAR_EXAMPLES = [None, True, False, 1, 0, 1.0, 0.0, -0.0, 2 ** 100, -2 ** 100, math.nan,
+                    math.inf, -math.inf, "1", "true", "null", '"q"', "a\\b", "\n\r\t\x00\x1f\x7f",
+                    "\u2028", "\u00e9", "\U0001f600", ",\n", "a, b", ""]
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.sampled_from(_SCALAR_EXAMPLES),
+                          st.integers(), st.integers(min_value=-2 ** 100, max_value=2 ** 100),
+                          st.floats(), _STRINGS)
 
 
-def _c_encoder_with_another_signature(markers, default, encoder, indent, key_separator,
-                                      item_separator, sort_keys, skipkeys):
-    return _C_MAKE_ENCODER(markers, default, encoder, indent, key_separator,
-                           item_separator, sort_keys, skipkeys, True)
+def _dumps_each(values, ensure_ascii: bool) -> list[str]:
+    return [json.dumps(value, ensure_ascii=ensure_ascii) for value in values]
 
 
-def _c_encoder_laying_out_otherwise(*args):
-    encode = _C_MAKE_ENCODER(*args)
-    return lambda item, level: [chunk.replace(": ", ":") for chunk in encode(item, level)]
-
-
-@pytest.mark.parametrize("make_encoder", [_c_encoder_with_another_signature,
-                                          _c_encoder_laying_out_otherwise])
-def test_dump_json_falls_back_when_the_c_encoder_fails_its_check(monkeypatch, make_encoder):
-    # c_make_encoder is private and may change between Python versions
-    monkeypatch.setattr(json.encoder, "c_make_encoder", make_encoder)
-    value = {"b": [{"x": 1}, {"y": [2, ()]}], "a": {"\u00e9": None, "c": [3, 4]}}
-    for sort_keys, ensure_ascii in _FLAGS:
-        assert dump_json(value, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == _dumps(
-            value, sort_keys, ensure_ascii)
-    assert util._LAYOUT_CHECKED[make_encoder] is False
-
-
-def test_dump_json_keeps_the_c_encoder_that_passes_its_check():
-    dump_json({"a": [1]})
-    assert util._LAYOUT_CHECKED[json.encoder.c_make_encoder] is True
-
-
-def test_dump_json_without_the_c_encoder(monkeypatch):
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    value = {"b": [{"x": 1}, {"y": [2, ()]}], "a": {"\u00e9": None}}
-    for sort_keys, ensure_ascii in _FLAGS:
-        assert dump_json(value, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == _dumps(
-            value, sort_keys, ensure_ascii)
-
-
-def _columns(sort_keys: bool):
-    """RecordColumns' columns, all of one length: of strings, of dicts of
-    scalars or of any JSON value, each with or without Nones."""
-    keys = _STRINGS if sort_keys else st.one_of(_STRINGS, st.integers(), st.none())
-    flat = st.dictionaries(keys, _SCALARS, max_size=4)
-    values = st.sampled_from([_STRINGS, flat, _json_values(sort_keys)])
-    column = values.flatmap(lambda value: st.sampled_from([value, value | st.none()]))
-
-    def columns(count: int):
-        return st.dictionaries(keys, column.flatmap(
-            lambda value: st.lists(value, min_size=count, max_size=count)), max_size=4)
-
-    return st.integers(min_value=0, max_value=5).flatmap(columns)
-
-
-def _nested(value, depth: int):
-    """``value`` ``depth`` levels into a document of dicts and lists."""
-    for level in range(depth):
-        value = [value] if level % 2 else {"k": value}
-    return value
-
-
-def _check_record_columns(sort_keys: bool, ensure_ascii: bool, examples: int):
-    @settings(max_examples=examples, deadline=None, derandomize=True)
-    @given(_columns(sort_keys), st.integers(min_value=0, max_value=4))
-    def run(columns, depth):
-        records = util.RecordColumns(columns)
-        assert dump_json(_nested(records, depth), sort_keys=sort_keys,
-                         ensure_ascii=ensure_ascii) == _dumps(
-            _nested(records.records(), depth), sort_keys, ensure_ascii)
+@pytest.mark.parametrize("ensure_ascii", [True, False])
+def test_json_scalars_write_what_json_dumps_writes(ensure_ascii):
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_JSON_SCALARS, max_size=8))
+    def run(values):
+        assert util.json_scalars(values, ensure_ascii=ensure_ascii) == _dumps_each(
+            values, ensure_ascii)
 
     run()
 
 
-@pytest.mark.parametrize("sort_keys, ensure_ascii", _FLAGS)
-def test_dump_json_writes_record_columns_as_their_records(sort_keys, ensure_ascii):
-    _check_record_columns(sort_keys, ensure_ascii, 150)
+@pytest.mark.parametrize("ensure_ascii", [True, False])
+def test_json_scalars_tell_the_booleans_from_the_numbers(ensure_ascii):
+    assert util.json_scalars(iter(_SCALAR_EXAMPLES), ensure_ascii=ensure_ascii) == _dumps_each(
+        _SCALAR_EXAMPLES, ensure_ascii)
+    assert util.json_scalars([True, 1, 1.0, False, 0, 0.0, -0.0]) == [
+        "true", "1", "1.0", "false", "0", "0.0", "-0.0"]
+    assert util.json_scalars([], ensure_ascii=ensure_ascii) == []
 
 
-@pytest.mark.parametrize("columns, records", [
-    ({}, []),
-    ({"a": [], "b": []}, []),
-    ({"a": ["x", None], "b": [None, None]}, [{"a": "x"}, {}]),
-    ({"b": [{}, {"k": 1}], "a": [None, "y"]}, [{"b": {}}, {"b": {"k": 1}, "a": "y"}]),
-])
-def test_record_columns_leave_a_none_out(columns, records):
-    assert util.RecordColumns(columns).records() == records
-    for sort_keys, ensure_ascii in _FLAGS:
-        assert dump_json({"rows": util.RecordColumns(columns)}, sort_keys=sort_keys,
-                         ensure_ascii=ensure_ascii) == _dumps(
-            {"rows": records}, sort_keys, ensure_ascii)
-
-
-@pytest.mark.parametrize("make_encoder", [None, _c_encoder_with_another_signature,
-                                          _c_encoder_laying_out_otherwise])
-def test_record_columns_without_a_checked_c_encoder(monkeypatch, make_encoder):
-    monkeypatch.setattr(json.encoder, "c_make_encoder", make_encoder)
-    for sort_keys, ensure_ascii in _FLAGS:
-        _check_record_columns(sort_keys, ensure_ascii, 25)
+def test_json_scalars_without_the_c_accelerator(monkeypatch):
+    # as on an interpreter without CPython's _json module: the same texts
+    expected = {flag: _dumps_each(_SCALAR_EXAMPLES, flag) for flag in (True, False)}
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(json.encoder, "encode_basestring", json.encoder.py_encode_basestring)
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii",
+                        json.encoder.py_encode_basestring_ascii)
+    for flag in (True, False):
+        assert util.json_scalars(_SCALAR_EXAMPLES, ensure_ascii=flag) == expected[flag]

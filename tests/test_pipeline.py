@@ -587,6 +587,27 @@ def test_manifest_scenario_rejects(fixtures_dir, tmp_path, mangle, message):
         parse_manifest(_write_manifest(tmp_path, [scenario]))
 
 
+@pytest.mark.parametrize("scenario_id, shown", [
+    (None, "null"), ({"a": 1}, '{"a":1}'), (3, "3"), (["s1"], '["s1"]'), ("", '""'),
+])
+def test_manifest_id_that_is_not_a_name_is_rejected(fixtures_dir, tmp_path, capsys,
+                                                    scenario_id, shown):
+    manifest = _write_manifest(tmp_path, [_cabin_scenario(fixtures_dir, id=scenario_id)])
+    message = f"scenario id {shown} must be a non-empty string"
+    with pytest.raises(ConfigurationError) as caught:
+        parse_manifest(manifest)
+    assert str(caught.value) == message
+    assert main(["eval", "--manifest", manifest]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_manifest_id_left_out_is_unnamed(fixtures_dir, tmp_path):
+    scenario = _cabin_scenario(fixtures_dir)
+    del scenario["id"]
+    assert [s.scenario_id for s in parse_manifest(_write_manifest(tmp_path, [scenario]))] == [
+        "(unnamed)"]
+
+
 def test_manifest_document_rejects(fixtures_dir, tmp_path):
     with pytest.raises(ConfigurationError, match="does not exist"):
         parse_manifest(tmp_path / "none.json")

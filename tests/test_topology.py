@@ -41,7 +41,6 @@ from sdv_guard.topology import (
 
 from sdv_guard.pipeline.cli import main
 from sdv_guard.topology.ocl import MAX_NESTING, ConstraintVerdict
-from sdv_guard import util
 from sdv_guard.util import dump_json
 
 from conftest import scripted_gateway
@@ -936,7 +935,6 @@ def test_serialize_instance_writes_what_dump_json_writes(objects):
         {"id": obj.id, "class": obj.cls, "attributes": obj.attrs, "references": obj.refs}
         for obj in sorted(objects, key=lambda obj: obj.id)]}, ensure_ascii=False)
     assert serialize_instance(_model(*objects)) == expected
-    assert util._LAYOUT_CHECKED[json.encoder.c_make_encoder]  # written on the C path
 
 
 _VERDICTS = st.sampled_from([VERDICT_PASS, VERDICT_FAIL, VERDICT_NOT_APPLICABLE])
@@ -966,7 +964,35 @@ def _report_dict(report: TopologyReport) -> dict:
 def test_report_json_writes_what_dump_json_writes(rows):
     report = TopologyReport(tuple(rows))
     assert report.to_json() == dump_json(_report_dict(report))
-    assert util._LAYOUT_CHECKED[json.encoder.c_make_encoder]  # written on the C path
+
+
+def _large_objects(count: int, text: str) -> list[ModelObject]:
+    """``count`` objects with every scalar type among their attributes and a
+    reference to the next object, each string ending in ``text``."""
+    scalars = [None, True, False, 0, 1, -7, 2 ** 70, 0.5, -0.0, 1e300, f"v{text}"]
+    return [ModelObject(f"o{i:04d}{text}", f"C{i % 5}{text}",
+                        attrs={f"a{j}{text}": scalars[(i + j) % len(scalars)] for j in range(i % 4)},
+                        refs={} if i % 3 == 0 else {f"next{text}": f"o{(i + 1) % count:04d}{text}"})
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("text", ["", '\u00e9 "\\\n\U0001f600'], ids=["ascii", "awkward"])
+def test_serialize_instance_writes_a_large_model_as_dump_json(text):
+    objects = _large_objects(2_000, text)
+    expected = dump_json({"objects": [
+        {"id": obj.id, "class": obj.cls, "attributes": obj.attrs, "references": obj.refs}
+        for obj in sorted(objects, key=lambda obj: obj.id)]}, ensure_ascii=False)
+    assert serialize_instance(_model(*reversed(objects))) == expected
+
+
+@pytest.mark.parametrize("text", ["", '\u00e9 "\\\n\U0001f600'], ids=["ascii", "awkward"])
+def test_report_json_writes_a_large_report_as_dump_json(text):
+    verdicts = [VERDICT_PASS, VERDICT_FAIL, VERDICT_NOT_APPLICABLE]
+    report = TopologyReport(tuple(
+        ConstraintVerdict(f"c{i % 7}{text}", f"o{i % 1_300}{text}", verdicts[i % 3],
+                          f"reason {i % 11}{text}" if i % 3 == 1 else "")
+        for i in range(10_000)))
+    assert report.to_json() == dump_json(_report_dict(report))
 
 
 # ---------------------------------------------------------------------------
