@@ -10,7 +10,9 @@ Every ``sdv-guard`` command in the README's shell blocks is run as
 of its own that links ``fixtures/``, so every ``--out`` path is the same
 relative path under each. The stdout and exit code of each command, and the
 bytes of every file written under ``out/`` except ``run.json`` (which holds
-timestamps), must equal the running interpreter's.
+timestamps), must equal the running interpreter's. Each ``PY`` then runs
+the same commands again, in order, through ``cli.main`` in a single process
+of its own, which must give what its one process per command gave.
 
 Each ``PY`` is first asked its version with ``PY -c ...``; one that cannot
 start, exits non-zero or hangs cannot run Python and is not compared. Prints
@@ -22,6 +24,7 @@ interpreter is given or one cannot run Python.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import shlex
@@ -48,9 +51,33 @@ def readme_commands() -> list[list[str]]:
     return commands
 
 
-def run_all(python: str, commands: list[list[str]]) -> dict[str, bytes | str]:
+# Runs the commands it reads as JSON from stdin through ``cli.main`` in this
+# one process and writes each exit code and the hex of its stdout bytes,
+# encoded as the interpreter's own stdout would encode them.
+_ONE_PROCESS = """\
+import contextlib, io, json, sys
+from sdv_guard.pipeline import cli
+done = []
+for args in json.load(sys.stdin):
+    buffer = io.BytesIO()
+    stdout = io.TextIOWrapper(buffer, encoding=sys.stdout.encoding,
+                              errors=sys.stdout.errors, write_through=True)
+    with contextlib.redirect_stdout(stdout):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code or 0
+    done.append([code, buffer.getvalue().hex()])
+json.dump(done, sys.stdout)
+"""
+
+
+def run_all(python: str, commands: list[list[str]], *,
+            one_process: bool = False) -> dict[str, bytes | str]:
     """What ``python`` gives for ``commands``: per command its exit code and
-    stdout, and per file under ``out/`` but ``run.json`` its bytes."""
+    stdout, and per file under ``out/`` but ``run.json`` its bytes. Each
+    command runs in a process of its own, or with ``one_process`` all of
+    them in one; a command that one process did not finish has no result."""
     env = {name: value for name, value in os.environ.items()
            if not name.startswith("SDVGUARD_")}
     env["PYTHONPATH"] = os.pathsep.join(
@@ -60,12 +87,22 @@ def run_all(python: str, commands: list[list[str]]) -> dict[str, bytes | str]:
     with tempfile.TemporaryDirectory() as work:
         base = Path(work)
         (base / "fixtures").symlink_to(ROOT / "fixtures", target_is_directory=True)
-        for index, args in enumerate(commands, start=1):
-            done = subprocess.run([python, "-m", "sdv_guard.pipeline.cli", *args],
-                                  cwd=base, env=env, capture_output=True, timeout=600)
+        if one_process:
+            done = subprocess.run([python, "-c", _ONE_PROCESS], input=json.dumps(commands),
+                                  cwd=base, env=env, capture_output=True, text=True,
+                                  timeout=600)
+            outcomes = [(code, bytes.fromhex(stdout)) for code, stdout in
+                        (json.loads(done.stdout) if done.returncode == 0 else [])]
+        else:
+            outcomes = []
+            for args in commands:
+                done = subprocess.run([python, "-m", "sdv_guard.pipeline.cli", *args],
+                                      cwd=base, env=env, capture_output=True, timeout=600)
+                outcomes.append((done.returncode, done.stdout))
+        for index, (args, (code, stdout)) in enumerate(zip(commands, outcomes), start=1):
             name = f"command {index} ({' '.join(args[:3])} ...)"
-            results[f"{name} exit code"] = str(done.returncode)
-            results[f"{name} stdout"] = done.stdout
+            results[f"{name} exit code"] = str(code)
+            results[f"{name} stdout"] = stdout
         for path in sorted((base / "out").rglob("*")):
             if path.is_file() and path.name != "run.json":
                 results[path.relative_to(base).as_posix()] = path.read_bytes()
@@ -111,7 +148,10 @@ def main(argv: list[str]) -> int:
     reference = run_all(sys.executable, commands)
     for python, version in runnable:
         try:
-            found = differences(reference, run_all(python, commands))
+            separate = run_all(python, commands)
+            found = [*differences(reference, separate),
+                     *(f"one process: {line}" for line in
+                       differences(separate, run_all(python, commands, one_process=True)))]
         except (OSError, subprocess.TimeoutExpired) as exc:
             print(f"{python}: cannot run: {exc}")
             status = 2

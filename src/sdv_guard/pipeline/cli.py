@@ -4,11 +4,17 @@ Exit codes are uniform across subcommands: 0 means the analysis ran and
 passed, 1 means it ran and found violations (or, for ``extract-signals``,
 rejected entries; for ``eval`` without fault injection, imperfect scores),
 2 means the run itself failed — bad input, missing file, replay miss.
+
+``main(argv)`` returns that exit code instead of exiting (argparse still
+raises ``SystemExit(2)`` on a usage error), so it may be called any number
+of times in one process. The argument parser is built on the first call and
+reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -41,9 +47,11 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
 def _config_for(args) -> PipelineConfig:
     mode = None
     store_path = None
-    if getattr(args, "replay", None):
+    # an empty FILE (an unset shell variable) still selects the mode, so the
+    # config check rejects it instead of the run falling back to the file's
+    if getattr(args, "replay", None) is not None:
         mode, store_path = "replay", args.replay
-    elif getattr(args, "record", None):
+    elif getattr(args, "record", None) is not None:
         mode, store_path = "record", args.record
     return load_config(
         args.config,
@@ -141,7 +149,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Parsing leaves the parser as it was, and argparse reads the terminal
+    width and ``sys.stderr`` when it prints, not when the parser is built.
+    """
     parser = argparse.ArgumentParser(
         prog="sdv-guard",
         description="Pre-deployment functional-safety and security analysis "
@@ -165,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--token-budget", type=int, default=None)
     p.add_argument("--max-iterations", type=int, default=None)
     _add_store_flags(p)
-    p.set_defaults(handler=_cmd_analyze_safety)
 
     p = sub.add_parser("analyze-topology",
                        help="check an instance model against security constraints")
@@ -185,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="on failures, request a corrected model and iterate")
     p.add_argument("--max-iterations", type=int, default=None)
     _add_store_flags(p)
-    p.set_defaults(handler=_cmd_analyze_topology)
 
     p = sub.add_parser("extract-signals",
                        help="run grounded extraction and print the report")
@@ -195,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int, default=None)
     p.add_argument("--token-budget", type=int, default=None)
     _add_store_flags(p)
-    p.set_defaults(handler=_cmd_extract_signals)
 
     p = sub.add_parser("build-chain",
                        help="generate the event-chain diagram for code")
@@ -205,29 +216,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--current-chain", metavar="FILE",
                    help="existing diagram to update instead of starting fresh")
     _add_store_flags(p)
-    p.set_defaults(handler=_cmd_build_chain)
 
     p = sub.add_parser("check-chain",
                        help="check an existing chain (diagram or document) against rules")
     p.add_argument("--chain", required=True, metavar="FILE")
     p.add_argument("--rules", required=True, metavar="FILE")
-    p.set_defaults(handler=_cmd_check_chain)
 
     p = sub.add_parser("eval", help="run the scenario evaluation harness")
     p.add_argument("--manifest", required=True, metavar="FILE")
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--fault-rate", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(handler=_cmd_eval)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at each call, so a handler rebound on this module is the one run
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except SdvGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

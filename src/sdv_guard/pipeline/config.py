@@ -51,6 +51,8 @@ def _validate(config: PipelineConfig) -> PipelineConfig:
         raise ConfigurationError(f"unknown mode '{config.mode}'")
     if config.mode in ("replay", "record") and not config.store_path:
         raise ConfigurationError(f"mode '{config.mode}' needs a store_path")
+    if not config.out_dir:  # Path("") is the current directory
+        raise ConfigurationError("out_dir must not be empty")
     return config
 
 

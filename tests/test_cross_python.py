@@ -72,3 +72,23 @@ def test_an_interpreter_that_hangs_cannot_run(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="timed out after 0.2 seconds"):
         cross_python.python_version(str(fake))
     assert cross_python.python_version(sys.executable) == sys.version.split()[0]
+
+
+def test_a_difference_in_one_process_is_a_difference(monkeypatch, capsys):
+    # the interpreter agrees with the reference command by command, but not
+    # when it runs every command in one process
+    def run_all(python, commands, *, one_process=False):
+        return {"command 1 stdout": b"leaked" if one_process else b"ok", "out/a": b"1"}
+
+    monkeypatch.setattr(cross_python, "run_all", run_all)
+    monkeypatch.setattr(cross_python, "python_version", lambda python: "3.99.0")
+    assert cross_python.main(["py"]) == 1
+    assert capsys.readouterr().out == (
+        f"py: 1 differences (Python 3.99.0, {len(cross_python.readme_commands())} commands, "
+        "2 results)\n  one process: command 1 stdout: differs\n")
+
+
+def test_a_one_process_run_that_does_not_finish_has_no_command_results(tmp_path):
+    fake = _fake_python(tmp_path, "exit 1")
+    commands = cross_python.readme_commands()
+    assert cross_python.run_all(str(fake), commands, one_process=True) == {}

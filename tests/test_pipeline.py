@@ -83,6 +83,7 @@ def test_config_file_and_overrides(tmp_path):
     ('{"top_k": 2.5}', "top_k must be of type int, got 2.5"),
     ('{"temperature": "hot"}', "temperature must be of type float | None"),
     ('{"store_path": 3}', "store_path must be of type str | None"),
+    ('{"out_dir": ""}', "out_dir must not be empty"),
 ])
 def test_config_rejects(tmp_path, body, message):
     path = tmp_path / "config.json"
@@ -1157,6 +1158,55 @@ def test_cli_lets_interrupts_through(fixtures_dir, monkeypatch, exc):
     with pytest.raises(exc):
         main(["check-chain", "--chain", str(fixtures_dir / "chains" / "s1.puml"),
               "--rules", str(fixtures_dir / "rules" / "rules-s1.txt")])
+
+
+@pytest.mark.parametrize("config", [None, "replay", "record", "live"])
+@pytest.mark.parametrize("flag", ["--replay", "--record"])
+def test_cli_empty_store_file_is_an_error(fixtures_dir, tmp_path, monkeypatch, capsys,
+                                           flag, config):
+    # an unset shell variable gives an empty FILE; the run must not fall back
+    # to the config file's mode, nor to live mode and the endpoint
+    monkeypatch.setenv("SDVGUARD_LLM_URL", "http://127.0.0.1:9/v1/chat/completions")
+    p = _paths(fixtures_dir)
+    argv = ["--out", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"mode": config, "store_path": p["replay"]}))
+        argv += ["--config", str(path)]
+    code = main([*argv, "analyze-safety", "--code", p["code"], "--vss", p["vss"],
+                 "--can", p["can"], "--rules", p["rules"], flag, ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: mode '{flag[2:]}' needs a store_path\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze-safety", "build-chain"])
+@pytest.mark.parametrize("where", ["--out", "config"])
+def test_cli_empty_out_dir_is_an_error(fixtures_dir, tmp_path, monkeypatch, capsys,
+                                       command, where):
+    # Path("") is the current directory, where the artifacts would land
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    p = _paths(fixtures_dir)
+    if where == "--out":
+        argv = ["--out", ""]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text('{"out_dir": ""}')
+        argv = ["--config", str(config)]
+    argv += [command, "--code", p["code"], "--vss", p["vss"], "--can", p["can"],
+             "--replay", p["replay"]]
+    if command == "analyze-safety":
+        argv += ["--rules", p["rules"]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: out_dir must not be empty\n"
+    assert captured.out == ""
+    assert os.listdir(work) == []
 
 
 def test_cli_replay_and_record_are_exclusive(fixtures_dir):

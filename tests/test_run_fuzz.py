@@ -1,13 +1,15 @@
 """Whole runs through ``cli.main`` fail closed on mutated inputs.
 
-Each example splices one edit into one completion of a replay store or into
-one input file, runs the command twice into the same output directory, and
-checks that the run ends in a verdict or a typed error: exit 0, 1 or 2,
+Each example splices one edit into one completion of a replay store, into
+the JSON text of one value of a config file or an ``eval`` manifest, or into
+one other input file, runs the command twice into the same output directory,
+and checks that the run ends in a verdict or a typed error: exit 0, 1 or 2,
 never ``internal error:``, a ``run.json`` that matches the exit code, and the
 same stdout, exit code and artifact bytes both times.
 """
 
 import contextlib
+import copy
 import io
 import json
 import shutil
@@ -25,7 +27,27 @@ _CATALOGS = ["--vss", str(FIXTURES / "catalogs" / "vss.json"),
              "--can", str(FIXTURES / "catalogs" / "can.json")]
 _TOPOLOGY = FIXTURES / "topology"
 
-# each command as (option, file) pairs plus its flags; one file is mutated
+# a valid config for the s3 corrective run; its store path is absolute
+_CONFIG = {
+    "top_k": 20, "token_budget": 4096, "max_iterations": 2, "max_extraction_retries": 1,
+    "mode": "replay", "store_path": str(FIXTURES / "replay" / "s3_corrective.json"),
+    "out_dir": "out",
+}
+
+
+def _absolute_manifest(path: Path) -> dict:
+    """The manifest with every scenario path absolute, so that a mutated copy
+    elsewhere still finds them."""
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    for scenario in manifest["scenarios"]:
+        for key in ("code", "vss", "can", "replay", "rules"):
+            if key in scenario:
+                scenario[key] = str((path.parent / scenario[key]).resolve())
+    return manifest
+
+
+# each command as (option, file) pairs plus its flags; one file is mutated. A
+# file given as a JSON document is written by the test, and is the mutated one.
 _COMMANDS = {
     "s1": ("analyze-safety", {"--code": FIXTURES / "code" / "s1.py",
                               "--rules": FIXTURES / "rules" / "rules-s1.txt",
@@ -45,11 +67,18 @@ _COMMANDS = {
                                   "--constraints": _TOPOLOGY / "security.ocl"}, []),
     "topo-json": ("analyze-topology", {"--model": _TOPOLOGY / "system.json",
                                        "--constraints": _TOPOLOGY / "security.ocl"}, []),
+    "s3-config": ("analyze-safety", {"--code": FIXTURES / "code" / "s3.py",
+                                     "--rules": FIXTURES / "rules" / "rules-s3.txt",
+                                     "--config": _CONFIG}, [*_CATALOGS, "--auto-correct"]),
+    "eval": ("eval", {"--manifest": _absolute_manifest(FIXTURES / "harness" / "manifest.json")},
+             ["--runs", "2"]),
 }
-# (command, the option whose file is mutated); a store has one completion mutated
+# (command, the option whose file is mutated); a store has one completion
+# mutated, a JSON document one value
 _TARGETS = [("s1", "--replay"), ("s3", "--replay"), ("fix", "--replay"),
             ("generate", "--replay"), ("s1", "--rules"), ("s1", "--code"),
-            ("topo", "--model"), ("topo-json", "--model"), ("topo", "--constraints")]
+            ("topo", "--model"), ("topo-json", "--model"), ("topo", "--constraints"),
+            ("s3-config", "--config"), ("eval", "--manifest")]
 
 _PIECES = st.sampled_from([
     "", "\n", " ", "{", "}", "[", "]", '"', ",", ":", "null", "-1", "1e999", "NaN",
@@ -73,8 +102,29 @@ def _splice(text: str, edit) -> str:
     return text[:start] + piece + text[start + length:]
 
 
-def _mutated_input(option: str, path: Path, edit, pick: int) -> str:
-    text = path.read_text(encoding="utf-8")
+def _splice_value(document, edit, pick: int) -> str:
+    """The JSON text of ``document`` with ``edit`` spliced into the JSON text
+    of one of its scalar values."""
+    document = copy.deepcopy(document)
+    leaves = []
+
+    def walk(node):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            if isinstance(value, (dict, list)):
+                walk(value)
+            else:
+                leaves.append((node, key))
+
+    walk(document)
+    node, key = leaves[pick % len(leaves)]
+    value, node[key] = node[key], "\x00"
+    return json.dumps(document, indent=2).replace('"\\u0000"', _splice(json.dumps(value), edit))
+
+
+def _mutated_input(option: str, source: Path | dict, edit, pick: int) -> str:
+    if isinstance(source, dict):
+        return _splice_value(source, edit, pick)
+    text = source.read_text(encoding="utf-8")
     if option != "--replay":
         return _splice(text, edit)
     store = json.loads(text)
@@ -94,17 +144,20 @@ def _run(argv: list[str], out: Path):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(target=st.sampled_from(_TARGETS), edit=_edits(), pick=st.integers(0, 10))
+@given(target=st.sampled_from(_TARGETS), edit=_edits(), pick=st.integers(0, 100))
 def test_mutated_runs_fail_closed_and_repeat(target, edit, pick):
     name, option = target
     command, files, flags = _COMMANDS[name]
     with tempfile.TemporaryDirectory() as tmp:
-        mutated = Path(tmp) / f"input{files[option].suffix}"
-        mutated.write_text(_mutated_input(option, files[option], edit, pick),
+        source = files[option]
+        mutated = Path(tmp) / f"input{'.json' if isinstance(source, dict) else source.suffix}"
+        mutated.write_text(_mutated_input(option, source, edit, pick),
                            encoding="utf-8")
         argv = [command, *flags]
         for opt, path in files.items():
-            argv += [opt, str(mutated if opt == option else path)]
+            pair = [opt, str(mutated if opt == option else path)]
+            # --config is the program's option, so it comes before the command
+            argv = [*pair, *argv] if opt == "--config" else [*argv, *pair]
         out = Path(tmp) / "out"
         code, stdout, stderr, artifacts = _run(argv, out)
 
