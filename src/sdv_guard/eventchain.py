@@ -14,8 +14,9 @@ The accepted PlantUML subset is exactly:
 
 Anything else is a parse error: unknown directives fail closed rather than
 being skipped. Labels are normalized into event names by lowercasing,
-collapsing non-alphanumeric runs to single hyphens and trimming, so
-":Pedestrian (camera) detected;" becomes ``pedestrian-camera-detected``.
+collapsing each run of characters outside ASCII ``a-z0-9`` to one hyphen
+and trimming, so ":Pedestrian (camera) detected;" becomes
+``pedestrian-camera-detected`` and ":Café;" becomes ``caf``.
 
 A parsed graph serializes to a canonical JSON document:
 
@@ -26,8 +27,10 @@ A parsed graph serializes to a canonical JSON document:
 ``serialize_chain`` writes that text directly, without building the dict,
 byte for byte as ``canonical_json`` would write it; a document keeps its
 text once written (``ChainDocument.text``), so the artifact and the digest
-share it. Nodes, edges and event steps are named tuples, built positionally
-where many are built at once.
+share it. Nodes, edges and event steps are named tuples, built with
+``tuple.__new__`` from their fields where many are built at once; the parser
+builds each node once, when its line is read, and a note line replaces its
+action's node.
 
 Parsing that document back yields an equal document. The canonical form can
 encode cycles and dead ends; ``ChainOrder`` is the one walk that rejects them.
@@ -41,6 +44,7 @@ are the steps of the runs it walks, joined.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -62,17 +66,21 @@ from .util import (
     normalize_name,
     plantuml_body,
     sha256_text,
+    tokenize_each,
 )
 
 NODE_KINDS = ("start", "stop", "action", "decision", "merge")
 NOTE_KEYS = ("input", "input_format", "output", "output_format")
 
-_ACTION_RE = re.compile(r"^:(?P<label>.*);$")
 _IF_RE = re.compile(r"^if\s*\((?P<cond>[^)]*)\)\s*then(?:\s*\((?P<guard>[^)]*)\))?$")
 _ELSE_RE = re.compile(r"^else(?:\s*\((?P<guard>[^)]*)\))?$")
 _NOTE_RE = re.compile(
     r"^note\s+right\s*:\s*(?P<key>[A-Za-z_][A-Za-z0-9_]*)\s*=\s*(?P<value>.*)$"
 )
+
+
+# a named tuple built from a tuple of its fields, without its argument handling
+_new = tuple.__new__
 
 
 class Node(NamedTuple):
@@ -128,31 +136,35 @@ class ChainDocument:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        # (id, kind, label) in creation order; each becomes a Node, with its
-        # notes, once the text is read
-        self.nodes: list[tuple[str, str, str]] = []
+        # in creation order; a note line replaces its action's Node
+        self.nodes: list[Node] = []
         self.edges: list[Edge] = []
         # dangling edge sources waiting for their target: (node_id, guard)
         self.frontier: list[tuple[str, str | None]] = []
         self.if_stack: list[dict] = []
-        self.last_action: str | None = None
-        self.notes: dict[str, list[tuple[str, str]]] = {}
+        self.last_action: int | None = None  # the index in nodes of a note's action
 
     def new_node(self, kind: str, label: str = "") -> str:
         node_id = f"n{len(self.nodes) + 1}"
-        self.nodes.append((node_id, kind, label))
+        self.nodes.append(_new(Node, (node_id, kind, label, ())))
         return node_id
 
     def connect(self, node_id: str) -> None:
         """Edges from every dangling source, all created earlier, to the node
         just created: ``edges`` stays in the order its targets were made."""
         for src, guard in self.frontier:
-            self.edges.append(Edge(src, node_id, guard))
+            self.edges.append(_new(Edge, (src, node_id, guard)))
         self.frontier = []
 
     def parse(self) -> ActivityGraph:
         for lineno, line in plantuml_body(self.text, DiagramParseError):
-            if line == "start":
+            # an action; a body line is stripped and holds no line break
+            if line[0] == ":" and line[-1] == ";":
+                node_id = self.new_node("action", line[1:-1].strip())
+                self.connect(node_id)
+                self.frontier = [(node_id, None)]
+                self.last_action = len(self.nodes) - 1
+            elif line == "start":
                 node_id = self.new_node("start")
                 self.frontier = [(node_id, None)]
                 self.last_action = None
@@ -160,11 +172,6 @@ class _Parser:
                 node_id = self.new_node("stop")
                 self.connect(node_id)
                 self.last_action = None
-            elif match := _ACTION_RE.match(line):
-                node_id = self.new_node("action", label=match.group("label").strip())
-                self.connect(node_id)
-                self.frontier = [(node_id, None)]
-                self.last_action = node_id
             elif match := _IF_RE.match(line):
                 node_id = self.new_node("decision", label=match.group("cond").strip())
                 self.connect(node_id)
@@ -212,9 +219,7 @@ class _Parser:
             raise DiagramParseError(
                 "if block is never closed", line=self.if_stack[-1]["line"]
             )
-        nodes = tuple(Node(node_id, kind, label, tuple(self.notes.get(node_id, ())))
-                      for node_id, kind, label in self.nodes)
-        graph = ActivityGraph(nodes=nodes, edges=tuple(self.edges))
+        graph = ActivityGraph(nodes=tuple(self.nodes), edges=tuple(self.edges))
         _validate_structure(graph)
         return graph
 
@@ -226,10 +231,10 @@ class _Parser:
             )
         if self.last_action is None:
             raise DiagramParseError("note has no preceding action", line=lineno)
-        existing = self.notes.setdefault(self.last_action, [])
-        if any(name == key for name, _ in existing):
+        node = self.nodes[self.last_action]
+        if any(name == key for name, _ in node.notes):
             raise DiagramParseError(f"duplicate note key '{key}'", line=lineno)
-        existing.append((key, value))
+        self.nodes[self.last_action] = node._replace(notes=(*node.notes, (key, value)))
 
 
 def parse_activity_diagram(text: str) -> ActivityGraph:
@@ -252,23 +257,20 @@ def _validate_structure(graph: ActivityGraph) -> None:
     if not reaches_stop:
         raise StructureError("diagram has no stop node")
 
+    # each flood holds node ids only, so it missed some if it holds fewer
     reachable = set(starts)
     for edge in graph.edges:
         if edge.src in reachable:
             reachable.add(edge.dst)
-    unreachable = sorted(n.id for n in graph.nodes if n.id not in reachable)
-    if unreachable:
-        raise StructureError(
-            "unreachable from start: " + ", ".join(unreachable)
-        )
+    if len(reachable) < len(graph.nodes):
+        raise StructureError("unreachable from start: " + ", ".join(
+            sorted(n.id for n in graph.nodes if n.id not in reachable)))
     for edge in reversed(graph.edges):
         if edge.dst in reaches_stop:
             reaches_stop.add(edge.src)
-    stranded = sorted(n.id for n in graph.nodes if n.id not in reaches_stop)
-    if stranded:
-        raise StructureError(
-            "cannot reach any stop: " + ", ".join(stranded)
-        )
+    if len(reaches_stop) < len(graph.nodes):
+        raise StructureError("cannot reach any stop: " + ", ".join(
+            sorted(n.id for n in graph.nodes if n.id not in reaches_stop)))
     guards: dict[str, set[str]] = {}
     for edge in graph.edges:
         if edge.guard is not None:  # only a decision's edges carry one
@@ -286,22 +288,21 @@ def _validate_structure(graph: ActivityGraph) -> None:
 
 def to_chain_document(graph: ActivityGraph, source_digest: str = "",
                       generation_prompt_digest: str = "") -> ChainDocument:
-    """Normalize action labels into events and wrap the graph with metadata."""
-    events: list[tuple[str, str]] = []
-    for node in graph.nodes:
-        if node.kind != "action":
-            continue
-        event = normalize_name(node.label)
-        if not event:
-            raise TransformError(
-                f"action '{node.id}' has no label to derive an event from"
-            )
-        events.append((node.id, event))
+    """Normalize action labels into events, as ``normalize_name`` does but
+    with one ``tokenize_each`` call for all of them, and wrap the graph with
+    metadata."""
+    actions = [node for node in graph.nodes if node.kind == "action"]
+    events = list(map("-".join, tokenize_each([node.label for node in actions])))
+    if "" in events:
+        raise TransformError(
+            f"action '{actions[events.index('')].id}' has no label to derive an event from"
+        )
     metadata = (
         ("source_digest", source_digest),
         ("generation_prompt_digest", generation_prompt_digest),
     )
-    return ChainDocument(graph=graph, events=tuple(events), metadata=metadata)
+    return ChainDocument(graph=graph, events=tuple(zip(map(itemgetter(0), actions), events)),
+                         metadata=metadata)
 
 
 def serialize_chain(document: ChainDocument) -> str:
@@ -327,11 +328,15 @@ def serialize_chain(document: ChainDocument) -> str:
     node_texts = []
     for node, node_id, kind, label in zip(nodes, texts, texts, texts):
         event = event_text.get(node.id)
-        lead = "{" if event is None else f'{{"event":{event},'
-        text = f'{lead}"id":{node_id},"kind":{kind},"label":{label}'
         if node.notes:
-            text += f',"notes":{canonical_json(dict(node.notes))}'
-        node_texts.append(text + "}")
+            lead = "{" if event is None else f'{{"event":{event},'
+            node_texts.append(f'{lead}"id":{node_id},"kind":{kind},"label":{label},'
+                              f'"notes":{canonical_json(dict(node.notes))}}}')
+        elif event is None:
+            node_texts.append(f'{{"id":{node_id},"kind":{kind},"label":{label}}}')
+        else:
+            node_texts.append(f'{{"event":{event},"id":{node_id},"kind":{kind},'
+                              f'"label":{label}}}')
     edge_texts = [f'{{"from":{src},"to":{dst}}}' if edge.guard is None
                   else f'{{"from":{src},"guard":{guard},"to":{dst}}}'
                   for edge, src, dst, guard in zip(edges, texts, texts, texts)]
@@ -376,7 +381,7 @@ def parse_chain_document(text: str) -> ChainDocument:
         label = obj.get("label", "")
         if not isinstance(label, str):
             raise TransformError(f"chain node '{node_id}' label must be a string")
-        nodes.append(Node(node_id, kind, label, tuple(notes.items())))
+        nodes.append(_new(Node, (node_id, kind, label, tuple(notes.items()))))
         if kind == "action":
             event = obj.get("event")
             if not isinstance(event, str) or not event:
@@ -396,7 +401,7 @@ def parse_chain_document(text: str) -> ChainDocument:
             raise TransformError(f"edge {src!r} -> {dst!r} references unknown nodes")
         if guard is not None and not isinstance(guard, str):
             raise TransformError(f"edge {src!r} -> {dst!r} guard must be a string")
-        edges.append(Edge(src, dst, guard))
+        edges.append(_new(Edge, (src, dst, guard)))
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise TransformError("chain metadata must be an object")
@@ -464,11 +469,16 @@ class ChainOrder:
             )
         kinds = {n.id: n.kind for n in graph.nodes}
         events = dict(document.events)
-        outgoing: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-        incoming = dict.fromkeys(outgoing, 0)
+        # the targets of each node's edges, in declaration order; a node
+        # without edges has no entry
+        outgoing: dict[str, list[str]] = {}
         for edge in graph.edges:
-            outgoing[edge.src].append(edge.dst)
-            incoming[edge.dst] += 1
+            targets = outgoing.get(edge.src)
+            if targets is None:
+                outgoing[edge.src] = [edge.dst]
+            else:
+                targets.append(edge.dst)
+        incoming = Counter(map(itemgetter(1), graph.edges))
         # (nodes, steps, exits) per run, in the order the walk leaves them;
         # only a run's first node can be an edge's target from another run
         finished: list[tuple[list[str], list[EventStep], list[str]]] = []
@@ -495,9 +505,9 @@ class ChainOrder:
                 on_stack.add(node_id)
                 kind = kinds[node_id]
                 if kind == "action":
-                    steps.append(EventStep(events[node_id], node_id))
+                    steps.append(_new(EventStep, (events[node_id], node_id)))
                 # a stop ends every path through it
-                exits = [] if kind == "stop" else outgoing[node_id]
+                exits = [] if kind == "stop" else outgoing.get(node_id, [])
                 if not exits and kind != "stop":
                     raise StructureError(f"node '{node_id}' dead-ends before any stop")
                 # a cycle back into the run is raised when the walk enters

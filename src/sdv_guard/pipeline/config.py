@@ -19,6 +19,10 @@ _FIELD_TYPES = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A run's settings, checked when built: a field of the wrong type or out
+    of range is a ``ConfigurationError``, whether the config comes from
+    ``load_config`` or from a library caller."""
+
     top_k: int = DEFAULT_TOP_K
     token_budget: int = DEFAULT_TOKEN_BUDGET
     max_iterations: int = 3
@@ -31,8 +35,11 @@ class PipelineConfig:
     api_key: str | None = None
     out_dir: str = "out"
 
+    def __post_init__(self):
+        _validate(self)
 
-def _validate(config: PipelineConfig) -> PipelineConfig:
+
+def _validate(config: PipelineConfig) -> None:
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
@@ -53,7 +60,6 @@ def _validate(config: PipelineConfig) -> PipelineConfig:
         raise ConfigurationError(f"mode '{config.mode}' needs a store_path")
     if not config.out_dir:  # Path("") is the current directory
         raise ConfigurationError("out_dir must not be empty")
-    return config
 
 
 def load_config(path: str | Path | None = None, **overrides) -> PipelineConfig:
@@ -77,10 +83,9 @@ def load_config(path: str | Path | None = None, **overrides) -> PipelineConfig:
         values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        config = PipelineConfig(**values)
+        return PipelineConfig(**values)
     except TypeError as exc:
         raise ConfigurationError(f"bad config value: {exc}") from exc
-    return _validate(config)
 
 
 def build_gateway(config: PipelineConfig, transport=None) -> LlmGateway:

@@ -93,6 +93,8 @@ class _ArtifactWriter:
     cannot be written is a typed error naming its path."""
 
     def __init__(self, out_dir: str | Path, kind: str, config: PipelineConfig):
+        if out_dir == "":  # Path("") is the current directory
+            raise ConfigurationError("out_dir must not be empty")
         self.out_dir = Path(out_dir)
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -200,7 +202,7 @@ def run_safety_pipeline(code: str, vss_text: str, can_text: str, rules_text: str
     way. Every stage failure is wrapped in PipelineError naming the stage,
     with the partial run record attached.
     """
-    writer = _ArtifactWriter(out_dir or config.out_dir, "safety", config)
+    writer = _ArtifactWriter(config.out_dir if out_dir is None else out_dir, "safety", config)
     record = writer.record
     signal_catalog = writer.stage("catalog", lambda: parse_vss_catalog(vss_text))
     message_catalog = writer.stage("catalog", lambda: parse_can_catalog(can_text))
@@ -339,7 +341,7 @@ def run_topology_pipeline(gateway: LlmGateway, config: PipelineConfig,
             "generation and correction need a completion gateway")
     metamodel = metamodel if metamodel is not None else default_metamodel()
 
-    writer = _ArtifactWriter(out_dir or config.out_dir, "topology", config)
+    writer = _ArtifactWriter(config.out_dir if out_dir is None else out_dir, "topology", config)
     record = writer.record
 
     def check_conformance():

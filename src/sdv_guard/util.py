@@ -17,7 +17,6 @@ from pathlib import Path
 from .errors import CatalogParseError, ConfigurationError, SdvGuardError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-_NORM_RE = re.compile(r"[^a-z0-9]+")
 # for lowercased ASCII text: a-z and 0-9 stay, every other character becomes
 # a space; a table that maps every ASCII character keeps str.translate fast
 _ASCII_SEPARATORS = str.maketrans({c: c if "a" <= c <= "z" or "0" <= c <= "9" else " "
@@ -27,7 +26,8 @@ _LINE_SEPARATORS = {**_ASCII_SEPARATORS, ord("\n"): "\n"}
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on non-alphanumeric runs, drop empty pieces."""
+    """The maximal runs of ASCII ``a-z0-9`` in the lowercased text: every
+    other character, a non-ASCII letter or digit included, separates."""
     text = text.lower()
     if text.isascii():  # the same tokens, found faster than by the pattern
         return text.translate(_ASCII_SEPARATORS).split()
@@ -44,11 +44,13 @@ def tokenize_each(texts: list[str]) -> Iterator[list[str]]:
 
 
 def normalize_name(text: str) -> str:
-    """Lowercase, collapse every non-alphanumeric run to one hyphen, trim hyphens.
+    """The tokens of ``text`` joined by hyphens: lowercased, every run of
+    characters outside ASCII ``a-z0-9`` collapsed to one hyphen, hyphens
+    trimmed, so "Café (ok)" becomes ``caf-ok``.
 
     Idempotent: applying it twice gives the same result.
     """
-    return _NORM_RE.sub("-", text.lower()).strip("-")
+    return "-".join(tokenize(text))
 
 
 def sha256_text(text: str) -> str:
@@ -318,13 +320,11 @@ def plantuml_body(text: str, error_type: type[SdvGuardError]) -> list[tuple[int,
                          line=content[0][0] if content else 1)
     if content[-1][1] != "@enduml":
         raise error_type("diagram must end with @enduml", line=content[-1][0])
-    body = []
-    for lineno, line in content[1:-1]:
+    body = content[1:-1]
+    for lineno, line in body:
         if line in ("@startuml", "@enduml"):
             raise error_type("nested diagram delimiter", line=lineno)
-        if not line.startswith("'"):
-            body.append((lineno, line))
-    return body
+    return [pair for pair in body if pair[1][0] != "'"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,33 @@
 """The activity-diagram parser and the chain writer against the code they
 replaced.
 
-The first reference below is the earlier parser, kept verbatim: it built
-each ``Node`` twice, and its structure check built forward, backward and
-outgoing maps, flooded the graph both ways and checked the outgoing edges of
-every action, decision and stop. On any text both must give an equal graph,
-or the same error: type and message.
+The first reference below is the earlier parser, kept verbatim: it matched
+each action line with a regex and built each ``Node`` twice, its framing
+built a new pair for each body line, and its structure check built forward,
+backward and outgoing maps, flooded the graph both ways and checked the
+outgoing edges of every action, decision and stop. On any text both must
+give an equal graph, or the same error: type and message.
+
+The earlier event naming is kept too: ``normalize_name`` as a regex
+substitution, and ``to_chain_document`` naming one action at a time with it.
+On any text, and on any parsed graph, both must agree.
 
 The second is the earlier chain serializer, kept verbatim: it built a dict
 per node and edge and handed the whole document to ``canonical_json``. On
 any document both must give the same text.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdv_guard import eventchain
-from sdv_guard.errors import DiagramParseError, SdvGuardError, StructureError
+from sdv_guard.errors import DiagramParseError, SdvGuardError, StructureError, TransformError
 from sdv_guard.eventchain import (
     NODE_KINDS,
     NOTE_KEYS,
-    _ACTION_RE,
     _ELSE_RE,
     _IF_RE,
     _NOTE_RE,
@@ -33,13 +39,32 @@ from sdv_guard.eventchain import (
     serialize_chain,
 )
 from sdv_guard.pipeline.cli import main
-from sdv_guard.util import canonical_json, json_scalars, plantuml_body, sha256_text
+from sdv_guard.util import canonical_json, json_scalars, normalize_name, sha256_text
 
 from conftest import FIXTURES
-from test_eventchain import _EDITS, _JUNK_LINES, _STATEMENT, _diagram
+from test_eventchain import _EDITS, _JUNK_LINES, _STATEMENT, _diagram, _if_lines
+
+_ACTION_RE = re.compile(r"^:(?P<label>.*);$")
 
 # ---------------------------------------------------------------------------
-# reference: the earlier parser and structure check
+# reference: the earlier parser, framing and structure check
+
+
+def plantuml_body(text: str, error_type: type[SdvGuardError]) -> list[tuple[int, str]]:
+    content = [(n, line) for n, raw in enumerate(text.splitlines(), start=1)
+               if (line := raw.strip())]
+    if not content or content[0][1] != "@startuml":
+        raise error_type("diagram must begin with @startuml",
+                         line=content[0][0] if content else 1)
+    if content[-1][1] != "@enduml":
+        raise error_type("diagram must end with @enduml", line=content[-1][0])
+    body = []
+    for lineno, line in content[1:-1]:
+        if line in ("@startuml", "@enduml"):
+            raise error_type("nested diagram delimiter", line=lineno)
+        if not line.startswith("'"):
+            body.append((lineno, line))
+    return body
 
 
 class _Parser:
@@ -221,9 +246,9 @@ def _reference(text: str) -> ActivityGraph:
 # both sides
 
 
-def _outcome(parse, text: str):
+def _outcome(fn, arg):
     try:
-        return parse(text)
+        return fn(arg)
     except SdvGuardError as exc:
         return type(exc), str(exc)
 
@@ -236,6 +261,7 @@ def _same(text: str):
 
 def test_the_two_sides_are_different_parsers():
     assert eventchain._Parser is not _Parser
+    assert eventchain.plantuml_body is not plantuml_body
     assert eventchain._validate_structure is not _validate_structure
 
 
@@ -303,6 +329,116 @@ def test_fuzzed_diagrams_match_the_reference(statements, edits):
 @given(lines=st.lists(_JUNK_LINES, max_size=12))
 def test_junk_diagrams_match_the_reference(lines):
     _same(_body(*lines))
+
+
+# ---------------------------------------------------------------------------
+# reference: the earlier event naming
+
+_NORM_RE = re.compile(r"[^a-z0-9]+")
+
+
+def _ref_normalize_name(text: str) -> str:
+    return _NORM_RE.sub("-", text.lower()).strip("-")
+
+
+def _ref_to_chain_document(graph: ActivityGraph, source_digest: str = "",
+                           generation_prompt_digest: str = "") -> ChainDocument:
+    events: list[tuple[str, str]] = []
+    for node in graph.nodes:
+        if node.kind != "action":
+            continue
+        event = _ref_normalize_name(node.label)
+        if not event:
+            raise TransformError(
+                f"action '{node.id}' has no label to derive an event from"
+            )
+        events.append((node.id, event))
+    metadata = (
+        ("source_digest", source_digest),
+        ("generation_prompt_digest", generation_prompt_digest),
+    )
+    return ChainDocument(graph=graph, events=tuple(events), metadata=metadata)
+
+
+# characters whose lowercase is ASCII (KELVIN SIGN) or longer than one
+# character (I WITH DOT ABOVE), other letters and digits outside ASCII, each
+# kind of line break, and separators ASCII and not
+_NAME_CHARS = "aZ9 -_.:;()\t\n\r\x0b\x1c\x85\u2028\u2029\u212aİßﬁé١\u00a0\u3000"
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(text=st.one_of(st.text(), st.text(alphabet=_NAME_CHARS, max_size=12),
+                      st.text(alphabet=st.characters(max_codepoint=127))))
+def test_normalize_name_is_the_regex_form(text):
+    assert normalize_name(text) == _ref_normalize_name(text)
+
+
+@pytest.mark.parametrize("text, name", [
+    ("Pedestrian (camera) detected", "pedestrian-camera-detected"),
+    ("\u212a", "k"), ("\u212aelvin", "kelvin"), ("İ", "i"), ("İstanbul", "i-stanbul"),
+    ("Café", "caf"), ("Straße 2", "stra-e-2"), ("a\nb", "a-b"), ("\n", ""), ("", ""),
+    (" ", ""), ("---", ""), ("é", ""), ("-Ab-", "ab"),
+])
+def test_normalize_name_examples(text, name):
+    assert normalize_name(text) == _ref_normalize_name(text) == name
+
+
+# labels mostly on one line; a line break in one splits its line
+_LABELS = st.one_of(
+    st.sampled_from(["A", "Ab", "C c", "", " ", "  ", "Café", "İ", "\u212a", "é", "Straße 2",
+                     "Pedestrian (camera) detected", "a;b", ":x:", "\u2003y\u2003"]),
+    st.text(alphabet=_NAME_CHARS.translate({ord(c): None for c in "\n\r\x0b\x1c\x85\u2028\u2029"}),
+            max_size=6),
+    st.text(max_size=4))
+# notes that attach; an edit's junk line may repeat a key or name an unknown one
+_NOTES = st.lists(st.sampled_from(["note right: input=x", "note right: output = y é",
+                                   "note right:input_format=json", "note right: output_format="]),
+                  max_size=2, unique=True)
+# an action with any label and up to two notes, or now and then a stop; as
+# statements, in if blocks whose arms may be empty
+_RICH_STATEMENT = st.recursive(
+    st.builds(lambda label, notes: [f":{label};", *notes], _LABELS, _NOTES)
+    | st.sampled_from([["stop"], [":A;"], [":Ab;", "note right: output=x"]]),
+    lambda stmt: st.tuples(st.lists(stmt, max_size=3),
+                           st.none() | st.lists(stmt, max_size=3)).map(_if_lines),
+    max_leaves=10)
+
+
+def _same_document(graph: ActivityGraph) -> None:
+    """``to_chain_document`` of a parsed graph gives the reference's
+    document, or its error, and serializes as the reference does."""
+    expected = _outcome(_ref_to_chain_document, graph)
+    document = _outcome(eventchain.to_chain_document, graph)
+    assert document == expected
+    if isinstance(document, ChainDocument):
+        assert serialize_chain(document) == _ref_serialize_chain(document)
+
+
+@pytest.mark.parametrize("lines, outcome", [
+    (["start", ":;", "stop"], (TransformError,
+                               "action 'n2' has no label to derive an event from")),
+    (["start", ":A;", ": ;", "stop"], (TransformError,
+                                       "action 'n3' has no label to derive an event from")),
+    (["start", ":é;", "stop"], (TransformError,
+                                "action 'n2' has no label to derive an event from")),
+    (["start", ":Café;", "note right: input=x", "note right: output=y", ":İ;", "stop"],
+     (("n2", "caf"), ("n3", "i"))),
+    (["start", ":\u212a;", "if (x) then (yes)", "else (no)", "endif", "stop"], (("n2", "k"),)),
+    (["start", "if (x) then (yes)", "endif", ":A;", "stop"], (("n4", "a"),)),
+])
+def test_named_diagrams_match_the_reference(lines, outcome):
+    graph = _same(_body(*lines))
+    _same_document(graph)
+    document = _outcome(eventchain.to_chain_document, graph)
+    assert (document.events if isinstance(document, ChainDocument) else document) == outcome
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(statements=st.lists(_RICH_STATEMENT, max_size=5), edits=st.just([]) | _EDITS)
+def test_diagrams_with_notes_and_any_label_match_the_reference(statements, edits):
+    graph = _same(_diagram(statements, edits))
+    if isinstance(graph, ActivityGraph):
+        _same_document(graph)
 
 
 # ---------------------------------------------------------------------------

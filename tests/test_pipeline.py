@@ -97,6 +97,35 @@ def test_config_missing_file():
         load_config("/no/such/config.json")
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"out_dir": ""}, "out_dir must not be empty"),
+    ({"top_k": 0}, "top_k must be at least 1, got 0"),
+    ({"top_k": "5"}, "top_k must be of type int, got '5'"),
+    ({"max_iterations": 0}, "max_iterations must be at least 1, got 0"),
+    ({"mode": "replay"}, "mode 'replay' needs a store_path"),
+])
+def test_config_built_directly_is_checked(kwargs, message):
+    # a library caller's config gets the check that load_config's gets
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        PipelineConfig(**kwargs)
+
+
+def test_empty_out_dir_argument_is_an_error(fixtures_dir, topo_texts, tmp_path, monkeypatch):
+    # Path("") is the current directory: nothing may be written there
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigurationError, match="out_dir must not be empty"):
+        run_safety_pipeline_files(
+            _fixture(fixtures_dir, "code", "s1.py"),
+            _fixture(fixtures_dir, "catalogs", "vss.json"),
+            _fixture(fixtures_dir, "catalogs", "can.json"),
+            _fixture(fixtures_dir, "rules", "rules-s1.txt"),
+            replay_gateway("s1"), PipelineConfig(), out_dir="")
+    with pytest.raises(ConfigurationError, match="out_dir must not be empty"):
+        run_topology_pipeline(None, PipelineConfig(), model_text=topo_texts["good"],
+                              constraints_text=topo_texts["ocl"], out_dir="")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_gateway_replay_and_record(tmp_path, fixtures_dir):
     store = fixtures_dir / "replay" / "cabin.json"
     gateway = build_gateway(load_config(mode="replay", store_path=str(store)))
