@@ -14,10 +14,12 @@ timestamps), must equal the running interpreter's. Each ``PY`` then runs
 the same commands again, in order, through ``cli.main`` in a single process
 of its own, which must give what its one process per command gave.
 
-Each ``PY`` is first asked its version with ``PY -c ...``; one that cannot
-start, exits non-zero or hangs cannot run Python and is not compared. Prints
-one line per interpreter, ``cannot run`` and why, or the version compared
-and ``same`` or the number of differences, with each difference under it.
+Each ``PY`` is first asked its version and ``sys.executable`` with
+``PY -c ...``; one that cannot start, exits non-zero or hangs cannot run
+Python and is not compared. Prints one line per interpreter, ``cannot run``
+and why, or the version and the binary compared (a bare name may resolve to
+a shim or to another installation) and ``same`` or the number of
+differences, with each difference under it.
 Exits 0 when every interpreter agrees, 1 when one differs, and 2 when no
 interpreter is given or one cannot run Python.
 """
@@ -115,19 +117,22 @@ def differences(expected: dict, actual: dict) -> list[str]:
             if expected.get(name) != actual.get(name)]
 
 
-def python_version(python: str) -> str:
-    """The version ``python`` reports. A ``RuntimeError`` says why when it
-    cannot start, exits non-zero or does not answer in time, as a shell
-    shim for an interpreter that is not installed does."""
+def python_version(python: str) -> tuple[str, str]:
+    """The version ``python`` reports, and its ``sys.executable``. A
+    ``RuntimeError`` says why when it cannot start, exits non-zero or does
+    not answer in time, as a shell shim for an interpreter that is not
+    installed does."""
     try:
-        done = subprocess.run([python, "-c", "import sys; print(sys.version.split()[0])"],
+        done = subprocess.run([python, "-c", "import sys; print(sys.version.split()[0]); "
+                                             "print(sys.executable)"],
                               capture_output=True, text=True, timeout=VERSION_TIMEOUT_S)
     except (OSError, subprocess.TimeoutExpired) as exc:
         raise RuntimeError(exc) from None
     if done.returncode != 0:
         said = (done.stderr or done.stdout).strip().splitlines()
         raise RuntimeError(f"exit code {done.returncode}" + (f": {said[0]}" if said else ""))
-    return done.stdout.strip()
+    version, _, executable = done.stdout.strip().partition("\n")
+    return version, executable
 
 
 def main(argv: list[str]) -> int:
@@ -135,7 +140,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     status = 0
-    runnable = []  # (interpreter, its version)
+    runnable = []  # (interpreter, its version and executable)
     for python in argv:
         try:
             runnable.append((python, python_version(python)))
@@ -146,7 +151,7 @@ def main(argv: list[str]) -> int:
         return status
     commands = readme_commands()
     reference = run_all(sys.executable, commands)
-    for python, version in runnable:
+    for python, (version, executable) in runnable:
         try:
             separate = run_all(python, commands)
             found = [*differences(reference, separate),
@@ -157,7 +162,8 @@ def main(argv: list[str]) -> int:
             status = 2
             continue
         print(f"{python}: {'same' if not found else f'{len(found)} differences'}"
-              f" (Python {version}, {len(commands)} commands, {len(reference)} results)")
+              f" (Python {version} at {executable}, {len(commands)} commands, "
+              f"{len(reference)} results)")
         for line in found:
             print(f"  {line}")
         if found:

@@ -31,12 +31,11 @@ call, from the entries alone, so a catalog stays observably immutable. Only
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CatalogError, CatalogParseError, SchemaError
-from .util import RepeatedKeys, load_json, normalize_name, parse_number
+from .util import load_json, normalize_name, parse_number
 
 VSS_DATATYPES = ("boolean", "int", "float", "string", "enum")
 
@@ -161,44 +160,27 @@ def _walk_vss(root: dict) -> list[tuple[str, CatalogEntry | None]]:
     the one reported. The stack is explicit: any depth the JSON decoder
     accepts is walked."""
     out: list[tuple[str, CatalogEntry | None]] = []
-    stack = [("", *_members(root))]
+    stack = [("", iter(root.items()))]
     while stack:
-        prefix, members, seen = stack[-1]
+        prefix, members = stack[-1]
         for key, value in members:
             if not key:
                 raise SchemaError(f"empty node name under '{prefix or '<root>'}'")
             path = f"{prefix}.{key}" if prefix else key
-            if seen is not None:
-                if key in seen:
-                    raise CatalogError(f"duplicate signal path '{path}'")
-                seen.add(key)
             entry, children = _vss_node(path, value)
             out.append((path, entry))
             if children is not None:
-                stack.append((path, *_members(children)))
+                stack.append((path, iter(children.items())))
                 break
         else:
             stack.pop()
     return out
 
 
-def _members(obj: dict):
-    """The members of a decoded object in document order, and the set that
-    catches a repeated name: only an object whose key repeats needs one."""
-    if isinstance(obj, RepeatedKeys):
-        return iter(obj.pairs), set()
-    return iter(obj.items()), None
-
-
 def _vss_node(path: str, fields) -> tuple[CatalogEntry | None, dict | None]:
     """A leaf's entry, or a branch's children."""
-    if type(fields) is not dict:
-        if not isinstance(fields, dict):
-            raise SchemaError(f"node '{path}' must be an object")
-        if isinstance(fields, RepeatedKeys):
-            counts = Counter(key for key, _ in fields.pairs)
-            dupe = next(key for key, n in counts.items() if n > 1)
-            raise CatalogError(f"duplicate field '{dupe}' in node '{path}'")
+    if not isinstance(fields, dict):
+        raise SchemaError(f"node '{path}' must be an object")
     if "datatype" in fields:
         return _vss_leaf(path, fields), None
     if "children" in fields:

@@ -47,7 +47,7 @@ class _PositionError(SdvGuardError):
 
 
 class CatalogError(SdvGuardError):
-    """Structurally invalid catalog content, e.g. duplicate keys."""
+    """Structurally invalid catalog content, e.g. a duplicate signal path or message name."""
 
 
 class SchemaError(SdvGuardError):

@@ -32,14 +32,20 @@ class Receipt:
         }
 
 
-def _collect(source_dir: Path) -> list[tuple[str, str]]:
+def _collect(source_dir: Path) -> list[tuple[str, bytes]]:
+    """Each file under ``source_dir`` by its relative path, sorted, with its
+    bytes, each read once; a file that cannot be read is a
+    ``ConfigurationError``."""
     if not source_dir.is_dir():
         raise ConfigurationError(f"artifact directory '{source_dir}' does not exist")
-    files: list[tuple[str, str]] = []
+    files: list[tuple[str, bytes]] = []
     for path in sorted(source_dir.rglob("*")):
         if path.is_file():
             rel = path.relative_to(source_dir).as_posix()
-            files.append((rel, sha256_bytes(path.read_bytes())))
+            try:
+                files.append((rel, path.read_bytes()))
+            except OSError as exc:
+                raise ConfigurationError(f"cannot read artifact '{rel}': {exc}") from exc
     if not files:
         raise ConfigurationError(f"artifact directory '{source_dir}' is empty")
     return files
@@ -49,39 +55,43 @@ def deploy_stub(source_dir: str | Path, target: str) -> Receipt:
     """Copy artifacts to a directory, or POST them to an http(s) endpoint.
 
     Endpoint mode sends one JSON body per file: {"path", "sha256", "content"}
-    with the content as UTF-8 text (artifacts are text files). Any transport
+    with the content as UTF-8 text (artifacts are text files); a file that is
+    not UTF-8 is a DeploymentError before anything is sent. Any transport
     or non-2xx failure raises DeploymentError; nothing is retried.
     """
     source_dir = Path(source_dir)
-    files = _collect(source_dir)
+    collected = _collect(source_dir)
+    files = tuple((rel, sha256_bytes(data)) for rel, data in collected)
     if target.startswith(("http://", "https://")):
         import requests
 
-        for rel, digest in files:
-            body = {
-                "path": rel,
-                "sha256": digest,
-                "content": (source_dir / rel).read_text(encoding="utf-8"),
-            }
+        bodies = []
+        for (rel, data), (_, digest) in zip(collected, files):
+            try:
+                content = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DeploymentError(f"artifact '{rel}' is not UTF-8 text: {exc}") from None
+            bodies.append({"path": rel, "sha256": digest, "content": content})
+        for body in bodies:
             try:
                 response = requests.post(target, json=body, timeout=30.0)
             except requests.RequestException as exc:
                 raise DeploymentError(f"endpoint '{target}' unreachable: {exc}") from exc
             if response.status_code // 100 != 2:
                 raise DeploymentError(
-                    f"endpoint '{target}' rejected '{rel}' with status "
+                    f"endpoint '{target}' rejected '{body['path']}' with status "
                     f"{response.status_code}"
                 )
-        return Receipt(target=target, kind="endpoint", files=tuple(files))
+        return Receipt(target=target, kind="endpoint", files=files)
     target_dir = Path(target)
     for rel, _digest in files:
         destination = target_dir / rel
         try:
             destination.parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(source_dir / rel, destination)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # the ValueError of a NUL in the target
             raise DeploymentError(f"cannot copy '{rel}' to '{destination}': {exc}") from exc
-    return Receipt(target=str(target_dir), kind="directory", files=tuple(files))
+    return Receipt(target=str(target_dir), kind="directory", files=files)
 
 
 def save_receipt(receipt: Receipt, path: str | Path) -> None:

@@ -98,7 +98,7 @@ class _ArtifactWriter:
         self.out_dir = Path(out_dir)
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # the ValueError of a NUL in the path
             raise ConfigurationError(
                 f"cannot create output directory '{self.out_dir}': {exc}") from exc
         self.record = RunRecord(kind=kind, started_at=_now(), config=_config_echo(config))

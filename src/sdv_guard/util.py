@@ -65,12 +65,14 @@ def mismatched_files(base: Path, expected) -> list[str]:
     """Re-hash recorded files under ``base``; ``expected`` yields
     (name, relative path, sha256). Returns, in order, the names whose file is
     missing, unreadable or no longer matches its digest. A path that is
-    absolute or holds ``..`` could leave ``base``: it is a
-    ``ConfigurationError`` and is never read."""
+    absolute or holds ``..`` could leave ``base``, and no file system names
+    a file with a NUL: each is a ``ConfigurationError`` and is never read."""
     mismatched: list[str] = []
     for name, rel, digest in expected:
         if Path(rel).is_absolute() or ".." in Path(rel).parts:
             raise ConfigurationError(f"recorded path '{rel}' of '{name}' leaves '{base}'")
+        if "\0" in rel:
+            raise ConfigurationError(f"recorded path {rel!r} of '{name}' holds a NUL character")
         try:
             actual = sha256_bytes((base / rel).read_bytes())
         except OSError:
@@ -82,12 +84,13 @@ def mismatched_files(base: Path, expected) -> list[str]:
 
 def read_text(path: str | Path, what: str, missing: str | None = None) -> str:
     """Read a UTF-8 text file. Every failure is a ``ConfigurationError``
-    naming the ``what`` file; ``missing`` replaces the not-found message."""
+    naming the ``what`` file, a path that holds a NUL included;
+    ``missing`` replaces the not-found message."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigurationError(missing or f"{what} file '{path}' does not exist") from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # text not UTF-8, or a NUL in the path
         raise ConfigurationError(f"cannot read {what} file '{path}': {exc}") from exc
 
 
@@ -99,8 +102,8 @@ def write_atomic(path: str | Path, text: str, what: str) -> None:
     creating a missing parent directory, then swap it in over ``path``: a
     process that dies mid-write leaves the old file whole (nothing calls
     fsync, so a power loss may not), and a failed write leaves no temporary
-    file behind. Every failure is a ``ConfigurationError`` naming the
-    ``what`` file."""
+    file behind. Every failure, a path that holds a NUL included, is a
+    ``ConfigurationError`` naming the ``what`` file."""
     path = os.fspath(path)
     partial = f"{path}.{os.getpid()}.tmp"
     data = memoryview(text.encode("utf-8"))
@@ -117,25 +120,22 @@ def write_atomic(path: str | Path, text: str, what: str) -> None:
             os.close(fd)
         os.replace(partial, path)
     except BaseException as exc:
-        with suppress(OSError):  # as when there was no file to remove
+        with suppress(OSError, ValueError):  # as when there was no file to remove
             os.unlink(partial)
-        if isinstance(exc, OSError):
+        if isinstance(exc, (OSError, ValueError)):  # the ValueError of a NUL in the path
             raise ConfigurationError(f"cannot write {what} '{path}': {exc}") from exc
         raise
 
 
-class RepeatedKeys(dict):
-    """A decoded JSON object in which a key repeats: the dict keeps the last
-    value of each key, ``pairs`` every pair in document order."""
-
-    def __init__(self, pairs: list[tuple[str, object]]):
-        super().__init__(pairs)
-        self.pairs = pairs
-
-
 def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object; a repeated key is a ValueError naming it in
+    ASCII (I-JSON, RFC 7493 section 2.3: member names are unique)."""
     obj = dict(pairs)
-    return obj if len(obj) == len(pairs) else RepeatedKeys(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"{json_scalars((key,))[0]} repeats in an object")
+    return obj
 
 
 def _reject_constant(name: str):
@@ -192,15 +192,15 @@ def _reject_lone_surrogates(value) -> None:
             except UnicodeEncodeError as exc:
                 raise ValueError(f"a string holds the lone surrogate "
                                  f"U+{ord(item[exc.start]):04X}") from None
-        elif isinstance(item, dict):  # a RepeatedKeys with every pair
-            for pair in item.pairs if isinstance(item, RepeatedKeys) else item.items():
+        elif isinstance(item, dict):
+            for pair in item.items():
                 stack.extend(pair)
         elif isinstance(item, list):
             stack.extend(item)
 
 
-# the decoder's hooks for strict JSON: a RepeatedKeys where a key repeats, no
-# float beyond its range, no NaN or Infinity
+# the decoder's hooks for strict JSON: no repeated key, no float beyond its
+# range, no NaN or Infinity
 _STRICT = {"object_pairs_hook": _object, "parse_float": _json_float,
            "parse_constant": _reject_constant}
 
@@ -215,9 +215,9 @@ def _strict_strings(value, text: str):
 
 def load_json(text: str, error_type: type[SdvGuardError], what: str):
     """Decode strict JSON (RFC 8259: no NaN or Infinity) with no number beyond
-    a float's range and no lone surrogate in a string into plain values; an
-    object whose key repeats is a ``RepeatedKeys``. Any failure, too deep a
-    nesting included, is an ``error_type`` naming ``what``."""
+    a float's range, no lone surrogate in a string and no key repeated in an
+    object into plain values. Any failure, too deep a nesting included, is an
+    ``error_type`` naming ``what``."""
     try:
         return _strict_strings(json.loads(text, **_STRICT), text)
     except (RecursionError, ValueError, OverflowError) as exc:
@@ -244,9 +244,9 @@ def first_json_array(text: str, error_type: type[SdvGuardError], what: str) -> l
     """The first JSON array in ``text``, which may sit in prose, decoded as
     ``load_json`` decodes; None when there is none. A ``[`` where no JSON
     starts is skipped, but an array that is JSON and breaks a strict rule
-    (NaN, a number beyond a float's range, a lone surrogate, too deep a
-    nesting) is an ``error_type`` naming ``what``, and so is text whose
-    skipped ``[`` read more than a few times its length.
+    (NaN, a number beyond a float's range, a lone surrogate, a repeated key,
+    too deep a nesting) is an ``error_type`` naming ``what``, and so is text
+    whose skipped ``[`` read more than a few times its length.
 
     Each decode reads a window of the text that ends in a NUL, which JSON
     accepts nowhere, so the scan stops in the window and a skipped ``[``

@@ -81,9 +81,11 @@ def test_signal_schema_errors(node, message_part):
 
 
 def test_signal_duplicate_key_rejected():
-    # JSON allows repeated keys; the parser must not silently keep one
+    # I-JSON (RFC 7493 section 2.3): the decoder rejects a repeated key, so
+    # the parser never keeps one of two values
     text = '{"A": {"datatype": "float"}, "A": {"datatype": "int"}}'
-    with pytest.raises(CatalogError, match="duplicate signal path 'A'"):
+    with pytest.raises(CatalogParseError,
+                       match='^signal catalog is not valid JSON: "A" repeats in an object$'):
         parse_vss_catalog(text)
 
 

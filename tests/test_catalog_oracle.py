@@ -4,7 +4,10 @@ Three references are kept here, with only their names changed, and with
 local copies of the signal and message classes they built:
 
 * ``_ref_parse_vss_catalog``, the pair-list VSS parser: it decoded every
-  JSON object as a list of pairs and walked that form recursively.
+  JSON object as a list of pairs and walked that form recursively. A key
+  repeated in an object is now rejected by the decoder (I-JSON, RFC 7493
+  section 2.3), so the reference first finds a repeat the way the decoder
+  does and expects its error.
 * ``_RefSignalCatalog`` and ``_RefMessageCatalog``, the catalogs as they
   were: each derived its entries from the sorted signals or messages in a
   second pass (``_ref_vss_entry``, ``_ref_can_entry``) and built the
@@ -121,8 +124,31 @@ def _is_pairs(value) -> bool:
     )
 
 
+def _first_repeated_key(value) -> str | None:
+    """The repeated key the decoder reports in a pair-list document: an
+    object is checked when it closes, after every object inside it, and the
+    key it names is the first one seen twice."""
+    if not isinstance(value, list):
+        return None
+    pairs = _is_pairs(value)
+    for item in value:
+        inner = _first_repeated_key(item[1] if pairs else item)
+        if inner is not None:
+            return inner
+    seen: set[str] = set()
+    for key, _ in value if pairs else ():
+        if key in seen:
+            return key
+        seen.add(key)
+    return None
+
+
 def _ref_parse_vss_catalog(text: str) -> _RefSignalCatalog:
     doc = _load_json_pairs(text)
+    repeated = _first_repeated_key(doc)
+    if repeated is not None:
+        raise CatalogParseError(f"signal catalog is not valid JSON: {json.dumps(repeated)} "
+                                f"repeats in an object")
     if not _is_pairs(doc):
         raise SchemaError("signal catalog root must be an object")
     signals: list[VssSignal] = []
@@ -649,16 +675,20 @@ def test_the_first_of_several_leaf_faults_matches_reference(leaf):
     assert _assert_same_vss(json.dumps({"V": {"children": {"L": leaf}}}))[0] == "SchemaError"
 
 
+_REPEATS = " repeats in an object"
+
+
 def test_random_catalogs_match_reference():
     outcomes: dict[str, int] = {}
     for seed in range(4000):
         kind, detail = _assert_same_vss(_random_catalog(random.Random(seed)))
-        if kind == "CatalogError" and detail.startswith("duplicate signal path"):
-            kind = "duplicate signal path"
+        if kind == "CatalogParseError" and detail.endswith(_REPEATS):
+            key = json.loads(detail.split(": ", 1)[1][:-len(_REPEATS)])
+            kind = "repeated node name" if key in _NAMES else "repeated field"
         outcomes[kind] = outcomes.get(kind, 0) + 1
     # the generator must reach successes, schema errors and both kinds of repeat
-    assert min(outcomes.get(kind, 0) for kind in ("ok", "SchemaError", "CatalogError")) > 300
-    assert outcomes.get("duplicate signal path", 0) > 30
+    assert min(outcomes.get(kind, 0) for kind in ("ok", "SchemaError", "repeated field")) > 300
+    assert outcomes.get("repeated node name", 0) > 30
 
 
 @pytest.mark.parametrize("text, reference, new", [
@@ -709,8 +739,9 @@ def test_bench_message_catalogs_match_reference(seed):
 
 
 # random message catalogs, written by hand so keys can repeat inside an
-# object (the last value counts, in both parsers). No frame_id string with a
-# sign, an underscore or a non-ASCII digit: those are intended differences.
+# object (both parsers reject the repeat as they decode). No frame_id string
+# with a sign, an underscore or a non-ASCII digit: those are intended
+# differences.
 
 _MESSAGE_NAMES = ("Brake_Cmd", "brake-cmd", "BRAKE.CMD", "Speed")
 _FRAME_IDS = ("0x1A", "0X1a", " 0x1f\t", "26", " 31 ", "007", "0", 1 << 29, -1,
@@ -739,7 +770,7 @@ def _random_signal(rng: random.Random, fault: float):
     ) if rng.random() < 0.6]
     for name, values in _SIGNAL_FAULTS.items():
         if rng.random() < fault / 3:
-            pairs.append((name, rng.choice(values)))  # repeats: the last one counts
+            pairs.append((name, rng.choice(values)))  # may repeat a key
     if rng.random() < fault / 3:
         pairs = [p for p in pairs if p[0] != rng.choice(("start_bit", "bit_length", "name"))]
     rng.shuffle(pairs)

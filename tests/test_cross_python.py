@@ -37,7 +37,8 @@ def test_the_running_interpreter_agrees_with_itself():
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
     version = sys.version.split()[0]
-    assert done.stdout == f"{sys.executable}: same (Python {version}, 10 commands, 54 results)\n"
+    assert done.stdout == (f"{sys.executable}: same (Python {version} at {sys.executable}, "
+                           "10 commands, 54 results)\n")
 
 
 def test_no_interpreter_is_a_usage_error():
@@ -71,7 +72,8 @@ def test_an_interpreter_that_hangs_cannot_run(tmp_path, monkeypatch):
     monkeypatch.setattr(cross_python, "VERSION_TIMEOUT_S", 0.2)
     with pytest.raises(RuntimeError, match="timed out after 0.2 seconds"):
         cross_python.python_version(str(fake))
-    assert cross_python.python_version(sys.executable) == sys.version.split()[0]
+    assert cross_python.python_version(sys.executable) == (sys.version.split()[0],
+                                                           sys.executable)
 
 
 def test_a_difference_in_one_process_is_a_difference(monkeypatch, capsys):
@@ -81,14 +83,22 @@ def test_a_difference_in_one_process_is_a_difference(monkeypatch, capsys):
         return {"command 1 stdout": b"leaked" if one_process else b"ok", "out/a": b"1"}
 
     monkeypatch.setattr(cross_python, "run_all", run_all)
-    monkeypatch.setattr(cross_python, "python_version", lambda python: "3.99.0")
+    monkeypatch.setattr(cross_python, "python_version",
+                        lambda python: ("3.99.0", "/opt/py/bin/python3.99"))
     assert cross_python.main(["py"]) == 1
     assert capsys.readouterr().out == (
-        f"py: 1 differences (Python 3.99.0, {len(cross_python.readme_commands())} commands, "
-        "2 results)\n  one process: command 1 stdout: differs\n")
+        f"py: 1 differences (Python 3.99.0 at /opt/py/bin/python3.99, "
+        f"{len(cross_python.readme_commands())} commands, 2 results)\n"
+        "  one process: command 1 stdout: differs\n")
 
 
 def test_a_one_process_run_that_does_not_finish_has_no_command_results(tmp_path):
     fake = _fake_python(tmp_path, "exit 1")
     commands = cross_python.readme_commands()
     assert cross_python.run_all(str(fake), commands, one_process=True) == {}
+
+
+def test_a_shim_reports_the_binary_it_runs(tmp_path):
+    # as a pyenv shim: the name compared is not the binary that runs
+    shim = _fake_python(tmp_path, f'exec "{sys.executable}" "$@"')
+    assert cross_python.python_version(str(shim)) == (sys.version.split()[0], sys.executable)

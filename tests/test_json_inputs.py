@@ -3,8 +3,9 @@
 ``util.load_json`` and ``util.first_json_array``, the scanner that finds an
 extraction completion's entry array, are the only places that decode JSON
 text, with the same strict rules, so each parser reports deep nesting,
-``NaN``/``Infinity``, lone surrogates and malformed text as its own
-``SdvGuardError``, and the CLI exits 2 with an ``error:`` line.
+``NaN``/``Infinity``, lone surrogates, a repeated key (I-JSON, RFC 7493
+section 2.3) and malformed text as its own ``SdvGuardError``, and the CLI
+exits 2 with an ``error:`` line.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -48,7 +50,7 @@ from sdv_guard.pipeline.cli import main
 from sdv_guard.topology import parse_instance, parse_metamodel
 from sdv_guard.topology.ocl import ConstraintVerdict
 from sdv_guard import util
-from sdv_guard.util import RepeatedKeys, dump_json, load_json, parse_number
+from sdv_guard.util import dump_json, load_json, parse_number
 
 from conftest import FIXTURES, ROOT
 
@@ -115,12 +117,7 @@ def test_invalid_utf8_and_directories_are_configuration_errors(tmp_path, name):
         call(tmp_path if name == "run-record" else tmp_path / filename)
 
 
-def test_load_json_keeps_repeated_pairs_and_positions():
-    value = load_json('{"a": 1, "b": {"c": 2}, "a": 3}', TransformError, "doc")
-    assert value == {"a": 3, "b": {"c": 2}}
-    assert isinstance(value, RepeatedKeys)
-    assert value.pairs == [("a", 1), ("b", {"c": 2}), ("a", 3)]
-    assert type(value["b"]) is dict
+def test_load_json_reports_positions_and_limits():
     with pytest.raises(CatalogParseError) as err:
         load_json('{\n  "a": nope}', CatalogParseError, "catalog")
     assert (err.value.line, err.value.column) == (2, 8)
@@ -130,11 +127,28 @@ def test_load_json_keeps_repeated_pairs_and_positions():
         load_json("1" * 5000, TransformError, "doc")
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"a": 1, "b": {"c": 2}, "a": 3}', '"a"'),
+    ('{"a": 1, "b": 2, "b": 3, "a": 4}', '"b"'),  # the first key seen twice
+    ('{"a": {"x": 1, "x": 2}, "a": 3}', '"x"'),  # an inner object closes first
+    ('[{"k": 1}, {"k": 1, "k": 1}]', '"k"'),
+    ('{"": 1, "": 2}', '""'),
+    (r'{"a": "\ud83dx", "a": 1}', '"a"'),  # before the lone surrogate in its value
+    (r'{"\ud800": 1, "\ud800": 2}', r'"\ud800"'),  # a lone surrogate, written in ASCII
+    (r'{"\u00e9\t": 1, "\u00e9\t": 2}', r'"\u00e9\t"'),  # a control character
+    ('{"caf\u00e9": 1, "caf\u00e9": 2}', r'"caf\u00e9"'),
+])
+def test_load_json_rejects_a_repeated_key(text, key):
+    with pytest.raises(TransformError) as err:
+        load_json(text, TransformError, "doc")
+    assert str(err.value) == f"doc is not valid JSON: {key} repeats in an object"
+    assert str(err.value).isascii()
+
+
 @pytest.mark.parametrize("text, code_point", [
     (r'["\ud800"]', "D800"),
     (r'{"x": {"\uDFFF": 1}}', "DFFF"),
     (r'[["\ude00\ud83d"]]', "DE00"),  # a pair in the wrong order
-    (r'{"a": "\ud83dx", "a": 1}', "D83D"),  # in the value a repeated key drops
 ])
 def test_load_json_rejects_a_lone_surrogate(text, code_point):
     with pytest.raises(TransformError,
@@ -151,6 +165,45 @@ def test_load_json_keeps_surrogate_pairs_and_escaped_backslashes():
 def test_lone_surrogates_are_the_parsers_error(tmp_path, name):
     with pytest.raises(ENTRIES[name][2], match="lone surrogate U\\+D800"):
         _call(name, tmp_path, r'{"x": ["drive \ud800 actuator"]}')
+
+
+# name -> (a document in which a key repeats, the key): a repeat changes no
+# value silently, at any entry point
+REPEATED = {
+    "vss": ('{"Vehicle": {"Speed": {"datatype": "int", "datatype": "float"}}}', "datatype"),
+    "can": ('[{"name": "M", "frame_id": "0x101", "frame_id": "0x1FF", "dlc": 8}]',
+            "frame_id"),
+    "metamodel": ('{"classes": [{"name": "Camera", "parent": "Component", '
+                  '"parent": "Gateway", "attributes": []}]}', "parent"),
+    "instance": ('{"objects": [{"id": "cam", "class": "Camera", "class": "Gateway", '
+                 '"attributes": {}, "references": {}}]}', "class"),
+    "chain": ('{"nodes": [], "edges": [], "nodes": [{"id": "a"}], "edges": []}', "nodes"),
+    "extraction": ('Entries: [{"name": "Vehicle.Cabin.Light", "name": "Vehicle.Speed", '
+                   '"type": "boolean", "value": true, "protocol": "VSS"}]', "name"),
+    "config": ('{"top_k": 5, "mode": "replay", "top_k": 50}', "top_k"),
+    "manifest": ('{"scenarios": [{"id": "s1", "kind": "mapping", "kind": "chain"}]}', "kind"),
+    "run-record": ('{"kind": "safety", "verdict": "pass", "verdict": "fail"}', "verdict"),
+    "receipt": ('{"target": "t", "kind": "directory", '
+                '"files": {"a.txt": "00", "a.txt": "11"}}', "a.txt"),
+    "replay": ('{"0a": "first completion", "0a": "second completion"}', "0a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_a_repeated_key_is_the_parsers_error(tmp_path, name):
+    text, key = REPEATED[name]
+    with pytest.raises(ENTRIES[name][2],
+                       match=re.escape(f"is not valid JSON: {json.dumps(key)} repeats")):
+        _call(name, tmp_path, text)
+
+
+def test_a_repeated_key_rejects_a_whole_completion():
+    # the array that holds the repeat is not skipped for a later one
+    text = ('[{"name": "A", "name": "B"}] or [{"name": "Vehicle.Cabin.Light", '
+            '"type": "boolean", "value": true, "protocol": "VSS"}]')
+    with pytest.raises(ExtractionFormatError,
+                       match='^completion is not valid JSON: "name" repeats in an object$'):
+        parse_extraction_response(text)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +240,7 @@ _CLI_INPUTS = {
     "infinity": b"[-Infinity]",
     "not-utf8": b'{"\xff": 1}',
     "lone-surrogate": b'{"x": ["\\ud800"]}',
+    "repeated-key": b'{"x": 1, "x": 2}',
 }
 
 
@@ -217,7 +271,8 @@ def test_cli_reports_a_lone_surrogate_in_a_model(tmp_path, capsys):
     ("Vehicle.Cabin.Light", r"Vehicle.Cabin.Light\\ud800", "a string holds the lone surrogate U+D800"),
     (r'\"value\": true', r'\"value\": NaN', "NaN is not a JSON number"),
     (r'\"value\": true', r'\"value\": 1e999', "number 1e999 is out of range"),
-], ids=["unknown-name", "known-name", "nan", "1e999"])
+    (r'\"value\": true', r'\"value\": true, \"value\": false', '"value" repeats in an object'),
+], ids=["unknown-name", "known-name", "nan", "1e999", "repeated-key"])
 def test_cli_reports_a_completion_that_is_not_strict_json(tmp_path, capsys, old, new, reason):
     text = (FIXTURES / "replay" / "cabin.json").read_text(encoding="utf-8")
     assert old in text
@@ -690,63 +745,122 @@ def test_parse_number_out_of_range(text):
 
 
 # ---------------------------------------------------------------------------
-# the one indented writer: byte for byte what json.dumps writes
+# the one indented writer: 2-space indent, a final newline, keys sorted and
+# non-ASCII escaped unless a flag says otherwise
 
 _FLAGS = [(True, True), (True, False), (False, True), (False, False)]
 # a row boundary, quotes, backslashes, control characters and non-ASCII text
 _AWKWARD = st.sampled_from(["},\n  {", "},\n    {", "}", "{", '"', "\\", "\n", "\x00\x1f\x7f",
                             "\u00e9", "\u2603", "\U0001f600", "\u2028"])
 _STRINGS = st.one_of(_AWKWARD, st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
-_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _STRINGS)
+
+_NESTED = {"b": [1, {"y": None, "x": True}], "a": {}, "c": [2.5, "e"]}
+_NESTED_SORTED = """\
+{
+  "a": {},
+  "b": [
+    1,
+    {
+      "x": true,
+      "y": null
+    }
+  ],
+  "c": [
+    2.5,
+    "e"
+  ]
+}
+"""
+_NESTED_AS_GIVEN = """\
+{
+  "b": [
+    1,
+    {
+      "y": null,
+      "x": true
+    }
+  ],
+  "a": {},
+  "c": [
+    2.5,
+    "e"
+  ]
+}
+"""
+_ROWS = [{"verdict": "pass", "object": "obj1", "x": 0.5},
+         {"verdict": "fail", "object": "},", "x": -3}]
+_ROWS_SORTED = """\
+[
+  {
+    "object": "obj1",
+    "verdict": "pass",
+    "x": 0.5
+  },
+  {
+    "object": "},",
+    "verdict": "fail",
+    "x": -3
+  }
+]
+"""
+_ROWS_AS_GIVEN = """\
+[
+  {
+    "verdict": "pass",
+    "object": "obj1",
+    "x": 0.5
+  },
+  {
+    "verdict": "fail",
+    "object": "},",
+    "x": -3
+  }
+]
+"""
+_NON_ASCII = ["caf\u00e9", {"\u2603": "\U0001f600 \"q\" \\ \n"}]
+_NON_ASCII_ESCAPED = r"""[
+  "caf\u00e9",
+  {
+    "\u2603": "\ud83d\ude00 \"q\" \\ \n"
+  }
+]
+"""
+_NON_ASCII_KEPT = r"""[
+  "café",
+  {
+    "☃": "😀 \"q\" \\ \n"
+  }
+]
+"""
 
 
-def _json_values(sort_keys: bool):
-    """Nested JSON values with tuples, empty containers, RepeatedKeys and
-    lists of flat dicts; keys of every type json.dumps takes unless sorted."""
-    keys = _STRINGS if sort_keys else st.one_of(_STRINGS, st.integers(), st.floats(),
-                                                 st.booleans(), st.none())
-    rows = st.lists(st.dictionaries(keys, _SCALARS, min_size=1, max_size=4), min_size=1,
-                    max_size=4)
-    return st.recursive(
-        _SCALARS | rows,
-        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                       | st.dictionaries(keys, inner, max_size=4)
-                       | st.lists(st.tuples(keys, inner), max_size=4).map(RepeatedKeys)),
-        max_leaves=20,
-    )
+@pytest.mark.parametrize("sort_keys, ensure_ascii", _FLAGS)
+def test_dump_json_writes_the_indented_layout(sort_keys, ensure_ascii):
+    expected = [(_NESTED, _NESTED_SORTED if sort_keys else _NESTED_AS_GIVEN),
+                (_ROWS, _ROWS_SORTED if sort_keys else _ROWS_AS_GIVEN),
+                (_NON_ASCII, _NON_ASCII_ESCAPED if ensure_ascii else _NON_ASCII_KEPT)]
+    for value, text in expected:
+        assert dump_json(value, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == text
+        if sort_keys and ensure_ascii:  # the defaults
+            assert dump_json(value) == text
 
 
 def _dumps(value, sort_keys: bool, ensure_ascii: bool) -> str:
     return json.dumps(value, indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii) + "\n"
 
 
-@pytest.mark.parametrize("sort_keys, ensure_ascii", _FLAGS)
-def test_dump_json_writes_what_json_dumps_writes(sort_keys, ensure_ascii):
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_json_values(sort_keys))
-    def run(value):
-        assert dump_json(value, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == _dumps(
-            value, sort_keys, ensure_ascii)
-
-    run()
-
-
-@pytest.mark.parametrize("sort_keys, ensure_ascii", _FLAGS)
-def test_dump_json_writes_a_large_report_whole(sort_keys, ensure_ascii):
-    report = {"rows": [{"object": f"obj{i}", "verdict": "pass", "x": i / 7}
-                       for i in range(50_000)]}
-    assert dump_json(report, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == _dumps(
-        report, sort_keys, ensure_ascii)
-
-
 class _Items(list):
+    pass
+
+
+class _Row(dict):
     pass
 
 
 # lists whose items look like flat rows but are not: a row value that is a
 # container subclass, an empty row, or an item that is not a dict
 _NEAR_ROWS = [
-    [{"a": 1}, {"b": RepeatedKeys([("k", 1), ("k", [2])])}],
+    [{"a": 1}, {"b": _Row({"k": [2]})}],
     [{"a": 1}, {"v": ConstraintVerdict("c", "o", "fail", "why")}],
     [{"a": _Items([1, 2]), "b": "x"}, {"c": 2}],
     [{"a": 1}, {"b": 2, "c": _Items()}],
@@ -759,7 +873,7 @@ _NEAR_ROWS = [
     [{"a": 1}, None],
     ({"a": 1}, {"b": (2,)}),
     # rows that are flat: a dict subclass row, a tuple of rows
-    [RepeatedKeys([("a", 1), ("a", 2)]), {"b": 1}],
+    [_Row({"a": 2}), {"b": 1}],
     ({"a": 1}, {"b": "}"}),
 ]
 

@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -458,6 +459,29 @@ def test_verify_artifacts_rejects_a_path_that_leaves_the_run(tmp_path, escaping)
         verify_artifacts(load_run_record(run_dir), run_dir)
 
 
+def test_verify_artifacts_rejects_a_path_that_holds_a_nul(tmp_path):
+    (tmp_path / "run.json").write_text(json.dumps({"artifacts": {"x": {
+        "path": "a\0b", "sha256": "0"}}}))
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("recorded path 'a\\x00b' of 'x' holds a NUL character")):
+        verify_artifacts(load_run_record(tmp_path), tmp_path)
+
+
+def test_a_path_that_holds_a_nul_is_a_configuration_error(tmp_path):
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("cannot read code file 'a\0b': embedded null byte")):
+        read_text("a\0b", "code")
+    path = tmp_path / "a\0b"
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"cannot write report '{path}': embedded null byte")):
+        write_atomic(path, "text\n", "report")
+    out_dir = tmp_path / "o\0ut"
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"cannot create output directory '{out_dir}': embedded null byte")):
+        _ArtifactWriter(out_dir, "safety", PipelineConfig())
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # topology runs
 
@@ -886,6 +910,47 @@ def test_deploy_endpoint_failures(artifact_dir, collector):
         deploy_stub(artifact_dir, "http://127.0.0.1:9/collect")
 
 
+@pytest.fixture()
+def no_post(monkeypatch):
+    """``requests.post`` fails the test if it is called."""
+    import requests
+
+    def post(*args, **kwargs):
+        raise AssertionError("nothing may be sent")
+
+    monkeypatch.setattr(requests, "post", post)
+
+
+def test_deploy_to_endpoint_rejects_a_file_that_is_not_utf8_before_sending(artifact_dir,
+                                                                           no_post):
+    (artifact_dir / "sub" / "z.bin").write_bytes(b"ok\n\xff\n")
+    with pytest.raises(DeploymentError, match="^artifact 'sub/z.bin' is not UTF-8 text: "):
+        deploy_stub(artifact_dir, "http://127.0.0.1:9/collect")
+
+
+def test_deploy_reports_a_file_that_cannot_be_read(artifact_dir, no_post, monkeypatch):
+    real_read_bytes = Path.read_bytes
+
+    def read_bytes(path):
+        if path.name == "run.json":
+            raise PermissionError(13, "Permission denied")
+        return real_read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    for target in ("http://127.0.0.1:9/collect", str(artifact_dir.parent / "drop")):
+        with pytest.raises(ConfigurationError,
+                           match="^cannot read artifact 'sub/run.json': .*Permission denied"):
+            deploy_stub(artifact_dir, target)
+    assert not (artifact_dir.parent / "drop").exists()
+
+
+def test_deploy_to_a_directory_target_with_a_nul_fails_closed(artifact_dir, tmp_path):
+    target = tmp_path / "dr\0op"
+    with pytest.raises(DeploymentError, match=re.escape(
+            f"cannot copy 'report.txt' to '{target / 'report.txt'}': embedded null byte")):
+        deploy_stub(artifact_dir, str(target))
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 
@@ -1236,6 +1301,33 @@ def test_cli_empty_out_dir_is_an_error(fixtures_dir, tmp_path, monkeypatch, caps
     assert captured.err == "error: out_dir must not be empty\n"
     assert captured.out == ""
     assert os.listdir(work) == []
+
+
+@pytest.mark.parametrize("command, message", [
+    ("analyze-safety", "cannot create output directory 'o\0ut': embedded null byte"),
+    ("build-chain", "cannot write chain 'o\0ut/chain.puml': embedded null byte"),
+])
+def test_cli_out_dir_with_a_nul_is_an_error(fixtures_dir, tmp_path, monkeypatch, capsys,
+                                            command, message):
+    monkeypatch.chdir(tmp_path)
+    p = _paths(fixtures_dir)
+    config = tmp_path / "config.json"
+    config.write_text('{"out_dir": "o\\u0000ut"}')
+    argv = ["--config", str(config), command, "--code", p["code"], "--vss", p["vss"],
+            "--can", p["can"], "--replay", p["replay"]]
+    if command == "analyze-safety":
+        argv += ["--rules", p["rules"]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_cli_eval_of_a_code_path_with_a_nul_is_an_error(fixtures_dir, tmp_path, capsys):
+    manifest = _write_manifest(tmp_path, [_cabin_scenario(fixtures_dir, code="a\0b")])
+    assert main(["--out", str(tmp_path / "out"), "eval", "--manifest", manifest,
+                 "--runs", "1"]) == 2
+    code = tmp_path / "a\0b"  # a manifest path is read from the manifest's directory
+    assert capsys.readouterr().err == f"error: cannot read code file '{code}': embedded null byte\n"
 
 
 def test_cli_replay_and_record_are_exclusive(fixtures_dir):

@@ -82,7 +82,7 @@ _TARGETS = [("s1", "--replay"), ("s3", "--replay"), ("fix", "--replay"),
 
 _PIECES = st.sampled_from([
     "", "\n", " ", "{", "}", "[", "]", '"', ",", ":", "null", "-1", "1e999", "NaN",
-    "é", "\x00", "```", "```json\n", "@startuml\n", "@enduml\n", "start\n", "stop\n",
+    "é", "\x00", "\\u0000", "```", "```json\n", "@startuml\n", "@enduml\n", "start\n", "stop\n",
     ":A;\n", "if (x) then (yes)\n", "else (no)\n", "endif\n", "note right: input=x\n",
     "object o : Camera\n", "o --> o : network\n", "context Message inv X: ", "self.",
     " and ", " implies ", "not (", "(", ")", " before ", "r: ", "alias x = *\n", "forbid ",
