@@ -31,7 +31,6 @@ call, from the entries alone, so a catalog stays observably immutable. Only
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CatalogError, CatalogParseError, SchemaError
@@ -62,8 +61,7 @@ class CatalogEntry(NamedTuple):
     allowed: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
-class ValueVerdict:
+class ValueVerdict(NamedTuple):
     ok: bool
     violation: str | None = None  # type-mismatch | below-min | above-max | not-allowed
     detail: str | None = None

@@ -96,8 +96,7 @@ class Edge(NamedTuple):
     guard: str | None = None
 
 
-@dataclass(frozen=True)
-class ActivityGraph:
+class ActivityGraph(NamedTuple):
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
 

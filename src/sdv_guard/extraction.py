@@ -20,7 +20,7 @@ Rejection reasons:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import Catalog, CatalogEntry, validate_value
 from .errors import ConfigurationError, ExtractionFormatError
@@ -46,29 +46,25 @@ _TYPE_SYNONYMS = {
 }
 
 
-@dataclass(frozen=True)
-class ExtractedEntry:
+class ExtractedEntry(NamedTuple):
     name: str
     type: str
     value: str | None
     protocol: str  # "VSS" | "CAN"
 
 
-@dataclass(frozen=True)
-class AcceptedEntry:
+class AcceptedEntry(NamedTuple):
     entry: ExtractedEntry
     resolved_key: str
 
 
-@dataclass(frozen=True)
-class RejectedEntry:
+class RejectedEntry(NamedTuple):
     entry: ExtractedEntry
     reason: str
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ExtractionReport:
+class ExtractionReport(NamedTuple):
     accepted: tuple[AcceptedEntry, ...]
     rejected: tuple[RejectedEntry, ...]
     source_digest: str = ""

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigurationError, GatewayError, ReplayMissError, TemplateError
 from .util import dump_json, load_json, read_text, sha256_text, write_atomic
@@ -45,8 +45,7 @@ TIMEOUT_S = 60.0
 _PLACEHOLDER_RE = re.compile(r"\{([^{}]+)\}")
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(NamedTuple):
     id: str
     body: str
     required_placeholders: frozenset[str]
@@ -128,8 +127,7 @@ def prompt_digest(prompt: str) -> str:
     return sha256_text(prompt)
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class CompletionRequest(NamedTuple):
     prompt: str
 
 

@@ -9,6 +9,10 @@ rejected entries; for ``eval`` without fault injection, imperfect scores),
 raises ``SystemExit(2)`` on a usage error), so it may be called any number
 of times in one process. The argument parser is built on the first call and
 reused by every later one.
+
+Each call of the command line is its own process, so ``analyze-topology``
+imports the topology package when it runs: the safety commands never load
+it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from ..eventchain import (
     to_chain_document,
 )
 from ..safety_rules import VERDICT_PASS, check, parse_rules, render_report
-from ..topology import default_metamodel, parse_metamodel, render_topology_report
 from ..util import dump_json, read_text, write_atomic
 from .config import PipelineConfig, build_gateway, load_config
 from .harness import render_harness_report, run_eval_harness
@@ -75,6 +78,8 @@ def _cmd_analyze_safety(args) -> int:
 
 
 def _cmd_analyze_topology(args) -> int:
+    from ..topology import default_metamodel, parse_metamodel, render_topology_report
+
     config = _config_for(args)
     metamodel = (parse_metamodel(read_text(args.metamodel, "metamodel"))
                  if args.metamodel else default_metamodel())
@@ -231,6 +236,13 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _escaped(text: str) -> str:
+    """``text`` with each character that is not printable written as ``repr``
+    writes it (``\\x1b``, ``\\x00``), so that a file name or catalog name in an
+    error line cannot drive the terminal."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # looked up at each call, so a handler rebound on this module is the one run
@@ -238,7 +250,7 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except SdvGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_escaped(str(exc))}", file=sys.stderr)
         return 2
     except Exception as exc:  # fail closed: no traceback, no silent pass
         print(f"internal error: {type(exc).__name__}", file=sys.stderr)

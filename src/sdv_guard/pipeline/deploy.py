@@ -10,16 +10,14 @@ cannot be re-read and verification says so instead of guessing.
 
 from __future__ import annotations
 
-import shutil
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from ..errors import ConfigurationError, DeploymentError
 from ..util import dump_json, load_json, mismatched_files, read_text, sha256_bytes, write_atomic
 
 
-@dataclass(frozen=True)
-class Receipt:
+class Receipt(NamedTuple):
     target: str
     kind: str  # "directory" | "endpoint"
     files: tuple[tuple[str, str], ...]  # (relative path, sha256), sorted
@@ -84,13 +82,13 @@ def deploy_stub(source_dir: str | Path, target: str) -> Receipt:
                 )
         return Receipt(target=target, kind="endpoint", files=files)
     target_dir = Path(target)
-    for rel, _digest in files:
+    for rel, data in collected:  # the bytes the receipt's digests were taken from
         destination = target_dir / rel
         try:
-            destination.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(source_dir / rel, destination)
-        except (OSError, ValueError) as exc:  # the ValueError of a NUL in the target
-            raise DeploymentError(f"cannot copy '{rel}' to '{destination}': {exc}") from exc
+            write_atomic(destination, data, "deployed artifact")
+        except ConfigurationError as exc:  # raised from the OSError or ValueError
+            raise DeploymentError(
+                f"cannot copy '{rel}' to '{destination}': {exc.__cause__}") from exc.__cause__
     return Receipt(target=str(target_dir), kind="directory", files=files)
 
 

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from ..errors import ConfigurationError, SdvGuardError
 from ..eventchain import generate_chain
@@ -45,8 +45,7 @@ from .stages import catalog_index, extract_grounded, load_catalogs
 KINDS = ("mapping", "chain")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     scenario_id: str
     kind: str
     code_path: Path
@@ -58,8 +57,7 @@ class Scenario:
     expected_verdicts: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class ScenarioOutcome:
+class ScenarioOutcome(NamedTuple):
     scenario_id: str
     kind: str
     runs: int
@@ -75,8 +73,7 @@ class ScenarioOutcome:
         return f"{float(self.success_rate) * 100:.1f}%"
 
 
-@dataclass(frozen=True)
-class HarnessReport:
+class HarnessReport(NamedTuple):
     outcomes: tuple[ScenarioOutcome, ...]
     runs: int
     fault_rate: float

@@ -5,13 +5,19 @@ finishes with ``run.json``: configuration echo, per-iteration verdicts, and
 a digest for every artifact file. Artifact files themselves are
 deterministic — rerunning the same inputs in replay mode reproduces them
 byte for byte; wall-clock timestamps appear only inside ``run.json``.
+
+The topology package is imported inside the functions of the topology run,
+not at the top of this module: a safety run, which is its own process in
+the usual workflow, then never pays for loading the topology and OCL code
+it does not call.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
+import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..catalog import parse_can_catalog, parse_vss_catalog
 from ..errors import (
@@ -31,26 +37,12 @@ from ..safety_rules import (
     render_report,
     suggest_correction,
 )
-from ..topology import (
-    InstanceModel,
-    Metamodel,
-    TopologyReport,
-    conform,
-    correct_instance,
-    default_metamodel,
-    eval_constraints,
-    export_class_diagram,
-    generate_constraints,
-    generate_instance,
-    import_class_diagram,
-    parse_constraints,
-    parse_instance,
-    render_topology_report,
-    serialize_instance,
-)
 from ..util import dump_json, load_json, mismatched_files, read_text, sha256_text, write_atomic
 from .config import PipelineConfig
 from .stages import catalog_index, ground_code, run_extraction
+
+if TYPE_CHECKING:
+    from ..topology import InstanceModel, Metamodel, TopologyReport
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +65,8 @@ class RunRecord:
 
 
 def _now() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
+    """The current UTC time to the second, in ISO 8601 with a +00:00 offset."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _config_echo(config: PipelineConfig) -> dict:
@@ -168,8 +161,7 @@ def verify_artifacts(record: RunRecord, out_dir: str | Path) -> list[str]:
 # safety run
 
 
-@dataclass(frozen=True)
-class SafetyIteration:
+class SafetyIteration(NamedTuple):
     index: int
     extraction: ExtractionReport
     diagram: str
@@ -177,8 +169,7 @@ class SafetyIteration:
     corrected_code: str | None
 
 
-@dataclass(frozen=True)
-class SafetyRunResult:
+class SafetyRunResult(NamedTuple):
     verdict: str
     iterations: tuple[SafetyIteration, ...]
     final_code: str
@@ -287,15 +278,13 @@ def run_safety_pipeline_files(code_path, vss_path, can_path, rules_path,
 # topology run
 
 
-@dataclass(frozen=True)
-class TopologyIteration:
+class TopologyIteration(NamedTuple):
     index: int
     model: InstanceModel
     report: TopologyReport
 
 
-@dataclass(frozen=True)
-class TopologyRunResult:
+class TopologyRunResult(NamedTuple):
     verdict: str
     iterations: tuple[TopologyIteration, ...]
     out_dir: Path
@@ -310,6 +299,8 @@ class TopologyRunResult:
 
 
 def _load_instance_text(text: str) -> InstanceModel:
+    from ..topology import import_class_diagram, parse_instance
+
     if text.lstrip().startswith("@startuml"):
         return import_class_diagram(text)
     return parse_instance(text)
@@ -331,6 +322,19 @@ def run_topology_pipeline(gateway: LlmGateway, config: PipelineConfig,
     metamodel is a stage error, not a finding — constraint verdicts over a
     non-conformant model would be meaningless.
     """
+    from ..topology import (
+        conform,
+        correct_instance,
+        default_metamodel,
+        eval_constraints,
+        export_class_diagram,
+        generate_constraints,
+        generate_instance,
+        parse_constraints,
+        render_topology_report,
+        serialize_instance,
+    )
+
     if (model_text is None) == (requirements is None):
         raise ConfigurationError("pass exactly one of model_text or requirements")
     if (constraints_text is None) == (guidelines is None):

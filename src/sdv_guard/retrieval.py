@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import CatalogEntry
 from .errors import ChunkingError, ConfigurationError
@@ -37,8 +37,7 @@ DEFAULT_TOKEN_BUDGET = 4096
 POOL_FACTOR = 4
 
 
-@dataclass(frozen=True)
-class RankedEntry:
+class RankedEntry(NamedTuple):
     entry: CatalogEntry
     stage1_score: float
     stage2_score: float = 0.0
@@ -48,15 +47,13 @@ class RankedEntry:
         return self.entry.key
 
 
-@dataclass(frozen=True)
-class ShortList:
+class ShortList(NamedTuple):
     query: str
     ranked: tuple[RankedEntry, ...]
     k: int
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     entries: tuple[CatalogEntry, ...]
     token_estimate: int
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fnmatch import translate
+from typing import NamedTuple
 
 from .errors import RuleParseError, UnsupportedStructureError
 from .eventchain import (
@@ -105,8 +106,7 @@ class OrExpr:
 Expr = RuleAtom | NotExpr | AndExpr | OrExpr
 
 
-@dataclass(frozen=True)
-class SafetyRule:
+class SafetyRule(NamedTuple):
     name: str
     expr: Expr
     mode: str = "require"
@@ -127,23 +127,20 @@ class RuleSet:
         return len(self.rules)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     sequence: EventSequence
     atom_values: tuple[tuple[str, bool], ...]
     expr_value: bool
 
 
-@dataclass(frozen=True)
-class RuleResult:
+class RuleResult(NamedTuple):
     rule: SafetyRule
     verdict: str  # "pass" | "violated"
     witnesses: tuple[Witness, ...]
     unlisted: int = 0  # violating paths past the witnesses listed
 
 
-@dataclass(frozen=True)
-class SafetyReport:
+class SafetyReport(NamedTuple):
     results: tuple[RuleResult, ...]
     chain_digest: str
 

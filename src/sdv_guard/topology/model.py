@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain, islice
 from types import MappingProxyType
+from typing import NamedTuple
 
 from ..errors import InstanceParseError, MetamodelError, ModelImportError
 from ..util import dump_json, json_scalars, load_json, parse_number, plantuml_body
@@ -75,16 +76,14 @@ class Attribute:
         object.__setattr__(self, "target", rest[:-1] if paren else None)
 
 
-@dataclass(frozen=True)
-class MetaClass:
+class MetaClass(NamedTuple):
     name: str
     abstract: bool = False
     parent: str | None = None
     attributes: tuple[Attribute, ...] = ()
 
 
-@dataclass(frozen=True)
-class EnumDef:
+class EnumDef(NamedTuple):
     name: str
     literals: tuple[str, ...]
 
@@ -384,15 +383,13 @@ def serialize_instance(model: InstanceModel) -> str:
 # conformance
 
 
-@dataclass(frozen=True)
-class ConformanceViolation:
+class ConformanceViolation(NamedTuple):
     object_id: str
     kind: str
     message: str
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
+class ConformanceReport(NamedTuple):
     violations: tuple[ConformanceViolation, ...]
 
     @property

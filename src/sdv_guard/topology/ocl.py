@@ -153,8 +153,7 @@ OclExpr = (SelfRef | VarRef | Nav | IsTypeOf | ToReal | NumberLit | StringLit
            | EnumLit | Compare | NotOp | AndOp | OrOp | Implies | Let)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     context: str
     body: OclExpr

@@ -11,8 +11,8 @@ import os
 import re
 from collections.abc import Iterator
 from contextlib import suppress
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CatalogParseError, ConfigurationError, SdvGuardError
 
@@ -97,16 +97,16 @@ def read_text(path: str | Path, what: str, missing: str | None = None) -> str:
 _NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
 
-def write_atomic(path: str | Path, text: str, what: str) -> None:
-    """The program's one file writer. Write UTF-8 text to ``<path>.<pid>.tmp``,
-    creating a missing parent directory, then swap it in over ``path``: a
-    process that dies mid-write leaves the old file whole (nothing calls
-    fsync, so a power loss may not), and a failed write leaves no temporary
-    file behind. Every failure, a path that holds a NUL included, is a
+def write_atomic(path: str | Path, text: str | bytes, what: str) -> None:
+    """The program's one file writer. Write text as UTF-8, or bytes as they
+    are, to ``<path>.<pid>.tmp``, creating a missing parent directory, then
+    swap it in over ``path``: a process that dies mid-write leaves the old
+    file whole (nothing calls fsync, so a power loss may not), and a failed
+    write leaves no temporary file behind. Every failure, a path that holds a NUL included, is a
     ``ConfigurationError`` naming the ``what`` file."""
     path = os.fspath(path)
     partial = f"{path}.{os.getpid()}.tmp"
-    data = memoryview(text.encode("utf-8"))
+    data = memoryview(text if isinstance(text, bytes) else text.encode("utf-8"))
     try:
         try:
             fd = os.open(partial, _NEW_FILE, 0o666)
@@ -336,8 +336,7 @@ def plantuml_body(text: str, error_type: type[SdvGuardError]) -> list[tuple[int,
 MAX_NESTING = 64
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # the pattern's group name, or a keyword's own text
     text: str
     position: int

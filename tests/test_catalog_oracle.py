@@ -18,7 +18,7 @@ local copies of the signal and message classes they built:
 ``parse_vss_catalog`` and ``parse_can_catalog`` must give the same entries
 and the same answer to every lookup, or the same error type and message, on
 the fixture catalogs, on bench catalogs and on random catalogs with repeated
-keys and several faults.
+keys, dotted node names and several faults.
 
 The intended differences are kept out of the random catalogs, and
 ``test_intended_differences_from_the_reference`` and
@@ -647,10 +647,17 @@ def _leaf(rng: random.Random, fault: float):
 
 def _random_children(rng: random.Random, depth: int, fault: float) -> _Obj:
     repeat = 2 * fault if fault else rng.choice((0.0, 0.0, 0.3))
-    return _Obj((rng.choice(_NAMES[:-1]) if rng.random() < repeat
-                 else "" if rng.random() < fault / 4 else f"N{i}",
-                 _random_node(rng, depth, fault))
-                for i in range(rng.randint(1, 4)))
+    children = _Obj((rng.choice(_NAMES[:-1]) if rng.random() < repeat
+                     else "" if rng.random() < fault / 4 else f"N{i}",
+                     _random_node(rng, depth, fault))
+                    for i in range(rng.randint(1, 4)))
+    if rng.random() < 0.08:
+        # a dotted name; beside "A" -> "B" it names one path twice
+        children.append(("A.B", _random_node(rng, depth, fault)))
+        if rng.random() < 0.6:
+            children.append(("A", _Obj([("B", _random_node(rng, depth, fault))])))
+        rng.shuffle(children)
+    return children
 
 
 def _random_catalog(rng: random.Random) -> str:
@@ -685,10 +692,14 @@ def test_random_catalogs_match_reference():
         if kind == "CatalogParseError" and detail.endswith(_REPEATS):
             key = json.loads(detail.split(": ", 1)[1][:-len(_REPEATS)])
             kind = "repeated node name" if key in _NAMES else "repeated field"
+        elif kind == "CatalogError" and detail.startswith("duplicate signal path "):
+            kind = "duplicate signal path"
         outcomes[kind] = outcomes.get(kind, 0) + 1
-    # the generator must reach successes, schema errors and both kinds of repeat
+    # the generator must reach successes, schema errors, both kinds of repeat
+    # and one path named twice, as "A.B" and as "A" -> "B"
     assert min(outcomes.get(kind, 0) for kind in ("ok", "SchemaError", "repeated field")) > 300
-    assert outcomes.get("repeated node name", 0) > 30
+    assert min(outcomes.get(kind, 0)
+               for kind in ("repeated node name", "duplicate signal path")) > 30, outcomes
 
 
 @pytest.mark.parametrize("text, reference, new", [

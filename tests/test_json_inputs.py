@@ -600,14 +600,13 @@ def _writer_sites(source: str, filename: str) -> set[tuple[str, str, str]]:
     return found
 
 
-def test_files_are_written_only_by_write_atomic_and_the_deploy_copy():
+def test_files_are_written_only_by_write_atomic():
     found = set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         found |= _writer_sites(path.read_text(encoding="utf-8"), path.name)
     assert found == {("util.py", "write_atomic", "os.open"),
                      ("util.py", "write_atomic", "os.write"),
-                     ("util.py", "write_atomic", "os.replace"),
-                     ("deploy.py", "deploy_stub", "shutil.copyfile")}
+                     ("util.py", "write_atomic", "os.replace")}
 
 
 @pytest.mark.parametrize("source", [

@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import threading
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from sdv_guard.pipeline import (
     verify_receipt,
 )
 from sdv_guard.pipeline import cli as cli_module
+from sdv_guard.pipeline import deploy as deploy_module
 from sdv_guard.pipeline import runs as runs_module
 from sdv_guard.pipeline import stages as stages_module
 from sdv_guard.pipeline.cli import main
@@ -424,6 +426,16 @@ def test_bad_rules_fail_before_any_gateway_call(fixtures_dir, tmp_path):
         )
 
 
+def test_run_record_times_are_utc_to_the_second():
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    stamp = runs_module._now()
+    after = datetime.now(timezone.utc)
+    parsed = datetime.fromisoformat(stamp)
+    assert parsed.utcoffset() == timedelta(0) and parsed.microsecond == 0
+    assert before <= parsed <= after
+    assert stamp == parsed.isoformat(timespec="seconds")
+
+
 def test_load_run_record_errors(tmp_path):
     with pytest.raises(ConfigurationError, match="no run record"):
         load_run_record(tmp_path)
@@ -794,6 +806,20 @@ def test_deploy_to_directory_and_verify(artifact_dir, tmp_path):
     (target / "report.txt").write_text("overall: violated\n")
     (target / "sub" / "run.json").unlink()
     assert verify_receipt(receipt) == ["report.txt", "sub/run.json"]
+
+
+def test_deploy_copies_the_bytes_its_receipt_hashed(artifact_dir, tmp_path, monkeypatch):
+    collect = deploy_module._collect
+
+    def collect_then_rewrite(source_dir):
+        files = collect(source_dir)
+        (source_dir / "report.txt").write_text("overall: violated\n")
+        return files
+
+    monkeypatch.setattr(deploy_module, "_collect", collect_then_rewrite)
+    receipt = deploy_stub(artifact_dir, str(tmp_path / "drop"))
+    assert (tmp_path / "drop" / "report.txt").read_text() == "overall: pass\n"
+    assert verify_receipt(receipt) == []
 
 
 def test_verify_receipt_rejects_a_path_that_leaves_the_target(artifact_dir, tmp_path):
@@ -1318,16 +1344,23 @@ def test_cli_out_dir_with_a_nul_is_an_error(fixtures_dir, tmp_path, monkeypatch,
     if command == "analyze-safety":
         argv += ["--rules", p["rules"]]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    # the error line shows the NUL escaped
+    assert capsys.readouterr().err == f"error: {message}\n".replace("\0", "\\x00")
     assert os.listdir(tmp_path) == ["config.json"]
 
 
-def test_cli_eval_of_a_code_path_with_a_nul_is_an_error(fixtures_dir, tmp_path, capsys):
-    manifest = _write_manifest(tmp_path, [_cabin_scenario(fixtures_dir, code="a\0b")])
+@pytest.mark.parametrize("char, message", [
+    ("\0", "error: cannot read code file '{code}': embedded null byte\n"),
+    ("\x1b", "error: code file '{code}' does not exist\n"),
+], ids=["nul", "escape"])
+def test_cli_error_line_escapes_a_control_character(fixtures_dir, tmp_path, capsys,
+                                                    char, message):
+    manifest = _write_manifest(tmp_path, [_cabin_scenario(fixtures_dir, code=f"a{char}b")])
     assert main(["--out", str(tmp_path / "out"), "eval", "--manifest", manifest,
                  "--runs", "1"]) == 2
-    code = tmp_path / "a\0b"  # a manifest path is read from the manifest's directory
-    assert capsys.readouterr().err == f"error: cannot read code file '{code}': embedded null byte\n"
+    # a manifest path is read from the manifest's directory; \x00, \x1b as printed
+    code = tmp_path / f"a{repr(char)[1:-1]}b"
+    assert capsys.readouterr().err == message.format(code=code)
 
 
 def test_cli_replay_and_record_are_exclusive(fixtures_dir):
