@@ -109,18 +109,6 @@ class EventStep(NamedTuple):
 
 
 @dataclass(frozen=True)
-class EventSequence:
-    steps: tuple[EventStep, ...]
-
-    @property
-    def events(self) -> tuple[str, ...]:
-        return tuple(map(itemgetter(0), self.steps))
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-@dataclass(frozen=True)
 class ChainDocument:
     graph: ActivityGraph
     events: tuple[tuple[str, str], ...]  # (action node id, normalized event)
@@ -527,18 +515,18 @@ class ChainOrder:
         self.events: set[str] = set().union(*(run.events for run in self.runs))
 
 
-def enumerate_paths(document: ChainDocument) -> list[EventSequence]:
+def enumerate_paths(document: ChainDocument) -> list[tuple[EventStep, ...]]:
     """Every maximal start-to-stop path, edges followed in declaration order.
 
-    Returns the action-event sequences; decision and merge nodes contribute
-    no events. The graph is checked by ``ChainOrder`` first, so a cycle
+    Returns each path as its tuple of action steps; decision and merge nodes
+    contribute no steps. The graph is checked by ``ChainOrder`` first, so a cycle
     raises an unsupported-structure error naming a node on it. The paths
     are then walked run by run with an explicit stack; each entry carries
     the path length its run starts at, so entering it first cuts the steps
     back to that length, then appends the run's steps.
     """
     order = ChainOrder(document)
-    paths: list[EventSequence] = []
+    paths: list[tuple[EventStep, ...]] = []
     steps: list[EventStep] = []
     stack = [(0, 0)]  # (run, position)
     while stack:
@@ -547,7 +535,7 @@ def enumerate_paths(document: ChainDocument) -> list[EventSequence]:
         steps.extend(order.runs[run].steps)
         successors = order.runs[run].successors
         if not successors:
-            paths.append(EventSequence(steps=tuple(steps)))
+            paths.append(tuple(steps))
         stack.extend((dst, len(steps)) for dst in reversed(successors))
     return paths
 

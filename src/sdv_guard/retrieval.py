@@ -47,12 +47,6 @@ class RankedEntry(NamedTuple):
         return self.entry.key
 
 
-class ShortList(NamedTuple):
-    query: str
-    ranked: tuple[RankedEntry, ...]
-    k: int
-
-
 class Chunk(NamedTuple):
     entries: tuple[CatalogEntry, ...]
     token_estimate: int
@@ -146,15 +140,17 @@ def rerank(candidates: list[RankedEntry], query: str) -> list[RankedEntry]:
     return rescored
 
 
-def retrieve_top_k(index: RetrievalIndex, query: str, k: int = DEFAULT_TOP_K) -> ShortList:
+def retrieve_top_k(index: RetrievalIndex, query: str,
+                   k: int = DEFAULT_TOP_K) -> tuple[RankedEntry, ...]:
     """Stage-1 pool of min(4k, |entries|) candidates, reranked, truncated to k."""
     if k < 1:
         raise ConfigurationError(f"top-k must be at least 1, got {k}")
     reranked = rerank(score_stage1(index, query, k), query)
-    return ShortList(query=query, ranked=tuple(reranked[:k]), k=k)
+    return tuple(reranked[:k])
 
 
-def chunk_entries(shortlist: ShortList, token_budget: int = DEFAULT_TOKEN_BUDGET) -> list[Chunk]:
+def chunk_entries(shortlist: tuple[RankedEntry, ...],
+                  token_budget: int = DEFAULT_TOKEN_BUDGET) -> list[Chunk]:
     """Greedily pack shortlist entries, in rank order, into budget-bounded chunks.
 
     Each entry's cost is token_estimate(entry.text); a chunk's estimate is the
@@ -166,7 +162,7 @@ def chunk_entries(shortlist: ShortList, token_budget: int = DEFAULT_TOKEN_BUDGET
     chunks: list[Chunk] = []
     current: list[CatalogEntry] = []
     current_cost = 0
-    for ranked in shortlist.ranked:
+    for ranked in shortlist:
         entry = ranked.entry
         cost = token_estimate(entry.text)
         if cost > token_budget:

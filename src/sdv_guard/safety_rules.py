@@ -40,13 +40,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fnmatch import translate
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import RuleParseError, UnsupportedStructureError
 from .eventchain import (
     ChainDocument,
     ChainOrder,
-    EventSequence,
     EventStep,
     chain_digest,
     fenced_block,
@@ -119,16 +119,8 @@ class SafetyRule(NamedTuple):
         return ()
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    rules: tuple[SafetyRule, ...]
-
-    def __len__(self) -> int:
-        return len(self.rules)
-
-
 class Witness(NamedTuple):
-    sequence: EventSequence
+    sequence: tuple[EventStep, ...]
     atom_values: tuple[tuple[str, bool], ...]
     expr_value: bool
 
@@ -165,7 +157,7 @@ class SafetyReport(NamedTuple):
                         {
                             "path": [
                                 {"position": position, "event": s.event, "node": s.node_id}
-                                for position, s in enumerate(w.sequence.steps)
+                                for position, s in enumerate(w.sequence)
                             ],
                             "atoms": [[text, value] for text, value in w.atom_values],
                             "value": w.expr_value,
@@ -252,7 +244,7 @@ class _ExprParser(TokenStream):
         return normalize_name("-".join(words))
 
 
-def parse_rules(text: str) -> RuleSet:
+def parse_rules(text: str) -> tuple[SafetyRule, ...]:
     """Parse a rule file: stanzas of one rule line plus optional alias lines."""
     lines = [line for line in text.splitlines() if not line.strip().startswith("#")]
     stanzas: list[list[str]] = []
@@ -297,7 +289,7 @@ def parse_rules(text: str) -> RuleSet:
                 raise RuleParseError(f"duplicate alias for event '{alias_name}'")
             seen_alias.add(alias_name)
         rules.append(SafetyRule(name=name, expr=expr, mode=mode, aliases=aliases))
-    return RuleSet(rules=tuple(rules))
+    return tuple(rules)
 
 
 def _parse_alias(line: str) -> tuple[str, tuple[str, ...]]:
@@ -483,7 +475,7 @@ def _eval_rule(order: ChainOrder, rule: SafetyRule) -> RuleResult:
                 break
             _fails, atom_values, value = verdict(after)
             witnesses.append(Witness(
-                sequence=EventSequence(steps=tuple(steps)),
+                sequence=tuple(steps),
                 atom_values=atom_values,
                 expr_value=value,
             ))
@@ -496,7 +488,7 @@ def _eval_rule(order: ChainOrder, rule: SafetyRule) -> RuleResult:
                       unlisted=violating - len(witnesses))
 
 
-def check(document: ChainDocument, ruleset: RuleSet) -> SafetyReport:
+def check(document: ChainDocument, rules: tuple[SafetyRule, ...]) -> SafetyReport:
     """Check every rule on every path of the chain.
 
     The graph is checked and cut into straight runs once, by ``ChainOrder``.
@@ -512,13 +504,13 @@ def check(document: ChainDocument, ruleset: RuleSet) -> SafetyReport:
     atoms) per run, plus a pass over the run's touched atoms and a copy of
     the state per (run, state) pair, plus the listed witnesses' size. A rule
     whose forward pass reaches more than MAX_MONITOR_PAIRS (run, state) pairs
-    is an ``UnsupportedStructureError``. An empty rule set checks nothing,
+    is an ``UnsupportedStructureError``. An empty tuple of rules checks nothing,
     not even the structure.
     """
-    if not ruleset.rules:
+    if not rules:
         return SafetyReport(results=(), chain_digest=chain_digest(document))
     order = ChainOrder(document)
-    results = tuple(_eval_rule(order, rule) for rule in ruleset.rules)
+    results = tuple(_eval_rule(order, rule) for rule in rules)
     return SafetyReport(results=results, chain_digest=chain_digest(document))
 
 
@@ -548,7 +540,7 @@ def render_report(report: SafetyReport) -> str:
     for result in report.results:
         lines.append(f"rule {result.rule.name} [{result.rule.mode}]: {result.verdict}")
         for index, witness in enumerate(result.witnesses):
-            events = witness.sequence.events
+            events = tuple(map(itemgetter(0), witness.sequence))
             if len(events) > MAX_RENDERED_PATH:
                 path_text = _abbreviated_path(events, result.rule)
             else:

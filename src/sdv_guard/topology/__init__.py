@@ -20,7 +20,6 @@ from .model import (
 )
 from .ocl import (
     Constraint,
-    ConstraintSet,
     TopologyReport,
     VERDICT_FAIL,
     VERDICT_NOT_APPLICABLE,
@@ -44,7 +43,7 @@ __all__ = [
     "default_metamodel", "export_class_diagram", "import_class_diagram",
     "parse_instance", "parse_metamodel", "serialize_instance",
     "serialize_metamodel",
-    "Constraint", "ConstraintSet", "TopologyReport", "VERDICT_FAIL",
+    "Constraint", "TopologyReport", "VERDICT_FAIL",
     "VERDICT_NOT_APPLICABLE", "VERDICT_PASS", "eval_constraints",
     "parse_constraints", "render_topology_report",
     "build_constraints_prompt", "build_instance_correction_prompt",

@@ -159,14 +159,6 @@ class Constraint(NamedTuple):
     body: OclExpr
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    constraints: tuple[Constraint, ...]
-
-    def __len__(self) -> int:
-        return len(self.constraints)
-
-
 class _Parser(TokenStream):
     pattern = re.compile("|".join(f"(?P<{kind}>{regex})" for kind, regex in _TOKEN_SPEC))
     keywords = frozenset({"context", "inv", "let", "in", "implies", "and", "or", "not", "self"})
@@ -582,7 +574,7 @@ def _compile(constraint: Constraint, metamodel: Metamodel):
     return evaluate
 
 
-def parse_constraints(text: str, metamodel: Metamodel) -> ConstraintSet:
+def parse_constraints(text: str, metamodel: Metamodel) -> tuple[Constraint, ...]:
     """Parse and type-check a constraint file against the metamodel."""
     constraints = _Parser(text).document()
     names: set[str] = set()
@@ -591,7 +583,7 @@ def parse_constraints(text: str, metamodel: Metamodel) -> ConstraintSet:
             raise ConstraintError(f"duplicate constraint name '{constraint.name}'")
         names.add(constraint.name)
         _compile(constraint, metamodel)
-    return ConstraintSet(constraints=tuple(constraints))
+    return tuple(constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +634,7 @@ class TopologyReport:
         return f'{{\n  "overall": "{self.overall}",\n  "rows": [\n    {rows}\n  ]\n}}\n'
 
 
-def eval_constraints(model: InstanceModel, constraints: ConstraintSet,
+def eval_constraints(model: InstanceModel, constraints: tuple[Constraint, ...],
                      metamodel: Metamodel) -> TopologyReport:
     """Evaluate every constraint against every object; nothing is skipped silently.
 
@@ -654,7 +646,7 @@ def eval_constraints(model: InstanceModel, constraints: ConstraintSet,
     append = rows.append
     new = tuple.__new__  # ConstraintVerdict(...) without its argument handling
     objects = sorted(model.objects.values(), key=lambda o: o.id)
-    for constraint in constraints.constraints:
+    for constraint in constraints:
         evaluate = _compile(constraint, metamodel)
         applicable = metamodel.subclasses(constraint.context)
         name = constraint.name

@@ -26,7 +26,7 @@ from .model import (
     import_class_diagram,
     serialize_metamodel,
 )
-from .ocl import ConstraintSet, TopologyReport, parse_constraints, render_topology_report
+from .ocl import Constraint, TopologyReport, parse_constraints, render_topology_report
 
 _EMPTY_SYSTEM = "(none)"
 _DIAGRAM_HINT = "Return a corrected PlantUML object diagram."
@@ -109,14 +109,14 @@ def generate_instance(requirements: str, metamodel: Metamodel, gateway: LlmGatew
 
 
 def generate_constraints(guidelines: str, metamodel: Metamodel,
-                         gateway: LlmGateway) -> ConstraintSet:
-    """Turn guideline text into a checked constraint set.
+                         gateway: LlmGateway) -> tuple[Constraint, ...]:
+    """Turn guideline text into checked constraints.
 
-    Empty guidelines yield an empty set without a gateway call — there is
+    Empty guidelines yield no constraints without a gateway call — there is
     nothing to ground a generation on.
     """
     if not guidelines.strip():
-        return ConstraintSet(constraints=())
+        return ()
     prompt = build_constraints_prompt(guidelines, metamodel)
     return _generate(prompt, gateway,
                      lambda c: parse_constraints(strip_fences(c), metamodel),

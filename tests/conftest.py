@@ -11,7 +11,7 @@ import pytest
 from sdv_guard.catalog import parse_can_catalog, parse_vss_catalog
 from sdv_guard.eventchain import ActivityGraph, ChainDocument, Edge, Node
 from sdv_guard.llm_gateway import LlmGateway, ReplayStore
-from sdv_guard.safety_rules import RuleAtom, RuleSet, SafetyRule, check
+from sdv_guard.safety_rules import RuleAtom, SafetyRule, check
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -98,8 +98,13 @@ def linear_chain(events) -> ChainDocument:
                          events=tuple((f"a{i}", e) for i, e in enumerate(events)))
 
 
+def events_of(steps) -> tuple[str, ...]:
+    """The events of a path or witness, given as its steps."""
+    return tuple(step.event for step in steps)
+
+
 def atom_holds(events, atom: RuleAtom, aliases=()) -> bool:
     """Whether ``atom``, with the given alias lines, holds on the one path of
     a straight-line chain of ``events``, as ``check`` finds it."""
     rule = SafetyRule(name="r", expr=atom, aliases=tuple(aliases))
-    return check(linear_chain(events), RuleSet(rules=(rule,))).overall == "pass"
+    return check(linear_chain(events), (rule,)).overall == "pass"

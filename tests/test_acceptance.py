@@ -33,7 +33,7 @@ from sdv_guard.topology import (
 )
 from sdv_guard.util import token_estimate
 
-from conftest import linear_chain, replay_gateway, scripted_gateway
+from conftest import events_of, linear_chain, replay_gateway, scripted_gateway
 
 
 def _verdict(number: int, problems: list, summary: str) -> None:
@@ -176,7 +176,7 @@ def test_criterion_3_exhaustive_paths():
     if len(paths) != 8:
         problems.append(f"enumerated {len(paths)} paths, expected 8")
     all_yes = [p for p in paths
-               if {"risk-1", "risk-2", "risk-3"} <= set(p.events)]
+               if {"risk-1", "risk-2", "risk-3"} <= set(events_of(p))]
     if len(all_yes) != 1:
         problems.append(f"{len(all_yes)} paths carry all three risks, expected 1")
 
@@ -186,7 +186,7 @@ def test_criterion_3_exhaustive_paths():
     if len(result.witnesses) != 1:
         problems.append(
             f"{len(result.witnesses)} of 8 paths flagged, expected exactly 1")
-    elif all_yes and result.witnesses[0].sequence.events != all_yes[0].events:
+    elif all_yes and result.witnesses[0].sequence != all_yes[0]:
         problems.append("the flagged path is not the all-yes path")
 
     _verdict(3, problems,
@@ -411,16 +411,16 @@ def test_criterion_6_retrieval():
         "e3": idf * 2.2 / (1 + 1.2 * (0.25 + 0.75 * 3 / 3)),
     }
     shortlist = retrieve_top_k(index, "pedestrian brake", k=3)
-    for ranked in shortlist.ranked:
+    for ranked in shortlist:
         if abs(ranked.stage1_score - expected[ranked.key]) > 1e-9:
             problems.append(
                 f"{ranked.key} scored {ranked.stage1_score!r}, expected "
                 f"{expected[ranked.key]!r} within 1e-9")
 
-    baseline = [(r.key, r.stage1_score, r.stage2_score) for r in shortlist.ranked]
+    baseline = [(r.key, r.stage1_score, r.stage2_score) for r in shortlist]
     for attempt in range(10):
         again = retrieve_top_k(index, "pedestrian brake", k=3)
-        if [(r.key, r.stage1_score, r.stage2_score) for r in again.ranked] \
+        if [(r.key, r.stage1_score, r.stage2_score) for r in again] \
                 != baseline:
             problems.append(f"ranking changed on repeat {attempt + 1}")
             break
@@ -434,7 +434,7 @@ def test_criterion_6_retrieval():
     budget = 150
     chunks = chunk_entries(big, token_budget=budget)
     flattened = [e.key for chunk in chunks for e in chunk.entries]
-    if flattened != [r.key for r in big.ranked]:
+    if flattened != [r.key for r in big]:
         problems.append("chunking reordered or dropped entries")
     for chunk in chunks:
         if chunk.token_estimate > budget:

@@ -31,11 +31,10 @@ from sdv_guard.eventchain import (
 from sdv_guard.extraction import AcceptedEntry, ExtractedEntry
 from sdv_guard.llm_gateway import prompt_digest
 from sdv_guard.pipeline.cli import main
-from sdv_guard.safety_rules import check, parse_rules
 from sdv_guard.safety_rules import check, parse_rules, render_report
 from sdv_guard.util import sha256_text
 
-from conftest import scripted_gateway
+from conftest import events_of, scripted_gateway
 
 
 def _doc(text: str):
@@ -93,7 +92,7 @@ stop
 @enduml
 """)
     paths = enumerate_paths(document)
-    assert [p.events for p in paths] == [("mitigate",), ()]
+    assert [events_of(p) for p in paths] == [("mitigate",), ()]
 
 
 @pytest.mark.parametrize("text, message", [
@@ -265,18 +264,18 @@ def test_malformed_chain_document_shapes_fail_closed(tmp_path, capsys, payload, 
 def test_paths_of_the_branching_fixture(fixtures_dir):
     document = _doc((fixtures_dir / "chains" / "s1.puml").read_text())
     paths = enumerate_paths(document)
-    assert [p.events for p in paths] == [
+    assert [events_of(p) for p in paths] == [
         ("camera-sense", "pedestrian-camera-detected", "accelerate"),
         ("camera-sense", "cruise"),
     ]
     # steps carry their event and the owning node; a step's position is its
     # index on the path, which a report writes out
-    assert [s.node_id for s in paths[0].steps] == ["n2", "n4", "n5"]
+    assert [s.node_id for s in paths[0]] == ["n2", "n4", "n5"]
     assert len(paths[0]) == 3
     # "ghost" never occurs, so the forbidden rule holds on every path
     report = check(document, parse_rules("r: forbid ghost before ghost\n")).to_dict()
     assert [w["path"] for w in report["rules"][0]["witnesses"]] == [
-        [{"position": i, "event": s.event, "node": s.node_id} for i, s in enumerate(p.steps)]
+        [{"position": i, "event": s.event, "node": s.node_id} for i, s in enumerate(p)]
         for p in paths
     ]
     assert [s["position"] for s in report["rules"][0]["witnesses"][0]["path"]] == [0, 1, 2]
@@ -290,8 +289,8 @@ def test_three_decisions_give_eight_paths():
     paths = enumerate_paths(document)
     assert len(paths) == 8
     # declaration order: the all-yes path first, all-no path last
-    assert paths[0].events == ("mitigate-1", "mitigate-2", "mitigate-3")
-    assert paths[-1].events == ()
+    assert events_of(paths[0]) == ("mitigate-1", "mitigate-2", "mitigate-3")
+    assert events_of(paths[-1]) == ()
 
 
 def test_cycle_is_rejected_at_enumeration():

@@ -48,7 +48,6 @@ from sdv_guard.pipeline import (
 )
 from sdv_guard.pipeline.cli import main
 from sdv_guard.topology import parse_instance, parse_metamodel
-from sdv_guard.topology.ocl import ConstraintVerdict
 from sdv_guard import util
 from sdv_guard.util import dump_json, load_json, parse_number
 
@@ -842,64 +841,6 @@ def test_dump_json_writes_the_indented_layout(sort_keys, ensure_ascii):
         assert dump_json(value, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == text
         if sort_keys and ensure_ascii:  # the defaults
             assert dump_json(value) == text
-
-
-def _dumps(value, sort_keys: bool, ensure_ascii: bool) -> str:
-    return json.dumps(value, indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii) + "\n"
-
-
-class _Items(list):
-    pass
-
-
-class _Row(dict):
-    pass
-
-
-# lists whose items look like flat rows but are not: a row value that is a
-# container subclass, an empty row, or an item that is not a dict
-_NEAR_ROWS = [
-    [{"a": 1}, {"b": _Row({"k": [2]})}],
-    [{"a": 1}, {"v": ConstraintVerdict("c", "o", "fail", "why")}],
-    [{"a": _Items([1, 2]), "b": "x"}, {"c": 2}],
-    [{"a": 1}, {"b": 2, "c": _Items()}],
-    [{"a": 1}, {}],
-    [{}, {"a": 1}],
-    [{}],
-    [{"a": 1}, [1, 2]],
-    [{"a": 1}, ConstraintVerdict("c", "o", "pass")],
-    [{"a": 1}, 3],
-    [{"a": 1}, None],
-    ({"a": 1}, {"b": (2,)}),
-    # rows that are flat: a dict subclass row, a tuple of rows
-    [_Row({"a": 2}), {"b": 1}],
-    ({"a": 1}, {"b": "}"}),
-]
-
-
-@pytest.mark.parametrize("rows", _NEAR_ROWS, ids=repr)
-@pytest.mark.parametrize("sort_keys, ensure_ascii", _FLAGS)
-def test_dump_json_lays_out_items_that_are_not_flat_rows(rows, sort_keys, ensure_ascii):
-    for value in (rows, {"rows": rows}, [[rows]]):
-        assert dump_json(value, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == _dumps(
-            value, sort_keys, ensure_ascii)
-
-
-@pytest.mark.parametrize("value", [
-    {1, 2}, b"x", {"a": [1, {2}]}, [{"a": 1}, {"b": b"x"}], {"a": (1, frozenset())},
-    {"a": 1, 2: 3}, {"a": [1], 2: [3]}, [{"a": 1, None: 2}], {(1,): 2}, {"a": [], (1,): []},
-], ids=repr)
-@pytest.mark.parametrize("sort_keys", [True, False])
-def test_dump_json_raises_what_json_dumps_raises(value, sort_keys):
-    def outcome(write):
-        try:
-            return "wrote", write()
-        except TypeError as exc:
-            return "raised", str(exc)
-
-    expected = outcome(lambda: _dumps(value, sort_keys, True))
-    assert outcome(lambda: dump_json(value, sort_keys=sort_keys)) == expected
-    assert expected[0] == "raised" or not sort_keys  # sorted, every value here fails
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ EXPECTED = {"e1": IDF * 2.2 / 2.5, "e2": 0.0, "e3": IDF}
 def test_bm25_three_document_oracle():
     index = build_index(THREE_DOCS)
     scores = {r.key: r.stage1_score
-              for r in retrieve_top_k(index, "pedestrian brake", k=3).ranked}
+              for r in retrieve_top_k(index, "pedestrian brake", k=3)}
     for key, want in EXPECTED.items():
         assert scores[key] == pytest.approx(want, abs=1e-9)
     # frozen literals, so the formula cannot drift silently
@@ -60,16 +60,16 @@ def test_ranking_rerank_tie_broken_by_stage1():
     # at 0.5 and the stage-1 score decides: e3 (1.2 norm) beats e1 (1.5 norm)
     index = build_index(THREE_DOCS)
     shortlist = retrieve_top_k(index, "pedestrian brake", k=3)
-    assert [r.key for r in shortlist.ranked] == ["e3", "e1", "e2"]
-    assert shortlist.ranked[0].stage2_score == shortlist.ranked[1].stage2_score == 0.5
-    assert shortlist.ranked[0].stage1_score > shortlist.ranked[1].stage1_score
+    assert [r.key for r in shortlist] == ["e3", "e1", "e2"]
+    assert shortlist[0].stage2_score == shortlist[1].stage2_score == 0.5
+    assert shortlist[0].stage1_score > shortlist[1].stage1_score
 
 
 def test_ranking_is_deterministic_across_repeats():
     index = build_index(THREE_DOCS)
-    first = [r.key for r in retrieve_top_k(index, "pedestrian brake", k=2).ranked]
+    first = [r.key for r in retrieve_top_k(index, "pedestrian brake", k=2)]
     for _ in range(9):
-        again = [r.key for r in retrieve_top_k(index, "pedestrian brake", k=2).ranked]
+        again = [r.key for r in retrieve_top_k(index, "pedestrian brake", k=2)]
         assert again == first
 
 
@@ -77,20 +77,20 @@ def test_all_equal_scores_fall_back_to_key_order():
     entries = tuple(_entry(k, "same text") for k in ("b", "c", "a"))
     index = build_index(entries)
     shortlist = retrieve_top_k(index, "same", k=3)
-    assert [r.key for r in shortlist.ranked] == ["a", "b", "c"]
+    assert [r.key for r in shortlist] == ["a", "b", "c"]
 
 
 def test_empty_query_ranks_nothing():
     index = build_index(THREE_DOCS)
     assert score_stage1(index, "...") == []
     shortlist = retrieve_top_k(index, "???", k=2)
-    assert shortlist.ranked == ()
+    assert shortlist == ()
     assert chunk_entries(shortlist) == []
 
 
 def test_k_larger_than_corpus_returns_everything():
     index = build_index(THREE_DOCS)
-    assert len(retrieve_top_k(index, "brake light camera", k=50).ranked) == 3
+    assert len(retrieve_top_k(index, "brake light camera", k=50)) == 3
 
 
 def test_bad_inputs_rejected():
@@ -105,7 +105,7 @@ def test_bad_inputs_rejected():
 
 def _stage1_score(entries, query: str, position: int) -> float:
     # k = N puts every entry in the stage-1 pool
-    ranked = retrieve_top_k(build_index(entries), query, k=len(entries)).ranked
+    ranked = retrieve_top_k(build_index(entries), query, k=len(entries))
     return {r.key: r.stage1_score for r in ranked}[entries[position].key]
 
 
@@ -149,7 +149,7 @@ def test_chunking_conserves_entries_and_respects_budget():
     chunks = chunk_entries(shortlist, token_budget=budget)
     assert len(chunks) > 1
     flattened = [e.key for chunk in chunks for e in chunk.entries]
-    assert flattened == [r.key for r in shortlist.ranked]
+    assert flattened == [r.key for r in shortlist]
     for chunk in chunks:
         assert chunk.token_estimate <= budget
         assert chunk.token_estimate == sum(token_estimate(e.text) for e in chunk.entries)

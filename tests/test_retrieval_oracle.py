@@ -110,7 +110,7 @@ def _assert_matches_reference(entries, query: str, k: int) -> None:
     pool = reference_pool(reference, reference_score_stage1(reference, query), k)
     index = build_index(entries)
     assert _stage1(score_stage1(index, query, k)) == _stage1(pool)
-    assert _both_stages(retrieve_top_k(index, query, k).ranked) == \
+    assert _both_stages(retrieve_top_k(index, query, k)) == \
         _both_stages(rerank(pool, query)[:k])
 
 
@@ -242,5 +242,5 @@ def test_bench_catalogs_rank_as_the_per_entry_scorer(seed):
         # k = N: the pool is the whole stage-1 ranking
         assert _stage1(score_stage1(index, code, n_entries)) == _stage1(ranked)
         pool = reference_pool(reference, ranked, 20)
-        assert _both_stages(retrieve_top_k(index, code, 20).ranked) == \
+        assert _both_stages(retrieve_top_k(index, code, 20)) == \
             _both_stages(rerank(pool, code)[:20])

@@ -23,7 +23,6 @@ from sdv_guard.safety_rules import (
     NotExpr,
     OrExpr,
     RuleAtom,
-    RuleSet,
     SafetyRule,
     build_correction_prompt,
     check,
@@ -32,7 +31,7 @@ from sdv_guard.safety_rules import (
     suggest_correction,
 )
 
-from conftest import FIXTURES, atom_holds, linear_chain, scripted_gateway
+from conftest import FIXTURES, atom_holds, events_of, linear_chain, scripted_gateway
 
 
 def _fixture_doc(fixtures_dir, name: str) -> ChainDocument:
@@ -49,9 +48,9 @@ def _fixture_rules(fixtures_dir, name: str):
 
 
 def test_parse_single_rule_file(fixtures_dir):
-    ruleset = _fixture_rules(fixtures_dir, "rules-s1")
-    assert len(ruleset) == 1
-    (rule,) = ruleset.rules
+    rules = _fixture_rules(fixtures_dir, "rules-s1")
+    assert len(rules) == 1
+    (rule,) = rules
     assert rule.name == "rule1"
     assert rule.mode == "require"
     assert rule.aliases == ()
@@ -62,8 +61,8 @@ def test_parse_single_rule_file(fixtures_dir):
 
 
 def test_parse_multi_line_rule_with_aliases(fixtures_dir):
-    ruleset = _fixture_rules(fixtures_dir, "rules-s2")
-    (rule,) = ruleset.rules
+    rules = _fixture_rules(fixtures_dir, "rules-s2")
+    (rule,) = rules
     assert rule.name == "rule2"
     # the two physical rule lines join into one expression
     assert isinstance(rule.expr, OrExpr)
@@ -77,29 +76,29 @@ def test_parse_multi_line_rule_with_aliases(fixtures_dir):
 
 
 def test_parse_combined_rule_file(fixtures_dir):
-    ruleset = _fixture_rules(fixtures_dir, "rules-all")
-    assert [r.name for r in ruleset.rules] == ["rule1", "rule2", "rule3"]
+    rules = _fixture_rules(fixtures_dir, "rules-all")
+    assert [r.name for r in rules] == ["rule1", "rule2", "rule3"]
     # aliases are per stanza: rule1 has none although rule2 defines two
-    assert ruleset.rules[0].aliases == ()
-    assert len(ruleset.rules[1].aliases) == 2
-    assert len(ruleset.rules[2].aliases) == 1
+    assert rules[0].aliases == ()
+    assert len(rules[1].aliases) == 2
+    assert len(rules[2].aliases) == 1
 
 
 def test_multi_word_events_join_with_hyphens(fixtures_dir):
-    ruleset = _fixture_rules(fixtures_dir, "rules-s3")
-    (rule,) = ruleset.rules
+    rules = _fixture_rules(fixtures_dir, "rules-s3")
+    (rule,) = rules
     # "camera-pedestrian detected" in the file names one event
     assert rule.expr == RuleAtom("brake", "after", "camera-pedestrian-detected")
 
 
 def test_parse_modes_and_precedence():
-    ruleset = parse_rules(
+    rules = parse_rules(
         "r1: forbid a before b\n"
         "\n"
         "r2: a before b or c before d and not e before f\n"
     )
-    assert ruleset.rules[0].mode == "forbid"
-    r2 = ruleset.rules[1].expr
+    assert rules[0].mode == "forbid"
+    r2 = rules[1].expr
     # 'and' binds tighter than 'or'; 'not' tighter than 'and'
     assert isinstance(r2, OrExpr)
     right = r2.children[1]
@@ -108,7 +107,7 @@ def test_parse_modes_and_precedence():
 
 
 def test_parentheses_override_precedence():
-    expr = parse_rules("r: (a before b or c before d) and e after f\n").rules[0].expr
+    expr = parse_rules("r: (a before b or c before d) and e after f\n")[0].expr
     assert isinstance(expr, AndExpr)
     assert isinstance(expr.children[0], OrExpr)
 
@@ -226,7 +225,7 @@ def test_acceleration_rule_flags_the_detection_branch(fixtures_dir):
     assert report.overall == "violated"
     (result,) = report.results
     (witness,) = result.witnesses  # the cruise branch passes vacuously
-    assert witness.sequence.events \
+    assert events_of(witness.sequence) \
         == ("camera-sense", "pedestrian-camera-detected", "accelerate")
     assert dict(witness.atom_values) == {
         "accelerate before pedestrian-camera-detected": False,
@@ -240,7 +239,7 @@ def test_braking_rule_fails_without_a_sensing_step(fixtures_dir):
     assert report.overall == "violated"
     (result,) = report.results
     (witness,) = result.witnesses
-    assert witness.sequence.events == ("pedestrian-lidar-detected", "brake")
+    assert events_of(witness.sequence) == ("pedestrian-lidar-detected", "brake")
     # aliases bridge the rule vocabulary to the chain's event names
     assert dict(witness.atom_values) == {
         "brake after camera-pedestrian-detected": False,
@@ -411,8 +410,8 @@ def _sequential_decisions(count: int, warn_arms: int) -> ChainDocument:
 
 def test_twenty_decisions_pass_without_walking_every_path():
     document = _sequential_decisions(20, warn_arms=20)
-    ruleset = parse_rules("alias task = task-*-yes, task-*-no\nr: brake after task\n")
-    report = check(document, ruleset)
+    rules = parse_rules("alias task = task-*-yes, task-*-no\nr: brake after task\n")
+    report = check(document, rules)
     assert report.overall == "pass"
     assert report.results[0].witnesses == ()
 
@@ -425,7 +424,7 @@ def test_twenty_decisions_report_exactly_the_violating_paths():
     (result,) = report.results
     assert result.verdict == "violated"
     prefix = [f"task-{i}-no" for i in range(19)]
-    assert [list(w.sequence.events) for w in result.witnesses] == [
+    assert [list(events_of(w.sequence)) for w in result.witnesses] == [
         prefix + ["task-19-yes", "brake"],
         prefix + ["task-19-no", "brake"],
     ]
@@ -446,7 +445,7 @@ def test_twenty_four_decisions_list_the_first_witnesses_and_count_the_rest():
     assert result.verdict == "violated"
     assert len(result.witnesses) == MAX_WITNESSES
     assert result.unlisted == 2 ** 24 - MAX_WITNESSES
-    assert result.witnesses[0].sequence.events == (
+    assert events_of(result.witnesses[0].sequence) == (
         *(f"task-{i}-yes" for i in range(24)), "brake")
     assert text.endswith(f"    warn before brake: false\n  ({2 ** 24 - MAX_WITNESSES}"
                          " more violating paths)\n")
@@ -474,7 +473,7 @@ def test_long_witnesses_are_listed_up_to_the_step_cap():
     listed = len(result.witnesses)
     assert listed == MAX_WITNESS_STEPS // path_steps
     assert result.unlisted == 1_024 - listed
-    assert result.witnesses[0].sequence.events[-2:] == ("left-9", "stop-now")
+    assert events_of(result.witnesses[0].sequence)[-2:] == ("left-9", "stop-now")
     assert len(dump_json(report.to_dict())) < 8_000_000
     assert render_report(report).endswith(f"({1_024 - listed} more violating paths)\n")
 
@@ -484,7 +483,7 @@ def test_the_first_witness_is_listed_past_the_step_cap():
                    parse_rules("r: forbid go before stop-now\n"))
     (result,) = report.results
     assert len(result.witnesses) == 1
-    assert len(result.witnesses[0].sequence.steps) == MAX_WITNESS_STEPS + 3
+    assert len(result.witnesses[0].sequence) == MAX_WITNESS_STEPS + 3
     assert result.unlisted == 1
 
 
@@ -501,26 +500,26 @@ def test_deep_hand_built_expression_is_checked_without_recursion():
     for _ in range(5001):
         expr = NotExpr(expr)
     rule = SafetyRule(name="deep", expr=AndExpr((expr,)))
-    report = check(linear_chain(("b", "a")), RuleSet(rules=(rule,)))
+    report = check(linear_chain(("b", "a")), (rule,))
     assert report.overall == "pass"  # an odd number of 'not's over a false atom
 
 
-def _pairwise_or_rule(atoms: int) -> tuple[ChainDocument, RuleSet]:
+def _pairwise_or_rule(atoms: int) -> tuple[ChainDocument, tuple[SafetyRule, ...]]:
     """A straight chain e0 ... e(2n-1) and the rule ``e1 before e0 or e3
     before e2 or ...`` of n atoms, each violated by the chain."""
     document = linear_chain([f"e{i}" for i in range(2 * atoms)])
     expr = OrExpr(tuple(RuleAtom(f"e{2 * i + 1}", "before", f"e{2 * i}")
                         for i in range(atoms)))
-    return document, RuleSet(rules=(SafetyRule(name="r", expr=expr),))
+    return document, (SafetyRule(name="r", expr=expr),)
 
 
 def _check_cpu_ms(atoms: int) -> float:
     """Median process-CPU time of checking ``_pairwise_or_rule(atoms)``, in ms."""
-    document, ruleset = _pairwise_or_rule(atoms)
+    document, rules = _pairwise_or_rule(atoms)
     times = []
     for _ in range(5):
         began = time.process_time()
-        assert check(document, ruleset).overall == "violated"
+        assert check(document, rules).overall == "violated"
         times.append(time.process_time() - began)
     return statistics.median(times) * 1e3
 

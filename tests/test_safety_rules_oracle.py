@@ -27,7 +27,6 @@ from sdv_guard.eventchain import (
     ChainDocument,
     ChainOrder,
     Edge,
-    EventSequence,
     EventStep,
     Node,
     chain_digest,
@@ -47,7 +46,6 @@ from sdv_guard.safety_rules import (
     OrExpr,
     RuleAtom,
     RuleResult,
-    RuleSet,
     SafetyReport,
     SafetyRule,
     Witness,
@@ -60,18 +58,18 @@ from sdv_guard.safety_rules import (
     render_report,
 )
 
-from conftest import atom_holds
+from conftest import atom_holds, events_of
 
 
 # ---------------------------------------------------------------------------
 # reference: recursive path enumeration, and evaluation over every path
 
 
-def _ref_enumerate_paths(document: ChainDocument) -> list[EventSequence]:
+def _ref_enumerate_paths(document: ChainDocument) -> list[tuple[EventStep, ...]]:
     """Every maximal start-to-stop path, edges followed in declaration order.
 
-    Returns the action-event sequences; decision and merge nodes contribute
-    no events. Cycles raise an unsupported-structure error naming a node on
+    Returns each path as its tuple of action steps; decision and merge nodes
+    contribute no steps. Cycles raise an unsupported-structure error naming a node on
     the cycle.
     """
     graph = document.graph
@@ -86,7 +84,7 @@ def _ref_enumerate_paths(document: ChainDocument) -> list[EventSequence]:
     kinds = {n.id: n.kind for n in graph.nodes}
     events = dict(document.events)
 
-    paths: list[EventSequence] = []
+    paths: list[tuple[EventStep, ...]] = []
     on_stack: set[str] = set()
     steps: list[EventStep] = []
 
@@ -101,7 +99,7 @@ def _ref_enumerate_paths(document: ChainDocument) -> list[EventSequence]:
             steps.append(EventStep(event=events[node_id], node_id=node_id))
             appended = True
         if kind == "stop":
-            paths.append(EventSequence(steps=tuple(steps)))
+            paths.append(tuple(steps))
             return
         edges = outgoing[node_id]
         if not edges:
@@ -133,7 +131,7 @@ def _ref_matches(chain_event, rule_event, rule):
 def _ref_positions(sequence, event, rule):
     return [
         position
-        for position, step in enumerate(sequence.steps)
+        for position, step in enumerate(sequence)
         if _ref_matches(step.event, event, rule)
     ]
 
@@ -188,8 +186,8 @@ def _ref_eval_rule(document, rule):
     return RuleResult(rule=rule, verdict=verdict, witnesses=tuple(witnesses))
 
 
-def _ref_check(document, ruleset):
-    results = tuple(_ref_eval_rule(document, rule) for rule in ruleset.rules)
+def _ref_check(document, rules):
+    results = tuple(_ref_eval_rule(document, rule) for rule in rules)
     return SafetyReport(results=results, chain_digest=chain_digest(document))
 
 
@@ -366,7 +364,7 @@ def _node_eval_rule(order: _NodeOrder, rule: SafetyRule) -> RuleResult:
         if kinds[node_id] == "stop":
             _fails, atom_values, value = verdict(after)
             witnesses.append(Witness(
-                sequence=EventSequence(steps=tuple(steps)),
+                sequence=tuple(steps),
                 atom_values=atom_values,
                 expr_value=value,
             ))
@@ -378,11 +376,11 @@ def _node_eval_rule(order: _NodeOrder, rule: SafetyRule) -> RuleResult:
     return RuleResult(rule=rule, verdict=verdict_text, witnesses=tuple(witnesses))
 
 
-def _node_check(document, ruleset):
-    if not ruleset.rules:
+def _node_check(document, rules):
+    if not rules:
         return SafetyReport(results=(), chain_digest=chain_digest(document))
     order = _NodeOrder(document)
-    results = tuple(_node_eval_rule(order, rule) for rule in ruleset.rules)
+    results = tuple(_node_eval_rule(order, rule) for rule in rules)
     return SafetyReport(results=results, chain_digest=chain_digest(document))
 
 
@@ -402,18 +400,18 @@ def _assert_reports_equal(actual: SafetyReport, expected: SafetyReport) -> None:
     assert actual == expected
 
 
-def _assert_same_as_node_checker(document, ruleset):
-    _assert_reports_equal(check(document, ruleset), _listed(_node_check(document, ruleset)))
+def _assert_same_as_node_checker(document, rules):
+    _assert_reports_equal(check(document, rules), _listed(_node_check(document, rules)))
 
 
-def _assert_same(document, ruleset):
+def _assert_same(document, rules):
     assert enumerate_paths(document) == _ref_enumerate_paths(document)
-    expected = _listed(_ref_check(document, ruleset))
-    actual = check(document, ruleset)
+    expected = _listed(_ref_check(document, rules))
+    actual = check(document, rules)
     _assert_reports_equal(actual, expected)
-    _assert_reports_equal(actual, _listed(_node_check(document, ruleset)))
-    for rule, result in zip(ruleset.rules, expected.results):  # each rule on its own
-        assert check(document, RuleSet(rules=(rule,))).results == (result,)
+    _assert_reports_equal(actual, _listed(_node_check(document, rules)))
+    for rule, result in zip(rules, expected.results):  # each rule on its own
+        assert check(document, (rule,)).results == (result,)
 
 
 def _outcome(fn, *args):
@@ -487,7 +485,7 @@ def _random_factor(rng, depth: int) -> str:
     return f"{left} {rng.choice(('before', 'after'))} {right}"
 
 
-def _random_rules(rng) -> RuleSet:
+def _random_rules(rng) -> tuple[SafetyRule, ...]:
     stanzas = []
     for index in range(rng.randint(1, 3)):
         lines = rng.sample(_ALIASES, rng.randint(0, 2))
@@ -505,10 +503,10 @@ def test_random_diagrams_match_reference(seed):
 
 
 def test_fixture_chains_match_reference(fixtures_dir):
-    ruleset = parse_rules((fixtures_dir / "rules" / "rules-all.txt").read_text())
+    rules = parse_rules((fixtures_dir / "rules" / "rules-all.txt").read_text())
     for name in ("s1", "s2", "s3", "s3-corrected"):
         text = (fixtures_dir / "chains" / f"{name}.puml").read_text()
-        _assert_same(to_chain_document(parse_activity_diagram(text)), ruleset)
+        _assert_same(to_chain_document(parse_activity_diagram(text)), rules)
 
 
 @pytest.mark.parametrize("decisions, rules, violated", [(4, 3, 1), (6, 4, 2), (8, 2, 2)])
@@ -531,7 +529,7 @@ def test_hand_built_expressions_match_reference():
     rules = tuple(SafetyRule(name=f"h{i}", expr=expr, mode=mode)
                   for i, expr in enumerate(exprs) for mode in ("require", "forbid"))
     rules = tuple(SafetyRule(name=f"{r.name}{r.mode}", expr=r.expr, mode=r.mode) for r in rules)
-    _assert_same(document, RuleSet(rules=rules))
+    _assert_same(document, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -596,15 +594,15 @@ def test_random_graphs_match_reference(seed):
         graph=document.graph,
         events=tuple((node_id, rng.choice(("a", "b", "c"))) for node_id, _ in document.events),
     )
-    ruleset = parse_rules("r1: a before b\n\nr2: forbid c after a or not b before b\n")
-    assert _outcome(check, document, ruleset) == _outcome(_ref_check, document, ruleset)
-    assert _outcome(check, document, ruleset) == _outcome(_node_check, document, ruleset)
+    rules = parse_rules("r1: a before b\n\nr2: forbid c after a or not b before b\n")
+    assert _outcome(check, document, rules) == _outcome(_ref_check, document, rules)
+    assert _outcome(check, document, rules) == _outcome(_node_check, document, rules)
     assert _outcome(enumerate_paths, document) == _outcome(_ref_enumerate_paths, document)
 
 
 def test_empty_ruleset_checks_no_structure():
     document = _graph_document(*_BROKEN["cycle"])
-    report = check(document, RuleSet(rules=()))
+    report = check(document, ())
     assert report.results == ()
     assert report.overall == VERDICT_PASS
     assert report.chain_digest == chain_digest(document)
@@ -617,8 +615,7 @@ def test_parallel_edges_give_one_witness_each():
     )
     document = ChainDocument(graph=graph, events=(("a", "a"),))
     report = check(document, parse_rules("r: b before a\n"))
-    assert [w.sequence for w in report.results[0].witnesses] \
-        == [EventSequence(steps=enumerate_paths(document)[0].steps)] * 2
+    assert [w.sequence for w in report.results[0].witnesses] == [enumerate_paths(document)[0]] * 2
     _assert_same(document, parse_rules("r: b before a\n"))
 
 
@@ -731,7 +728,7 @@ def _assert_runs(document: ChainDocument) -> None:
         assert run.steps == tuple((events[n], n) for n in run.nodes if kinds[n] == "action")
         assert all(kinds[n] != "stop" for n in run.nodes[:-1])
         assert (kinds[run.nodes[-1]] == "stop") == (not run.successors)
-    assert _run_paths(order) == [[(s.event, s.node_id) for s in path.steps]
+    assert _run_paths(order) == [[(s.event, s.node_id) for s in path]
                                  for path in _ref_enumerate_paths(document)]
 
 
@@ -814,10 +811,10 @@ def test_witnesses_past_the_cap_are_counted(monkeypatch):
     cut = 0
     for seed in range(100):
         rng = random.Random(seed)
-        document, ruleset = _random_diagram(rng), _random_rules(rng)
-        _assert_same(document, ruleset)
-        for result, expected in zip(check(document, ruleset).results,
-                                    _ref_check(document, ruleset).results):
+        document, rules = _random_diagram(rng), _random_rules(rng)
+        _assert_same(document, rules)
+        for result, expected in zip(check(document, rules).results,
+                                    _ref_check(document, rules).results):
             assert len(result.witnesses) + result.unlisted == len(expected.witnesses)
             cut += result.unlisted > 0
     assert cut > 10
@@ -836,8 +833,8 @@ def test_long_linear_chain_is_one_path(actions):
     # "ghost" never occurs, so the forbidden rule holds on the one path
     [rule] = check(document, parse_rules("r: forbid ghost before ghost\n")).to_dict()["rules"]
     assert [s["position"] for s in rule["witnesses"][0]["path"]] == list(range(actions))
-    assert path.events == tuple(event for _node, event in document.events)
-    assert [step.node_id for step in path.steps] == [node for node, _event in document.events]
+    assert events_of(path) == tuple(event for _node, event in document.events)
+    assert [step.node_id for step in path] == [node for node, _event in document.events]
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +843,7 @@ def test_long_linear_chain_is_one_path(actions):
 
 _ATOM_RULE = parse_rules(
     "r: a before b\nalias detect = detect-*, *-radar\nalias brake = b*\nalias a = c\n"
-).rules[0]
+)[0]
 _ATOM_EVENTS = ("a", "b", "c", "brake", "brake-hard", "detect-cam", "lidar-radar", "warn")
 _ATOM_NAMES = ("a", "b", "c", "brake", "detect", "warn", "ghost")
 
@@ -855,8 +852,7 @@ _ATOM_NAMES = ("a", "b", "c", "brake", "detect", "warn", "ghost")
 def test_atom_truth_matches_reference(seed):
     rng = random.Random(seed)
     events = [rng.choice(_ATOM_EVENTS) for _ in range(rng.randint(0, 8))]
-    sequence = EventSequence(steps=tuple(
-        EventStep(event=e, node_id=f"n{i}") for i, e in enumerate(events)))
+    sequence = tuple(EventStep(event=e, node_id=f"n{i}") for i, e in enumerate(events))
     for _ in range(10):
         left = rng.choice(_ATOM_NAMES)
         right = left if rng.random() < 0.25 else rng.choice(_ATOM_NAMES)
@@ -903,7 +899,7 @@ def _with_fillers(rng, document: ChainDocument, fillers: list[str]) -> ChainDocu
 def _named_view(rule: SafetyRule, result: RuleResult) -> list:
     """Each listed witness as the events ``rule`` names, its atom values and
     its expression value."""
-    return [(tuple(e for e in w.sequence.events if _rule_names(rule, e)),
+    return [(tuple(e for e in events_of(w.sequence) if _rule_names(rule, e)),
              w.atom_values, w.expr_value) for w in result.witnesses]
 
 
@@ -911,13 +907,29 @@ def _named_view(rule: SafetyRule, result: RuleResult) -> list:
 def test_actions_that_no_rule_names_change_no_result(seed):
     rng = random.Random(seed)
     document = _random_diagram(rng)
-    ruleset = _random_rules(rng)
-    fillers = [e for e in _FILLERS if not any(_rule_names(r, e) for r in ruleset.rules)]
+    rules = _random_rules(rng)
+    fillers = [e for e in _FILLERS if not any(_rule_names(r, e) for r in rules)]
     padded = _with_fillers(rng, document, fillers)
     assert len(padded.events) > len(document.events)
-    for rule, before, after in zip(ruleset.rules, check(document, ruleset).results,
-                                   check(padded, ruleset).results):
+    for rule, before, after in zip(rules, check(document, rules).results,
+                                   check(padded, rules).results):
         assert after.verdict == before.verdict
         assert len(after.witnesses) + after.unlisted == len(before.witnesses) + before.unlisted
         if not before.unlisted and not after.unlisted:
             assert _named_view(rule, after) == _named_view(rule, before)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relation: a rule's result does not depend on the other rules
+
+
+@pytest.mark.parametrize("seed", range(400))
+def test_adding_a_rule_leaves_the_other_results_unchanged(seed):
+    rng = random.Random(seed)
+    document, rules = _random_diagram(rng), _random_rules(rng)
+    extra = _random_rules(rng)[0]._replace(name="extra")
+    alone = check(document, rules).results
+    assert check(document, rules + (extra,)).results[:len(rules)] == alone
+    at = rng.randrange(len(rules))  # before one of them, where it runs first
+    results = check(document, rules[:at] + (extra,) + rules[at:]).results
+    assert results[:at] + results[at + 1:] == alone

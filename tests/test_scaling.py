@@ -4,7 +4,8 @@ Each pin times a layer at n and 8n on generated input and fails when the
 ratio passes 16: linear work costs about 8 times as much at 8n, work that
 grows as the square of the input about 64 times. Each time is the median of
 several process-CPU readings, so that time spent waiting for the CPU does
-not count. The rule checker's pin is in ``test_safety_rules.py``.
+not count. The pin for a rule's size is in ``test_safety_rules.py``; the
+one for the number of rules is here.
 """
 
 import statistics
@@ -71,3 +72,22 @@ def test_a_linear_chain_document_is_read_in_linear_time():
         return _cpu_ms(lambda: parse_chain_document(text))
 
     _assert_linear(cost, 500)
+
+
+def test_a_rules_file_is_parsed_and_checked_in_linear_time():
+    # one fixed diagram; every rule an 'or' of two atoms that hold on it. The
+    # chain is short because each atom adds parse cost per rule, which would
+    # hide a step quadratic in the number of rules, such as looking rule
+    # names up in a list, below the bound at sizes that take seconds
+    document = to_chain_document(parse_activity_diagram(_linear_diagram(20)))
+    expr = "step-1-done before step-2-done or step-3-done before step-4-done"
+
+    def cost(count: int) -> float:
+        text = "".join(f"rule-{i}: {expr}\n\n" for i in range(count))
+
+        def run():
+            report = check(document, parse_rules(text))
+            assert len(report.results) == count and report.overall == "pass"
+        return _cpu_ms(run, runs=3)
+
+    _assert_linear(cost, 2000)

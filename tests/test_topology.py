@@ -448,7 +448,7 @@ def test_conformance_enum_values(metamodel):
 
 
 def test_shipped_constraints_parse(security_constraints):
-    assert [(c.name, c.context) for c in security_constraints.constraints] == [
+    assert [(c.name, c.context) for c in security_constraints] == [
         ("SteeringCommandWithinLimits", "Message"),
         ("HPCtoZoneEthernetIEEE1722", "Message"),
         ("TargetSpeedWithinSafetyLimit", "VSSMessage"),
@@ -1071,7 +1071,7 @@ def test_generate_constraints_happy_and_empty(metamodel):
     constraints = generate_constraints("Payloads are mandatory.", metamodel,
                                        scripted_gateway([completion]))
     assert len(constraints) == 1
-    assert constraints.constraints[0].name == "PayloadPresent"
+    assert constraints[0].name == "PayloadPresent"
     # nothing to ground on -> empty set, no gateway call
     assert len(generate_constraints("   ", metamodel, scripted_gateway([]))) == 0
 

@@ -18,7 +18,6 @@ from sdv_guard.topology import (
     Attribute,
     ConformanceReport,
     ConformanceViolation,
-    ConstraintSet,
     EnumDef,
     InstanceModel,
     MetaClass,
@@ -315,7 +314,7 @@ def _ref_parse_constraints(text, metamodel):
             raise ConstraintError(
                 f"constraint '{constraint.name}' must be boolean, got {_type_name(result)}"
             )
-    return ConstraintSet(constraints=tuple(constraints))
+    return tuple(constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +427,7 @@ def _ref_eval_constraints(model, constraints, metamodel):
     evaluator = _RefEvaluator(model)
     rows = []
     objects = sorted(model.objects.values(), key=lambda o: o.id)
-    for constraint in constraints.constraints:
+    for constraint in constraints:
         for obj in objects:
             if not _ref_is_subclass(metamodel, obj.cls, constraint.context):
                 rows.append(ConstraintVerdict(constraint.name, obj.id, VERDICT_NOT_APPLICABLE))
