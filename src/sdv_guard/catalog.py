@@ -31,6 +31,7 @@ call, from the entries alone, so a catalog stays observably immutable. Only
 from __future__ import annotations
 
 import re
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import CatalogError, CatalogParseError, SchemaError
@@ -141,23 +142,21 @@ def parse_vss_catalog(text: str) -> Catalog:
     doc = load_json(text, CatalogParseError, "signal catalog")
     if not isinstance(doc, dict):
         raise SchemaError("signal catalog root must be an object")
-    entries = []
-    previous = None
-    for path, entry in sorted(_walk_vss(doc), key=lambda node: node[0]):
-        if path == previous:  # "A.B" as one key and as "A" -> "B"
-            raise CatalogError(f"duplicate signal path '{path}'")
-        previous = path
-        if entry is not None:
-            entries.append(entry)
+    entries, paths = _walk_vss(doc)
+    if len(set(paths)) < len(paths):  # "A.B" as one key and as "A" -> "B"
+        repeated = min(path for path, count in Counter(paths).items() if count > 1)
+        raise CatalogError(f"duplicate signal path '{repeated}'")
+    entries.sort()  # the keys are unique, so they alone decide the order
     return Catalog(tuple(entries))
 
 
-def _walk_vss(root: dict) -> list[tuple[str, CatalogEntry | None]]:
-    """Every node's path under ``root`` with its entry (None for a branch),
+def _walk_vss(root: dict) -> tuple[list[CatalogEntry], list[str]]:
+    """The entry of every leaf under ``root``, and the path of every node,
     depth first in document order, so the first fault in document order is
     the one reported. The stack is explicit: any depth the JSON decoder
     accepts is walked."""
-    out: list[tuple[str, CatalogEntry | None]] = []
+    entries: list[CatalogEntry] = []
+    paths: list[str] = []
     stack = [("", iter(root.items()))]
     while stack:
         prefix, members = stack[-1]
@@ -165,22 +164,21 @@ def _walk_vss(root: dict) -> list[tuple[str, CatalogEntry | None]]:
             if not key:
                 raise SchemaError(f"empty node name under '{prefix or '<root>'}'")
             path = f"{prefix}.{key}" if prefix else key
-            entry, children = _vss_node(path, value)
-            out.append((path, entry))
-            if children is not None:
-                stack.append((path, iter(children.items())))
+            paths.append(path)
+            if isinstance(value, dict) and "datatype" in value:
+                entries.append(_vss_leaf(path, value))
+            else:
+                stack.append((path, iter(_vss_branch(path, value).items())))
                 break
         else:
             stack.pop()
-    return out
+    return entries, paths
 
 
-def _vss_node(path: str, fields) -> tuple[CatalogEntry | None, dict | None]:
-    """A leaf's entry, or a branch's children."""
+def _vss_branch(path: str, fields) -> dict:
+    """A branch's children."""
     if not isinstance(fields, dict):
         raise SchemaError(f"node '{path}' must be an object")
-    if "datatype" in fields:
-        return _vss_leaf(path, fields), None
     if "children" in fields:
         if not fields.keys() <= _BRANCH_FIELDS:
             raise _unknown_field(path, fields, _BRANCH_FIELDS)
@@ -190,7 +188,7 @@ def _vss_node(path: str, fields) -> tuple[CatalogEntry | None, dict | None]:
         _opt_str(path, fields, "description")  # checked, not kept
         if not isinstance(fields["children"], dict):
             raise SchemaError(f"children of '{path}' must be an object")
-        return None, fields["children"]
+        return fields["children"]
     # compact branch form: object-valued keys are the children
     kind = fields.get("type")
     if kind in _LEAF_KINDS:
@@ -208,7 +206,7 @@ def _vss_node(path: str, fields) -> tuple[CatalogEntry | None, dict | None]:
             f"node '{path}' mixes scalar field '{scalars[0]}' with child nodes"
         )
     _opt_str(path, fields, "description")  # checked, not kept
-    return None, children
+    return children
 
 
 def _vss_leaf(path: str, fields: dict) -> CatalogEntry:

@@ -202,11 +202,10 @@ def run_eval_harness(manifest_path: str | Path, runs: int = 10,
                      fault_rate: float = 0.0, seed: int | None = None) -> HarnessReport:
     """Score every scenario over ``runs`` runs against expectations.
 
-    Replay is deterministic, so each scenario is replayed once. Each catalog
-    text is parsed once per process (``stages.parse_catalog``), and each
-    catalog pair is indexed once per call (a build that raises is not kept).
-    An error from the replayed run fails every run with the same note; input
-    files that cannot be loaded raise.
+    Replay is deterministic, so each scenario is replayed once and each
+    catalog pair is loaded and indexed once (a call that raises caches
+    nothing). An error from the replayed run fails every run with the same
+    note; input files that cannot be loaded raise.
     """
     if runs < 1:
         raise ConfigurationError(f"runs must be at least 1, got {runs}")
@@ -216,11 +215,12 @@ def run_eval_harness(manifest_path: str | Path, runs: int = 10,
     scenarios = parse_manifest(manifest_path)
     rng = random.Random(seed)
     outcomes: list[ScenarioOutcome] = []
-    index_of = functools.cache(lambda vss, can: catalog_index(*load_catalogs(vss, can)))
+    load_pair = functools.cache(load_catalogs)
+    index_of = functools.cache(lambda vss, can: catalog_index(*load_pair(vss, can)))
     for scenario in scenarios:
         code = read_text(scenario.code_path, "code")
         pair = (scenario.vss_path, scenario.can_path)
-        catalogs = load_catalogs(*pair)
+        catalogs = load_pair(*pair)
         store = ReplayStore.load(scenario.replay_path)
         gateway = LlmGateway(mode="replay", store=store)
         ruleset = (parse_rules(read_text(scenario.rules_path, "rules"))

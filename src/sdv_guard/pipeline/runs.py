@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
+from ..catalog import parse_can_catalog, parse_vss_catalog
 from ..errors import (
     ConfigurationError,
     PipelineError,
@@ -38,7 +39,7 @@ from ..safety_rules import (
 )
 from ..util import dump_json, load_json, mismatched_files, read_text, sha256_text, write_atomic
 from .config import PipelineConfig
-from .stages import catalog_index, ground_code, parse_catalog, run_extraction
+from .stages import catalog_index, ground_code, run_extraction
 
 if TYPE_CHECKING:
     from ..topology import InstanceModel, Metamodel, TopologyReport
@@ -185,8 +186,7 @@ def run_safety_pipeline(code: str, vss_text: str, can_text: str, rules_text: str
                         auto_correct: bool = False) -> SafetyRunResult:
     """Extract, build the event chain, check it, optionally iterate on fixes.
 
-    Each catalog text is parsed once per process (``stages.parse_catalog``);
-    the retrieval index over both catalogs is built once per run. Each
+    The retrieval index over both catalogs is built once per run. Each
     iteration re-runs grounding and extraction on the current code and
     regenerates the chain with the previous diagram as context. Correction
     is only attempted while iterations remain; the last report stands either
@@ -195,8 +195,8 @@ def run_safety_pipeline(code: str, vss_text: str, can_text: str, rules_text: str
     """
     writer = _ArtifactWriter(config.out_dir if out_dir is None else out_dir, "safety", config)
     record = writer.record
-    signal_catalog = writer.stage("catalog", lambda: parse_catalog("VSS", vss_text))
-    message_catalog = writer.stage("catalog", lambda: parse_catalog("CAN", can_text))
+    signal_catalog = writer.stage("catalog", lambda: parse_vss_catalog(vss_text))
+    message_catalog = writer.stage("catalog", lambda: parse_can_catalog(can_text))
     ruleset = writer.stage("rules", lambda: parse_rules(rules_text))
     retrieval_index = writer.stage(
         "retrieval", lambda: catalog_index(signal_catalog, message_catalog))

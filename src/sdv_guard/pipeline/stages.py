@@ -3,18 +3,10 @@
 Each helper is a thin composition of the module-level operations; the value
 here is that runs and the harness execute the *same* code path, so a replay
 store recorded by one is valid for the other.
-
-A process parses each catalog text once: ``parse_catalog`` keeps the parsed
-catalogs of the last ``CATALOG_MEMO_SIZE`` texts, keyed by kind and content,
-and serves a text equal to one of them without parsing it again. A parsed
-``Catalog`` is observably immutable, so every run may share one. A text that
-fails to parse is never kept: each run on it raises the same typed error.
-The retrieval index is built once per run and is not kept.
 """
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
 
 from ..catalog import Catalog, parse_can_catalog, parse_vss_catalog
@@ -24,34 +16,11 @@ from ..retrieval import Chunk, RetrievalIndex, build_index, chunk_entries, retri
 from ..util import read_text
 from .config import PipelineConfig
 
-CATALOG_MEMO_SIZE = 4
-"""How many parsed catalogs a process keeps; the least recently used goes first."""
-
-_parsed_catalogs: dict[tuple[str, str], Catalog] = {}
-_parsed_catalogs_lock = threading.Lock()
-
-
-def parse_catalog(kind: str, text: str) -> Catalog:
-    """The catalog of ``text``: a signal catalog for ``kind`` "VSS", a message
-    catalog for "CAN". A text equal to one parsed before is served from the
-    memo. A hit re-keys its entry with the caller's ``text``, so the memo
-    keeps the newest equal string, not an older one whose caller may have
-    dropped it."""
-    key = (kind, text)
-    with _parsed_catalogs_lock:
-        catalog = _parsed_catalogs.pop(key, None)
-        if catalog is None:
-            catalog = (parse_vss_catalog if kind == "VSS" else parse_can_catalog)(text)
-            if len(_parsed_catalogs) >= CATALOG_MEMO_SIZE:
-                del _parsed_catalogs[next(iter(_parsed_catalogs))]
-        _parsed_catalogs[key] = catalog
-    return catalog
-
 
 def load_catalogs(vss_path: str | Path, can_path: str | Path,
                   ) -> tuple[Catalog, Catalog]:
-    signal_catalog = parse_catalog("VSS", read_text(vss_path, "VSS catalog"))
-    message_catalog = parse_catalog("CAN", read_text(can_path, "CAN catalog"))
+    signal_catalog = parse_vss_catalog(read_text(vss_path, "VSS catalog"))
+    message_catalog = parse_can_catalog(read_text(can_path, "CAN catalog"))
     return signal_catalog, message_catalog
 
 

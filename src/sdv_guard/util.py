@@ -217,9 +217,33 @@ def load_json(text: str, error_type: type[SdvGuardError], what: str):
     """Decode strict JSON (RFC 8259: no NaN or Infinity) with no number beyond
     a float's range, no lone surrogate in a string and no key repeated in an
     object into plain values. Any failure, too deep a nesting included, is an
-    ``error_type`` naming ``what``."""
+    ``error_type`` naming ``what``.
+
+    A text with no ':' inside a string is decoded once, without the pair
+    list per object that the repeated-key check takes: a first decode builds
+    each object directly and counts its members. Every ':' in JSON text ends
+    a key or lies inside a string, and an object holds fewer members than
+    its text only when a key repeats. So when the text holds as many ':' as
+    the decoded objects hold members, no key repeated and the value stands.
+    Otherwise (a ':' inside a string, a repeated key or any failure) the
+    strict decode runs again and gives the value or the first fault in
+    document order."""
+    members = 0
+
+    def count(obj: dict) -> dict:
+        nonlocal members
+        members += len(obj)
+        return obj
+
     try:
-        return _strict_strings(json.loads(text, **_STRICT), text)
+        try:
+            value = json.loads(text, object_hook=count, parse_float=_json_float,
+                               parse_constant=_reject_constant)
+        except (RecursionError, ValueError, OverflowError):
+            members = -1  # a repeated key before the fault is the one to report
+        if members != text.count(":"):
+            value = json.loads(text, **_STRICT)
+        return _strict_strings(value, text)
     except (RecursionError, ValueError, OverflowError) as exc:
         if isinstance(exc, json.JSONDecodeError) and issubclass(error_type, CatalogParseError):
             raise error_type(exc.msg, line=exc.lineno, column=exc.colno) from exc

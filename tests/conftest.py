@@ -1,5 +1,5 @@
-"""Shared fixtures: repository paths, parsed catalogs and what a caller can
-observe of one, scripted gateways, straight-line chains."""
+"""Shared fixtures: repository paths, parsed catalogs, scripted gateways,
+straight-line chains."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from sdv_guard.catalog import parse_can_catalog, parse_vss_catalog
 from sdv_guard.eventchain import ActivityGraph, ChainDocument, Edge, Node
 from sdv_guard.llm_gateway import LlmGateway, ReplayStore
 from sdv_guard.safety_rules import RuleAtom, SafetyRule, check
-from sdv_guard.util import normalize_name
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -41,17 +40,6 @@ def signal_catalog(vss_text):
 @pytest.fixture(scope="session")
 def message_catalog(can_text):
     return parse_can_catalog(can_text)
-
-
-def catalog_view(catalog) -> tuple:
-    """What a caller can observe of a catalog: its entries, and both lookups
-    on every key, its underscore alias, its normalized form and one absent
-    name."""
-    probes = ["no such key"]
-    for entry in catalog.entries:
-        probes += [entry.key, entry.key.replace(".", "_"), normalize_name(entry.key)]
-    lookups = [(catalog.lookup_entry(p), catalog.lookup_normalized(p)) for p in probes]
-    return catalog.entries, lookups
 
 
 def write_dies_half_way(monkeypatch) -> None:

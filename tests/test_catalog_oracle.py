@@ -18,9 +18,7 @@ local copies of the signal and message classes they built:
 ``parse_vss_catalog`` and ``parse_can_catalog`` must give the same entries
 and the same answer to every lookup, or the same error type and message, on
 the fixture catalogs, on bench catalogs and on random catalogs with repeated
-keys, dotted node names and several faults. The pipeline's catalog memo,
-``stages.parse_catalog``, must give the entries of a fresh parse, or its
-error, each time it is asked for a text.
+keys, dotted node names and several faults.
 
 The intended differences are kept out of the random catalogs, and
 ``test_intended_differences_from_the_reference`` and
@@ -53,9 +51,8 @@ from sdv_guard.catalog import (
     parse_vss_catalog,
 )
 from sdv_guard.errors import CatalogError, CatalogParseError, SchemaError, SdvGuardError
-from sdv_guard.pipeline.stages import parse_catalog
 from sdv_guard.util import load_json, normalize_name
-from conftest import FIXTURES, catalog_view
+from conftest import FIXTURES
 
 # ---------------------------------------------------------------------------
 # the reference's signal and message classes, as they were
@@ -505,6 +502,22 @@ def _outcome(parse, text: str):
         return type(exc).__name__, str(exc)
 
 
+def _probes(entries) -> list[str]:
+    """Every key, its underscore alias and its normalized form, and one absent name."""
+    probes = ["no such key"]
+    for entry in entries:
+        probes += [entry.key, entry.key.replace(".", "_"), normalize_name(entry.key)]
+    return probes
+
+
+def _view(catalog) -> tuple:
+    """What a caller can observe of a catalog: its entries, and every lookup
+    on the probe names."""
+    probes = _probes(catalog.entries)
+    lookups = [(catalog.lookup_entry(p), catalog.lookup_normalized(p)) for p in probes]
+    return catalog.entries, lookups
+
+
 def _assert_built_whole(catalog) -> None:
     """Each entry is an immutable ``CatalogEntry`` that equals, hashes and
     prints like one built from its own fields."""
@@ -516,29 +529,22 @@ def _assert_built_whole(catalog) -> None:
             entry.key = None
 
 
-def _assert_same(parse, reference, text: str, kind: str) -> tuple:
+def _assert_same(parse, reference, text: str) -> tuple:
     new, ref = _outcome(parse, text), _outcome(reference, text)
     if new[0] == ref[0] == "ok":
-        assert catalog_view(new[1]) == catalog_view(ref[1]), text
+        assert _view(new[1]) == _view(ref[1]), text
         _assert_built_whole(new[1])
     else:
         assert new == ref, text
-    # the pipeline's memo, on a text it may not hold yet and then on one it may
-    for _ in range(2):
-        memo = _outcome(lambda t: parse_catalog(kind, t), text)
-        if new[0] == "ok":
-            assert (memo[0], memo[1].entries) == ("ok", new[1].entries), text
-        else:
-            assert memo == new, text
     return new
 
 
 def _assert_same_vss(text: str) -> tuple:
-    return _assert_same(parse_vss_catalog, _ref_parse_vss_catalog, text, "VSS")
+    return _assert_same(parse_vss_catalog, _ref_parse_vss_catalog, text)
 
 
 def _assert_same_can(text: str) -> tuple:
-    return _assert_same(parse_can_catalog, _ref_parse_can_catalog, text, "CAN")
+    return _assert_same(parse_can_catalog, _ref_parse_can_catalog, text)
 
 
 def test_fixture_catalog_matches_reference():

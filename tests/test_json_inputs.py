@@ -136,6 +136,8 @@ def test_load_json_reports_positions_and_limits():
     (r'{"\ud800": 1, "\ud800": 2}', r'"\ud800"'),  # a lone surrogate, written in ASCII
     (r'{"\u00e9\t": 1, "\u00e9\t": 2}', r'"\u00e9\t"'),  # a control character
     ('{"caf\u00e9": 1, "caf\u00e9": 2}', r'"caf\u00e9"'),
+    ('{"a": "x:y", "a": 1}', '"a"'),  # a ':' inside a string as well
+    (r'{"\u003a": 1, ":": 2}', '":"'),  # the same key, once escaped
 ])
 def test_load_json_rejects_a_repeated_key(text, key):
     with pytest.raises(TransformError) as err:
@@ -153,6 +155,43 @@ def test_load_json_rejects_a_lone_surrogate(text, code_point):
     with pytest.raises(TransformError,
                        match=f"doc is not valid JSON: a string holds the lone surrogate U\\+{code_point}"):
         load_json(text, TransformError, "doc")
+
+
+# JSON texts built to tell load_json's member count from one strict decode:
+# keys that repeat, ':' inside keys and strings, written plainly and escaped,
+# floats past a float's range, NaN, lone surrogates, and texts cut short
+_COUNTED_KEYS = st.sampled_from(['"a"', '"b"', '"a:b"', '":"', '""', r'"\u003a"',
+                                 r'"a\u003ab"', r'"\ud800"'])
+_COUNTED_SCALARS = st.sampled_from(["1", "-0", "2.5", "-0.0", "1e999", "1E-999", "NaN", "true",
+                                    "null", '"s"', '"s:t"', '":"', r'"\u003a"', r'"\ud800"',
+                                    '"caf\u00e9"'])
+
+
+def _counted_containers(children):
+    members = st.lists(st.tuples(_COUNTED_KEYS, children), max_size=4)
+    return (members.map(lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}")
+            | st.lists(children, max_size=4).map(lambda items: "[" + ",".join(items) + "]"))
+
+
+def _one_strict_decode(text: str):
+    """load_json as one decode with the pair-list hook on every object."""
+    try:
+        return "value", repr(util._strict_strings(json.loads(text, **util._STRICT), text))
+    except (ValueError, OverflowError) as exc:
+        return "error", f"doc is not valid JSON: {exc}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.recursive(_COUNTED_SCALARS, _counted_containers, max_leaves=12), st.booleans())
+def test_load_json_decodes_as_one_strict_decode(text, cut):
+    # the counted decode keeps its value only when the text's ':' and the
+    # decoded members agree; every other text is decoded strictly again
+    text = text[:-1] if cut else text
+    try:
+        got = "value", repr(load_json(text, TransformError, "doc"))
+    except TransformError as exc:
+        got = "error", str(exc)
+    assert got == _one_strict_decode(text)
 
 
 def test_load_json_keeps_surrogate_pairs_and_escaped_backslashes():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from sdv_guard import eventchain, llm_gateway
-from sdv_guard.errors import ConfigurationError, DeploymentError, PipelineError, SchemaError
+from sdv_guard.errors import ConfigurationError, DeploymentError, PipelineError
 from sdv_guard.eventchain import parse_activity_diagram, serialize_chain, to_chain_document
 from sdv_guard.llm_gateway import PC2, LlmGateway, ReplayStore, prompt_digest
 from sdv_guard.pipeline import (
@@ -27,7 +27,6 @@ from sdv_guard.pipeline import (
     render_harness_report,
     run_eval_harness,
     run_extraction,
-    run_safety_pipeline,
     run_safety_pipeline_files,
     run_topology_pipeline,
     save_receipt,
@@ -40,11 +39,11 @@ from sdv_guard.pipeline import runs as runs_module
 from sdv_guard.pipeline import stages as stages_module
 from sdv_guard.pipeline.cli import main
 from sdv_guard.pipeline.runs import _ArtifactWriter
-from sdv_guard.pipeline.stages import catalog_index, ground_code, parse_catalog
+from sdv_guard.pipeline.stages import catalog_index, ground_code
 from sdv_guard.retrieval import build_index
 from sdv_guard.util import read_text, sha256_bytes, sha256_text, write_atomic
 
-from conftest import catalog_view, replay_gateway, scripted_gateway, write_dies_half_way
+from conftest import replay_gateway, scripted_gateway, write_dies_half_way
 
 
 # ---------------------------------------------------------------------------
@@ -357,134 +356,6 @@ def test_safety_run_builds_one_retrieval_index(fixtures_dir, tmp_path, monkeypat
     assert len(builds) == 1
 
 
-def _counting(monkeypatch, module, name: str) -> list:
-    """Replace ``module.name`` with a wrapper that appends each call's first
-    argument to the returned list."""
-    calls, original = [], getattr(module, name)
-
-    def counted(first, *args):
-        calls.append(first)
-        return original(first, *args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_two_safety_runs_parse_each_catalog_once(fixtures_dir, tmp_path, monkeypatch):
-    monkeypatch.setattr(stages_module, "_parsed_catalogs", {})
-    vss_parses = _counting(monkeypatch, stages_module, "parse_vss_catalog")
-    can_parses = _counting(monkeypatch, stages_module, "parse_can_catalog")
-    builds = _counting(monkeypatch, stages_module, "build_index")
-    for out_name in ("first", "second"):
-        _run_replay_scenario(fixtures_dir, tmp_path, "s1", "rules-s1.txt", out_name)
-    assert (len(vss_parses), len(can_parses)) == (1, 1)
-    assert len(builds) == 2  # the retrieval index is built per run, not kept
-
-
-def test_a_bad_catalog_fails_every_run_and_is_not_kept(fixtures_dir, vss_text, can_text,
-                                                      tmp_path, monkeypatch):
-    monkeypatch.setattr(stages_module, "_parsed_catalogs", {})
-    vss_parses = _counting(monkeypatch, stages_module, "parse_vss_catalog")
-    code = _fixture(fixtures_dir, "code", "s1.py").read_text(encoding="utf-8")
-    rules = _fixture(fixtures_dir, "rules", "rules-s1.txt").read_text(encoding="utf-8")
-    bad = vss_text.replace('"datatype": "boolean"', '"datatype": "voltage"', 1)
-    assert bad != vss_text
-
-    def run(text, out_name):
-        return run_safety_pipeline(code, text, can_text, rules, replay_gateway("s1"),
-                                   PipelineConfig(), out_dir=tmp_path / out_name)
-
-    errors = []
-    for out_name in ("bad1", "bad2"):
-        with pytest.raises(PipelineError) as err:
-            run(bad, out_name)
-        errors.append((err.value.stage, type(err.value.cause), str(err.value)))
-        assert load_run_record(tmp_path / out_name).verdict == "error"
-    assert errors[0] == errors[1]
-    assert errors[0][:2] == ("catalog", SchemaError)
-    assert vss_parses == [bad, bad]  # the failed parse was not kept
-    assert all(key[1] != bad for key in stages_module._parsed_catalogs)
-    assert run(vss_text, "good").verdict == "violated"
-
-
-def test_the_catalog_memo_keeps_at_most_its_bound(monkeypatch):
-    monkeypatch.setattr(stages_module, "_parsed_catalogs", {})
-    texts = [json.dumps([{"frame_id": i, "name": f"M{i}", "dlc": 1}])
-             for i in range(stages_module.CATALOG_MEMO_SIZE + 3)]
-    for text in texts:
-        parse_catalog("CAN", text)
-        assert len(stages_module._parsed_catalogs) <= stages_module.CATALOG_MEMO_SIZE
-    kept = texts[-stages_module.CATALOG_MEMO_SIZE:]
-    assert [text for _kind, text in stages_module._parsed_catalogs] == kept
-    # a hit makes its text the most recently used, so the oldest other goes
-    parse_catalog("CAN", kept[0])
-    parse_catalog("CAN", texts[0])
-    assert [text for _kind, text in stages_module._parsed_catalogs] == [
-        *kept[2:], kept[0], texts[0]]
-
-
-def test_a_memo_hit_keeps_the_callers_text_not_the_older_one(vss_text, monkeypatch):
-    monkeypatch.setattr(stages_module, "_parsed_catalogs", {})
-    older = (vss_text + " ")[:-1]
-    newer = (vss_text + " ")[:-1]
-    assert older == newer and older is not newer
-    catalog = parse_catalog("VSS", older)
-    assert parse_catalog("VSS", newer) is catalog
-    (key,) = stages_module._parsed_catalogs
-    assert key[1] is newer
-    # the same text as a message catalog is another entry, and a failed parse
-    with pytest.raises(SchemaError):
-        parse_catalog("CAN", newer)
-    assert list(stages_module._parsed_catalogs) == [key]
-
-
-def test_threads_sharing_the_catalog_memo_each_get_their_catalog(monkeypatch):
-    monkeypatch.setattr(stages_module, "_parsed_catalogs", {})
-    texts = [json.dumps([{"frame_id": i, "name": f"M{i}", "dlc": 1}])
-             for i in range(stages_module.CATALOG_MEMO_SIZE + 3)]
-    errors = []
-
-    def work(offset):
-        try:
-            for i in range(2000):
-                index = (offset + i) % len(texts)
-                catalog = parse_catalog("CAN", (texts[index] + " ")[:-1])
-                assert catalog.entries[0].key == f"M{index}"
-                assert len(stages_module._parsed_catalogs) <= stages_module.CATALOG_MEMO_SIZE
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    assert errors == []
-
-
-def test_a_corrective_run_leaves_the_shared_catalogs_as_they_were(
-        fixtures_dir, vss_text, can_text, tmp_path, monkeypatch):
-    # the memo hands one catalog to every run, so no run may change it
-    monkeypatch.setattr(stages_module, "_parsed_catalogs", {})
-    catalogs = parse_catalog("VSS", vss_text), parse_catalog("CAN", can_text)
-    before = [catalog_view(catalog) for catalog in catalogs]
-    result = _run_replay_scenario(
-        fixtures_dir, tmp_path, "s3", "rules-s3.txt", "s3c",
-        store="s3_corrective", auto_correct=True,
-        config=PipelineConfig(max_iterations=2),
-    )
-    assert len(result.iterations) == 2
-    assert parse_catalog("VSS", vss_text) is catalogs[0]
-    assert parse_catalog("CAN", can_text) is catalogs[1]
-    assert [catalog_view(catalog) for catalog in catalogs] == before
-
-
 def test_key_in_both_catalogs_fails_the_retrieval_stage(fixtures_dir, tmp_path):
     can = json.loads(_fixture(fixtures_dir, "catalogs", "can.json").read_text())
     can[0]["name"] = "Vehicle.Cabin.Light"
@@ -513,29 +384,17 @@ def test_safety_run_without_correction_stops_after_one_pass(fixtures_dir, tmp_pa
     assert len(result.iterations) == 1
 
 
-_REPLAY_SCENARIOS = (
-    ("s1", "rules-s1.txt", {}),
-    ("s2", "rules-s2.txt", {}),
-    ("s3", "rules-s3.txt", {"store": "s3_corrective", "auto_correct": True,
-                            "config": PipelineConfig(max_iterations=2)}),
-)
-
-
-def test_replay_runs_are_byte_deterministic(fixtures_dir, tmp_path, monkeypatch):
-    # the first round parses the catalogs, the second is served by the memo
-    monkeypatch.setattr(stages_module, "_parsed_catalogs", {})
+def test_replay_runs_are_byte_deterministic(fixtures_dir, tmp_path):
     for out_name in ("a", "b"):
-        for name, rules, kwargs in _REPLAY_SCENARIOS:
-            _run_replay_scenario(fixtures_dir, tmp_path / out_name, name, rules, name,
-                                 **kwargs)
-    for name, _rules, _kwargs in _REPLAY_SCENARIOS:
-        a, b = tmp_path / "a" / name, tmp_path / "b" / name
-        names_a = sorted(p.name for p in a.iterdir())
-        assert names_a == sorted(p.name for p in b.iterdir())
-        for artifact in names_a:
-            if artifact == "run.json":  # timestamps live here and nowhere else
-                continue
-            assert (a / artifact).read_bytes() == (b / artifact).read_bytes(), artifact
+        _run_replay_scenario(fixtures_dir, tmp_path, "s2", "rules-s2.txt", out_name)
+    names_a = sorted(p.name for p in (tmp_path / "a").iterdir())
+    names_b = sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert names_a == names_b
+    for name in names_a:
+        if name == "run.json":  # timestamps live here and nowhere else
+            continue
+        assert (tmp_path / "a" / name).read_bytes() \
+            == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_replay_miss_is_a_stage_error(fixtures_dir, tmp_path):
