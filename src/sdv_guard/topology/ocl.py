@@ -24,6 +24,13 @@ antecedent never evaluates its consequent. Runtime faults (``toReal`` on a
 non-numeric string, navigation to an unset attribute) fail the constraint
 for that object with the fault as the reason: analysis errs on the side of
 flagging.
+
+The result, a ``TopologyReport``, is a verdict matrix: the constraint names
+in file order, the object ids sorted, one verdict column per constraint and,
+per constraint, the reasons of the cells that carry one. ``rows`` and
+``failing`` read it as one ``ConstraintVerdict`` per cell, built on first
+read; the pass/fail list and ``topology_iterN.json`` are written from the
+columns, a constraint at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, count, repeat
 from typing import NamedTuple
 
 from ..errors import ConstraintError
@@ -602,36 +609,95 @@ class ConstraintVerdict(NamedTuple):
     reason: str = ""
 
 
+_new = tuple.__new__  # a ConstraintVerdict from its fields, without argument handling
+
+
 @dataclass(frozen=True)
 class TopologyReport:
-    rows: tuple[ConstraintVerdict, ...]
+    """The check as a verdict matrix, constraints by objects.
 
-    @cached_property  # rows never change, so the first read serves every later one
+    ``columns[k][i]`` is the verdict of constraint ``constraints[k]`` on the
+    object ``object_ids[i]``. ``reasons[k]`` holds ``(i, reason)`` for the
+    cells of that constraint that carry a reason, in object order; every
+    other cell has none. ``rows`` and ``failing`` read the matrix as one
+    ``ConstraintVerdict`` per cell, constraint by constraint and object by
+    object within each.
+    """
+
+    constraints: tuple[str, ...]
+    object_ids: tuple[str, ...]
+    columns: tuple[tuple[str, ...], ...]
+    reasons: tuple[tuple[tuple[int, str], ...], ...]
+
+    def _reason_columns(self):
+        """Each constraint's name, verdict column and reason column."""
+        for name, column, cells in zip(self.constraints, self.columns, self.reasons):
+            because = [""] * len(column)
+            for i, reason in cells:
+                because[i] = reason
+            yield name, column, because
+
+    @cached_property  # the matrix never changes, so the first read serves every later one
+    def rows(self) -> tuple[ConstraintVerdict, ...]:
+        return tuple(chain.from_iterable(
+            map(_new, repeat(ConstraintVerdict),
+                zip(repeat(name), self.object_ids, column, because))
+            for name, column, because in self._reason_columns()))
+
+    @cached_property
     def failing(self) -> tuple[ConstraintVerdict, ...]:
-        return tuple(r for r in self.rows if r.verdict == VERDICT_FAIL)
+        return tuple(_new(ConstraintVerdict, (name, self.object_ids[i], VERDICT_FAIL, because[i]))
+                     for name, column, because in self._reason_columns()
+                     for i in compress(count(), map(operator.eq, column, repeat(VERDICT_FAIL))))
 
     @property
     def overall(self) -> str:
-        return VERDICT_FAIL if self.failing else VERDICT_PASS
+        failed = any(VERDICT_FAIL in column for column in self.columns)
+        return VERDICT_FAIL if failed else VERDICT_PASS
+
+    def _cells_text(self, ids, heads, tail, reason_tail) -> str:
+        """The cells as text, constraint by constraint: each cell is its
+        constraint's head, its object's text from ``ids``, then
+        ``tail(verdict)``, or ``reason_tail(verdict, reason)`` where it has a
+        reason; a tail ends with what separates one cell from the next."""
+        if not self.object_ids:
+            return ""
+        pieces: list[str] = []
+        for head, column, cells in zip(heads, self.columns, self.reasons):
+            # every tail but a column's last carries the next cell's head, so
+            # a column is joined, not built cell by cell
+            tails = {verdict: tail(verdict) + head for verdict in set(column)}
+            after = list(map(tails.__getitem__, column))
+            for i, reason in cells:
+                if reason:
+                    after[i] = reason_tail(column[i], reason) + head
+            after[-1] = after[-1].removesuffix(head)
+            pieces.append(head)
+            pieces += chain.from_iterable(zip(ids, after))
+        return "".join(pieces)
 
     def to_json(self) -> str:
         """The document of ``topology_iterN.json``, byte for byte what
-        ``dump_json`` writes: ``overall``, then one object per row with its
+        ``dump_json`` writes of ``overall`` and one object per row with its
         constraint, object, verdict and, only when not empty, reason. The
-        layout is written here, with the text of each distinct string from
-        one ``json_scalars`` call."""
-        if not self.rows:
-            return f'{{\n  "overall": "{self.overall}",\n  "rows": []\n}}\n'
-        strings = list(set(chain.from_iterable(self.rows)))
-        text = dict(zip(strings, json_scalars(strings)))
-        rows = ",\n    ".join([
-            f'{{\n      "constraint": {text[constraint]},\n      "object": {text[object_id]},\n'
-            f'      "reason": {text[reason]},\n      "verdict": {text[verdict]}\n    }}'
-            if reason else
-            f'{{\n      "constraint": {text[constraint]},\n      "object": {text[object_id]},\n'
-            f'      "verdict": {text[verdict]}\n    }}'
-            for constraint, object_id, verdict, reason in self.rows])
-        return f'{{\n  "overall": "{self.overall}",\n  "rows": [\n    {rows}\n  ]\n}}\n'
+        layout is written here, a constraint at a time, with the text of every
+        object id, constraint name, verdict and reason from one
+        ``json_scalars`` call."""
+        opening = f'{{\n  "overall": "{self.overall}",\n  "rows": '
+        if not self.constraints or not self.object_ids:
+            return opening + "[]\n}\n"
+        n, m = len(self.object_ids), len(self.constraints)
+        strings = [*self.object_ids, *self.constraints, *set().union(*self.columns),
+                   *{reason for cells in self.reasons for _, reason in cells}]
+        text = json_scalars(strings)
+        escaped = dict(zip(strings[n + m:], text[n + m:]))
+        heads = [f'{{\n      "constraint": {name},\n      "object": ' for name in text[n:n + m]]
+        cells = self._cells_text(
+            text[:n], heads,
+            lambda verdict: f',\n      "verdict": {escaped[verdict]}\n    }},\n    ',
+            lambda verdict, reason: (f',\n      "reason": {escaped[reason]},\n'
+                                     f'      "verdict": {escaped[verdict]}\n    }},\n    '))
+        return f"{opening}[\n    {cells[:-6]}\n  ]\n}}\n"  # 6: the last cell's ",\n    "
 
 
 def eval_constraints(model: InstanceModel, constraints: tuple[Constraint, ...],
@@ -639,40 +705,41 @@ def eval_constraints(model: InstanceModel, constraints: tuple[Constraint, ...],
     """Evaluate every constraint against every object; nothing is skipped silently.
 
     Each constraint is type-checked against ``metamodel`` again, once, and a
-    constraint that does not check raises ConstraintError. The rows follow
-    the constraints in file order and, within each, every object by id.
+    constraint that does not check raises ConstraintError. The report's
+    constraints keep their file order and its objects are sorted by id; a
+    constraint's column is not-applicable except for the objects of its
+    context class and the classes that inherit from it, which are evaluated.
     """
-    rows: list[ConstraintVerdict] = []
-    append = rows.append
-    new = tuple.__new__  # ConstraintVerdict(...) without its argument handling
     objects = sorted(model.objects.values(), key=lambda o: o.id)
+    by_class: dict[str, list[int]] = {}
+    for i, obj in enumerate(objects):
+        by_class.setdefault(obj.cls, []).append(i)
+    columns: list[tuple[str, ...]] = []
+    reasons: list[tuple[tuple[int, str], ...]] = []
     for constraint in constraints:
         evaluate = _compile(constraint, metamodel)
+        column = [VERDICT_NOT_APPLICABLE] * len(objects)
+        faults: list[tuple[int, str]] = []
         applicable = metamodel.subclasses(constraint.context)
-        name = constraint.name
-        for obj in objects:
-            if obj.cls not in applicable:
-                append(new(ConstraintVerdict,
-                           (name, obj.id, VERDICT_NOT_APPLICABLE, "")))
-                continue
+        for i in sorted(chain.from_iterable(by_class.get(cls, ()) for cls in applicable)):
             try:
-                value = evaluate(model, {"self": obj})
+                value = evaluate(model, {"self": objects[i]})
                 if not isinstance(value, bool):
                     raise _EvalFault(f"constraint produced {value!r}, not a boolean")
             except _EvalFault as fault:
-                append(new(ConstraintVerdict, (name, obj.id, VERDICT_FAIL, str(fault))))
+                column[i] = VERDICT_FAIL
+                faults.append((i, str(fault)))
                 continue
-            append(new(ConstraintVerdict,
-                       (name, obj.id, VERDICT_PASS if value else VERDICT_FAIL, "")))
-    return TopologyReport(rows=tuple(rows))
+            column[i] = VERDICT_PASS if value else VERDICT_FAIL
+        columns.append(tuple(column))
+        reasons.append(tuple(faults))
+    return TopologyReport(tuple(c.name for c in constraints), tuple(o.id for o in objects),
+                          tuple(columns), tuple(reasons))
 
 
 def render_topology_report(report: TopologyReport) -> str:
     """One line per (constraint, object): the pass/fail list used downstream."""
-    lines = [f"overall: {report.overall}"]
-    for row in report.rows:
-        line = f"{row.constraint} {row.object_id} {row.verdict}"
-        if row.reason:
-            line += f" ({row.reason})"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    cells = report._cells_text(report.object_ids, [f"{name} " for name in report.constraints],
+                               lambda verdict: f" {verdict}\n",
+                               lambda verdict, reason: f" {verdict} ({reason})\n")
+    return f"overall: {report.overall}\n{cells}"

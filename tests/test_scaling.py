@@ -13,6 +13,8 @@ import random
 import statistics
 import time
 
+import pytest
+
 from bench import generators as gen
 from sdv_guard.catalog import parse_can_catalog, parse_vss_catalog
 from sdv_guard.eventchain import (
@@ -22,6 +24,16 @@ from sdv_guard.eventchain import (
     to_chain_document,
 )
 from sdv_guard.safety_rules import check, parse_rules, render_report
+from sdv_guard.topology import (
+    default_metamodel,
+    eval_constraints,
+    import_class_diagram,
+    parse_constraints,
+    parse_instance,
+    render_topology_report,
+)
+
+from conftest import FIXTURES
 
 
 def _cpu_ms(fn, runs: int = 5) -> float:
@@ -129,3 +141,44 @@ def test_a_signal_catalog_is_parsed_in_linear_time():
 
 def test_a_message_catalog_is_parsed_in_linear_time():
     _assert_parsed_in_linear_time(parse_can_catalog, gen.can_catalog, 1000)
+
+
+def _instance_case(messages: int, form: str) -> gen.TopologyCase:
+    """The bench's topology of ``messages`` messages, planted violations
+    included, as JSON or as an object diagram."""
+    return gen.instance_case(random.Random(1), f"{form}-bad", messages, form, True)
+
+
+@pytest.mark.parametrize("form, load", [("json", parse_instance),
+                                        ("puml", import_class_diagram)])
+def test_an_instance_model_is_loaded_in_linear_time(form, load):
+    def cost(messages: int) -> float:
+        text = _instance_case(messages, form).model_text
+        return _cpu_ms(lambda: load(text))
+
+    _assert_linear(cost, 300)
+
+
+def test_an_instance_model_is_checked_in_linear_time():
+    # the OCL check layer: evaluate, render the pass/fail list, write
+    # topology_iterN.json. The last constraint faults, with a reason, on
+    # every VSS message (about half the messages), so the cells that carry a
+    # reason grow with the model too
+    metamodel = default_metamodel()
+    security = (FIXTURES / "topology" / "security.ocl").read_text(encoding="utf-8")
+    faulting = "context VSSMessage inv PathIsNumeric: self.vssPath.toReal() > 0.0\n"
+
+    def cost(messages: int) -> float:
+        case = _instance_case(messages, "json")
+        model = parse_instance(case.model_text)
+        constraints = parse_constraints(
+            "\n".join((security, case.extra_constraints, faulting)), metamodel)
+
+        def run():
+            report = eval_constraints(model, constraints, metamodel)
+            assert report.overall == "fail"
+            render_topology_report(report)
+            report.to_json()
+        return _cpu_ms(run)
+
+    _assert_linear(cost, 300)

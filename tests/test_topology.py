@@ -954,16 +954,54 @@ def _report_dict(report: TopologyReport) -> dict:
     }
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.builds(ConstraintVerdict, _TEXT, _TEXT, _VERDICTS, st.just("") | _TEXT),
-                max_size=8))
-@example([])
-@example([ConstraintVerdict("c", "o", VERDICT_PASS)])
-@example([ConstraintVerdict("c", "o", VERDICT_FAIL, 'say "no"\n\u00e9'),
-          ConstraintVerdict("c", "p", VERDICT_NOT_APPLICABLE)])
-def test_report_json_writes_what_dump_json_writes(rows):
-    report = TopologyReport(tuple(rows))
+def _render_rows(report: TopologyReport) -> str:
+    """The pass/fail list written row by row, as the renderer once did."""
+    lines = [f"overall: {report.overall}"]
+    for row in report.rows:
+        line = f"{row.constraint} {row.object_id} {row.verdict}"
+        if row.reason:
+            line += f" ({row.reason})"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _assert_matrix_written_as_rows(report: TopologyReport) -> None:
+    """The views and both writers agree with the matrix read cell by cell."""
+    rows = [ConstraintVerdict(name, object_id, verdict, dict(cells).get(i, ""))
+            for name, column, cells in zip(report.constraints, report.columns, report.reasons)
+            for i, (object_id, verdict) in enumerate(zip(report.object_ids, column))]
+    assert report.rows == tuple(rows)
+    assert report.failing == tuple(r for r in rows if r.verdict == VERDICT_FAIL)
+    assert report.overall == (VERDICT_FAIL if report.failing else VERDICT_PASS)
     assert report.to_json() == dump_json(_report_dict(report))
+    assert render_topology_report(report) == _render_rows(report)
+
+
+@st.composite
+def _matrices(draw) -> TopologyReport:
+    """A report with awkward constraint names and object ids, random verdict
+    columns and reasons (an empty one among them) on arbitrary cells."""
+    names = draw(st.lists(_TEXT, max_size=4))
+    ids = sorted(draw(st.lists(_TEXT, unique=True, max_size=5)))
+    columns = tuple(tuple(draw(st.lists(_VERDICTS, min_size=len(ids), max_size=len(ids))))
+                    for _ in names)
+    cells = (st.dictionaries(st.integers(0, len(ids) - 1), st.just("") | _TEXT) if ids
+             else st.just({}))
+    reasons = tuple(tuple(sorted(draw(cells).items())) for _ in names)
+    return TopologyReport(tuple(names), tuple(ids), columns, reasons)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_matrices())
+@example(TopologyReport((), (), (), ()))
+@example(TopologyReport(("c",), (), ((),), ((),)))
+@example(TopologyReport((), ("o",), (), ()))
+@example(TopologyReport(("c",), ("o",), ((VERDICT_PASS,),), ((),)))
+@example(TopologyReport(("c", "d"), ("o", "p"),
+                        ((VERDICT_FAIL, VERDICT_NOT_APPLICABLE), (VERDICT_PASS, VERDICT_FAIL)),
+                        (((0, 'say "no"\n\u00e9'),), ((0, "passed, but why"), (1, "")))))
+def test_report_json_writes_what_dump_json_writes(report):
+    _assert_matrix_written_as_rows(report)
 
 
 def _large_objects(count: int, text: str) -> list[ModelObject]:
@@ -987,12 +1025,16 @@ def test_serialize_instance_writes_a_large_model_as_dump_json(text):
 
 @pytest.mark.parametrize("text", ["", '\u00e9 "\\\n\U0001f600'], ids=["ascii", "awkward"])
 def test_report_json_writes_a_large_report_as_dump_json(text):
+    # 7 constraints over 1,300 objects; a fault's reason on every third cell
+    # and a reason on every 17th whatever its verdict
     verdicts = [VERDICT_PASS, VERDICT_FAIL, VERDICT_NOT_APPLICABLE]
-    report = TopologyReport(tuple(
-        ConstraintVerdict(f"c{i % 7}{text}", f"o{i % 1_300}{text}", verdicts[i % 3],
-                          f"reason {i % 11}{text}" if i % 3 == 1 else "")
-        for i in range(10_000)))
-    assert report.to_json() == dump_json(_report_dict(report))
+    ids = sorted(f"o{i}{text}" for i in range(1_300))
+    columns = tuple(tuple(verdicts[(k + i) % 3] for i in range(len(ids))) for k in range(7))
+    reasons = tuple(tuple((i, f"reason {(k * i) % 11}{text}") for i in range(len(ids))
+                          if (k + i) % 3 == 1 or i % 17 == 0)
+                    for k in range(7))
+    report = TopologyReport(tuple(f"c{k}{text}" for k in range(7)), tuple(ids), columns, reasons)
+    _assert_matrix_written_as_rows(report)
 
 
 # ---------------------------------------------------------------------------
